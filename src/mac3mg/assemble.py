@@ -1,9 +1,12 @@
 """Sparse assembly of the MAC operators via 1D Kronecker factors.
 
 This mirrors the matrix-free actions in :mod:`mac3mg.grid` entry for entry
-(the consistency tests enforce it).  Assembled matrices are used only where a
-matrix is genuinely needed: Schur complements and their diagonals, coarsest
-direct solves, and the brute-force two-grid oracle.
+(the consistency tests enforce it): a Dirichlet wall reads the ghost signs
+``grid.VELOCITY_GHOST``, ``grid.PRESSURE_MASS_GHOST`` and
+``grid.CELL_LAPLACIAN_GHOST``, which set the corner entries of the 1D
+factors.  Assembled matrices are used only where a matrix is genuinely
+needed: Schur complements and their diagonals, coarsest direct solves (both
+through :func:`constrained_lu`), and the brute-force two-grid oracle.
 
 Flattening is row-major over ``[x-index, y-index]`` so ``kron(Ax, Ay)`` acts
 with ``Ax`` on the x index and ``Ay`` on the y index, matching ``ravel()``.
@@ -15,6 +18,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from . import grid
 from .grid import BCS, check_size, field_shapes
@@ -34,39 +38,26 @@ def _tridiag(n: int, sub: float, diag: float, sup: float) -> sp.lil_matrix:
                     [-1, 0, 1]).tolil()
 
 
-def _lap1(n: int, h: float, bc: str, closure: str) -> sp.csr_matrix:
+def _lap1(n: int, h: float, bc: str, ghost: float) -> sp.csr_matrix:
     """1D second-difference factor ``[-1 2 -1]/h^2``.
 
-    closure: "trunc" (zero exterior value), "reflectneg" (ghost = -interior)
-    or "neumann" (ghost = +interior); periodic ignores the closure.
+    A Dirichlet wall reads the ghost ``ghost * interior``, which sets the
+    corner entries to ``2 - ghost``; periodic ignores the ghost.
     """
     if bc == "periodic":
         return _circulant(n, {0: 2.0, 1: -1.0, -1: -1.0}) / h**2
     t = _tridiag(n, -1.0, 2.0, -1.0)
-    if closure == "reflectneg":
-        t[0, 0] = 3.0
-        t[n - 1, n - 1] = 3.0
-    elif closure == "neumann":
-        t[0, 0] = 1.0
-        t[n - 1, n - 1] = 1.0
-    elif closure != "trunc":
-        raise ValueError(f"unknown closure {closure!r}")
+    t[0, 0] = t[n - 1, n - 1] = 2.0 - ghost
     return (t / h**2).tocsr()
 
 
-def _mass1(n: int, bc: str, closure: str) -> sp.csr_matrix:
-    """Dimensionless 1D mass factor ``[1 4 1]/6`` with a wall closure."""
+def _mass1(n: int, bc: str, ghost: float) -> sp.csr_matrix:
+    """Dimensionless 1D mass factor ``[1 4 1]/6``; a Dirichlet wall reads the
+    ghost ``ghost * interior``, which sets the corners to ``4 + ghost``."""
     if bc == "periodic":
         return _circulant(n, {0: 4.0, 1: 1.0, -1: 1.0}) / 6.0
     t = _tridiag(n, 1.0, 4.0, 1.0)
-    if closure == "reflectpos":
-        t[0, 0] = 5.0
-        t[n - 1, n - 1] = 5.0
-    elif closure == "reflectneg":
-        t[0, 0] = 3.0
-        t[n - 1, n - 1] = 3.0
-    elif closure != "trunc":
-        raise ValueError(f"unknown closure {closure!r}")
+    t[0, 0] = t[n - 1, n - 1] = 4.0 + ghost
     return (t / 6.0).tocsr()
 
 
@@ -95,8 +86,8 @@ def assemble_ops(n: int, bc: str = "dirichlet") -> SimpleNamespace:
 
     if bc == "periodic":
         eye = sp.identity(n, format="csr")
-        lap = _lap1(n, h, bc, "trunc")
-        mass = _mass1(n, bc, "trunc")
+        lap = _lap1(n, h, bc, 0.0)
+        mass = _mass1(n, bc, 0.0)
         a_u = sp.kron(lap, eye) + sp.kron(eye, lap)
         a_v = a_u.copy()
         gx = sp.kron(_grad1(n, h, bc), eye)
@@ -106,29 +97,15 @@ def assemble_ops(n: int, bc: str = "dirichlet") -> SimpleNamespace:
         q_p = q_u.copy()
         a_p = a_u.copy()
     else:
+        # edge-direction factors see the eliminated zero normal velocities
         eye_n = sp.identity(n, format="csr")
         eye_e = sp.identity(n - 1, format="csr")
-        lap_edge = _lap1(n - 1, h, bc, "trunc")
-        lap_tan = _lap1(n, h, bc, "reflectneg")
-        lap_neu = _lap1(
-            n, h, bc,
-            {"reflect": "neumann", "zero": "trunc", "reflectneg": "reflectneg"}[
-                grid.AP_GHOST
-            ],
-        )
-        mass_edge = _mass1(n - 1, bc, "trunc")
-        mass_tan = _mass1(
-            n, bc,
-            {"zero": "trunc", "reflect": "reflectneg", "reflectpos": "reflectpos"}[
-                grid.Q_TANGENTIAL_GHOST
-            ],
-        )
-        mass_p = _mass1(
-            n, bc,
-            {"reflect": "reflectpos", "zero": "trunc", "reflectneg": "reflectneg"}[
-                grid.QP_GHOST
-            ],
-        )
+        lap_edge = _lap1(n - 1, h, bc, 0.0)
+        lap_tan = _lap1(n, h, bc, grid.VELOCITY_GHOST)
+        lap_neu = _lap1(n, h, bc, grid.CELL_LAPLACIAN_GHOST)
+        mass_edge = _mass1(n - 1, bc, 0.0)
+        mass_tan = _mass1(n, bc, grid.VELOCITY_GHOST)
+        mass_p = _mass1(n, bc, grid.PRESSURE_MASS_GHOST)
         a_u = sp.kron(lap_edge, eye_n) + sp.kron(eye_e, lap_tan)
         a_v = sp.kron(lap_tan, eye_e) + sp.kron(eye_n, lap_edge)
         gx = sp.kron(_grad1(n, h, bc), eye_n)
@@ -179,3 +156,26 @@ def nullspace(n: int, bc: str) -> np.ndarray:
         cols.insert(0, const_v / np.linalg.norm(const_v))
         cols.insert(0, const_u / np.linalg.norm(const_u))
     return np.stack(cols, axis=1)
+
+
+def constrained_lu(mat, cols: np.ndarray):
+    """Sparse LU of ``[[mat, cols], [cols^T, 0]]`` for a singular ``mat``.
+
+    ``cols`` spans the nullspace of the symmetric ``mat``.  Returns a solve
+    that takes a real or complex right-hand side ``b`` and returns ``x`` with
+    ``cols^T x = 0``; for consistent ``b`` this is the minimum-norm solution
+    of ``mat x = b``, and any nullspace component of ``b`` is absorbed by the
+    constraint multipliers, which are stripped.
+    """
+    lu = spla.splu(sp.bmat([[mat, cols], [cols.T, None]], format="csc"))
+    k = cols.shape[1]
+
+    def solve(rhs: np.ndarray) -> np.ndarray:
+        aug = np.concatenate([rhs, np.zeros(k, rhs.dtype)])
+        if np.iscomplexobj(aug):
+            out = lu.solve(aug.real) + 1j * lu.solve(aug.imag)
+        else:
+            out = lu.solve(aug)
+        return out[:-k]
+
+    return solve

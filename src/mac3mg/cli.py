@@ -37,9 +37,11 @@ from fractions import Fraction
 import numpy as np
 
 from . import analytic
+from .grid import check_size
 from .multigrid import GridHierarchy, solve
 from .stencils import RESTRICTIONS
-from .symbols import SCHEMES, RelaxParams, reference_params, smoothing_factor
+from .symbols import (SCHEMES, RelaxParams, check_resolution, reference_params,
+                      smoothing_factor)
 from .twogrid import TransferPair, two_grid_factor_table
 
 RESTRICTION_NAMES = tuple(RESTRICTIONS)
@@ -83,10 +85,11 @@ class ExperimentConfig:
             raise ConfigError("format must be 'csv' or 'json'")
         if not self.nus or any(nu < 1 for nu in self.nus):
             raise ConfigError("nu list must contain positive integers")
-        if self.n < 3:
-            raise ConfigError("n must be at least 3")
-        if self.resolution < 3:
-            raise ConfigError("resolution must be at least 3")
+        try:
+            check_size(self.n)
+            check_resolution(self.resolution)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
 
 
 def _parse_nus(text: str) -> tuple:
@@ -240,15 +243,20 @@ def cmd_smooth_opt(cfg: ExperimentConfig) -> int:
     return 0
 
 
+def _factor_table(cfg: ExperimentConfig, params: RelaxParams, pair: TransferPair) -> dict:
+    """Two-grid factor table at the configured resolution; an eigensolver
+    failure is a numerical failure."""
+    try:
+        return two_grid_factor_table(params, pair, nus=tuple(sorted(set(cfg.nus))),
+                                     n=cfg.resolution, h=1.0 / cfg.resolution)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(f"eigensolver failure: {exc}") from None
+
+
 def cmd_twogrid_lfa(cfg: ExperimentConfig) -> int:
     """Predicted two-grid factors rho(nu) for the configured transfer pair."""
     params = resolve_params(cfg, "lfa")
-    pair = TransferPair(cfg.transfer)
-    try:
-        table = two_grid_factor_table(params, pair, nus=tuple(sorted(set(cfg.nus))),
-                                      n=cfg.resolution, h=1.0 / cfg.resolution)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"eigensolver failure: {exc}") from None
+    table = _factor_table(cfg, params, TransferPair(cfg.transfer))
     rows = []
     for nu in sorted(table):
         rows.append({
@@ -268,8 +276,7 @@ def _measured_rows(cfg: ExperimentConfig, cycles=("two", "v")):
     params = resolve_params(cfg, "measured")
     pair = TransferPair(cfg.transfer)
     hier = GridHierarchy(cfg.n, cfg.bc, params, pair)
-    lfa = two_grid_factor_table(params, pair, nus=tuple(sorted(set(cfg.nus))),
-                                n=cfg.resolution, h=1.0 / cfg.resolution)
+    lfa = _factor_table(cfg, params, pair)
     rows, histories, failed = [], {}, False
     for cycle in cycles:
         for nu in sorted(set(cfg.nus)):
@@ -314,8 +321,9 @@ def cmd_compare(cfg: ExperimentConfig) -> int:
 
     params, rows, histories, failed = _measured_rows(cfg)
     n_per = min(cfg.n, 27)
+    iters = 360
     hier = GridHierarchy(n_per, "periodic", params, TransferPair(cfg.transfer))
-    measured = asymptotic_factor(hier, 1, 0, cycle="two", seed=cfg.seed)
+    measured = asymptotic_factor(hier, 1, 0, cycle="two", iters=iters, seed=cfg.seed)
     rho_h = periodic_lattice_factor(params, TransferPair(cfg.transfer), 1, 0, n=n_per)
     gap = abs(measured - rho_h)
     ok = bool(math.isfinite(measured) and gap <= 0.01)
@@ -335,7 +343,7 @@ def cmd_compare(cfg: ExperimentConfig) -> int:
             "nu": 1,
             "rho_m": measured,
             "rho_lfa": rho_h,
-            "iterations": 360,
+            "iterations": iters,
             "status": "pass" if ok else "fail",
             "n": n_per,
             "bc": "periodic",

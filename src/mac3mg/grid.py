@@ -9,11 +9,11 @@ Arrays are indexed ``[x-index, y-index]`` with mesh width ``h = 1/n``:
 With periodic boundaries every field is ``n x n``.  With Dirichlet (no-slip)
 boundaries the normal velocities on the boundary lines are eliminated as
 zeros, so ``u`` is ``(n-1) x n``, ``v`` is ``n x (n-1)`` and ``p`` is
-``n x n``.  Stencil legs reaching past a wall are closed by the ghost rules
-in the constants below: the velocity Laplacian and velocity mass both use the
-ghost value ``-interior`` (the linear interpolant through the zero wall
-value), the pressure mass drops outside contributions, and the cell-centered
-Laplacian of the distributive update uses the Neumann ghost ``+interior``.
+``n x n``.  Stencil legs reaching past a wall read a ghost value
+``sign * interior`` with the fixed signs below: -1 for the velocity Laplacian
+and the velocity mass (the linear interpolant through the zero wall value), 0
+for the pressure mass (outside contributions drop) and +1 for the
+cell-centered Laplacian of the distributive update (the Neumann ghost).
 
 The saddle operator is ``[[A, B^T], [B, 0]]`` where ``A`` is the vector
 Laplacian, ``B^T`` the pressure gradient and ``B`` the negative divergence,
@@ -30,14 +30,14 @@ import numpy as np
 
 BCS = ("periodic", "dirichlet")
 
-# Dirichlet wall closures for the stencils whose legs reach past the wall.
-# The Laplacian ghost (-interior) is the standard MAC treatment; the mass
-# and cell-Laplacian closures below are the ones validated by reproducing
-# the measured Dirichlet convergence tables.  The assembled-matrix route in
-# ``assemble`` reads the same constants, keeping both routes identical.
-Q_TANGENTIAL_GHOST = "reflect"  # velocity mass: "zero" | "reflect" | "reflectpos"
-QP_GHOST = "zero"  # pressure mass: "reflect" (edge copy) | "zero"
-AP_GHOST = "reflect"  # distributive cell Laplacian: "reflect" (Neumann) | "zero"
+# Dirichlet ghost signs: a stencil leg past the wall reads sign * interior.
+# The velocity sign is the standard MAC treatment; the mass and
+# cell-Laplacian signs are the ones validated by reproducing the measured
+# Dirichlet convergence tables.  The assembled-matrix route in ``assemble``
+# reads the same constants, keeping both routes identical.
+VELOCITY_GHOST = -1.0  # velocity Laplacian and velocity mass
+PRESSURE_MASS_GHOST = 0.0
+CELL_LAPLACIAN_GHOST = 1.0  # distributive cell Laplacian (Neumann)
 
 
 def check_size(n: int) -> None:
@@ -133,35 +133,26 @@ class SaddleSystem:
     # Padded arrays carry one ring of boundary/ghost values so one slicing
     # expression serves the whole field.
 
-    def _pad_vel(self, f: np.ndarray, axis_normal: int, ghost: str) -> np.ndarray:
+    def _pad_vel(self, f: np.ndarray, axis_normal: int) -> np.ndarray:
         """Pad a velocity component: zeros on the normal boundary lines,
-        ``ghost`` ("reflect" -> -interior, "reflectpos" -> +interior, "zero")
-        on the tangential sides."""
+        ``VELOCITY_GHOST * interior`` on the tangential sides."""
         n = self.n
-        sign = {"reflect": -1.0, "reflectpos": 1.0, "zero": 0.0}[ghost]
         if axis_normal == 0:  # u: (n-1, n), normal = x
             out = np.zeros((n + 1, n + 2), f.dtype)
             out[1:n, 1 : n + 1] = f
-            out[1:n, 0] = sign * f[:, 0]
-            out[1:n, n + 1] = sign * f[:, n - 1]
+            out[1:n, 0] = VELOCITY_GHOST * f[:, 0]
+            out[1:n, n + 1] = VELOCITY_GHOST * f[:, n - 1]
         else:  # v: (n, n-1), normal = y
             out = np.zeros((n + 2, n + 1), f.dtype)
             out[1 : n + 1, 1:n] = f
-            out[0, 1:n] = sign * f[0, :]
-            out[n + 1, 1:n] = sign * f[n - 1, :]
+            out[0, 1:n] = VELOCITY_GHOST * f[0, :]
+            out[n + 1, 1:n] = VELOCITY_GHOST * f[n - 1, :]
         return out
 
-    def _pad_p(self, f: np.ndarray, ghost: str) -> np.ndarray:
-        if ghost == "reflect":
-            return np.pad(f, 1, mode="edge")
-        if ghost == "reflectneg":
-            out = np.pad(f, 1, mode="edge")
-            out[0, :] *= -1.0
-            out[-1, :] *= -1.0
-            out[:, 0] *= -1.0
-            out[:, -1] *= -1.0
-            return out
-        return np.pad(f, 1, mode="constant")
+    def _pad_p(self, f: np.ndarray, sign: float) -> np.ndarray:
+        """Pad a cell field with the ghost ``sign * interior``; the cell
+        signs are 0 (zero ghost) and +1 (edge copy)."""
+        return np.pad(f, 1, mode="edge" if sign == 1.0 else "constant")
 
     @staticmethod
     def _five_point(fp: np.ndarray, h: float) -> np.ndarray:
@@ -197,12 +188,12 @@ class SaddleSystem:
     def apply_lap_u(self, u: np.ndarray) -> np.ndarray:
         if self.bc == "periodic":
             return self._roll_five_point(u, self.h)
-        return self._five_point(self._pad_vel(u, 0, "reflect"), self.h)
+        return self._five_point(self._pad_vel(u, 0), self.h)
 
     def apply_lap_v(self, v: np.ndarray) -> np.ndarray:
         if self.bc == "periodic":
             return self._roll_five_point(v, self.h)
-        return self._five_point(self._pad_vel(v, 1, "reflect"), self.h)
+        return self._five_point(self._pad_vel(v, 1), self.h)
 
     # -- gradient / divergence ------------------------------------------
 
@@ -236,19 +227,19 @@ class SaddleSystem:
         if self.bc == "periodic":
             return self._roll_nine_point_mass(f, self.h)
         axis = 0 if comp == "u" else 1
-        return self._nine_point_mass(self._pad_vel(f, axis, Q_TANGENTIAL_GHOST), self.h)
+        return self._nine_point_mass(self._pad_vel(f, axis), self.h)
 
     def apply_qp(self, p: np.ndarray) -> np.ndarray:
         """Pressure mass operator."""
         if self.bc == "periodic":
             return self._roll_nine_point_mass(p, self.h)
-        return self._nine_point_mass(self._pad_p(p, QP_GHOST), self.h)
+        return self._nine_point_mass(self._pad_p(p, PRESSURE_MASS_GHOST), self.h)
 
     def apply_ap(self, p: np.ndarray) -> np.ndarray:
         """Cell-centered Laplacian used by the distributive update."""
         if self.bc == "periodic":
             return self._roll_five_point(p, self.h)
-        return self._five_point(self._pad_p(p, AP_GHOST), self.h)
+        return self._five_point(self._pad_p(p, CELL_LAPLACIAN_GHOST), self.h)
 
     # -- full operator ---------------------------------------------------
 

@@ -20,11 +20,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.ndimage as ndi
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from . import assemble, grid, stencils
-from .smoothers import Smoother, _solve_maybe_complex
+from .smoothers import Smoother
 from .symbols import RelaxParams
 from .twogrid import TransferPair
 
@@ -126,19 +124,13 @@ class DirectSolver:
     """
 
     def __init__(self, n: int, bc: str):
-        ops = assemble.assemble_ops(n, bc)
-        ns = assemble.nullspace(n, bc)
-        aug = sp.bmat([[ops.saddle, ns], [ns.T, None]], format="csc")
-        self._lu = spla.splu(aug)
-        self._k = ns.shape[1]
+        self._solve = assemble.constrained_lu(assemble.assemble_ops(n, bc).saddle,
+                                              assemble.nullspace(n, bc))
         self.n = n
         self.bc = bc
 
     def solve_state(self, rhs: grid.StaggeredState) -> grid.StaggeredState:
-        vec = rhs.flat()
-        aug = np.concatenate([vec, np.zeros(self._k, vec.dtype)])
-        out = _solve_maybe_complex(self._lu, aug)
-        return grid.StaggeredState.from_flat(out[: -self._k], self.n, self.bc)
+        return grid.StaggeredState.from_flat(self._solve(rhs.flat()), self.n, self.bc)
 
 
 class GridHierarchy:

@@ -20,26 +20,18 @@ per-mode Fourier consistency tests rely on.
 from __future__ import annotations
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from . import assemble, grid
 from .symbols import RelaxParams
-
-
-def _solve_maybe_complex(lu, rhs: np.ndarray) -> np.ndarray:
-    if np.iscomplexobj(rhs):
-        return lu.solve(rhs.real) + 1j * lu.solve(rhs.imag)
-    return lu.solve(rhs)
 
 
 class SchurOperator:
     """Assembled pressure Schur complement ``B diag(Q, Q) B^T`` for one level.
 
     The matrix is symmetric positive semi-definite with the constant pressure
-    in its kernel.  ``solve`` factorizes the matrix augmented with the
-    constant-mode constraint, returning the mean-zero solution of consistent
-    systems (equivalently the pseudoinverse applied to the right-hand side).
+    in its kernel.  ``solve`` factorizes it on first use with the constant-mode
+    constraint, returning the mean-zero solution of consistent systems
+    (equivalently the pseudoinverse applied to the right-hand side).
     """
 
     def __init__(self, n: int, bc: str):
@@ -49,20 +41,17 @@ class SchurOperator:
         self.diag = self.mat.diagonal().copy()
         if (self.diag <= 0.0).any():
             raise ValueError("Schur diagonal must be positive")
-        m = self.mat.shape[0]
-        self._c = np.full((m, 1), 1.0 / np.sqrt(m))
-        self._lu = None
+        self._solve = None
 
     def apply(self, p: np.ndarray) -> np.ndarray:
         return (self.mat @ p.ravel()).reshape(p.shape)
 
     def solve(self, g: np.ndarray) -> np.ndarray:
         """Mean-zero solution of ``S x = g`` (g is consistent up to roundoff)."""
-        if self._lu is None:
-            aug = sp.bmat([[self.mat, self._c], [self._c.T, None]], format="csc")
-            self._lu = spla.splu(aug)
-        rhs = np.concatenate([g.ravel(), np.zeros(1, g.dtype)])
-        return _solve_maybe_complex(self._lu, rhs)[:-1].reshape(g.shape)
+        if self._solve is None:
+            m = self.mat.shape[0]
+            self._solve = assemble.constrained_lu(self.mat, np.full((m, 1), 1.0 / np.sqrt(m)))
+        return self._solve(g.ravel()).reshape(g.shape)
 
 
 class Smoother:
@@ -125,28 +114,3 @@ class Smoother:
         else:
             raise ValueError(f"unknown scheme {p.scheme!r}")
         state.add_scaled(delta, p.omega)
-
-
-def _relax(scheme: str, system, state, rhs, params: RelaxParams) -> grid.StaggeredState:
-    if params.scheme != scheme:
-        raise ValueError(f"params are for {params.scheme!r}, expected {scheme!r}")
-    out = state.copy()
-    Smoother(system, params).sweep(out, rhs)
-    return out
-
-
-def relax_qdr(system, state, rhs, params: RelaxParams) -> grid.StaggeredState:
-    """Distributive relaxation sweep (returns the updated state)."""
-    return _relax("qdr", system, state, rhs, params)
-
-
-def relax_qbsr_exact(system, state, rhs, params: RelaxParams) -> grid.StaggeredState:
-    return _relax("qbsr", system, state, rhs, params)
-
-
-def relax_qibsr(system, state, rhs, params: RelaxParams) -> grid.StaggeredState:
-    return _relax("qibsr", system, state, rhs, params)
-
-
-def relax_uzawa(system, state, rhs, params: RelaxParams) -> grid.StaggeredState:
-    return _relax("quzawa", system, state, rhs, params)

@@ -86,17 +86,15 @@ def grad_y_half() -> Stencil:
 
 
 def mass_q() -> Stencil:
-    """Lumped bilinear velocity mass stencil ``(h^2/36) [1 4 1; 4 16 4; 1 4 1]``."""
+    """Lumped bilinear mass stencil ``(h^2/36) [1 4 1; 4 16 4; 1 4 1]``.
+
+    The velocity mass and the pressure mass (on the cell centers) share it.
+    """
     w = np.array([[1.0, 4.0, 1.0], [4.0, 16.0, 4.0], [1.0, 4.0, 1.0]]) / 36.0
     return Stencil(
         {(k1, k2): w[k1 + 1, k2 + 1] for k1 in (-1, 0, 1) for k2 in (-1, 0, 1)},
         h_power=2,
     )
-
-
-def mass_qp() -> Stencil:
-    """Pressure mass stencil; same table as :func:`mass_q` on the cell centers."""
-    return mass_q()
 
 
 def p25() -> Stencil:

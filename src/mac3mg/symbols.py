@@ -107,10 +107,16 @@ def is_high(theta):
     return np.logical_not(is_low(theta))
 
 
+def check_resolution(n: int) -> None:
+    """Sampling resolutions are multiples of 3 (the offset lattice is then
+    closed under the 2 pi / 3 harmonic shifts) of at least 9."""
+    if n < 9 or n % 3 != 0:
+        raise ValueError(f"sampling resolution {n} is not a multiple of 3 of at least 9")
+
+
 def _offset_lattice(n: int) -> np.ndarray:
     """All ``n^2`` frequencies ``2 pi (k + 1/2) / n`` canonicalized, shape (n*n, 2)."""
-    if n < 9 or n % 3 != 0:
-        raise ValueError("sampling resolution must be a multiple of 3, at least 9")
+    check_resolution(n)
     vals = canonicalize(2.0 * np.pi * (np.arange(n) + 0.5) / n)
     t1, t2 = np.meshgrid(vals, vals, indexing="ij")
     return np.stack([t1.ravel(), t2.ravel()], axis=-1)
@@ -186,21 +192,6 @@ def dist_p_symbol(theta, h: float = 1.0) -> np.ndarray:
     out[..., 0, 2] = 2.0j * s1 / h
     out[..., 1, 2] = 2.0j * s2 / h
     out[..., 2, 2] = -4.0 * m / h**2
-    return out
-
-
-def dist_k_symbol(theta, h: float = 1.0) -> np.ndarray:
-    """Symbol of the distributed operator: block lower triangular with
-    scalar Laplacians on the diagonal.  Equals ``stokes @ dist_p`` exactly."""
-    theta = np.asarray(theta, dtype=float)
-    s1, s2 = _halves(theta)
-    m = s1**2 + s2**2
-    out = np.zeros(theta.shape[:-1] + (3, 3), dtype=complex)
-    out[..., 0, 0] = 4.0 * m / h**2
-    out[..., 1, 1] = 4.0 * m / h**2
-    out[..., 2, 0] = -2.0j * s1 / h
-    out[..., 2, 1] = -2.0j * s2 / h
-    out[..., 2, 2] = 4.0 * m / h**2
     return out
 
 
@@ -312,11 +303,6 @@ def relax_error_symbol(params: RelaxParams, theta, h: float = 1.0) -> np.ndarray
     else:
         raise ValueError(f"unknown scheme {params.scheme!r}")
     return eye - params.omega * step
-
-
-def spectral_radius(mat: np.ndarray) -> float:
-    """Largest eigenvalue magnitude of a dense matrix (LAPACK QR iteration)."""
-    return float(np.abs(np.linalg.eigvals(mat)).max())
 
 
 def smoothing_factor(params: RelaxParams, n: int = 81, h: float = 1.0) -> float:

@@ -55,36 +55,11 @@ class TransferPair:
             )
 
 
-@dataclass(frozen=True)
-class HarmonicSet:
-    """Base frequency with its nine aliasing harmonics (shape (9, 2))."""
-
-    base: tuple[float, float]
-    freqs: np.ndarray
-
-    @property
-    def shifts(self) -> tuple[tuple[int, int], ...]:
-        return HARMONIC_SHIFTS
-
-
-def harmonics(theta) -> HarmonicSet:
-    base = np.asarray(theta, dtype=float)
-    if not bool(np.all(symbols.is_low(base))):
-        raise ValueError("harmonics are defined for low base frequencies only")
-    return HarmonicSet(base=(float(base[0]), float(base[1])), freqs=_harmonic_freqs(base))
-
-
 def _harmonic_freqs(thetas) -> np.ndarray:
     """Harmonic frequencies, shape (..., 9, 2); no rewrapping is needed."""
     thetas = np.asarray(thetas, dtype=float)
     shifts = (2.0 * np.pi / 3.0) * np.asarray(HARMONIC_SHIFTS, dtype=float)
     return thetas[..., None, :] + shifts
-
-
-def expanded_fine_symbol(symbol_fn, hset: HarmonicSet, h: float = 1.0) -> np.ndarray:
-    """27x27 block-diagonal expansion of a 3x3 symbol over the harmonics."""
-    blocks = symbol_fn(hset.freqs, h)
-    return _expand(blocks[None])[0]
 
 
 def _expand(blocks: np.ndarray) -> np.ndarray:
@@ -100,12 +75,6 @@ def coarse_symbol(theta, h: float) -> np.ndarray:
     """Direct rediscretization on the coarse grid: Stokes symbol at (3 theta, 3h)."""
     theta = np.asarray(theta, dtype=float)
     return symbols.stokes_symbol(3.0 * theta, 3.0 * h)
-
-
-def transfer_symbols(pair: TransferPair, hset: HarmonicSet, h: float = 1.0):
-    """Harmonic-expanded transfer symbols: (27x3 prolongation, 3x27 restriction)."""
-    p, r = _transfer_mats(pair, hset.freqs[None])
-    return p[0], r[0]
 
 
 def _transfer_mats(pair: TransferPair, freqs: np.ndarray):
@@ -166,7 +135,8 @@ def two_grid_symbol(
     pair: TransferPair,
     h: float = 1.0,
 ) -> np.ndarray:
-    """27x27 two-grid error symbol ``S^nu2 (I - P Lc^-1 R L) S^nu1``."""
+    """27x27 two-grid error symbol ``S^nu2 (I - P Lc^-1 R L) S^nu1`` at one
+    base: the single-sample oracle for the batched factors."""
     base = np.asarray(theta, dtype=float)
     if not bool(np.all(symbols.is_low(base))):
         raise ValueError("two-grid symbol requires a low base frequency")
@@ -175,6 +145,31 @@ def two_grid_symbol(
         raise np.linalg.LinAlgError("coarse symbol is singular at this base frequency")
     e = np.linalg.matrix_power(smo[0], nu2) @ cgc[0] @ np.linalg.matrix_power(smo[0], nu1)
     return e
+
+
+def _max_radius(
+    bases: np.ndarray,
+    params: RelaxParams,
+    pair: TransferPair,
+    h: float,
+    nus: tuple[int, ...],
+) -> dict[int, float]:
+    """Largest spectral radius of ``C S^nu`` over the bases, for each nu.
+
+    ``S^nu2 C S^nu1`` is similar to ``C S^(nu1 + nu2)``, so one smoothing
+    count per entry covers every pre/post split.  Powers of the smoother are
+    built incrementally across the sorted counts.
+    """
+    cgc, smo, _ = _error_symbols(bases, params, pair, h)
+    out: dict[int, float] = {}
+    power = np.broadcast_to(np.eye(27, dtype=complex), smo.shape).copy()
+    last = 0
+    for nu in sorted(nus):
+        for _ in range(nu - last):
+            power = smo @ power
+        last = nu
+        out[nu] = float(np.abs(np.linalg.eigvals(cgc @ power)).max())
+    return out
 
 
 def two_grid_factor_table(
@@ -189,37 +184,7 @@ def two_grid_factor_table(
     One sweep over the offset low-frequency samples; smoothing is applied as
     pre-relaxation only (the factor depends on nu1 + nu2 only).
     """
-    thetas = symbols.low_freq_samples(n)
-    cgc, smo, _ = _error_symbols(thetas, params, pair, h)
-    out: dict[int, float] = {}
-    power = np.broadcast_to(np.eye(27, dtype=complex), smo.shape).copy()
-    last = 0
-    for nu in sorted(nus):
-        for _ in range(nu - last):
-            power = smo @ power
-        last = nu
-        e = cgc @ power
-        out[nu] = float(np.abs(np.linalg.eigvals(e)).max())
-    return out
-
-
-def two_grid_convergence_factor(
-    nu1: int,
-    nu2: int,
-    params: RelaxParams,
-    pair: TransferPair,
-    n: int = 81,
-    h: float = 1.0 / 81.0,
-) -> float:
-    """Max spectral radius of the two-grid symbol over offset low samples."""
-    thetas = symbols.low_freq_samples(n)
-    cgc, smo, _ = _error_symbols(thetas, params, pair, h)
-    e = (
-        np.linalg.matrix_power(smo, nu2)
-        @ cgc
-        @ np.linalg.matrix_power(smo, nu1)
-    )
-    return float(np.abs(np.linalg.eigvals(e)).max())
+    return _max_radius(symbols.low_freq_samples(n), params, pair, h, nus)
 
 
 def periodic_lattice_factor(
@@ -246,19 +211,13 @@ def periodic_lattice_factor(
     t1, t2 = np.meshgrid(2.0 * np.pi * ks / n, 2.0 * np.pi * ks / n, indexing="ij")
     bases = np.stack([t1.ravel(), t2.ravel()], axis=-1)
     nonzero = np.abs(bases).max(axis=-1) > 1e-14
-
-    cgc, smo, _ = _error_symbols(bases[nonzero], params, pair, h)
-    e = (
-        np.linalg.matrix_power(smo, nu2)
-        @ cgc
-        @ np.linalg.matrix_power(smo, nu1)
-    )
-    rho = float(np.abs(np.linalg.eigvals(e)).max())
+    nu = nu1 + nu2
+    rho = _max_radius(bases[nonzero], params, pair, h, (nu,))[nu]
 
     # zero-base family: pure relaxation on the nonzero harmonics
     zero_freqs = _harmonic_freqs(np.zeros(2))
     keep = [a for a in range(9) if a != BASE_INDEX]
     s = symbols.relax_error_symbol(params, zero_freqs[keep], h)
-    s = np.linalg.matrix_power(s, nu1 + nu2)
+    s = np.linalg.matrix_power(s, nu)
     rho_zero = float(np.abs(np.linalg.eigvals(s)).max())
     return max(rho, rho_zero)

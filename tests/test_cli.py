@@ -4,6 +4,7 @@ import csv
 import io
 import json
 
+import numpy as np
 import pytest
 
 from mac3mg import cli
@@ -67,7 +68,9 @@ def test_validate_rejects_bad_values():
         ("nus", ()),
         ("nus", (0,)),
         ("n", 2),
+        ("n", 80),
         ("resolution", 1),
+        ("resolution", 10),
     ):
         broken = cli.ExperimentConfig(command="mg-run")
         setattr(broken, attr, value)
@@ -99,6 +102,11 @@ def test_bad_flag_values_exit_one(capsys):
     assert run_cli(["twogrid-lfa", "--scheme", "bogus"]) == 1
     assert run_cli(["mg-run", "--config", "/nonexistent/path.cfg"]) == 1
     capsys.readouterr()
+    # grid sizes and sampling resolutions are checked before any work starts
+    assert run_cli(["mg-run", "--n", "80"]) == 1
+    assert run_cli(["twogrid-lfa", "--resolution", "10"]) == 1
+    assert run_cli(["smooth-opt", "--resolution", "10"]) == 1
+    assert capsys.readouterr().err.count("config error") == 3
 
 
 def test_help_exits_zero(capsys):
@@ -181,6 +189,17 @@ def test_mg_run_divergence_exit_code(tmp_path):
     rows = read_csv(str(out))
     assert all(r["status"] == "diverged" for r in rows)
     assert all(r["rho_m"] == "nan" for r in rows)
+
+
+def test_mg_run_eigensolver_failure_exit_code(tmp_path, monkeypatch, capsys):
+    def fail(*args, **kwargs):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(cli, "two_grid_factor_table", fail)
+    code = run_cli(["mg-run", "--scheme", "qdr", "--n", "9", "--nu", "1",
+                    "--resolution", "27", "--out", str(tmp_path / "run.csv")])
+    assert code == 2
+    assert "numerical failure" in capsys.readouterr().err
 
 
 def test_compare_periodic_check_passes(tmp_path):

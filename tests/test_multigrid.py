@@ -8,7 +8,7 @@ computed from the 27x27 harmonic symbols to near machine precision.
 import numpy as np
 import pytest
 
-from mac3mg import assemble, grid, multigrid, symbols, twogrid
+from mac3mg import assemble, grid, multigrid, stencils, symbols, twogrid
 from mac3mg.multigrid import GridHierarchy
 from mac3mg.symbols import RelaxParams, reference_params
 from mac3mg.twogrid import TransferPair
@@ -74,12 +74,11 @@ def test_periodic_transfer_symbols_match_real_transfers():
     # the stencil symbol times the per-field harmonic sign
     n, nc = 9, 3
     base = np.array([2 * np.pi * 1 / n, -2 * np.pi * 1 / n])
-    hs = twogrid.harmonics(base)
+    freqs = twogrid._harmonic_freqs(base)
     for tag in ALL_TRANSFERS:
-        sym = np.real(getattr(__import__("mac3mg.stencils", fromlist=["s"]),
-                              "RESTRICTIONS")[tag]().symbol(hs.freqs, 1.0))
-        for a, shift in enumerate(hs.shifts):
-            theta = hs.freqs[a]
+        sym = np.real(stencils.RESTRICTIONS[tag]().symbol(freqs, 1.0))
+        for a, shift in enumerate(twogrid.HARMONIC_SHIFTS):
+            theta = freqs[a]
             st = grid.fourier_state(n, theta)
             coarse = multigrid.restrict_state(st, tag)
             coarse_mode = grid.fourier_state(nc, 3.0 * base)

@@ -4,7 +4,7 @@ gauge preservation, and the Schur helper."""
 import numpy as np
 import pytest
 
-from mac3mg import grid, smoothers, symbols
+from mac3mg import grid, symbols
 from mac3mg.smoothers import SchurOperator, Smoother
 from mac3mg.symbols import RelaxParams, reference_params
 
@@ -108,40 +108,6 @@ def test_schur_diagonal_is_constant_on_periodic_grids():
     assert np.abs(op.diag - op.diag[0]).max() < 1e-14
     # dimensionless self-weight 4/3 (h factors cancel in B Q B^T)
     assert abs(op.diag[0] - 4.0 / 3.0) < 1e-13
-
-
-def test_relax_wrappers_check_scheme():
-    n = 9
-    sysm = grid.build_system(n, "dirichlet")
-    st = grid.random_state(n, "dirichlet", seed=1)
-    with pytest.raises(ValueError):
-        smoothers.relax_qdr(sysm, st, None, reference_params("qbsr"))
-    with pytest.raises(ValueError):
-        smoothers.relax_uzawa(sysm, st, None, reference_params("qdr"))
-    out = smoothers.relax_qdr(sysm, st, None, reference_params("qdr"))
-    # wrapper copies: the input state must be untouched
-    assert out is not st
-    ref = grid.random_state(n, "dirichlet", seed=1)
-    assert np.array_equal(st.flat(), ref.flat())
-
-
-@pytest.mark.parametrize("scheme", symbols.SCHEMES)
-def test_wrappers_match_inplace_sweep(scheme):
-    wrappers = {
-        "qdr": smoothers.relax_qdr,
-        "qbsr": smoothers.relax_qbsr_exact,
-        "qibsr": smoothers.relax_qibsr,
-        "quzawa": smoothers.relax_uzawa,
-    }
-    n = 9
-    sysm = grid.build_system(n, "dirichlet")
-    params = reference_params(scheme)
-    st = grid.random_state(n, "dirichlet", seed=2)
-    rhs = grid.random_state(n, "dirichlet", seed=3)
-    out = wrappers[scheme](sysm, st, rhs, params)
-    manual = st.copy()
-    Smoother(sysm, params).sweep(manual, rhs)
-    assert np.array_equal(out.flat(), manual.flat())
 
 
 def test_per_mode_damping_on_the_lattice():

@@ -25,7 +25,6 @@ def test_symbol_at_zero_equals_row_sum():
     for builder in (
         stencils.laplacian_5pt,
         stencils.mass_q,
-        stencils.mass_qp,
         stencils.p25,
         stencils.r1,
         stencils.r9,

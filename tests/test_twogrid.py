@@ -18,27 +18,34 @@ def test_transfer_pair_validation():
 
 
 def test_harmonics_require_low_base():
-    hs = twogrid.harmonics((0.1, -0.2))
-    assert hs.freqs.shape == (9, 2)
+    # the nine harmonics of a low base land in [-pi, pi)^2 without rewrapping;
+    # a high base would push some of them off the torus, so only low bases
+    # are accepted as two-grid bases
+    hs = twogrid._harmonic_freqs((0.1, -0.2))
+    assert hs.shape == (9, 2)
+    assert np.all((hs >= -np.pi) & (hs < np.pi))
+    high = twogrid._harmonic_freqs((np.pi / 2, 0.0))
+    assert not np.all((high >= -np.pi) & (high < np.pi))
     with pytest.raises(ValueError):
-        twogrid.harmonics((np.pi / 2, 0.0))
+        twogrid.two_grid_symbol((np.pi / 2, 0.0), 1, 0, reference_params("qdr"),
+                                TransferPair("p25t"))
 
 
 def test_harmonics_alias_on_the_coarse_grid():
     # all nine harmonics map to the same coarse frequency 3 theta (mod 2 pi)
     # and exactly one of them (the base) is low
     base = np.array([0.21, -0.77]) / 3.0
-    hs = twogrid.harmonics(base)
-    coarse = 3.0 * hs.freqs
+    freqs = twogrid._harmonic_freqs(base)
+    coarse = 3.0 * freqs
     base3 = 3.0 * base
     wrapped = symbols.canonicalize(coarse)
     for a in range(9):
         assert np.allclose(wrapped[a], symbols.canonicalize(base3), atol=1e-12)
-    low_flags = symbols.is_low(hs.freqs)
+    low_flags = symbols.is_low(freqs)
     assert low_flags.sum() == 1
     assert low_flags[twogrid.BASE_INDEX]
     # harmonics are pairwise distinct
-    flat = {tuple(np.round(f, 12)) for f in hs.freqs}
+    flat = {tuple(np.round(f, 12)) for f in freqs}
     assert len(flat) == 9
 
 
@@ -50,12 +57,12 @@ def test_field_phase_table():
 
 
 def test_expanded_fine_symbol_is_block_diagonal():
-    hs = twogrid.harmonics((0.2, 0.1))
-    big = twogrid.expanded_fine_symbol(symbols.stokes_symbol, hs, h=0.5)
+    freqs = twogrid._harmonic_freqs((0.2, 0.1))
+    big = twogrid._expand(symbols.stokes_symbol(freqs, 0.5)[None])[0]
     assert big.shape == (27, 27)
     for a in range(9):
         blk = big[3 * a : 3 * a + 3, 3 * a : 3 * a + 3]
-        assert np.abs(blk - symbols.stokes_symbol(hs.freqs[a], 0.5)).max() < 1e-13
+        assert np.abs(blk - symbols.stokes_symbol(freqs[a], 0.5)).max() < 1e-13
     mask = np.ones((27, 27), dtype=bool)
     for a in range(9):
         mask[3 * a : 3 * a + 3, 3 * a : 3 * a + 3] = False
@@ -63,9 +70,10 @@ def test_expanded_fine_symbol_is_block_diagonal():
 
 
 def test_transfer_symbols_sparsity_and_scaling():
-    hs = twogrid.harmonics((0.01, 0.02))
+    freqs = twogrid._harmonic_freqs((0.01, 0.02))
     pair = TransferPair("p25t")
-    prolong, restrict = twogrid.transfer_symbols(pair, hs)
+    prolong, restrict = twogrid._transfer_mats(pair, freqs[None])
+    prolong, restrict = prolong[0], restrict[0]
     assert prolong.shape == (27, 3) and restrict.shape == (3, 27)
     for f in range(3):
         rows = np.flatnonzero(np.abs(prolong[:, f]) > 0)
@@ -107,12 +115,19 @@ def test_pre_post_smoothing_split_is_spectrally_equivalent():
 
 
 def test_factor_table_matches_single_factor_calls():
+    # the batched table is the maximum over the offset low samples of the
+    # single-sample oracle, for any pre/post split of the smoothing steps
     p = reference_params("qdr")
     pair = TransferPair("p25t")
-    table = twogrid.two_grid_factor_table(p, pair, nus=(1, 2), n=27, h=1.0 / 27.0)
-    for nu in (1, 2):
-        single = twogrid.two_grid_convergence_factor(nu, 0, p, pair, n=27, h=1.0 / 27.0)
-        assert abs(table[nu] - single) < 1e-12
+    h = 1.0 / 27.0
+    table = twogrid.two_grid_factor_table(p, pair, nus=(1, 2), n=27, h=h)
+    for nu1, nu2 in ((1, 0), (2, 0), (1, 1)):
+        single = max(
+            float(np.abs(np.linalg.eigvals(
+                twogrid.two_grid_symbol(theta, nu1, nu2, p, pair, h))).max())
+            for theta in symbols.low_freq_samples(27)
+        )
+        assert abs(table[nu1 + nu2] - single) < 1e-12, (nu1, nu2)
 
 
 def test_factor_table_handles_unsorted_nus():
@@ -147,9 +162,9 @@ def test_smoke_cells_against_published_factors():
         ("quzawa", "r1", 1, 0.642),
     ]
     for scheme, restrict, nu, published in cells:
-        got = twogrid.two_grid_convergence_factor(
-            nu, 0, reference_params(scheme), TransferPair(restrict), n=27, h=1.0 / 27.0
-        )
+        got = twogrid.two_grid_factor_table(
+            reference_params(scheme), TransferPair(restrict), nus=(nu,), n=27, h=1.0 / 27.0
+        )[nu]
         assert abs(got - published) < 0.03, (scheme, restrict, nu, got)
 
 
@@ -166,6 +181,9 @@ def test_periodic_lattice_factor_zero_base_family():
     rho_zero = float(np.abs(np.linalg.eigvals(s)).max())
     assert rho >= rho_zero - 1e-14
     assert 0.0 < rho < 1.0
+    # the factor depends on nu1 + nu2 only
+    split = twogrid.periodic_lattice_factor(p, pair, 2, 1, n)
+    assert abs(split - twogrid.periodic_lattice_factor(p, pair, 3, 0, n)) < 1e-12
 
 
 def test_two_grid_factor_limit_at_zero_depends_on_direction():
