@@ -85,6 +85,8 @@ class ExperimentConfig:
             raise ConfigError("format must be 'csv' or 'json'")
         if not self.nus or any(nu < 1 for nu in self.nus):
             raise ConfigError("nu list must contain positive integers")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be nonnegative, got {self.seed}")
         try:
             check_size(self.n)
             check_resolution(self.resolution)

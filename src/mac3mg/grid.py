@@ -9,11 +9,26 @@ Arrays are indexed ``[x-index, y-index]`` with mesh width ``h = 1/n``:
 With periodic boundaries every field is ``n x n``.  With Dirichlet (no-slip)
 boundaries the normal velocities on the boundary lines are eliminated as
 zeros, so ``u`` is ``(n-1) x n``, ``v`` is ``n x (n-1)`` and ``p`` is
-``n x n``.  Stencil legs reaching past a wall read a ghost value
-``sign * interior`` with the fixed signs below: -1 for the velocity Laplacian
-and the velocity mass (the linear interpolant through the zero wall value), 0
-for the pressure mass (outside contributions drop) and +1 for the
-cell-centered Laplacian of the distributive update (the Neumann ghost).
+``n x n``.
+
+Every boundary closure goes through ``pad_field``: periodic fields wrap, and
+Dirichlet fields are padded per axis with ``sign * mirrored interior``, where
+a sign of 0 means zero extension.  The normal axis of a velocity component
+ends on the wall line itself, which carries the eliminated zero unknowns, so
+its sign is always 0.  The Dirichlet signs, ``(x-axis, y-axis)``:
+
+===========================  ==========  ==========  ==========
+closure                      u           v           p
+===========================  ==========  ==========  ==========
+Laplacian (operator ghost)   (0, -1)     (-1, 0)     (+1, +1)
+mass (operator ghost)        (0, -1)     (-1, 0)     (0, 0)
+transfer fold                (0, -1)     (-1, 0)     (+1, +1)
+===========================  ==========  ==========  ==========
+
+The velocity sign -1 is the linear interpolant through the zero wall value;
+the pressure mass drops outside contributions; the cell Laplacian of the
+distributive update reads the Neumann ghost.  ``assemble`` reads the same
+operator signs, and ``multigrid`` the transfer folds.
 
 The saddle operator is ``[[A, B^T], [B, 0]]`` where ``A`` is the vector
 Laplacian, ``B^T`` the pressure gradient and ``B`` the negative divergence,
@@ -39,6 +54,16 @@ VELOCITY_GHOST = -1.0  # velocity Laplacian and velocity mass
 PRESSURE_MASS_GHOST = 0.0
 CELL_LAPLACIAN_GHOST = 1.0  # distributive cell Laplacian (Neumann)
 
+# Per-axis pad_field signs of the velocity components: zero on the normal
+# axis (the wall line), the ghost sign on the tangential one.
+VELOCITY_SIGNS = {"u": (0.0, VELOCITY_GHOST), "v": (VELOCITY_GHOST, 0.0)}
+
+# Transfer stencil legs reaching past a wall mirror the field's symmetry
+# there: odd fold for tangential velocity (no-slip), zero extension in the
+# normal velocity direction, even fold for pressure (cells mirror across the
+# wall face).
+TRANSFER_FOLDS = {**VELOCITY_SIGNS, "p": (1.0, 1.0)}
+
 
 def check_size(n: int) -> None:
     """Mesh sizes are 3 * 3**k so the hierarchy bottoms out on a 3x3 grid."""
@@ -55,6 +80,29 @@ def field_shapes(n: int, bc: str) -> dict[str, tuple[int, int]]:
     if bc == "periodic":
         return {"u": (n, n), "v": (n, n), "p": (n, n)}
     return {"u": (n - 1, n), "v": (n, n - 1), "p": (n, n)}
+
+
+def pad_field(f: np.ndarray, radius: int, signs, bc: str) -> np.ndarray:
+    """Pad a field by ``radius`` with its boundary closure.
+
+    Periodic fields wrap.  Dirichlet fields are zero-padded, then each border
+    along axis ``k`` is set to ``signs[k] * mirrored interior`` (reflection
+    between samples); a sign of 0 leaves the zero extension.
+    """
+    if bc not in BCS:
+        raise ValueError(f"unknown boundary mode {bc!r}")
+    if bc == "periodic":
+        return np.pad(f, radius, mode="wrap")
+    out = np.pad(f, radius)
+    for axis, s in enumerate(signs):
+        if s == 0.0:
+            continue
+        src = np.moveaxis(out, axis, 0)
+        m = f.shape[axis]
+        for t in range(min(radius, m)):
+            src[radius - 1 - t] = s * src[radius + t]
+            src[radius + m + t] = s * src[radius + m - 1 - t]
+    return out
 
 
 @dataclass
@@ -129,30 +177,7 @@ class SaddleSystem:
         self.h = 1.0 / n
         self.shapes = field_shapes(n, bc)
 
-    # -- padding helpers (Dirichlet) ------------------------------------
-    # Padded arrays carry one ring of boundary/ghost values so one slicing
-    # expression serves the whole field.
-
-    def _pad_vel(self, f: np.ndarray, axis_normal: int) -> np.ndarray:
-        """Pad a velocity component: zeros on the normal boundary lines,
-        ``VELOCITY_GHOST * interior`` on the tangential sides."""
-        n = self.n
-        if axis_normal == 0:  # u: (n-1, n), normal = x
-            out = np.zeros((n + 1, n + 2), f.dtype)
-            out[1:n, 1 : n + 1] = f
-            out[1:n, 0] = VELOCITY_GHOST * f[:, 0]
-            out[1:n, n + 1] = VELOCITY_GHOST * f[:, n - 1]
-        else:  # v: (n, n-1), normal = y
-            out = np.zeros((n + 2, n + 1), f.dtype)
-            out[1 : n + 1, 1:n] = f
-            out[0, 1:n] = VELOCITY_GHOST * f[0, :]
-            out[n + 1, 1:n] = VELOCITY_GHOST * f[n - 1, :]
-        return out
-
-    def _pad_p(self, f: np.ndarray, sign: float) -> np.ndarray:
-        """Pad a cell field with the ghost ``sign * interior``; the cell
-        signs are 0 (zero ghost) and +1 (edge copy)."""
-        return np.pad(f, 1, mode="edge" if sign == 1.0 else "constant")
+    # -- stencils: pad with the boundary closure, then one slicing expression
 
     @staticmethod
     def _five_point(fp: np.ndarray, h: float) -> np.ndarray:
@@ -163,45 +188,33 @@ class SaddleSystem:
 
     @staticmethod
     def _nine_point_mass(fp: np.ndarray, h: float) -> np.ndarray:
-        gx = 4.0 * fp[1:-1, :] + fp[:-2, :] + fp[2:, :]
-        g = 4.0 * gx[:, 1:-1] + gx[:, :-2] + gx[:, 2:]
-        return g * (h**2 / 36.0)
-
-    @staticmethod
-    def _roll_five_point(f: np.ndarray, h: float) -> np.ndarray:
-        return (
-            4.0 * f
-            - np.roll(f, 1, 0)
-            - np.roll(f, -1, 0)
-            - np.roll(f, 1, 1)
-            - np.roll(f, -1, 1)
-        ) / h**2
-
-    @staticmethod
-    def _roll_nine_point_mass(f: np.ndarray, h: float) -> np.ndarray:
-        gx = 4.0 * f + np.roll(f, 1, 0) + np.roll(f, -1, 0)
-        g = 4.0 * gx + np.roll(gx, 1, 1) + np.roll(gx, -1, 1)
-        return g * (h**2 / 36.0)
+        # In place: numpy does not elide the temporaries of this sum of strided
+        # views, and the expression form took about 1.4x as long at n = 729 on
+        # a 2-core machine.  The additions keep their left-to-right order.
+        gx = 4.0 * fp[1:-1, :]
+        gx += fp[:-2, :]
+        gx += fp[2:, :]
+        g = 4.0 * gx[:, 1:-1]
+        g += gx[:, :-2]
+        g += gx[:, 2:]
+        g *= h**2 / 36.0
+        return g
 
     # -- momentum block -------------------------------------------------
 
     def apply_lap_u(self, u: np.ndarray) -> np.ndarray:
-        if self.bc == "periodic":
-            return self._roll_five_point(u, self.h)
-        return self._five_point(self._pad_vel(u, 0), self.h)
+        return self._five_point(pad_field(u, 1, VELOCITY_SIGNS["u"], self.bc), self.h)
 
     def apply_lap_v(self, v: np.ndarray) -> np.ndarray:
-        if self.bc == "periodic":
-            return self._roll_five_point(v, self.h)
-        return self._five_point(self._pad_vel(v, 1), self.h)
+        return self._five_point(pad_field(v, 1, VELOCITY_SIGNS["v"], self.bc), self.h)
 
     # -- gradient / divergence ------------------------------------------
 
     def grad(self, p: np.ndarray):
         """Pressure gradient onto the velocity points (the B^T action)."""
         if self.bc == "periodic":
-            gu = (p - np.roll(p, 1, 0)) / self.h
-            gv = (p - np.roll(p, 1, 1)) / self.h
+            gu = np.diff(p, axis=0, prepend=p[-1:, :]) / self.h
+            gv = np.diff(p, axis=1, prepend=p[:, -1:]) / self.h
         else:
             gu = (p[1:, :] - p[:-1, :]) / self.h
             gv = (p[:, 1:] - p[:, :-1]) / self.h
@@ -210,8 +223,8 @@ class SaddleSystem:
     def neg_div(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
         """Negative discrete divergence at cell centers (the B action)."""
         if self.bc == "periodic":
-            du = np.roll(u, -1, 0) - u
-            dv = np.roll(v, -1, 1) - v
+            du = np.diff(u, axis=0, append=u[:1, :])
+            dv = np.diff(v, axis=1, append=v[:, :1])
             return -(du + dv) / self.h
         n = self.n
         ux = np.zeros((n + 1, n), u.dtype)
@@ -224,22 +237,17 @@ class SaddleSystem:
 
     def apply_q(self, f: np.ndarray, comp: str) -> np.ndarray:
         """Velocity mass operator (a multiply, never a solve)."""
-        if self.bc == "periodic":
-            return self._roll_nine_point_mass(f, self.h)
-        axis = 0 if comp == "u" else 1
-        return self._nine_point_mass(self._pad_vel(f, axis), self.h)
+        return self._nine_point_mass(pad_field(f, 1, VELOCITY_SIGNS[comp], self.bc), self.h)
 
     def apply_qp(self, p: np.ndarray) -> np.ndarray:
         """Pressure mass operator."""
-        if self.bc == "periodic":
-            return self._roll_nine_point_mass(p, self.h)
-        return self._nine_point_mass(self._pad_p(p, PRESSURE_MASS_GHOST), self.h)
+        fp = pad_field(p, 1, (PRESSURE_MASS_GHOST,) * 2, self.bc)
+        return self._nine_point_mass(fp, self.h)
 
     def apply_ap(self, p: np.ndarray) -> np.ndarray:
         """Cell-centered Laplacian used by the distributive update."""
-        if self.bc == "periodic":
-            return self._roll_five_point(p, self.h)
-        return self._five_point(self._pad_p(p, CELL_LAPLACIAN_GHOST), self.h)
+        fp = pad_field(p, 1, (CELL_LAPLACIAN_GHOST,) * 2, self.bc)
+        return self._five_point(fp, self.h)
 
     # -- full operator ---------------------------------------------------
 

@@ -6,8 +6,9 @@ locations; per-field nested offsets below record where the (0, 0) coarse
 point lands inside the fine index arrays.  Transfers apply one scalar stencil
 per field around those nested points: restriction correlates and subsamples,
 prolongation embeds and convolves with the 25-point interpolation kernel.
-Dirichlet mode zero-extends, so contributions reaching across eliminated
-boundary unknowns drop out.
+Periodic fields wrap; Dirichlet fields are closed by the transfer folds of
+the closure table in ``grid`` (``grid.TRANSFER_FOLDS``), so contributions
+reaching across the eliminated normal-velocity wall lines drop out.
 
 The drivers measure convergence the way the experiments report it: iterate
 cycles on a seeded random initial guess with zero right-hand side until the
@@ -35,54 +36,29 @@ NESTED_OFFSETS = {
     ("dirichlet", "p"): (1, 1),
 }
 
-# Dirichlet wall handling for transfer stencil legs reaching past a wall,
-# mirroring the field's symmetry there: even fold for pressure (cells mirror
-# across the wall face), odd fold for tangential velocity (no-slip), plain
-# zero extension in the normal velocity direction (the wall line itself
-# carries the eliminated zero unknowns).  Signs are per array axis.
-FOLD_SIGNS = {"u": (0.0, -1.0), "v": (-1.0, 0.0), "p": (1.0, 1.0)}
 
-
-def _fold_pad(f: np.ndarray, radius: int, signs) -> np.ndarray:
-    """Pad by ``radius`` with mirror values (between-sample reflection)."""
-    out = np.pad(f, radius, mode="constant")
-    if radius == 0:
-        return out
-    for axis, s in enumerate(signs):
-        if s == 0.0:
-            continue
-        src = np.moveaxis(out, axis, 0)
-        m = f.shape[axis]
-        for t in range(min(radius, m)):
-            src[radius - 1 - t] = s * src[radius + t]
-            src[radius + m + t] = s * src[radius + m - 1 - t]
-    return out
+def _filter(f: np.ndarray, kernel: np.ndarray, bc: str, signs, op) -> np.ndarray:
+    """Apply ``ndi.correlate`` or ``ndi.convolve`` under the wall closure."""
+    if bc == "periodic":
+        return op(f, kernel, mode="wrap")
+    r = kernel.shape[0] // 2
+    full = op(grid.pad_field(f, r, signs, bc), kernel, mode="constant", cval=0.0)
+    return full[r : r + f.shape[0], r : r + f.shape[1]]
 
 
 def restrict_field(fine: np.ndarray, kernel: np.ndarray, offsets, bc: str,
-                   signs=(0.0, 0.0)) -> np.ndarray:
+                   signs) -> np.ndarray:
     """Correlate with the restriction kernel, then keep nested points only."""
-    if bc == "periodic":
-        full = ndi.correlate(fine, kernel, mode="wrap")
-    else:
-        r = kernel.shape[0] // 2
-        fp = _fold_pad(fine, r, signs)
-        full = ndi.correlate(fp, kernel, mode="constant", cval=0.0)
-        full = full[r : r + fine.shape[0], r : r + fine.shape[1]]
+    full = _filter(fine, kernel, bc, signs, ndi.correlate)
     return full[offsets[0] :: 3, offsets[1] :: 3].copy()
 
 
 def prolong_field(coarse: np.ndarray, fine_shape, kernel: np.ndarray,
-                  offsets, bc: str, signs=(0.0, 0.0)) -> np.ndarray:
+                  offsets, bc: str, signs) -> np.ndarray:
     """Adjoint pattern: embed coarse values at nested points, convolve."""
     emb = np.zeros(fine_shape, dtype=coarse.dtype)
     emb[offsets[0] :: 3, offsets[1] :: 3] = coarse
-    if bc == "periodic":
-        return ndi.convolve(emb, kernel, mode="wrap")
-    r = kernel.shape[0] // 2
-    fp = _fold_pad(emb, r, signs)
-    full = ndi.convolve(fp, kernel, mode="constant", cval=0.0)
-    return full[r : r + fine_shape[0], r : r + fine_shape[1]]
+    return _filter(emb, kernel, bc, signs, ndi.convolve)
 
 
 def restrict_state(fine: grid.StaggeredState, tag: str) -> grid.StaggeredState:
@@ -93,7 +69,7 @@ def restrict_state(fine: grid.StaggeredState, tag: str) -> grid.StaggeredState:
     for name in ("u", "v", "p"):
         off = NESTED_OFFSETS[(fine.bc, name)]
         out[name] = restrict_field(getattr(fine, name), kern, off, fine.bc,
-                                   FOLD_SIGNS[name])
+                                   grid.TRANSFER_FOLDS[name])
         if out[name].shape != shapes[name]:
             raise ValueError(f"restricted {name} shape {out[name].shape} != {shapes[name]}")
     return grid.StaggeredState(nc, fine.bc, out["u"], out["v"], out["p"])
@@ -107,7 +83,7 @@ def prolong_state(coarse: grid.StaggeredState, n_fine: int) -> grid.StaggeredSta
     out = {
         name: prolong_field(getattr(coarse, name), shapes[name], kern,
                             NESTED_OFFSETS[(coarse.bc, name)], coarse.bc,
-                            FOLD_SIGNS[name])
+                            grid.TRANSFER_FOLDS[name])
         for name in ("u", "v", "p")
     }
     return grid.StaggeredState(n_fine, coarse.bc, out["u"], out["v"], out["p"])

@@ -43,9 +43,6 @@ class SchurOperator:
             raise ValueError("Schur diagonal must be positive")
         self._solve = None
 
-    def apply(self, p: np.ndarray) -> np.ndarray:
-        return (self.mat @ p.ravel()).reshape(p.shape)
-
     def solve(self, g: np.ndarray) -> np.ndarray:
         """Mean-zero solution of ``S x = g`` (g is consistent up to roundoff)."""
         if self._solve is None:
@@ -83,22 +80,14 @@ class Smoother:
             gx, gy = sysm.grad(dp_hat)
             delta = grid.StaggeredState(state.n, state.bc,
                                         du + gx, dv + gy, -sysm.apply_ap(dp_hat))
-        elif p.scheme == "qbsr":
-            qu = sysm.apply_q(r.u, "u")
-            qv = sysm.apply_q(r.v, "v")
-            dp = self.schur().solve(sysm.neg_div(qu, qv) - p.alpha * r.p)
-            gx, gy = sysm.grad(dp)
-            delta = grid.StaggeredState(
-                state.n, state.bc,
-                sysm.apply_q(r.u - gx, "u") / p.alpha,
-                sysm.apply_q(r.v - gy, "v") / p.alpha,
-                dp,
-            )
-        elif p.scheme == "qibsr":
+        elif p.scheme in ("qbsr", "qibsr"):
             qu = sysm.apply_q(r.u, "u")
             qv = sysm.apply_q(r.v, "v")
             g = sysm.neg_div(qu, qv) - p.alpha * r.p
-            dp = p.omega_j * g / self.schur().diag.reshape(g.shape)
+            if p.scheme == "qbsr":
+                dp = self.schur().solve(g)
+            else:
+                dp = p.omega_j * g / self.schur().diag.reshape(g.shape)
             gx, gy = sysm.grad(dp)
             delta = grid.StaggeredState(
                 state.n, state.bc,

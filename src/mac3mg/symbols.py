@@ -48,6 +48,10 @@ class RelaxParams:
     def __post_init__(self) -> None:
         if self.scheme not in SCHEMES:
             raise ValueError(f"unknown scheme {self.scheme!r}, expected one of {SCHEMES}")
+        for name in ("omega", "alpha", "sigma", "omega_j"):
+            value = getattr(self, name)
+            if value is not None and not np.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         if self.omega < 0.0:
             raise ValueError("omega must be nonnegative")
         if self.alpha <= 0.0:
@@ -294,9 +298,7 @@ def relax_error_symbol(params: RelaxParams, theta, h: float = 1.0) -> np.ndarray
         step = dist_p_symbol(theta, h) @ np.linalg.solve(
             smoother_symbol(params, theta, h), ell
         )
-    elif params.scheme == "qbsr":
-        step = np.linalg.solve(smoother_symbol(params, theta, h), ell)
-    elif params.scheme == "quzawa":
+    elif params.scheme in ("qbsr", "quzawa"):
         step = np.linalg.solve(smoother_symbol(params, theta, h), ell)
     elif params.scheme == "qibsr":
         step = _ibsr_inverse_symbol(params, theta, h) @ ell

@@ -71,6 +71,7 @@ def test_validate_rejects_bad_values():
         ("n", 80),
         ("resolution", 1),
         ("resolution", 10),
+        ("seed", -1),
     ):
         broken = cli.ExperimentConfig(command="mg-run")
         setattr(broken, attr, value)
@@ -106,7 +107,12 @@ def test_bad_flag_values_exit_one(capsys):
     assert run_cli(["mg-run", "--n", "80"]) == 1
     assert run_cli(["twogrid-lfa", "--resolution", "10"]) == 1
     assert run_cli(["smooth-opt", "--resolution", "10"]) == 1
-    assert capsys.readouterr().err.count("config error") == 3
+    # negative seeds and non-finite relaxation parameters
+    assert run_cli(["mg-run", "--n", "9", "--nu", "1", "--resolution", "9", "--seed", "-1"]) == 1
+    assert run_cli(["smooth-opt", "--resolution", "9", "--omega", "nan"]) == 1
+    assert run_cli(["twogrid-lfa", "--resolution", "9", "--alpha", "nan"]) == 1
+    assert run_cli(["twogrid-lfa", "--resolution", "9", "--alpha", "inf"]) == 1
+    assert capsys.readouterr().err.count("config error") == 7
 
 
 def test_help_exits_zero(capsys):

@@ -87,6 +87,94 @@ def test_random_state_reproducible_and_projected():
     assert a.u.min() >= -1.0 and a.u.max() <= 1.0
 
 
+# -- boundary closure --------------------------------------------------------
+
+PAD_BASE = np.array([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]])
+
+PAD_CASES = [
+    ("periodic", 1, None, [
+        [6, 4, 5, 6, 4],
+        [3, 1, 2, 3, 1],
+        [6, 4, 5, 6, 4],
+        [3, 1, 2, 3, 1],
+    ]),
+    ("periodic", 2, None, [
+        [2, 3, 1, 2, 3, 1, 2],
+        [5, 6, 4, 5, 6, 4, 5],
+        [2, 3, 1, 2, 3, 1, 2],
+        [5, 6, 4, 5, 6, 4, 5],
+        [2, 3, 1, 2, 3, 1, 2],
+        [5, 6, 4, 5, 6, 4, 5],
+    ]),
+    ("dirichlet", 1, (-1.0, -1.0), [
+        [1, -1, -2, -3, 3],
+        [-1, 1, 2, 3, -3],
+        [-4, 4, 5, 6, -6],
+        [4, -4, -5, -6, 6],
+    ]),
+    ("dirichlet", 2, (-1.0, -1.0), [
+        [5, 4, -4, -5, -6, 6, 5],
+        [2, 1, -1, -2, -3, 3, 2],
+        [-2, -1, 1, 2, 3, -3, -2],
+        [-5, -4, 4, 5, 6, -6, -5],
+        [5, 4, -4, -5, -6, 6, 5],
+        [2, 1, -1, -2, -3, 3, 2],
+    ]),
+    ("dirichlet", 1, (0.0, 0.0), [
+        [0, 0, 0, 0, 0],
+        [0, 1, 2, 3, 0],
+        [0, 4, 5, 6, 0],
+        [0, 0, 0, 0, 0],
+    ]),
+    ("dirichlet", 2, (0.0, 0.0), [
+        [0, 0, 0, 0, 0, 0, 0],
+        [0, 0, 0, 0, 0, 0, 0],
+        [0, 0, 1, 2, 3, 0, 0],
+        [0, 0, 4, 5, 6, 0, 0],
+        [0, 0, 0, 0, 0, 0, 0],
+        [0, 0, 0, 0, 0, 0, 0],
+    ]),
+    ("dirichlet", 1, (1.0, 1.0), [
+        [1, 1, 2, 3, 3],
+        [1, 1, 2, 3, 3],
+        [4, 4, 5, 6, 6],
+        [4, 4, 5, 6, 6],
+    ]),
+    # the pressure fold of the transfers: even
+    ("dirichlet", 2, grid.TRANSFER_FOLDS["p"], [
+        [5, 4, 4, 5, 6, 6, 5],
+        [2, 1, 1, 2, 3, 3, 2],
+        [2, 1, 1, 2, 3, 3, 2],
+        [5, 4, 4, 5, 6, 6, 5],
+        [5, 4, 4, 5, 6, 6, 5],
+        [2, 1, 1, 2, 3, 3, 2],
+    ]),
+    # the velocity closures: zero extension across the wall line, odd along it
+    ("dirichlet", 1, grid.VELOCITY_SIGNS["u"], [
+        [0, 0, 0, 0, 0],
+        [-1, 1, 2, 3, -3],
+        [-4, 4, 5, 6, -6],
+        [0, 0, 0, 0, 0],
+    ]),
+    ("dirichlet", 2, grid.TRANSFER_FOLDS["v"], [
+        [0, 0, -4, -5, -6, 0, 0],
+        [0, 0, -1, -2, -3, 0, 0],
+        [0, 0, 1, 2, 3, 0, 0],
+        [0, 0, 4, 5, 6, 0, 0],
+        [0, 0, -4, -5, -6, 0, 0],
+        [0, 0, -1, -2, -3, 0, 0],
+    ]),
+]
+
+
+@pytest.mark.parametrize("bc, radius, signs, expected", PAD_CASES)
+def test_pad_field(bc, radius, signs, expected):
+    out = grid.pad_field(PAD_BASE, radius, signs, bc)
+    assert np.array_equal(out, np.array(expected, dtype=float))
+    with pytest.raises(ValueError):
+        grid.pad_field(PAD_BASE, radius, signs, "neumann")
+
+
 # -- operator identities ---------------------------------------------------
 
 

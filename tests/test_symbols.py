@@ -124,6 +124,16 @@ def test_relax_params_validation():
         RelaxParams("qibsr", omega=1.0, alpha=1.0)  # missing omega_j
     with pytest.raises(ValueError):
         RelaxParams("qibsr", omega=1.0, alpha=1.0, omega_j=2.5)
+    # non-finite values slip past the sign checks unless rejected outright
+    for bad in (float("nan"), float("inf"), -float("inf")):
+        with pytest.raises(ValueError):
+            RelaxParams("qdr", omega=bad, alpha=1.0)
+        with pytest.raises(ValueError):
+            RelaxParams("qdr", omega=1.0, alpha=bad)
+        with pytest.raises(ValueError):
+            RelaxParams("quzawa", omega=1.0, alpha=1.0, sigma=bad)
+        with pytest.raises(ValueError):
+            RelaxParams("qibsr", omega=1.0, alpha=1.0, omega_j=bad)
 
 
 def test_reference_params_values():
