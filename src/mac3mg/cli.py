@@ -92,6 +92,8 @@ class ExperimentConfig:
             check_resolution(self.resolution)
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
+        if self.n < 9:
+            raise ConfigError(f"grid size {self.n} has one level, cycles need n >= 9")
 
 
 def _parse_nus(text: str) -> tuple:
@@ -209,8 +211,11 @@ def _emit(cfg: ExperimentConfig, rows: list, extras: dict | None = None) -> None
             report.update(extras)
         text = json.dumps(report, sort_keys=True, indent=2, allow_nan=True) + "\n"
     if cfg.out:
-        with open(cfg.out, "w", encoding="utf-8") as handle:
-            handle.write(text)
+        try:
+            with open(cfg.out, "w", encoding="utf-8") as handle:
+                handle.write(text)
+        except OSError as exc:
+            raise ConfigError(f"cannot write {cfg.out}: {exc}") from None
     else:
         sys.stdout.write(text)
 

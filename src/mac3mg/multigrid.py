@@ -3,12 +3,16 @@
 Levels step down n -> n/3 -> ... -> 3, each carrying a rediscretized saddle
 system (mesh size 3h per step).  Coarse unknowns sit exactly on fine unknown
 locations; per-field nested offsets below record where the (0, 0) coarse
-point lands inside the fine index arrays.  Transfers apply one scalar stencil
-per field around those nested points: restriction correlates and subsamples,
-prolongation embeds and convolves with the 25-point interpolation kernel.
+point lands inside the fine index arrays.  Every transfer kernel is
+``outer(w, w)`` for a symmetric 1D stencil ``w``, so a transfer is two strided
+1D passes (x, then y): restriction evaluates ``sum_k w[k] f[o + 3I + k]`` at
+the nested points only, prolongation scatter-adds ``w[k] c[I]`` around them.
 Periodic fields wrap; Dirichlet fields are closed by the transfer folds of
 the closure table in ``grid`` (``grid.TRANSFER_FOLDS``), so contributions
-reaching across the eliminated normal-velocity wall lines drop out.
+reaching across the eliminated normal-velocity wall lines drop out.  The
+coarse closure stands in for the fine one because the lattices are nested: a
+wall mirror maps coarse points to coarse points (fine pressure index 1
+mirrors to -2 = 1 - 3), and 3 divides n for the periodic wrap.
 
 The drivers measure convergence the way the experiments report it: iterate
 cycles on a seeded random initial guess with zero right-hand side until the
@@ -20,7 +24,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.ndimage as ndi
 
 from . import assemble, grid, stencils
 from .smoothers import Smoother
@@ -37,38 +40,51 @@ NESTED_OFFSETS = {
 }
 
 
-def _filter(f: np.ndarray, kernel: np.ndarray, bc: str, signs, op) -> np.ndarray:
-    """Apply ``ndi.correlate`` or ``ndi.convolve`` under the wall closure."""
-    if bc == "periodic":
-        return op(f, kernel, mode="wrap")
-    r = kernel.shape[0] // 2
-    full = op(grid.pad_field(f, r, signs, bc), kernel, mode="constant", cval=0.0)
-    return full[r : r + f.shape[0], r : r + f.shape[1]]
+def _factor(kernel: np.ndarray) -> np.ndarray:
+    """The 1D stencil ``w`` with ``kernel == outer(w, w)``."""
+    rows = kernel.sum(axis=1)
+    return rows / np.sqrt(rows.sum())
 
 
-def restrict_field(fine: np.ndarray, kernel: np.ndarray, offsets, bc: str,
+def restrict_field(fine: np.ndarray, w: np.ndarray, offsets, bc: str,
                    signs) -> np.ndarray:
-    """Correlate with the restriction kernel, then keep nested points only."""
-    full = _filter(fine, kernel, bc, signs, ndi.correlate)
-    return full[offsets[0] :: 3, offsets[1] :: 3].copy()
+    """Apply ``outer(w, w)`` at the nested points only, one axis at a time."""
+    out = grid.pad_field(fine, len(w) // 2, signs, bc)
+    for axis, o in enumerate(offsets):
+        src = np.moveaxis(out, axis, 0)
+        count = len(range(o, fine.shape[axis], 3))
+        acc = w[0] * src[o::3][:count]
+        for k in range(1, len(w)):
+            acc += w[k] * src[o + k :: 3][:count]
+        out = np.moveaxis(acc, 0, axis)
+    return out
 
 
-def prolong_field(coarse: np.ndarray, fine_shape, kernel: np.ndarray,
+def prolong_field(coarse: np.ndarray, fine_shape, w: np.ndarray,
                   offsets, bc: str, signs) -> np.ndarray:
-    """Adjoint pattern: embed coarse values at nested points, convolve."""
-    emb = np.zeros(fine_shape, dtype=coarse.dtype)
-    emb[offsets[0] :: 3, offsets[1] :: 3] = coarse
-    return _filter(emb, kernel, bc, signs, ndi.convolve)
+    """Adjoint pattern, one axis at a time: padded coarse index J adds
+    ``w[k] c[J]`` at fine index o - 3 - r + 3J + k, r the stencil radius."""
+    out = grid.pad_field(coarse, 1, signs, bc)
+    for axis, o in enumerate(offsets):
+        shape = list(out.shape)
+        shape[axis] = 3 * out.shape[axis] + len(w)
+        acc = np.zeros(shape, np.result_type(out, w))
+        dst, src = np.moveaxis(acc, axis, 0), np.moveaxis(out, axis, 0)
+        for k in range(len(w)):
+            dst[k::3][: len(src)] += w[k] * src
+        start = 3 + len(w) // 2 - o
+        out = np.moveaxis(dst[start : start + fine_shape[axis]], 0, axis)
+    return out
 
 
 def restrict_state(fine: grid.StaggeredState, tag: str) -> grid.StaggeredState:
-    kern = stencils.RESTRICTIONS[tag]().kernel()
+    w = _factor(stencils.RESTRICTIONS[tag]().kernel())
     nc = fine.n // 3
     shapes = grid.field_shapes(nc, fine.bc)
     out = {}
     for name in ("u", "v", "p"):
         off = NESTED_OFFSETS[(fine.bc, name)]
-        out[name] = restrict_field(getattr(fine, name), kern, off, fine.bc,
+        out[name] = restrict_field(getattr(fine, name), w, off, fine.bc,
                                    grid.TRANSFER_FOLDS[name])
         if out[name].shape != shapes[name]:
             raise ValueError(f"restricted {name} shape {out[name].shape} != {shapes[name]}")
@@ -78,10 +94,10 @@ def restrict_state(fine: grid.StaggeredState, tag: str) -> grid.StaggeredState:
 def prolong_state(coarse: grid.StaggeredState, n_fine: int) -> grid.StaggeredState:
     if n_fine != 3 * coarse.n:
         raise ValueError("prolongation must step up by exactly one level")
-    kern = stencils.p25().kernel()
+    w = _factor(stencils.p25().kernel())
     shapes = grid.field_shapes(n_fine, coarse.bc)
     out = {
-        name: prolong_field(getattr(coarse, name), shapes[name], kern,
+        name: prolong_field(getattr(coarse, name), shapes[name], w,
                             NESTED_OFFSETS[(coarse.bc, name)], coarse.bc,
                             grid.TRANSFER_FOLDS[name])
         for name in ("u", "v", "p")

@@ -68,6 +68,7 @@ def test_validate_rejects_bad_values():
         ("nus", ()),
         ("nus", (0,)),
         ("n", 2),
+        ("n", 3),
         ("n", 80),
         ("resolution", 1),
         ("resolution", 10),
@@ -112,7 +113,13 @@ def test_bad_flag_values_exit_one(capsys):
     assert run_cli(["smooth-opt", "--resolution", "9", "--omega", "nan"]) == 1
     assert run_cli(["twogrid-lfa", "--resolution", "9", "--alpha", "nan"]) == 1
     assert run_cli(["twogrid-lfa", "--resolution", "9", "--alpha", "inf"]) == 1
-    assert capsys.readouterr().err.count("config error") == 7
+    # a 3x3 grid has no coarse level, so no cycle can run on it
+    assert run_cli(["mg-run", "--n", "3", "--nu", "1", "--resolution", "9"]) == 1
+    assert run_cli(["compare", "--n", "3", "--nu", "1", "--resolution", "9"]) == 1
+    # an unwritable output path is reported, not raised
+    assert run_cli(["selftest", "--out", "/nonexistent/dir/x.json"]) == 1
+    assert run_cli(["smooth-opt", "--resolution", "9", "--out", "/nonexistent/x.csv"]) == 1
+    assert capsys.readouterr().err.count("config error") == 11
 
 
 def test_help_exits_zero(capsys):

@@ -7,6 +7,7 @@ computed from the 27x27 harmonic symbols to near machine precision.
 
 import numpy as np
 import pytest
+import scipy.ndimage as ndi
 
 from mac3mg import assemble, grid, multigrid, stencils, symbols, twogrid
 from mac3mg.multigrid import GridHierarchy
@@ -58,6 +59,51 @@ def test_prolongation_preserves_constant_pressure(bc):
     cs.p[:] = 1.0
     fine = multigrid.prolong_state(cs, 27)
     assert np.abs(fine.p - 1.0).max() < 1e-13
+
+
+def _dense_filter(f, kernel, op, signs, bc):
+    """Slow oracle: the 2D kernel over the whole closed field, real and
+    imaginary parts filtered apart."""
+    if np.iscomplexobj(f):
+        return (_dense_filter(f.real, kernel, op, signs, bc)
+                + 1j * _dense_filter(f.imag, kernel, op, signs, bc))
+    r = kernel.shape[0] // 2
+    full = op(grid.pad_field(f, r, signs, bc), kernel, mode="constant", cval=0.0)
+    return full[r : r + f.shape[0], r : r + f.shape[1]]
+
+
+@pytest.mark.parametrize("dtype", (float, complex))
+@pytest.mark.parametrize("bc", grid.BCS)
+@pytest.mark.parametrize("n", (27, 81))
+def test_transfers_match_dense_filter_oracle(n, bc, dtype):
+    # the strided separable passes against correlating (restriction) or
+    # convolving an embedded grid (prolongation) with the full 2D kernel
+    rng = np.random.default_rng(n)
+
+    def field(shape):
+        f = rng.standard_normal(shape)
+        return f + 1j * rng.standard_normal(shape) if dtype is complex else f
+
+    fine = grid.StaggeredState(n, bc, *map(field, grid.field_shapes(n, bc).values()))
+    coarse = grid.StaggeredState(n // 3, bc,
+                                 *map(field, grid.field_shapes(n // 3, bc).values()))
+    cases = [(multigrid.restrict_state(fine, tag), tag) for tag in ALL_TRANSFERS]
+    cases.append((multigrid.prolong_state(coarse, n), "p25"))
+    for got, tag in cases:
+        for name in ("u", "v", "p"):
+            o0, o1 = multigrid.NESTED_OFFSETS[(bc, name)]
+            signs = grid.TRANSFER_FOLDS[name]
+            if tag == "p25":
+                emb = np.zeros(getattr(fine, name).shape, dtype)
+                emb[o0::3, o1::3] = getattr(coarse, name)
+                want = _dense_filter(emb, stencils.p25().kernel(), ndi.convolve, signs, bc)
+            else:
+                kernel = stencils.RESTRICTIONS[tag]().kernel()
+                want = _dense_filter(getattr(fine, name), kernel, ndi.correlate, signs,
+                                     bc)[o0::3, o1::3]
+            have = getattr(got, name)
+            assert have.shape == want.shape and have.dtype == want.dtype, (tag, name)
+            assert np.abs(have - want).max() <= 1e-13 * np.abs(want).max(), (tag, name)
 
 
 def test_restrict_prolong_shape_contracts():

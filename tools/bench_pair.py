@@ -1,0 +1,91 @@
+"""Run perfbench on two checkouts, alternating which goes first, into one file.
+
+    python3 tools/bench_pair.py --parent ../base --change . \
+        --workload vcycle-729 --seeds 1,2,3 --out BENCH_transfers.json
+
+Each checkout runs its own ``perfbench/run.py`` (which imports that
+checkout's ``src/``).  For the i-th seed the parent goes first when i is
+even and the change when i is odd.  The ``env:`` line and the result line
+of every run are appended to ``--out`` (created if missing), and the
+file's ``summary`` is recomputed over all its runs: per workload and trace
+mode, each metric's median on both sides, their ratio (change / parent)
+and, for untraced runs, the number of seeds where the change was better and
+the distance between the parent's quartiles.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import statistics
+import subprocess
+import sys
+from pathlib import Path
+
+HIGHER_IS_BETTER = {"dof_per_s"}
+
+
+def run_one(checkout: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
+    cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
+           "--seconds", str(seconds), "--trace", str(trace)]
+    proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True, check=True)
+    lines = proc.stdout.splitlines()
+    env = next(json.loads(line[len("env: "):]) for line in lines if line.startswith("env: "))
+    return {"env": env, "result": json.loads(lines[-1])}
+
+
+def summarize(runs: list) -> list:
+    groups: dict = {}
+    for run in runs:
+        key = (run["workload"], run["trace"])
+        groups.setdefault(key, {}).setdefault(run["side"], {})[run["seed"]] = run["result"]
+    out = []
+    for (workload, trace), sides in sorted(groups.items()):
+        parent, change = sides.get("parent", {}), sides.get("change", {})
+        seeds = sorted(set(parent) & set(change))
+        row = {"workload": workload, "trace": trace, "seeds": seeds, "metrics": {}}
+        for name in (parent[seeds[0]]["metrics"] if seeds else {}):
+            a = [parent[s]["metrics"][name]["value"] for s in seeds]
+            b = [change[s]["metrics"][name]["value"] for s in seeds]
+            med_a, med_b = statistics.median(a), statistics.median(b)
+            entry = {"parent": med_a, "change": med_b,
+                     "ratio": med_b / med_a if med_a else None}
+            if not trace:
+                sign = 1 if name in HIGHER_IS_BETTER else -1
+                entry["change_better"] = sum(sign * (y - x) > 0 for x, y in zip(a, b))
+                if len(a) > 1:
+                    q1, _, q3 = statistics.quantiles(a, n=4)
+                    entry["parent_iqr"] = q3 - q1
+            row["metrics"][name] = entry
+        row["all_correct"] = all(r["correct"] and r["failed"] == 0
+                                 for side in (parent, change) for r in side.values())
+        out.append(row)
+    return out
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--parent", type=Path, required=True)
+    parser.add_argument("--change", type=Path, required=True)
+    parser.add_argument("--workload", required=True)
+    parser.add_argument("--seeds", required=True, help="comma-separated seeds")
+    parser.add_argument("--seconds", type=float, default=10.0)
+    parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
+    parser.add_argument("--out", type=Path, required=True)
+    args = parser.parse_args(argv)
+
+    doc = json.loads(args.out.read_text()) if args.out.exists() else {"runs": []}
+    for i, seed in enumerate(int(s) for s in args.seeds.split(",")):
+        order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
+        for side in order:
+            rec = run_one(getattr(args, side), args.workload, seed, args.seconds, args.trace)
+            doc["runs"].append({"side": side, "workload": args.workload, "seed": seed,
+                                "trace": args.trace, "first": side == order[0], **rec})
+            print(side, args.workload, seed, json.dumps(rec["result"])[:160], flush=True)
+    doc["summary"] = summarize(doc["runs"])
+    args.out.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
