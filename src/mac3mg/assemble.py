@@ -4,9 +4,9 @@ This mirrors the matrix-free actions in :mod:`mac3mg.grid` entry for entry
 (the consistency tests enforce it): a Dirichlet wall reads the ghost signs
 ``grid.VELOCITY_GHOST``, ``grid.PRESSURE_MASS_GHOST`` and
 ``grid.CELL_LAPLACIAN_GHOST``, which set the corner entries of the 1D
-factors.  Assembled matrices are used only where a matrix is genuinely
-needed: Schur complements and their diagonals, coarsest direct solves (both
-through :func:`constrained_lu`), and the brute-force two-grid oracle.
+factors.  The assembled matrices are oracles: the tests and the benchmark
+check the matrix-free actions, the fast exact solves and the brute-force
+two-grid matrix against them.  The solvers use only the 1D factors.
 
 Flattening is row-major over ``[x-index, y-index]`` so ``kron(Ax, Ay)`` acts
 with ``Ax`` on the x index and ``Ay`` on the y index, matching ``ravel()``.
@@ -18,7 +18,6 @@ from types import SimpleNamespace
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from . import grid
 from .grid import BCS, check_size, field_shapes
@@ -156,26 +155,3 @@ def nullspace(n: int, bc: str) -> np.ndarray:
         cols.insert(0, const_v / np.linalg.norm(const_v))
         cols.insert(0, const_u / np.linalg.norm(const_u))
     return np.stack(cols, axis=1)
-
-
-def constrained_lu(mat, cols: np.ndarray):
-    """Sparse LU of ``[[mat, cols], [cols^T, 0]]`` for a singular ``mat``.
-
-    ``cols`` spans the nullspace of the symmetric ``mat``.  Returns a solve
-    that takes a real or complex right-hand side ``b`` and returns ``x`` with
-    ``cols^T x = 0``; for consistent ``b`` this is the minimum-norm solution
-    of ``mat x = b``, and any nullspace component of ``b`` is absorbed by the
-    constraint multipliers, which are stripped.
-    """
-    lu = spla.splu(sp.bmat([[mat, cols], [cols.T, None]], format="csc"))
-    k = cols.shape[1]
-
-    def solve(rhs: np.ndarray) -> np.ndarray:
-        aug = np.concatenate([rhs, np.zeros(k, rhs.dtype)])
-        if np.iscomplexobj(aug):
-            out = lu.solve(aug.real) + 1j * lu.solve(aug.imag)
-        else:
-            out = lu.solve(aug)
-        return out[:-k]
-
-    return solve

@@ -31,6 +31,7 @@ import io
 import json
 import math
 import sys
+from contextlib import contextmanager
 from dataclasses import dataclass, asdict
 from fractions import Fraction
 
@@ -250,14 +251,20 @@ def cmd_smooth_opt(cfg: ExperimentConfig) -> int:
     return 0
 
 
-def _factor_table(cfg: ExperimentConfig, params: RelaxParams, pair: TransferPair) -> dict:
-    """Two-grid factor table at the configured resolution; an eigensolver
-    failure is a numerical failure."""
+@contextmanager
+def _numerical(what: str):
+    """A ``LinAlgError`` inside is a numerical failure (exit 2), not a traceback."""
     try:
+        yield
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(f"{what}: {exc}") from None
+
+
+def _factor_table(cfg: ExperimentConfig, params: RelaxParams, pair: TransferPair) -> dict:
+    """Two-grid factor table at the configured resolution."""
+    with _numerical("eigensolver failure"):
         return two_grid_factor_table(params, pair, nus=tuple(sorted(set(cfg.nus))),
                                      n=cfg.resolution, h=1.0 / cfg.resolution)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"eigensolver failure: {exc}") from None
 
 
 def cmd_twogrid_lfa(cfg: ExperimentConfig) -> int:
@@ -287,7 +294,8 @@ def _measured_rows(cfg: ExperimentConfig, cycles=("two", "v")):
     rows, histories, failed = [], {}, False
     for cycle in cycles:
         for nu in sorted(set(cfg.nus)):
-            report = solve(hier, nu, 0, cycle=cycle, seed=cfg.seed)
+            with _numerical("direct solve failure"):
+                report = solve(hier, nu, 0, cycle=cycle, seed=cfg.seed)
             status = "diverged" if report.diverged else (
                 "converged" if report.converged else "maxiter")
             failed = failed or report.diverged
@@ -330,7 +338,8 @@ def cmd_compare(cfg: ExperimentConfig) -> int:
     n_per = min(cfg.n, 27)
     iters = 360
     hier = GridHierarchy(n_per, "periodic", params, TransferPair(cfg.transfer))
-    measured = asymptotic_factor(hier, 1, 0, cycle="two", iters=iters, seed=cfg.seed)
+    with _numerical("direct solve failure"):
+        measured = asymptotic_factor(hier, 1, 0, cycle="two", iters=iters, seed=cfg.seed)
     rho_h = periodic_lattice_factor(params, TransferPair(cfg.transfer), 1, 0, n=n_per)
     gap = abs(measured - rho_h)
     ok = bool(math.isfinite(measured) and gap <= 0.01)

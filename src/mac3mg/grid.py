@@ -32,9 +32,9 @@ operator signs, and ``multigrid`` the transfer folds.
 
 The saddle operator is ``[[A, B^T], [B, 0]]`` where ``A`` is the vector
 Laplacian, ``B^T`` the pressure gradient and ``B`` the negative divergence,
-so the whole matrix is symmetric.  All actions here are matrix-free slicing;
-``assemble`` builds the same operators as sparse matrices for the small
-direct solves and the cross-validation tests.
+so the whole matrix is symmetric.  All actions here are matrix-free slicing
+into given arrays, with temporaries taken from the level's ``Workspace``;
+``assemble`` builds the same operators as sparse matrices, as oracles.
 """
 
 from __future__ import annotations
@@ -82,27 +82,61 @@ def field_shapes(n: int, bc: str) -> dict[str, tuple[int, int]]:
     return {"u": (n - 1, n), "v": (n, n - 1), "p": (n, n)}
 
 
-def pad_field(f: np.ndarray, radius: int, signs, bc: str) -> np.ndarray:
-    """Pad a field by ``radius`` with its boundary closure.
+def pad_field(f: np.ndarray, radius: int, signs, bc: str,
+              out: np.ndarray | None = None) -> np.ndarray:
+    """Pad a field by ``radius`` with its boundary closure, into ``out`` if
+    given (shape ``f.shape + 2 * radius`` per axis).
 
     Periodic fields wrap.  Dirichlet fields are zero-padded, then each border
     along axis ``k`` is set to ``signs[k] * mirrored interior`` (reflection
-    between samples); a sign of 0 leaves the zero extension.
+    between samples); a sign of 0 leaves the zero extension.  Each axis is
+    closed over the full extent of the other, so corners take both closures.
     """
     if bc not in BCS:
         raise ValueError(f"unknown boundary mode {bc!r}")
-    if bc == "periodic":
-        return np.pad(f, radius, mode="wrap")
-    out = np.pad(f, radius)
-    for axis, s in enumerate(signs):
-        if s == 0.0:
-            continue
+    r = radius
+    if out is None:
+        out = np.empty((f.shape[0] + 2 * r, f.shape[1] + 2 * r), f.dtype)
+    out[r : r + f.shape[0], r : r + f.shape[1]] = f
+    for axis in range(2):
         src = np.moveaxis(out, axis, 0)
         m = f.shape[axis]
-        for t in range(min(radius, m)):
-            src[radius - 1 - t] = s * src[radius + t]
-            src[radius + m + t] = s * src[radius + m - 1 - t]
+        if bc == "periodic":
+            if r > m:
+                raise ValueError(f"wrap radius {r} exceeds the field length {m}")
+            src[:r] = src[m : m + r]
+            src[r + m :] = src[r : 2 * r]
+            continue
+        src[:r] = 0.0
+        src[r + m :] = 0.0
+        s = signs[axis]
+        if s == 0.0:
+            continue
+        # np.multiply with out= makes no temporary; np.negative would be the
+        # obvious -1 case, but numpy 2.4.6 gets it wrong on some strided columns
+        for t in range(min(r, m)):
+            np.multiply(src[r + t], s, out=src[r - 1 - t])
+            np.multiply(src[r + m - 1 - t], s, out=src[r + m + t])
     return out
+
+
+class Workspace:
+    """Work arrays kept per role and dtype, allocated on first use.
+
+    ``ws(role, shape, dtype)`` returns a ``shape`` view of the flat array kept
+    for ``(role, dtype)``, grown when a larger shape asks for it, so the u, v
+    and p shapes of one role share storage.  Two live arrays need two roles.
+    """
+
+    def __init__(self):
+        self._flat: dict = {}
+
+    def __call__(self, role: str, shape, dtype) -> np.ndarray:
+        key, size = (role, np.dtype(dtype)), shape[0] * shape[1]
+        flat = self._flat.get(key)
+        if flat is None or flat.size < size:
+            flat = self._flat[key] = np.empty(size, dtype)
+        return flat[:size].reshape(shape)
 
 
 @dataclass
@@ -166,7 +200,12 @@ def project_gauge(state: StaggeredState) -> StaggeredState:
 
 
 class SaddleSystem:
-    """Matrix-free actions of the MAC Stokes operator on one grid level."""
+    """Matrix-free actions of the MAC Stokes operator on one grid level.
+
+    Every action writes into ``out`` when given and allocates its result
+    otherwise; its padded copies and temporaries come from the level's
+    ``work`` arrays, so a call with ``out`` allocates nothing after the first.
+    """
 
     def __init__(self, n: int, bc: str):
         check_size(n)
@@ -176,99 +215,144 @@ class SaddleSystem:
         self.bc = bc
         self.h = 1.0 / n
         self.shapes = field_shapes(n, bc)
+        self.work = Workspace()
 
-    # -- stencils: pad with the boundary closure, then one slicing expression
+    def work_state(self, role: str, dtype) -> StaggeredState:
+        """A state of workspace arrays; ``role`` names its three fields."""
+        return StaggeredState(self.n, self.bc, *(self.work(role + f, self.shapes[f], dtype)
+                                                 for f in ("u", "v", "p")))
+
+    def _out(self, out, comp: str, dtype) -> np.ndarray:
+        return np.empty(self.shapes[comp], dtype) if out is None else out
+
+    def _pad(self, f: np.ndarray, signs, dtype) -> np.ndarray:
+        shape = (f.shape[0] + 2, f.shape[1] + 2)
+        return pad_field(f, 1, signs, self.bc, out=self.work("pad", shape, dtype))
+
+    # -- stencils: pad with the boundary closure, then in-place slicing
 
     @staticmethod
-    def _five_point(fp: np.ndarray, h: float) -> np.ndarray:
-        c = fp[1:-1, 1:-1]
-        return (
-            4.0 * c - fp[:-2, 1:-1] - fp[2:, 1:-1] - fp[1:-1, :-2] - fp[1:-1, 2:]
-        ) / h**2
+    def _five_point(fp: np.ndarray, h: float, out: np.ndarray) -> np.ndarray:
+        np.multiply(fp[1:-1, 1:-1], 4.0, out=out)
+        out -= fp[:-2, 1:-1]
+        out -= fp[2:, 1:-1]
+        out -= fp[1:-1, :-2]
+        out -= fp[1:-1, 2:]
+        out /= h**2
+        return out
 
     @staticmethod
-    def _nine_point_mass(fp: np.ndarray, h: float) -> np.ndarray:
-        # In place: numpy does not elide the temporaries of this sum of strided
-        # views, and the expression form took about 1.4x as long at n = 729 on
-        # a 2-core machine.  The additions keep their left-to-right order.
-        gx = 4.0 * fp[1:-1, :]
+    def _nine_point_mass(fp: np.ndarray, h: float, out: np.ndarray,
+                         gx: np.ndarray) -> np.ndarray:
+        # separable [1 4 1] passes; the additions keep their left-to-right order
+        np.multiply(fp[1:-1, :], 4.0, out=gx)
         gx += fp[:-2, :]
         gx += fp[2:, :]
-        g = 4.0 * gx[:, 1:-1]
-        g += gx[:, :-2]
-        g += gx[:, 2:]
-        g *= h**2 / 36.0
-        return g
+        np.multiply(gx[:, 1:-1], 4.0, out=out)
+        out += gx[:, :-2]
+        out += gx[:, 2:]
+        out *= h**2 / 36.0
+        return out
+
+    def _mass(self, f: np.ndarray, signs, out: np.ndarray) -> np.ndarray:
+        fp = self._pad(f, signs, out.dtype)
+        gx = self.work("mass", (f.shape[0], f.shape[1] + 2), out.dtype)
+        return self._nine_point_mass(fp, self.h, out, gx)
 
     # -- momentum block -------------------------------------------------
 
-    def apply_lap_u(self, u: np.ndarray) -> np.ndarray:
-        return self._five_point(pad_field(u, 1, VELOCITY_SIGNS["u"], self.bc), self.h)
+    def apply_lap_u(self, u: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        out = self._out(out, "u", u.dtype)
+        return self._five_point(self._pad(u, VELOCITY_SIGNS["u"], out.dtype), self.h, out)
 
-    def apply_lap_v(self, v: np.ndarray) -> np.ndarray:
-        return self._five_point(pad_field(v, 1, VELOCITY_SIGNS["v"], self.bc), self.h)
+    def apply_lap_v(self, v: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        out = self._out(out, "v", v.dtype)
+        return self._five_point(self._pad(v, VELOCITY_SIGNS["v"], out.dtype), self.h, out)
 
     # -- gradient / divergence ------------------------------------------
 
-    def grad(self, p: np.ndarray):
+    def grad(self, p: np.ndarray, out=None):
         """Pressure gradient onto the velocity points (the B^T action)."""
+        gu, gv = out if out is not None else (self._out(None, "u", p.dtype),
+                                              self._out(None, "v", p.dtype))
         if self.bc == "periodic":
-            gu = np.diff(p, axis=0, prepend=p[-1:, :]) / self.h
-            gv = np.diff(p, axis=1, prepend=p[:, -1:]) / self.h
+            np.subtract(p[:1, :], p[-1:, :], out=gu[:1, :])
+            np.subtract(p[:, :1], p[:, -1:], out=gv[:, :1])
+            np.subtract(p[1:, :], p[:-1, :], out=gu[1:, :])
+            np.subtract(p[:, 1:], p[:, :-1], out=gv[:, 1:])
         else:
-            gu = (p[1:, :] - p[:-1, :]) / self.h
-            gv = (p[:, 1:] - p[:, :-1]) / self.h
+            np.subtract(p[1:, :], p[:-1, :], out=gu)
+            np.subtract(p[:, 1:], p[:, :-1], out=gv)
+        gu /= self.h
+        gv /= self.h
         return gu, gv
 
-    def neg_div(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    def neg_div(self, u: np.ndarray, v: np.ndarray,
+                out: np.ndarray | None = None) -> np.ndarray:
         """Negative discrete divergence at cell centers (the B action)."""
+        out = self._out(out, "p", np.result_type(u, v))
+        dv = self.work("div", self.shapes["p"], out.dtype)
         if self.bc == "periodic":
-            du = np.diff(u, axis=0, append=u[:1, :])
-            dv = np.diff(v, axis=1, append=v[:, :1])
-            return -(du + dv) / self.h
-        n = self.n
-        ux = np.zeros((n + 1, n), u.dtype)
-        ux[1:n, :] = u
-        vy = np.zeros((n, n + 1), v.dtype)
-        vy[:, 1:n] = v
-        return -((ux[1:, :] - ux[:-1, :]) + (vy[:, 1:] - vy[:, :-1])) / self.h
+            np.subtract(u[1:, :], u[:-1, :], out=out[:-1, :])
+            np.subtract(u[:1, :], u[-1:, :], out=out[-1:, :])
+            np.subtract(v[:, 1:], v[:, :-1], out=dv[:, :-1])
+            np.subtract(v[:, :1], v[:, -1:], out=dv[:, -1:])
+        else:
+            # the eliminated wall velocities are zero; multiply by -1 rather
+            # than np.negative (see pad_field)
+            out[0, :] = u[0, :]
+            np.subtract(u[1:, :], u[:-1, :], out=out[1:-1, :])
+            np.multiply(u[-1, :], -1.0, out=out[-1, :])
+            dv[:, 0] = v[:, 0]
+            np.subtract(v[:, 1:], v[:, :-1], out=dv[:, 1:-1])
+            np.multiply(v[:, -1], -1.0, out=dv[:, -1])
+        out += dv
+        out /= -self.h
+        return out
 
     # -- mass operators and the distributive pressure operator ----------
 
-    def apply_q(self, f: np.ndarray, comp: str) -> np.ndarray:
+    def apply_q(self, f: np.ndarray, comp: str, out: np.ndarray | None = None) -> np.ndarray:
         """Velocity mass operator (a multiply, never a solve)."""
-        return self._nine_point_mass(pad_field(f, 1, VELOCITY_SIGNS[comp], self.bc), self.h)
+        return self._mass(f, VELOCITY_SIGNS[comp], self._out(out, comp, f.dtype))
 
-    def apply_qp(self, p: np.ndarray) -> np.ndarray:
+    def apply_qp(self, p: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """Pressure mass operator."""
-        fp = pad_field(p, 1, (PRESSURE_MASS_GHOST,) * 2, self.bc)
-        return self._nine_point_mass(fp, self.h)
+        return self._mass(p, (PRESSURE_MASS_GHOST,) * 2, self._out(out, "p", p.dtype))
 
-    def apply_ap(self, p: np.ndarray) -> np.ndarray:
+    def apply_ap(self, p: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """Cell-centered Laplacian used by the distributive update."""
-        fp = pad_field(p, 1, (CELL_LAPLACIAN_GHOST,) * 2, self.bc)
-        return self._five_point(fp, self.h)
+        out = self._out(out, "p", p.dtype)
+        return self._five_point(self._pad(p, (CELL_LAPLACIAN_GHOST,) * 2, out.dtype),
+                                self.h, out)
 
     # -- full operator ---------------------------------------------------
 
-    def apply(self, st: StaggeredState) -> StaggeredState:
-        gu, gv = self.grad(st.p)
-        return StaggeredState(
-            self.n,
-            self.bc,
-            self.apply_lap_u(st.u) + gu,
-            self.apply_lap_v(st.v) + gv,
-            self.neg_div(st.u, st.v),
-        )
+    def apply(self, st: StaggeredState, out: StaggeredState | None = None) -> StaggeredState:
+        if out is None:
+            out = StaggeredState.zeros(self.n, self.bc, np.result_type(st.u, st.v, st.p))
+        gu, gv = self.grad(st.p, out=(self.work("grad_u", self.shapes["u"], out.u.dtype),
+                                      self.work("grad_v", self.shapes["v"], out.v.dtype)))
+        self.apply_lap_u(st.u, out=out.u)
+        out.u += gu
+        self.apply_lap_v(st.v, out=out.v)
+        out.v += gv
+        self.neg_div(st.u, st.v, out=out.p)
+        return out
 
-    def residual(self, st: StaggeredState, rhs: StaggeredState | None) -> StaggeredState:
-        ax = self.apply(st)
-        if rhs is None:
-            ax.u *= -1.0
-            ax.v *= -1.0
-            ax.p *= -1.0
-            return ax
-        return StaggeredState(self.n, self.bc, rhs.u - ax.u, rhs.v - ax.v, rhs.p - ax.p)
+    def residual(self, st: StaggeredState, rhs: StaggeredState | None,
+                 out: StaggeredState | None = None) -> StaggeredState:
+        if out is None:
+            dtype = st.u.dtype if rhs is None else np.result_type(st.u, rhs.u)
+            out = StaggeredState.zeros(self.n, self.bc, dtype)
+        ax = self.apply(st, out=out)
+        for name in ("u", "v", "p"):
+            f = getattr(ax, name)
+            if rhs is None:
+                f *= -1.0
+            else:
+                np.subtract(getattr(rhs, name), f, out=f)
+        return ax
 
 
 def build_system(n: int, bc: str = "dirichlet") -> SaddleSystem:

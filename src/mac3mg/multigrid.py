@@ -14,6 +14,11 @@ coarse closure stands in for the fine one because the lattices are nested: a
 wall mirror maps coarse points to coarse points (fine pressure index 1
 mirrors to -2 = 1 - 3), and 3 divides n for the periodic wrap.
 
+A cycle allocates no grid field after its first call: each level's
+residual, coarse data and coarse state, and every sweep and transfer
+temporary, are work arrays of that level's ``SaddleSystem`` (roles in
+``grid.Workspace``), and the prolongation adds straight into the fine state.
+
 The drivers measure convergence the way the experiments report it: iterate
 cycles on a seeded random initial guess with zero right-hand side until the
 residual norm falls below 1e-12, then report rho_m = (r_k / r_0)^(1/k).
@@ -26,7 +31,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import assemble, grid, stencils
-from .smoothers import Smoother
+from .smoothers import SeparableInverse, Smoother
 from .symbols import RelaxParams
 from .twogrid import TransferPair
 
@@ -46,83 +51,159 @@ def _factor(kernel: np.ndarray) -> np.ndarray:
     return rows / np.sqrt(rows.sum())
 
 
-def restrict_field(fine: np.ndarray, w: np.ndarray, offsets, bc: str,
-                   signs) -> np.ndarray:
-    """Apply ``outer(w, w)`` at the nested points only, one axis at a time."""
-    out = grid.pad_field(fine, len(w) // 2, signs, bc)
-    for axis, o in enumerate(offsets):
-        src = np.moveaxis(out, axis, 0)
-        count = len(range(o, fine.shape[axis], 3))
-        acc = w[0] * src[o::3][:count]
+def restrict_field(fine: np.ndarray, w: np.ndarray, offsets, bc: str, signs,
+                   out: np.ndarray, work: grid.Workspace) -> np.ndarray:
+    """Apply ``outer(w, w)`` at the nested points only, one axis at a time,
+    into ``out``; the padded field and the x pass are work arrays."""
+    r, dtype = len(w) // 2, out.dtype
+    fp = grid.pad_field(fine, r, signs, bc,
+                        out=work("pad", (fine.shape[0] + 2 * r, fine.shape[1] + 2 * r), dtype))
+    mid = work("xfer_mid", (out.shape[0], fp.shape[1]), dtype)
+    for axis, (src, dst) in enumerate(((fp, mid), (mid, out))):
+        o = offsets[axis]
+        s, d = np.moveaxis(src, axis, 0), np.moveaxis(dst, axis, 0)
+        tmp = work("xfer_tmp", d.shape, dtype)
+        np.multiply(s[o::3][: len(d)], w[0], out=d)
         for k in range(1, len(w)):
-            acc += w[k] * src[o + k :: 3][:count]
-        out = np.moveaxis(acc, 0, axis)
+            np.multiply(s[o + k :: 3][: len(d)], w[k], out=tmp)
+            d += tmp
     return out
 
 
-def prolong_field(coarse: np.ndarray, fine_shape, w: np.ndarray,
-                  offsets, bc: str, signs) -> np.ndarray:
-    """Adjoint pattern, one axis at a time: padded coarse index J adds
-    ``w[k] c[J]`` at fine index o - 3 - r + 3J + k, r the stencil radius."""
-    out = grid.pad_field(coarse, 1, signs, bc)
-    for axis, o in enumerate(offsets):
-        shape = list(out.shape)
-        shape[axis] = 3 * out.shape[axis] + len(w)
-        acc = np.zeros(shape, np.result_type(out, w))
-        dst, src = np.moveaxis(acc, axis, 0), np.moveaxis(out, axis, 0)
+def prolong_field(coarse: np.ndarray, w: np.ndarray, offsets, bc: str, signs,
+                  add_to: np.ndarray, work: grid.Workspace) -> np.ndarray:
+    """Add the prolongation of ``coarse`` to ``add_to``, one axis at a time:
+    padded coarse index J adds ``w[k] c[J]`` at fine index
+    ``3J + k - (3 + r - o)``, r the stencil radius, where that index exists."""
+    dtype = add_to.dtype
+    cp = grid.pad_field(coarse, 1, signs, bc,
+                        out=work("pad", (coarse.shape[0] + 2, coarse.shape[1] + 2), dtype))
+    mid = work("xfer_mid", (add_to.shape[0], cp.shape[1]), dtype)
+    mid.fill(0.0)
+    for axis, (src, dst) in enumerate(((cp, mid), (mid, add_to))):
+        start = 3 + len(w) // 2 - offsets[axis]
+        s, d = np.moveaxis(src, axis, 0), np.moveaxis(dst, axis, 0)
         for k in range(len(w)):
-            dst[k::3][: len(src)] += w[k] * src
-        start = 3 + len(w) // 2 - o
-        out = np.moveaxis(dst[start : start + fine_shape[axis]], 0, axis)
+            j0 = max(0, -((k - start) // 3))  # first J landing at index >= 0
+            i0 = 3 * j0 + k - start
+            count = min(len(range(i0, len(d), 3)), len(s) - j0)
+            tmp = work("xfer_tmp", (count, s.shape[1]), dtype)
+            np.multiply(s[j0 : j0 + count], w[k], out=tmp)
+            d[i0::3][:count] += tmp
+    return add_to
+
+
+def restrict_state(fine: grid.StaggeredState, tag: str,
+                   out: grid.StaggeredState | None = None,
+                   work: grid.Workspace | None = None) -> grid.StaggeredState:
+    """Restriction ``tag`` of a fine state, into ``out`` if given; ``work``
+    holds the fine level's work arrays (throwaway ones if None)."""
+    w = _factor(stencils.RESTRICTIONS[tag]().kernel())
+    if out is None:
+        out = grid.StaggeredState.zeros(fine.n // 3, fine.bc, fine.u.dtype)
+    work = grid.Workspace() if work is None else work
+    for name in ("u", "v", "p"):
+        restrict_field(getattr(fine, name), w, NESTED_OFFSETS[(fine.bc, name)], fine.bc,
+                       grid.TRANSFER_FOLDS[name], getattr(out, name), work)
     return out
 
 
-def restrict_state(fine: grid.StaggeredState, tag: str) -> grid.StaggeredState:
-    w = _factor(stencils.RESTRICTIONS[tag]().kernel())
-    nc = fine.n // 3
-    shapes = grid.field_shapes(nc, fine.bc)
-    out = {}
-    for name in ("u", "v", "p"):
-        off = NESTED_OFFSETS[(fine.bc, name)]
-        out[name] = restrict_field(getattr(fine, name), w, off, fine.bc,
-                                   grid.TRANSFER_FOLDS[name])
-        if out[name].shape != shapes[name]:
-            raise ValueError(f"restricted {name} shape {out[name].shape} != {shapes[name]}")
-    return grid.StaggeredState(nc, fine.bc, out["u"], out["v"], out["p"])
-
-
-def prolong_state(coarse: grid.StaggeredState, n_fine: int) -> grid.StaggeredState:
+def prolong_state(coarse: grid.StaggeredState, n_fine: int,
+                  add_to: grid.StaggeredState | None = None,
+                  work: grid.Workspace | None = None) -> grid.StaggeredState:
+    """The p25 prolongation of a coarse state, added to ``add_to`` (a zero
+    fine state if None); ``work`` holds the fine level's work arrays."""
     if n_fine != 3 * coarse.n:
         raise ValueError("prolongation must step up by exactly one level")
     w = _factor(stencils.p25().kernel())
-    shapes = grid.field_shapes(n_fine, coarse.bc)
-    out = {
-        name: prolong_field(getattr(coarse, name), shapes[name], w,
-                            NESTED_OFFSETS[(coarse.bc, name)], coarse.bc,
-                            grid.TRANSFER_FOLDS[name])
-        for name in ("u", "v", "p")
-    }
-    return grid.StaggeredState(n_fine, coarse.bc, out["u"], out["v"], out["p"])
+    if add_to is None:
+        add_to = grid.StaggeredState.zeros(n_fine, coarse.bc, coarse.u.dtype)
+    work = grid.Workspace() if work is None else work
+    for name in ("u", "v", "p"):
+        prolong_field(getattr(coarse, name), w, NESTED_OFFSETS[(coarse.bc, name)],
+                      coarse.bc, grid.TRANSFER_FOLDS[name], getattr(add_to, name), work)
+    return add_to
+
+
+# Conjugate gradients on the pressure Schur complement stop at this relative
+# residual, or fail after CG_MAXITER iterations.  On mean-zero periodic
+# pressures the complement is the identity (1-2 iterations); Dirichlet grids
+# up to n = 729 need at most 26.
+CG_TOL = 1e-14
+CG_MAXITER = 100
 
 
 class DirectSolver:
-    """Exact solve of one level's saddle system.
+    """Exact solve of one level's saddle system ``[[A, B^T], [B, 0]]``.
 
-    Factorizes the assembled operator augmented with its nullspace constraint
-    (constant pressure; plus constant velocities under periodic BCs).  For a
-    consistent right-hand side the result is the minimum-norm solution; any
-    nullspace component of the data is absorbed by the constraint multipliers,
-    which is exactly the gauge-projected behavior the cycles need.
+    The velocity Laplacians are Kronecker sums of 1D second differences
+    (``assemble._lap1``), so ``A^+`` is one ``SeparableInverse`` per
+    component.  Conjugate gradients solve ``B A^+ B^T p = B A^+ f - g`` for
+    the pressure, and ``u = A^+ (f - B^T p)``.  The nullspace components of
+    the data (mean pressure; mean velocities under periodic BCs) are dropped
+    and the result has none, which is the gauge-projected solution the cycles
+    need.  Missing the CG tolerance raises ``np.linalg.LinAlgError``.
     """
 
     def __init__(self, n: int, bc: str):
-        self._solve = assemble.constrained_lu(assemble.assemble_ops(n, bc).saddle,
-                                              assemble.nullspace(n, bc))
         self.n = n
         self.bc = bc
+        self.system = grid.SaddleSystem(n, bc)
+        h = 1.0 / n
+        if bc == "periodic":
+            lap = assemble._lap1(n, h, bc, 0.0).toarray()
+            self._inv_u = self._inv_v = SeparableInverse(lap, None, lap, None, 1.0, True)
+        else:
+            edge = assemble._lap1(n - 1, h, bc, 0.0).toarray()
+            tan = assemble._lap1(n, h, bc, grid.VELOCITY_GHOST).toarray()
+            self._inv_u = SeparableInverse(edge, None, tan, None, 1.0, False)
+            self._inv_v = SeparableInverse(tan, None, edge, None, 1.0, False)
 
-    def solve_state(self, rhs: grid.StaggeredState) -> grid.StaggeredState:
-        return grid.StaggeredState.from_flat(self._solve(rhs.flat()), self.n, self.bc)
+    def _schur(self, p: np.ndarray) -> np.ndarray:
+        gu, gv = self.system.grad(p)
+        return self.system.neg_div(self._inv_u(gu), self._inv_v(gv))
+
+    def _pressure(self, b: np.ndarray) -> np.ndarray:
+        """Conjugate gradients for ``B A^+ B^T p = b`` over mean-zero pressures.
+
+        The mean of ``b`` and of each residual is projected out: the operator
+        annihilates it, so a roundoff mean would stall the iteration."""
+        r = b - b.mean()
+        x = np.zeros_like(r)
+        d = r.copy()
+        bnorm = np.linalg.norm(r)
+        rr = np.vdot(r, r).real
+        for it in range(CG_MAXITER + 1):
+            if np.sqrt(rr) <= CG_TOL * bnorm:
+                return x - x.mean()
+            if it == CG_MAXITER:
+                break
+            q = self._schur(d)
+            dq = np.vdot(d, q).real
+            if not dq > 0.0:  # breakdown: no descent left above roundoff
+                break
+            x += (rr / dq) * d
+            r -= (rr / dq) * q
+            r -= r.mean()
+            rr, rr_old = np.vdot(r, r).real, rr
+            d = r + (rr / rr_old) * d
+        raise np.linalg.LinAlgError(
+            f"direct solve n={self.n} bc={self.bc}: conjugate gradients stopped at relative "
+            f"residual {np.sqrt(rr) / bnorm:.3e} after {it} iterations "
+            f"(tolerance {CG_TOL:g}, cap {CG_MAXITER})")
+
+    def solve_state(self, rhs: grid.StaggeredState,
+                    out: grid.StaggeredState | None = None) -> grid.StaggeredState:
+        sysm = self.system
+        b = sysm.neg_div(self._inv_u(rhs.u), self._inv_v(rhs.v))
+        b -= rhs.p
+        p = self._pressure(b)
+        gu, gv = sysm.grad(p)
+        u, v = self._inv_u(rhs.u - gu), self._inv_v(rhs.v - gv)
+        if out is None:
+            return grid.StaggeredState(self.n, self.bc, u, v, p)
+        out.u[...], out.v[...], out.p[...] = u, v, p
+        return out
 
 
 class GridHierarchy:
@@ -155,20 +236,22 @@ class GridHierarchy:
 def _descend(hier: GridHierarchy, level: int, state: grid.StaggeredState,
              rhs: grid.StaggeredState, nu1: int, nu2: int, solve_level: int) -> None:
     if level == solve_level:
-        exact = hier.direct(level).solve_state(rhs)
-        state.u[:] = exact.u
-        state.v[:] = exact.v
-        state.p[:] = exact.p
+        hier.direct(level).solve_state(rhs, out=state)
         return
+    # the residual, coarse data and coarse state are the levels' work arrays
+    system, below = hier.systems[level], hier.systems[level + 1]
+    dtype = state.u.dtype
     sm = hier.smoothers[level]
     for _ in range(nu1):
         sm.sweep(state, rhs)
-    resid = hier.systems[level].residual(state, rhs)
-    coarse_rhs = restrict_state(resid, hier.transfer.restrict)
-    coarse = grid.StaggeredState.zeros(hier.sizes[level + 1], hier.bc,
-                                       dtype=state.u.dtype)
+    resid = system.residual(state, rhs, out=system.work_state("r", dtype))
+    coarse_rhs = restrict_state(resid, hier.transfer.restrict,
+                                out=below.work_state("f", dtype), work=system.work)
+    coarse = below.work_state("x", dtype)
+    for f in (coarse.u, coarse.v, coarse.p):
+        f.fill(0.0)
     _descend(hier, level + 1, coarse, coarse_rhs, nu1, nu2, solve_level)
-    state.add_scaled(prolong_state(coarse, hier.sizes[level]), 1.0)
+    prolong_state(coarse, hier.sizes[level], add_to=state, work=system.work)
     for _ in range(nu2):
         sm.sweep(state, rhs)
 

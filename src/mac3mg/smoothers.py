@@ -6,9 +6,10 @@ comes from an approximate solve of ``M delta = r`` with the full residual
 
 * ``qdr``     distributive relaxation: triangular mass solve, then the
               distribution ``(du, dp) = (du' + grad dp', -A_p dp')``.
-* ``qbsr``    exact block solve: pressure Schur system solved directly.
+* ``qbsr``    exact block solve: pressure Schur system solved exactly by
+              fast diagonalisation of its 1D factors.
 * ``qibsr``   inexact block solve: one weighted Jacobi sweep on the Schur
-              system, using the assembled Schur diagonal.
+              system, using its diagonal (an outer sum of 1D diagonals).
 * ``quzawa``  mass-scaled velocity update, sigma-scaled pressure update.
 
 The inverse momentum approximation is everywhere ``C^-1 = diag(Q, Q)``, a
@@ -20,42 +21,100 @@ per-mode Fourier consistency tests rely on.
 from __future__ import annotations
 
 import numpy as np
+import scipy.linalg
 
 from . import assemble, grid
 from .symbols import RelaxParams
 
 
-class SchurOperator:
-    """Assembled pressure Schur complement ``B diag(Q, Q) B^T`` for one level.
+class SeparableInverse:
+    """(Pseudo-)inverse of a Kronecker sum ``scale (kron(k1, m2) + kron(m1, k2))``.
 
-    The matrix is symmetric positive semi-definite with the constant pressure
-    in its kernel.  ``solve`` factorizes it on first use with the constant-mode
-    constraint, returning the mean-zero solution of consistent systems
-    (equivalently the pseudoinverse applied to the right-hand side).
+    The operator acts on ``(n1, n2)`` arrays; each ``k`` is symmetric and each
+    ``m`` positive definite (``None`` for the identity).  One dense
+    generalised eigenproblem ``k V = m V Lambda`` per axis, with
+    ``V^T m V = I``, diagonalises it (Lynch, Rice and Thomas 1964):
+    ``x = V1 ((V1^T g V2) / (scale (lambda1_i + lambda2_j))) V2^T``.  When
+    ``singular``, both ``k`` annihilate the constant and so does the
+    operator: the zero pair is dropped and the mean is projected out of ``g``
+    and of ``x``, giving the mean-zero solution for ``g - mean(g)``.
+    """
+
+    def __init__(self, k1, m1, k2, m2, scale: float, singular: bool):
+        lam1, self.v1 = scipy.linalg.eigh(k1, m1)
+        lam2, self.v2 = scipy.linalg.eigh(k2, m2)
+        if singular:
+            lam1[0] = lam2[0] = 0.0
+        denom = scale * (lam1[:, None] + lam2[None, :])
+        if singular:
+            denom[0, 0] = np.inf
+        self.inv = 1.0 / denom
+        self.singular = singular
+        self.work = grid.Workspace()
+
+    def __call__(self, g: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        dtype = np.result_type(g, self.v1)
+        if out is None:
+            out = np.empty(g.shape, dtype)
+        t0, t1 = self.work("t0", g.shape, dtype), self.work("t1", g.shape, dtype)
+        if self.singular:
+            np.subtract(g, g.mean(), out=t0)
+            g = t0
+        np.matmul(self.v1.T, g, out=t1)
+        np.matmul(t1, self.v2, out=t0)
+        t0 *= self.inv
+        np.matmul(self.v1, t0, out=t1)
+        np.matmul(t1, self.v2.T, out=out)
+        if self.singular:
+            out -= out.mean()
+        return out
+
+
+class SchurOperator:
+    """Pressure Schur complement ``S = B diag(Q, Q) B^T`` of one level, from
+    its 1D factors.
+
+    ``B^T`` is ``kron(G, I)`` and ``kron(I, G)`` and the velocity masses are
+    ``h^2 kron(M_edge, M)`` and ``h^2 kron(M, M_edge)``, so
+    ``S = h^2 (kron(K, M) + kron(M, K))`` with ``K = G^T M_edge G``; ``M`` is
+    the tangential (Dirichlet) or periodic 1D mass.  ``diag`` is the outer
+    sum of the factor diagonals.  ``S`` is symmetric positive semi-definite
+    with the constant pressure in its kernel; ``solve`` returns the mean-zero
+    solution of consistent systems through a ``SeparableInverse`` built on
+    first use.
     """
 
     def __init__(self, n: int, bc: str):
         self.n = n
         self.bc = bc
-        self.mat = assemble.assemble_schur(n, bc)
-        self.diag = self.mat.diagonal().copy()
+        h = 1.0 / n
+        g1 = assemble._grad1(n, h, bc)
+        m_edge = assemble._mass1(g1.shape[0], bc, 0.0)
+        self._k = (g1.T @ m_edge @ g1).toarray()
+        self._m = assemble._mass1(n, bc, grid.VELOCITY_GHOST).toarray()
+        self._h2 = h**2
+        dk, dm = np.diag(self._k), np.diag(self._m)
+        self.diag = (self._h2 * (np.outer(dk, dm) + np.outer(dm, dk))).ravel()
         if (self.diag <= 0.0).any():
             raise ValueError("Schur diagonal must be positive")
-        self._solve = None
+        self._inverse: SeparableInverse | None = None
 
-    def solve(self, g: np.ndarray) -> np.ndarray:
-        """Mean-zero solution of ``S x = g`` (g is consistent up to roundoff)."""
-        if self._solve is None:
-            m = self.mat.shape[0]
-            self._solve = assemble.constrained_lu(self.mat, np.full((m, 1), 1.0 / np.sqrt(m)))
-        return self._solve(g.ravel()).reshape(g.shape)
+    def solve(self, g: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """Mean-zero solution of ``S x = g`` (g is consistent up to roundoff);
+        ``g`` is ``(n, n)`` or flat, ``out`` is ``(n, n)``."""
+        if self._inverse is None:
+            self._inverse = SeparableInverse(self._k, self._m, self._k, self._m,
+                                             self._h2, singular=True)
+        x = self._inverse(g.reshape(self.n, self.n), out)
+        return x if out is not None else x.reshape(g.shape)
 
 
 class Smoother:
     """Bound relaxation sweep: a system, a scheme, and its parameters.
 
     Schur-related pieces are built lazily so the cheap schemes never pay for
-    an assembly.
+    them.  A sweep works in the system's workspace (roles ``r``, ``a`` and
+    ``b``), so it allocates nothing after its first call.
     """
 
     def __init__(self, system: grid.SaddleSystem, params: RelaxParams):
@@ -72,34 +131,52 @@ class Smoother:
         """Apply one relaxation sweep in place."""
         sysm = self.system
         p = self.params
-        r = sysm.residual(state, rhs)
-        if p.scheme == "qdr":
-            du = sysm.apply_q(r.u, "u") / p.alpha
-            dv = sysm.apply_q(r.v, "v") / p.alpha
-            dp_hat = sysm.apply_qp(r.p - sysm.neg_div(du, dv)) / p.alpha
-            gx, gy = sysm.grad(dp_hat)
-            delta = grid.StaggeredState(state.n, state.bc,
-                                        du + gx, dv + gy, -sysm.apply_ap(dp_hat))
-        elif p.scheme in ("qbsr", "qibsr"):
-            qu = sysm.apply_q(r.u, "u")
-            qv = sysm.apply_q(r.v, "v")
-            g = sysm.neg_div(qu, qv) - p.alpha * r.p
-            if p.scheme == "qbsr":
-                dp = self.schur().solve(g)
+        dtype = state.u.dtype
+        r = sysm.residual(state, rhs, out=sysm.work_state("r", dtype))
+        a = sysm.work_state("a", dtype)
+        b = sysm.work_state("b", dtype)
+        if p.scheme in ("qdr", "quzawa"):
+            # du = Q r_u / alpha, t = r_p - B du; quzawa: dp = -sigma t; qdr:
+            # dp' = Q_p t / alpha and delta = (du + grad dp', -A_p dp')
+            sysm.apply_q(r.u, "u", out=a.u)
+            a.u /= p.alpha
+            sysm.apply_q(r.v, "v", out=a.v)
+            a.v /= p.alpha
+            sysm.neg_div(a.u, a.v, out=a.p)
+            np.subtract(r.p, a.p, out=a.p)
+            if p.scheme == "quzawa":
+                a.p *= -p.sigma
             else:
-                dp = p.omega_j * g / self.schur().diag.reshape(g.shape)
-            gx, gy = sysm.grad(dp)
-            delta = grid.StaggeredState(
-                state.n, state.bc,
-                sysm.apply_q(r.u - gx, "u") / p.alpha,
-                sysm.apply_q(r.v - gy, "v") / p.alpha,
-                dp,
-            )
-        elif p.scheme == "quzawa":
-            du = sysm.apply_q(r.u, "u") / p.alpha
-            dv = sysm.apply_q(r.v, "v") / p.alpha
-            delta = grid.StaggeredState(state.n, state.bc,
-                                        du, dv, -p.sigma * (r.p - sysm.neg_div(du, dv)))
+                sysm.apply_qp(a.p, out=b.p)
+                b.p /= p.alpha
+                sysm.grad(b.p, out=(b.u, b.v))
+                a.u += b.u
+                a.v += b.v
+                sysm.apply_ap(b.p, out=a.p)
+                a.p *= -1.0
+            delta = (a.u, a.v, a.p)
+        elif p.scheme in ("qbsr", "qibsr"):
+            # g = B Q r_u - alpha r_p, dp from S dp = g, du = Q (r_u - grad dp) / alpha
+            sysm.apply_q(r.u, "u", out=a.u)
+            sysm.apply_q(r.v, "v", out=a.v)
+            sysm.neg_div(a.u, a.v, out=a.p)
+            np.multiply(r.p, p.alpha, out=b.p)
+            a.p -= b.p
+            if p.scheme == "qbsr":
+                self.schur().solve(a.p, out=b.p)
+            else:
+                np.multiply(a.p, p.omega_j, out=b.p)
+                b.p /= self.schur().diag.reshape(b.p.shape)
+            sysm.grad(b.p, out=(b.u, b.v))
+            np.subtract(r.u, b.u, out=b.u)
+            np.subtract(r.v, b.v, out=b.v)
+            sysm.apply_q(b.u, "u", out=a.u)
+            a.u /= p.alpha
+            sysm.apply_q(b.v, "v", out=a.v)
+            a.v /= p.alpha
+            delta = (a.u, a.v, b.p)
         else:
             raise ValueError(f"unknown scheme {p.scheme!r}")
-        state.add_scaled(delta, p.omega)
+        for d, f in zip(delta, (state.u, state.v, state.p)):
+            d *= p.omega
+            f += d

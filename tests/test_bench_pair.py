@@ -1,0 +1,84 @@
+"""tools/bench_pair.py: the summary over synthetic runs, and keeping the runs
+that completed before a crash."""
+
+import importlib.util
+import json
+import textwrap
+from pathlib import Path
+
+import pytest
+
+TOOL = Path(__file__).resolve().parents[1] / "tools" / "bench_pair.py"
+_spec = importlib.util.spec_from_file_location("bench_pair", TOOL)
+bench_pair = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(bench_pair)
+
+
+def run(side, seed, metrics, workload="w", trace=0, correct=True, failed=0):
+    return {"side": side, "workload": workload, "seed": seed, "trace": trace,
+            "result": {"correct": correct, "failed": failed,
+                       "metrics": {k: {"value": v} for k, v in metrics.items()}}}
+
+
+def test_summarize_medians_ratio_wins_and_iqr():
+    parent = [1.0, 2.0, 3.0, 4.0]
+    change = [0.5, 1.5, 2.5, 3.5]
+    dof_parent = [10.0, 20.0, 30.0, 40.0]
+    dof_change = [11.0, 19.0, 31.0, 41.0]
+    runs = []
+    for seed in range(4):
+        runs.append(run("parent", seed, {"wall_s": parent[seed], "dof_per_s": dof_parent[seed]}))
+        runs.append(run("change", seed, {"wall_s": change[seed], "dof_per_s": dof_change[seed]}))
+    (row,) = bench_pair.summarize(runs)
+    assert row["workload"] == "w" and row["trace"] == 0 and row["seeds"] == [0, 1, 2, 3]
+    wall = row["metrics"]["wall_s"]
+    assert wall["parent"] == 2.5 and wall["change"] == 2.0
+    assert wall["ratio"] == pytest.approx(0.8)
+    assert wall["change_better"] == 4  # lower is better
+    # statistics.quantiles' exclusive method: 1.25 and 3.75
+    assert wall["parent_iqr"] == pytest.approx(2.5)
+    dof = row["metrics"]["dof_per_s"]
+    assert dof["change_better"] == 3  # higher is better: seed 1 lost
+    assert dof["parent"] == 25.0 and dof["change"] == 25.0
+    assert row["all_correct"] is True
+
+
+def test_summarize_correctness_traced_rows_and_one_sided_groups():
+    runs = [run("parent", 1, {"wall_s": 1.0}), run("change", 1, {"wall_s": 1.0}, failed=1),
+            run("parent", 1, {"wall_s": 2.0}, trace=1), run("change", 1, {"wall_s": 3.0}, trace=1),
+            run("parent", 7, {"wall_s": 1.0}, workload="solo")]
+    rows = {(r["workload"], r["trace"]): r for r in bench_pair.summarize(runs)}
+    assert rows[("w", 0)]["all_correct"] is False
+    traced = rows[("w", 1)]["metrics"]["wall_s"]
+    assert traced["ratio"] == 1.5
+    assert "change_better" not in traced and "parent_iqr" not in traced
+    # one seed gives no quartiles
+    assert "parent_iqr" not in rows[("w", 0)]["metrics"]["wall_s"]
+    solo = rows[("solo", 0)]
+    assert solo["seeds"] == [] and solo["metrics"] == {} and solo["all_correct"] is True
+
+
+def fake_checkout(root, body):
+    (root / "perfbench").mkdir(parents=True)
+    (root / "perfbench" / "run.py").write_text(textwrap.dedent(body))
+    return root
+
+
+def test_crash_keeps_completed_runs_and_shows_stderr(tmp_path, capsys):
+    good = fake_checkout(tmp_path / "parent", """\
+        print('env: {"seed": 1}')
+        print('{"correct": true, "failed": 0, "metrics": {"wall_s": {"value": 1.0}}}')
+        """)
+    bad = fake_checkout(tmp_path / "change", """\
+        import sys
+        print("the benchmark broke here", file=sys.stderr)
+        sys.exit(3)
+        """)
+    out = tmp_path / "bench.json"
+    code = bench_pair.main(["--parent", str(good), "--change", str(bad), "--workload", "w",
+                            "--seeds", "1,2", "--out", str(out)])
+    assert code == 1
+    assert "the benchmark broke here" in capsys.readouterr().err
+    doc = json.loads(out.read_text())
+    assert [(r["side"], r["seed"]) for r in doc["runs"]] == [("parent", 1)]
+    assert doc["summary"][0]["seeds"] == []

@@ -7,7 +7,7 @@ import json
 import numpy as np
 import pytest
 
-from mac3mg import cli
+from mac3mg import cli, multigrid
 from mac3mg.twogrid import TransferPair, two_grid_factor_table
 from mac3mg.symbols import reference_params
 
@@ -213,6 +213,19 @@ def test_mg_run_eigensolver_failure_exit_code(tmp_path, monkeypatch, capsys):
                     "--resolution", "27", "--out", str(tmp_path / "run.csv")])
     assert code == 2
     assert "numerical failure" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ("mg-run", "compare"))
+def test_direct_solve_failure_exit_code(command, tmp_path, monkeypatch, capsys):
+    def fail(*args, **kwargs):
+        raise np.linalg.LinAlgError("conjugate gradients stopped")
+
+    monkeypatch.setattr(multigrid.DirectSolver, "solve_state", fail)
+    code = run_cli([command, "--scheme", "qdr", "--n", "9", "--nu", "1",
+                    "--resolution", "27", "--out", str(tmp_path / "run.csv")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "numerical failure" in err and "conjugate gradients stopped" in err
 
 
 def test_compare_periodic_check_passes(tmp_path):

@@ -5,6 +5,8 @@ propagation matrix of the real cycle must reproduce the lattice factor
 computed from the 27x27 harmonic symbols to near machine precision.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.ndimage as ndi
@@ -286,3 +288,28 @@ def test_asymptotic_factor_matches_lattice_prediction(scheme):
     got = multigrid.asymptotic_factor(hier, 1, 0, cycle="two", seed=0)
     want = twogrid.periodic_lattice_factor(params, pair, 1, 0, n)
     assert abs(got - want) < 0.01, (scheme, got, want)
+
+
+# -- work arrays -----------------------------------------------------------
+
+
+@pytest.mark.parametrize("bc", grid.BCS)
+@pytest.mark.parametrize("scheme", symbols.SCHEMES)
+def test_warm_cycle_allocates_no_fine_field(scheme, bc):
+    # after the first cycle every level works in its own work arrays, so the
+    # second cycle's traced peak stays below one fine pressure field; qbsr's
+    # Schur solve may take a few
+    n = 243
+    hier = GridHierarchy(n, bc, reference_params(scheme, "measured"), TransferPair("p25t"))
+    st = grid.random_state(n, bc, seed=1)
+    rhs = grid.StaggeredState.zeros(n, bc)
+    multigrid.v_cycle(hier, st, rhs, 2, 0)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        multigrid.v_cycle(hier, st, rhs, 2, 0)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    fields = peak / st.p.nbytes
+    assert fields < (3.0 if scheme == "qbsr" else 1.0), fields

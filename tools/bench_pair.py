@@ -5,12 +5,14 @@
 
 Each checkout runs its own ``perfbench/run.py`` (which imports that
 checkout's ``src/``).  For the i-th seed the parent goes first when i is
-even and the change when i is odd.  The ``env:`` line and the result line
-of every run are appended to ``--out`` (created if missing), and the
-file's ``summary`` is recomputed over all its runs: per workload and trace
-mode, each metric's median on both sides, their ratio (change / parent)
-and, for untraced runs, the number of seeds where the change was better and
-the distance between the parent's quartiles.
+even and the change when i is odd.  After every run its ``env:`` line and
+result line are appended to ``--out`` (created if missing), the file's
+``summary`` is recomputed over all its runs, and the file is rewritten, so
+a crash keeps the runs before it; a crashed run prints the tail of its
+stderr and exits 1.  The summary gives, per workload and trace mode, each
+metric's median on both sides, their ratio (change / parent) and, for
+untraced runs, the number of seeds where the change was better and the
+distance between the parent's quartiles.
 """
 
 from __future__ import annotations
@@ -25,10 +27,17 @@ from pathlib import Path
 HIGHER_IS_BETTER = {"dof_per_s"}
 
 
+class RunFailed(Exception):
+    pass
+
+
 def run_one(checkout: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
            "--seconds", str(seconds), "--trace", str(trace)]
-    proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True, check=True)
+    proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
+    if proc.returncode != 0:
+        tail = "\n".join(proc.stderr.splitlines()[-20:])
+        raise RunFailed(f"{checkout}: {' '.join(cmd)} exited {proc.returncode}\n{tail}")
     lines = proc.stdout.splitlines()
     env = next(json.loads(line[len("env: "):]) for line in lines if line.startswith("env: "))
     return {"env": env, "result": json.loads(lines[-1])}
@@ -78,12 +87,17 @@ def main(argv=None) -> int:
     for i, seed in enumerate(int(s) for s in args.seeds.split(",")):
         order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
         for side in order:
-            rec = run_one(getattr(args, side), args.workload, seed, args.seconds, args.trace)
+            try:
+                rec = run_one(getattr(args, side), args.workload, seed, args.seconds,
+                              args.trace)
+            except RunFailed as exc:
+                print(f"run failed: {exc}", file=sys.stderr)
+                return 1
             doc["runs"].append({"side": side, "workload": args.workload, "seed": seed,
                                 "trace": args.trace, "first": side == order[0], **rec})
+            doc["summary"] = summarize(doc["runs"])
+            args.out.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
             print(side, args.workload, seed, json.dumps(rec["result"])[:160], flush=True)
-    doc["summary"] = summarize(doc["runs"])
-    args.out.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
     return 0
 
 
