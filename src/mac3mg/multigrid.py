@@ -62,7 +62,8 @@ def restrict_field(fine: np.ndarray, w: np.ndarray, offsets, bc: str, signs,
     for axis, (src, dst) in enumerate(((fp, mid), (mid, out))):
         o = offsets[axis]
         s, d = np.moveaxis(src, axis, 0), np.moveaxis(dst, axis, 0)
-        tmp = work("xfer_tmp", d.shape, dtype)
+        # tmp takes d's memory layout; with another, the in-place add strides badly
+        tmp = np.moveaxis(work("xfer_tmp", dst.shape, dtype), axis, 0)
         np.multiply(s[o::3][: len(d)], w[0], out=d)
         for k in range(1, len(w)):
             np.multiply(s[o + k :: 3][: len(d)], w[k], out=tmp)
@@ -87,7 +88,8 @@ def prolong_field(coarse: np.ndarray, w: np.ndarray, offsets, bc: str, signs,
             j0 = max(0, -((k - start) // 3))  # first J landing at index >= 0
             i0 = 3 * j0 + k - start
             count = min(len(range(i0, len(d), 3)), len(s) - j0)
-            tmp = work("xfer_tmp", (count, s.shape[1]), dtype)
+            shape = (count, s.shape[1]) if axis == 0 else (s.shape[1], count)
+            tmp = np.moveaxis(work("xfer_tmp", shape, dtype), axis, 0)  # d's layout
             np.multiply(s[j0 : j0 + count], w[k], out=tmp)
             d[i0::3][:count] += tmp
     return add_to
