@@ -169,11 +169,15 @@ class DirectSolver:
         """Conjugate gradients for ``B A^+ B^T p = b`` over mean-zero pressures.
 
         The mean of ``b`` and of each residual is projected out: the operator
-        annihilates it, so a roundoff mean would stall the iteration."""
+        annihilates it, so a leftover mean breaks the iteration.  ``b - mean``
+        keeps a roundoff mean of the size of ``b``, hence the second
+        projection; and the residual is measured against all of ``b``, so a
+        ``b`` that is constant up to roundoff needs no iteration."""
         r = b - b.mean()
+        r -= r.mean()
         x = np.zeros_like(r)
         d = r.copy()
-        bnorm = np.linalg.norm(r)
+        bnorm = np.linalg.norm(b)
         rr = np.vdot(r, r).real
         for it in range(CG_MAXITER + 1):
             if np.sqrt(rr) <= CG_TOL * bnorm:

@@ -82,6 +82,22 @@ def test_direct_solver_matches_augmented_lu(n, bc, dtype):
     assert rel_err(out.flat(), want) < 1e-11
 
 
+@pytest.mark.parametrize("bc", grid.BCS)
+@pytest.mark.parametrize("n", (3, 27))
+def test_direct_solver_on_nearly_nullspace_data(n, bc):
+    # the residual of a solve is its data's nullspace part (here a constant
+    # pressure) plus roundoff; solving it again must give about nothing, not
+    # a conjugate-gradient breakdown
+    rng = np.random.default_rng(n)
+    shapes = grid.field_shapes(n, bc)
+    rhs = grid.StaggeredState(n, bc, *(rng.standard_normal(shapes[f]) for f in "uvp"))
+    rhs.p += 3.0
+    solver = multigrid.DirectSolver(n, bc)
+    x = solver.solve_state(rhs)
+    again = solver.solve_state(solver.system.residual(x, rhs))
+    assert again.norm() <= 1e-10 * x.norm()
+
+
 def test_direct_solver_reports_missed_tolerance(monkeypatch):
     # a Dirichlet n = 27 solve needs about 20 iterations
     monkeypatch.setattr(multigrid, "CG_MAXITER", 3)

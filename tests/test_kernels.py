@@ -220,8 +220,8 @@ def test_residual_writes_into_out(n, bc, dtype):
         for got, want in zip((out.u, out.v, out.p), old.residual(st, rhs)):
             assert_close(got, want)
     st, rhs = state(rng, n, bc, dtype), state(rng, n, bc, dtype)
-    for got, want in zip((lambda r: (r.u, r.v, r.p))(sysm.residual(st, rhs)),
-                         old.residual(st, rhs)):
+    res = sysm.residual(st, rhs)
+    for got, want in zip((res.u, res.v, res.p), old.residual(st, rhs)):
         assert_close(got, want)
 
 
