@@ -209,8 +209,8 @@ def uzawa_spectrum(m_r: float, alpha_u: float, sigma: float) -> UzawaSpectrum:
     return UzawaSpectrum(lam1=lam1, lam2=lam2, lam3=m_r / alpha_u, discriminant=disc, m2=m2)
 
 
-def uzawa_mu_c(omega_u: float, alpha_u: float, sigma: float, gamma: float | None = None) -> float:
-    """Worst damping of the complex-pair eigenvalues over m_r in [5/6, gamma].
+def uzawa_mu_c(omega_u: float, alpha_u: float, sigma: float) -> float:
+    """Worst damping of the complex-pair eigenvalues over m_r in [5/6, min(m2, 16/9)].
 
     On the complex branch |1 - omega lam1| = |1 - omega lam2| = Psi(m_r) with
     Psi^2(m_r) = 1 + (omega/alpha)(omega sigma - sigma - 1) m_r, maximized at
@@ -222,13 +222,11 @@ def uzawa_mu_c(omega_u: float, alpha_u: float, sigma: float, gamma: float | None
     m2 = uzawa_m2(alpha_u, sigma)
     if m2 < 5.0 / 6.0 - 1e-12:
         raise ValueError("mu_c needs m2 >= 5/6 (otherwise all eigenvalues are real)")
-    if gamma is None:
-        gamma = min(m2, 16.0 / 9.0)
     radicand = 1.0 + 5.0 * omega_u * (omega_u * sigma - sigma - 1.0) / (6.0 * alpha_u)
     return math.sqrt(max(radicand, 0.0))
 
 
-def uzawa_mu_r(omega_u: float, alpha_u: float, sigma: float, m2: float | None = None) -> float:
+def uzawa_mu_r(omega_u: float, alpha_u: float, sigma: float) -> float:
     """Worst damping of the real eigenvalue pair over m_r in [m2, 16/9].
 
     The two real roots scale chi_(+/-)(m_r) = (m_r/2)(1 +/- sqrt(1 - m2/m_r));
@@ -237,9 +235,7 @@ def uzawa_mu_r(omega_u: float, alpha_u: float, sigma: float, m2: float | None = 
     """
     if omega_u <= 0.0 or alpha_u <= 0.0 or sigma <= 0.0:
         raise ValueError("parameters must be positive")
-    if m2 is None:
-        m2 = uzawa_m2(alpha_u, sigma)
-    radicand = 1.0 - 9.0 * m2 / 16.0
+    radicand = 1.0 - 9.0 * uzawa_m2(alpha_u, sigma) / 16.0
     if radicand < 0.0:
         raise ValueError(
             "m2 > 16/9: no real branch; the smoothing factor is governed by mu_c alone"

@@ -237,7 +237,8 @@ def cmd_smooth_opt(cfg: ExperimentConfig) -> int:
     }
     result = optima[cfg.scheme]()
     params = resolve_params(cfg, "lfa")
-    sampled = smoothing_factor(params, n=cfg.resolution)
+    with _numerical("eigensolver failure"):
+        sampled = smoothing_factor(params, n=cfg.resolution)
     row = {
         "scheme": cfg.scheme,
         "mu_analytic": result.mu_opt,

@@ -183,11 +183,6 @@ class StaggeredState:
         cp = vec[sizes[0] + sizes[1] :].reshape(shapes["p"])
         return cls(n, bc, cu.copy(), cv.copy(), cp.copy())
 
-    def add_scaled(self, other: "StaggeredState", c: float) -> None:
-        self.u += c * other.u
-        self.v += c * other.v
-        self.p += c * other.p
-
 
 def project_gauge(state: StaggeredState) -> StaggeredState:
     """Remove the nullspace components in place: mean pressure, and for

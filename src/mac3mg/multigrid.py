@@ -3,10 +3,11 @@
 Levels step down n -> n/3 -> ... -> 3, each carrying a rediscretized saddle
 system (mesh size 3h per step).  Coarse unknowns sit exactly on fine unknown
 locations; per-field nested offsets below record where the (0, 0) coarse
-point lands inside the fine index arrays.  Every transfer kernel is
-``outer(w, w)`` for a symmetric 1D stencil ``w``, so a transfer is two strided
-1D passes (x, then y): restriction evaluates ``sum_k w[k] f[o + 3I + k]`` at
-the nested points only, prolongation scatter-adds ``w[k] c[I]`` around them.
+point lands inside the fine index arrays.  Every transfer is stored as the
+even 1D weight vector ``w`` of ``stencils`` (its 2D kernel is ``outer(w, w)``),
+and applied as two strided 1D passes (x, then y): restriction evaluates
+``sum_k w[k] f[o + 3I + k]`` at the nested points only, prolongation
+scatter-adds ``w[k] c[I]`` around them.
 Periodic fields wrap; Dirichlet fields are closed by the transfer folds of
 the closure table in ``grid`` (``grid.TRANSFER_FOLDS``), so contributions
 reaching across the eliminated normal-velocity wall lines drop out.  The
@@ -43,12 +44,6 @@ NESTED_OFFSETS = {
     ("dirichlet", "v"): (1, 2),
     ("dirichlet", "p"): (1, 1),
 }
-
-
-def _factor(kernel: np.ndarray) -> np.ndarray:
-    """The 1D stencil ``w`` with ``kernel == outer(w, w)``."""
-    rows = kernel.sum(axis=1)
-    return rows / np.sqrt(rows.sum())
 
 
 def restrict_field(fine: np.ndarray, w: np.ndarray, offsets, bc: str, signs,
@@ -100,7 +95,7 @@ def restrict_state(fine: grid.StaggeredState, tag: str,
                    work: grid.Workspace | None = None) -> grid.StaggeredState:
     """Restriction ``tag`` of a fine state, into ``out`` if given; ``work``
     holds the fine level's work arrays (throwaway ones if None)."""
-    w = _factor(stencils.RESTRICTIONS[tag]().kernel())
+    w = stencils.RESTRICTIONS[tag]
     if out is None:
         out = grid.StaggeredState.zeros(fine.n // 3, fine.bc, fine.u.dtype)
     work = grid.Workspace() if work is None else work
@@ -117,7 +112,7 @@ def prolong_state(coarse: grid.StaggeredState, n_fine: int,
     fine state if None); ``work`` holds the fine level's work arrays."""
     if n_fine != 3 * coarse.n:
         raise ValueError("prolongation must step up by exactly one level")
-    w = _factor(stencils.p25().kernel())
+    w = stencils.P25
     if add_to is None:
         add_to = grid.StaggeredState.zeros(n_fine, coarse.bc, coarse.u.dtype)
     work = grid.Workspace() if work is None else work

@@ -26,8 +26,6 @@ SCHEMES = ("qdr", "qbsr", "qibsr", "quzawa")
 FIELDS = ("u", "v", "p")
 LOW_EDGE = np.pi / 3.0
 
-_MASS = stencils.mass_q()
-
 
 @dataclass(frozen=True)
 class RelaxParams:
@@ -144,7 +142,7 @@ def low_freq_samples(n: int = 81) -> np.ndarray:
 
 def mass_dimless(theta):
     """Dimensionless velocity mass symbol ``(4 + 2cos t1 + 2cos t2 + cos t1 cos t2)/9``."""
-    return np.real(_MASS.symbol(np.asarray(theta, dtype=float), 1.0))
+    return stencils.symbol(stencils.MASS, theta)
 
 
 def aux(theta) -> AuxSymbols:

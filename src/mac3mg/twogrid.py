@@ -84,8 +84,8 @@ def _transfer_mats(pair: TransferPair, freqs: np.ndarray):
     phase signs multiply in.  Prolongation carries the 1/9 aliasing factor.
     """
     ns = freqs.shape[0]
-    p_sym = np.real(stencils.p25().symbol(freqs, 1.0))  # (ns, 9)
-    r_sym = np.real(stencils.RESTRICTIONS[pair.restrict]().symbol(freqs, 1.0))
+    p_sym = stencils.symbol(stencils.P25, freqs)  # (ns, 9)
+    r_sym = stencils.symbol(stencils.RESTRICTIONS[pair.restrict], freqs)
     prolong = np.zeros((ns, 27, 3), dtype=complex)
     restrict = np.zeros((ns, 3, 27), dtype=complex)
     for a in range(9):

@@ -165,6 +165,17 @@ def test_smooth_opt_uzawa_under_root(tmp_path):
     assert report["under_root"] is True
 
 
+def test_smooth_opt_numerical_failure_exit_code(tmp_path, capsys):
+    # a subnormal alpha overflows the smoother symbol, so eigvals sees NaNs
+    out = tmp_path / "opt.csv"
+    with np.errstate(all="ignore"):
+        code = run_cli(["smooth-opt", "--resolution", "9", "--alpha", "1e-320",
+                        "--out", str(out)])
+    assert code == 2
+    assert "numerical failure" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_twogrid_lfa_rows_match_library(tmp_path):
     out = tmp_path / "lfa.csv"
     code = run_cli(["twogrid-lfa", "--scheme", "qdr", "--transfer", "r9b",

@@ -249,7 +249,7 @@ def test_transfers_write_into_out(n, bc, dtype):
     work = grid.Workspace()
     out = nan_state(nc, bc, dtype)
     for tag in ("r1", "r9", "r9b", "p25t"):
-        w = multigrid._factor(stencils.RESTRICTIONS[tag]().kernel())
+        w = stencils.RESTRICTIONS[tag]
         for _ in range(2):
             fine = state(rng, n, bc, dtype)
             assert multigrid.restrict_state(fine, tag, out=out, work=work) is out
@@ -258,7 +258,7 @@ def test_transfers_write_into_out(n, bc, dtype):
                                           multigrid.NESTED_OFFSETS[(bc, name)], bc,
                                           TRANSFER_FOLDS[name])
                 assert_close(getattr(out, name), want)
-    w = multigrid._factor(stencils.p25().kernel())
+    w = stencils.P25
     for _ in range(2):
         coarse, target = state(rng, nc, bc, dtype), state(rng, n, bc, dtype)
         before = target.copy()

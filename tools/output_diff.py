@@ -1,0 +1,162 @@
+"""Run the CLI command matrix in two checkouts and diff their JSON outputs.
+
+    python3 tools/output_diff.py --parent ../base --change .
+
+Each command runs as ``python -m mac3mg.cli ... --format json`` in its
+checkout, with that checkout's ``src/`` on ``PYTHONPATH``, and writes to
+stdout.  The matrix:
+
+- twogrid-lfa: every scheme and restriction, resolutions 27 and 81;
+- smooth-opt: every scheme;
+- mg-run: n = 27, every scheme, both boundary types;
+- compare: n = 27, every scheme;
+- selftest.
+
+Each command gets one of three results.  ``identical`` means the same exit
+code and the same stdout bytes.  ``MISMATCH`` is a structural difference:
+the exit code, a key, a list length, a type, an int, a string, a boolean, a
+null, or a float that is finite on one side only.  ``floats`` means only
+finite floats differ; the line gives the largest absolute and relative
+differences and the fields where they occur.  A summary per command follows.
+No tolerance is applied: the exit status is 1 on any structural mismatch,
+else 0, and judging the float differences is left to the reader.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import math
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
+
+SCHEMES = ("qdr", "qbsr", "qibsr", "quzawa")
+TRANSFERS = ("r1", "r9", "r9b", "p25t")
+
+
+def command_matrix() -> list:
+    cmds = [["twogrid-lfa", "--scheme", s, "--transfer", t, "--resolution", str(r)]
+            for r in (27, 81) for s in SCHEMES for t in TRANSFERS]
+    cmds += [["smooth-opt", "--scheme", s] for s in SCHEMES]
+    cmds += [["mg-run", "--scheme", s, "--n", "27", "--bc", bc]
+             for s in SCHEMES for bc in ("dirichlet", "periodic")]
+    cmds += [["compare", "--scheme", s, "--n", "27"] for s in SCHEMES]
+    cmds.append(["selftest"])
+    return cmds
+
+
+def run_one(checkout: Path, args: list) -> tuple:
+    """``(exit code, stdout bytes)`` of one command in ``checkout``."""
+    env = dict(os.environ, PYTHONPATH=str(checkout.resolve() / "src"))
+    proc = subprocess.run([sys.executable, "-m", "mac3mg.cli", *args, "--format", "json"],
+                          cwd=checkout, env=env, capture_output=True)
+    return proc.returncode, proc.stdout
+
+
+def diff(a, b) -> tuple:
+    """Structural mismatches and float differences between two JSON values.
+
+    Returns ``(mismatches, floats)``: ``mismatches`` describes each place
+    where keys, lengths, types, ints, strings, booleans, nulls or non-finite
+    floats differ, and ``floats`` holds ``(path, abs_diff, rel_diff)`` for
+    each pair of finite floats that differ.
+    """
+    mismatches, floats = [], []
+
+    def walk(x, y, p):
+        if isinstance(x, float) and isinstance(y, float):
+            if x == y or (math.isnan(x) and math.isnan(y)):
+                return
+            if math.isfinite(x) and math.isfinite(y):
+                d = abs(x - y)
+                floats.append((p, d, d / max(abs(x), abs(y))))
+            else:
+                mismatches.append(f"{p}: {x!r} != {y!r}")
+        elif type(x) is not type(y):
+            mismatches.append(f"{p}: {type(x).__name__} != {type(y).__name__}")
+        elif isinstance(x, dict):
+            if x.keys() != y.keys():
+                mismatches.append(f"{p}: keys on one side only {sorted(x.keys() ^ y.keys())}")
+            for k in sorted(x.keys() & y.keys()):
+                walk(x[k], y[k], f"{p}.{k}")
+        elif isinstance(x, list):
+            if len(x) != len(y):
+                mismatches.append(f"{p}: length {len(x)} != {len(y)}")
+            for i, (u, v) in enumerate(zip(x, y)):
+                walk(u, v, f"{p}[{i}]")
+        elif x != y:
+            mismatches.append(f"{p}: {x!r} != {y!r}")
+
+    walk(a, b, "$")
+    return mismatches, floats
+
+
+def compare_runs(parent: tuple, change: tuple) -> dict:
+    """Classify two ``(exit code, stdout bytes)`` runs of one command."""
+    if parent == change:
+        return {"result": "identical"}
+    mismatches = [] if parent[0] == change[0] else [f"exit code {parent[0]} != {change[0]}"]
+    try:
+        more, floats = diff(json.loads(parent[1]), json.loads(change[1]))
+    except ValueError:
+        return {"result": "mismatch", "details": mismatches + ["stdout differs and is not JSON"]}
+    mismatches += more
+    if not mismatches and not floats:
+        mismatches.append("stdout differs in formatting only")
+    if mismatches:
+        return {"result": "mismatch", "details": mismatches}
+    return {"result": "floats",
+            "max_abs": max(f[1] for f in floats),
+            "max_rel": max(f[2] for f in floats),
+            "fields": sorted({re.sub(r"\[\d+\]", "[]", f[0]) for f in floats})}
+
+
+def summarize(results: list) -> dict:
+    """Per command name: result counts, largest float differences, fields."""
+    out: dict = {}
+    for args, res in results:
+        row = out.setdefault(args[0], {"identical": 0, "floats": 0, "mismatch": 0,
+                                       "max_abs": 0.0, "max_rel": 0.0, "fields": set()})
+        row[res["result"]] += 1
+        if res["result"] == "floats":
+            row["max_abs"] = max(row["max_abs"], res["max_abs"])
+            row["max_rel"] = max(row["max_rel"], res["max_rel"])
+            row["fields"].update(res["fields"])
+    return out
+
+
+def describe(res: dict) -> str:
+    if res["result"] == "identical":
+        return "identical"
+    if res["result"] == "mismatch":
+        return "MISMATCH " + "; ".join(res["details"][:5])
+    return (f"floats max abs {res['max_abs']:.3g} max rel {res['max_rel']:.3g} "
+            f"in {', '.join(res['fields'])}")
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--parent", type=Path, required=True)
+    parser.add_argument("--change", type=Path, required=True)
+    args = parser.parse_args(argv)
+    results = []
+    for cmd in command_matrix():
+        res = compare_runs(run_one(args.parent, cmd), run_one(args.change, cmd))
+        results.append((cmd, res))
+        print(f"{' '.join(cmd)}: {describe(res)}", flush=True)
+    print("summary:")
+    for name, row in summarize(results).items():
+        line = (f"  {name}: {row['identical']} identical, {row['floats']} floats, "
+                f"{row['mismatch']} mismatch")
+        if row["floats"]:
+            line += (f"; max abs {row['max_abs']:.3g}, max rel {row['max_rel']:.3g} "
+                     f"in {', '.join(sorted(row['fields']))}")
+        print(line)
+    return 1 if any(res["result"] == "mismatch" for _, res in results) else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
