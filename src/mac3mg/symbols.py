@@ -57,6 +57,10 @@ class RelaxParams:
         if self.scheme == "quzawa":
             if self.sigma is None or self.sigma <= 0.0:
                 raise ValueError("quzawa requires sigma > 0")
+        for name in ("alpha", "sigma"):
+            value = getattr(self, name)
+            if value and not np.isfinite(1.0 / float(value)):
+                raise ValueError(f"{name} must have a finite reciprocal, got {value}")
         if self.scheme == "qibsr":
             if self.omega_j is None or not 0.0 < self.omega_j < 2.0:
                 raise ValueError("qibsr requires omega_j in (0, 2)")

@@ -12,6 +12,15 @@ and field: ``(-1)^j`` for u, ``(-1)^i`` for v and ``(-1)^(i+j)`` for p.  The
 transfer symbols consist of these signs times the scalar stencil symbol, with
 the 1/9 aliasing factor attached to prolongation.  The coarse operator is the
 direct rediscretization on the triple mesh, not a Galerkin product.
+
+Every stencil and each low lattice is invariant under the eight sign flips
+and axis swaps of the square (the swap exchanges u and v).  These maps are
+symmetries of the discrete problem, so the two-grid spectral radius is the
+same at all eight images of a base, and the factors are maxima over one wedge
+``theta1 >= theta2 >= 0`` of each lattice.  The offset lattice's edge sample
+``-pi/3`` enters the wedge as ``+pi/3``: both carry the same nine-harmonic
+family because ``-pi/3 + 2 pi/3 = pi/3``, and the symbols are 2 pi periodic
+up to per-field signs.
 """
 
 from __future__ import annotations
@@ -147,6 +156,13 @@ def two_grid_symbol(
     return e
 
 
+def _wedge(vals: np.ndarray) -> np.ndarray:
+    """Pairs ``(vals[i], vals[j])`` with ``i >= j`` of ascending nonnegative 1D
+    frequencies: the wedge ``theta1 >= theta2 >= 0``, shape (count, 2)."""
+    i, j = np.tril_indices(len(vals))
+    return np.stack([vals[i], vals[j]], axis=-1)
+
+
 def _max_radius(
     bases: np.ndarray,
     params: RelaxParams,
@@ -181,10 +197,14 @@ def two_grid_factor_table(
 ) -> dict[int, float]:
     """Sampled two-grid factors ``rho(nu)`` for several smoothing counts.
 
-    One sweep over the offset low-frequency samples; smoothing is applied as
-    pre-relaxation only (the factor depends on nu1 + nu2 only).
+    One sweep over the wedge of the offset low-frequency samples (105 of 729
+    at n = 81); smoothing is applied as pre-relaxation only (the factor
+    depends on nu1 + nu2 only).
     """
-    return _max_radius(symbols.low_freq_samples(n), params, pair, h, nus)
+    symbols.check_resolution(n)
+    # offsets 2 pi (k + 1/2) / n up to pi/3, the alias of the edge sample -pi/3
+    vals = 2.0 * np.pi * (np.arange((n - 3) // 6 + 1) + 0.5) / n
+    return _max_radius(_wedge(vals), params, pair, h, nus)
 
 
 def periodic_lattice_factor(
@@ -198,21 +218,20 @@ def periodic_lattice_factor(
     """Exact error contraction factor of the two-grid cycle on an n x n
     periodic grid, by frequency-space evaluation over the discrete lattice.
 
-    Low lattice bases are ``2 pi k / n`` with ``|k| < n/6``.  The zero base
-    needs care: the constant modes are fixed points removed by the gauge
-    projection, and the coarse correction vanishes on that family, so its
-    contribution is the relaxation factor over the eight nonzero harmonics.
+    Low lattice bases are ``2 pi k / n`` with ``|k| < n/6``; the nonzero ones
+    are evaluated over their wedge ``k1 >= k2 >= 0`` (104 of 728 at n = 81).
+    The zero base needs care: the constant modes are fixed points removed by
+    the gauge projection, and the coarse correction vanishes on that family,
+    so its contribution is the relaxation factor over the eight nonzero
+    harmonics.
     """
     if h is None:
         h = 1.0 / n
     m = n // 3
     kmax = (m - 1) // 2  # n/3 is odd for sizes 3 * 3**k
-    ks = np.arange(-kmax, kmax + 1)
-    t1, t2 = np.meshgrid(2.0 * np.pi * ks / n, 2.0 * np.pi * ks / n, indexing="ij")
-    bases = np.stack([t1.ravel(), t2.ravel()], axis=-1)
-    nonzero = np.abs(bases).max(axis=-1) > 1e-14
+    bases = _wedge(2.0 * np.pi * np.arange(kmax + 1) / n)[1:]  # [0] is the zero base
     nu = nu1 + nu2
-    rho = _max_radius(bases[nonzero], params, pair, h, (nu,))[nu]
+    rho = _max_radius(bases, params, pair, h, (nu,))[nu]
 
     # zero-base family: pure relaxation on the nonzero harmonics
     zero_freqs = _harmonic_freqs(np.zeros(2))

@@ -3,6 +3,7 @@
 import csv
 import io
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -113,13 +114,20 @@ def test_bad_flag_values_exit_one(capsys):
     assert run_cli(["smooth-opt", "--resolution", "9", "--omega", "nan"]) == 1
     assert run_cli(["twogrid-lfa", "--resolution", "9", "--alpha", "nan"]) == 1
     assert run_cli(["twogrid-lfa", "--resolution", "9", "--alpha", "inf"]) == 1
+    # a subnormal alpha has no finite reciprocal; it is refused before any
+    # symbol is built, so no numpy overflow warning is raised either
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert run_cli(["smooth-opt", "--resolution", "9", "--alpha", "1e-320"]) == 1
+        assert run_cli(["twogrid-lfa", "--resolution", "9", "--alpha", "1e-320"]) == 1
+    assert not caught
     # a 3x3 grid has no coarse level, so no cycle can run on it
     assert run_cli(["mg-run", "--n", "3", "--nu", "1", "--resolution", "9"]) == 1
     assert run_cli(["compare", "--n", "3", "--nu", "1", "--resolution", "9"]) == 1
     # an unwritable output path is reported, not raised
     assert run_cli(["selftest", "--out", "/nonexistent/dir/x.json"]) == 1
     assert run_cli(["smooth-opt", "--resolution", "9", "--out", "/nonexistent/x.csv"]) == 1
-    assert capsys.readouterr().err.count("config error") == 11
+    assert capsys.readouterr().err.count("config error") == 13
 
 
 def test_help_exits_zero(capsys):
@@ -166,11 +174,11 @@ def test_smooth_opt_uzawa_under_root(tmp_path):
 
 
 def test_smooth_opt_numerical_failure_exit_code(tmp_path, capsys):
-    # a subnormal alpha overflows the smoother symbol, so eigvals sees NaNs
+    # a huge alpha overflows the qbsr mass block to inf, so the solve fails
     out = tmp_path / "opt.csv"
     with np.errstate(all="ignore"):
-        code = run_cli(["smooth-opt", "--resolution", "9", "--alpha", "1e-320",
-                        "--out", str(out)])
+        code = run_cli(["smooth-opt", "--scheme", "qbsr", "--resolution", "9",
+                        "--alpha", "1e308", "--out", str(out)])
     assert code == 2
     assert "numerical failure" in capsys.readouterr().err
     assert not out.exists()

@@ -134,6 +134,12 @@ def test_relax_params_validation():
             RelaxParams("quzawa", omega=1.0, alpha=1.0, sigma=bad)
         with pytest.raises(ValueError):
             RelaxParams("qibsr", omega=1.0, alpha=1.0, omega_j=bad)
+    # the symbols divide by alpha and sigma, so a subnormal one would overflow
+    with pytest.raises(ValueError):
+        RelaxParams("qdr", omega=1.0, alpha=1e-320)
+    with pytest.raises(ValueError):
+        RelaxParams("quzawa", omega=1.0, alpha=1.0, sigma=1e-320)
+    RelaxParams("qdr", omega=1.0, alpha=1e-300)
 
 
 def test_reference_params_values():

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from mac3mg import symbols, twogrid
+from mac3mg import stencils, symbols, twogrid
 from mac3mg.symbols import reference_params
 from mac3mg.twogrid import TransferPair
 
@@ -204,3 +204,103 @@ def test_two_grid_factor_limit_at_zero_depends_on_direction():
     assert abs(rho("r1", diagonal) - 0.446) < 2e-3
     assert abs(rho("p25t", axis) - 0.234) < 1e-3
     assert abs(rho("p25t", diagonal) - 0.234) < 1e-3
+
+
+def _bases_passed(monkeypatch, call) -> np.ndarray:
+    """The bases a factor routine hands to ``_max_radius``."""
+    seen = []
+
+    def record(bases, params, pair, h, nus):
+        seen.append(np.asarray(bases))
+        return {nu: 0.0 for nu in nus}
+
+    monkeypatch.setattr(twogrid, "_max_radius", record)
+    call()
+    assert len(seen) == 1
+    return seen[0]
+
+
+def _alias_edge(q, edge):
+    """Integer frequency ``q`` with the edge ``edge`` (pi/3, if it is a lattice
+    value) folded to ``-edge``."""
+    return -edge if q == edge else q
+
+
+def _square_images(points, edge):
+    """Integer frequency pairs under the eight maps of the square, edge aliased."""
+    images = set()
+    for a, b in points:
+        for x, y in ((a, b), (b, a)):
+            for sx in (1, -1):
+                for sy in (1, -1):
+                    images.add((_alias_edge(sx * x, edge), _alias_edge(sy * y, edge)))
+    return images
+
+
+@pytest.mark.parametrize("n, count", [(9, 3), (18, 6), (27, 15), (81, 105)])
+def test_offset_wedge_covers_the_low_samples(monkeypatch, n, count):
+    # in units of pi/n the offset samples are odd integers and the low set
+    # is [-n/3, n/3); the edge sample pi/3 exists only when n/3 is odd.
+    # Rounding puts the oracle's edge row at +pi/3 (n = 9, 81) or at both
+    # +-pi/3 (n = 27), so the oracle is compared modulo the same alias.
+    wedge = _bases_passed(monkeypatch, lambda: twogrid.two_grid_factor_table(
+        reference_params("qdr"), TransferPair("p25t"), n=n, h=1.0 / n))
+    assert np.all(wedge[:, 0] >= wedge[:, 1]) and np.all(wedge[:, 1] >= 0.0)
+    units = [tuple(p) for p in np.rint(wedge * n / np.pi).astype(int)]
+    assert len(units) == len(set(units)) == count
+    edge = n // 3
+    full = {(_alias_edge(a, edge), _alias_edge(b, edge))
+            for a, b in np.rint(symbols.low_freq_samples(n) * n / np.pi).astype(int)}
+    assert _square_images(units, edge) == full
+
+
+@pytest.mark.parametrize("n, count", [(9, 2), (27, 14), (81, 104)])
+def test_periodic_wedge_covers_the_nonzero_lattice(monkeypatch, n, count):
+    wedge = _bases_passed(monkeypatch, lambda: twogrid.periodic_lattice_factor(
+        reference_params("qdr"), TransferPair("p25t"), 1, 0, n))
+    assert np.all(wedge[:, 0] >= wedge[:, 1]) and np.all(wedge[:, 1] >= 0.0)
+    units = [tuple(p) for p in np.rint(wedge * n / (2.0 * np.pi)).astype(int)]
+    assert len(units) == len(set(units)) == count
+    kmax = (n // 3 - 1) // 2
+    full = {(k1, k2) for k1 in range(-kmax, kmax + 1) for k2 in range(-kmax, kmax + 1)
+            if (k1, k2) != (0, 0)}
+    assert _square_images(units, None) == full
+
+
+# every distinct parameter set of the published tables
+_TABLE_PARAMS = list(dict.fromkeys(
+    reference_params(s, purpose) for s in symbols.SCHEMES for purpose in ("lfa", "measured")))
+
+
+@pytest.mark.parametrize("params", _TABLE_PARAMS, ids=lambda p: f"{p.scheme}-a{p.alpha:.2f}")
+def test_wedge_table_matches_full_lattice(params):
+    # the full offset low lattice is the oracle: every restriction at n = 27,
+    # and the p25t row at the published resolution 81
+    nus = (1, 2, 3, 4)
+    cases = [(r, 27) for r in stencils.RESTRICTIONS] + [("p25t", 81)]
+    for restrict, n in cases:
+        pair = TransferPair(restrict)
+        want = twogrid._max_radius(symbols.low_freq_samples(n), params, pair, 1.0 / n, nus)
+        got = twogrid.two_grid_factor_table(params, pair, nus=nus, n=n, h=1.0 / n)
+        for nu in nus:
+            assert abs(got[nu] - want[nu]) < 1e-10, (restrict, n, nu)
+
+
+@pytest.mark.parametrize("params", _TABLE_PARAMS, ids=lambda p: f"{p.scheme}-a{p.alpha:.2f}")
+def test_wedge_lattice_factor_matches_full_lattice(params):
+    # the whole nonzero lattice 2 pi k / n, |k| < n/6, is the oracle
+    n = 27
+    h = 1.0 / n
+    ks = 2.0 * np.pi * np.arange(-4, 5) / n
+    t1, t2 = np.meshgrid(ks, ks, indexing="ij")
+    bases = np.stack([t1.ravel(), t2.ravel()], axis=-1)
+    bases = bases[np.abs(bases).max(axis=-1) > 0.0]
+    zero_freqs = np.delete(twogrid._harmonic_freqs(np.zeros(2)), twogrid.BASE_INDEX, axis=0)
+    for restrict in stencils.RESTRICTIONS:
+        pair = TransferPair(restrict)
+        for nu in (1, 2):
+            s = np.linalg.matrix_power(symbols.relax_error_symbol(params, zero_freqs, h), nu)
+            rho_zero = float(np.abs(np.linalg.eigvals(s)).max())
+            want = max(twogrid._max_radius(bases, params, pair, h, (nu,))[nu], rho_zero)
+            got = twogrid.periodic_lattice_factor(params, pair, nu, 0, n)
+            assert abs(got - want) < 1e-10, (restrict, nu)
