@@ -215,8 +215,13 @@ def schur_jacobi_weight() -> float:
 
 
 def _mass_block(theta, h, alpha):
-    """Common (u, u) and (v, v) entry ``alpha * m_s / h^2`` of the M symbols."""
-    return alpha / (mass_dimless(theta) * h**2)
+    """Common (u, u) and (v, v) entry ``alpha * m_s / h^2`` of the M symbols;
+    raises ``LinAlgError`` where a huge finite ``alpha`` overflows it."""
+    with np.errstate(over="ignore"):
+        diag = alpha / (mass_dimless(theta) * h**2)
+    if not np.all(np.isfinite(diag)):
+        raise np.linalg.LinAlgError(f"mass block overflows for alpha = {alpha:g}")
+    return diag
 
 
 def smoother_symbol(params: RelaxParams, theta, h: float = 1.0) -> np.ndarray:
@@ -291,7 +296,8 @@ def relax_error_symbol(params: RelaxParams, theta, h: float = 1.0) -> np.ndarray
 
     Raises ``numpy.linalg.LinAlgError`` where the smoother symbol is singular
     (only at frequencies congruent to zero); the offset samplers never hit
-    those, callers probing arbitrary frequencies must guard themselves.
+    those, callers probing arbitrary frequencies must guard themselves.  It
+    also raises where a huge ``alpha`` overflows the step.
     """
     theta = np.asarray(theta, dtype=float)
     ell = stokes_symbol(theta, h)
@@ -303,9 +309,12 @@ def relax_error_symbol(params: RelaxParams, theta, h: float = 1.0) -> np.ndarray
     elif params.scheme in ("qbsr", "quzawa"):
         step = np.linalg.solve(smoother_symbol(params, theta, h), ell)
     elif params.scheme == "qibsr":
-        step = _ibsr_inverse_symbol(params, theta, h) @ ell
+        with np.errstate(over="ignore", invalid="ignore"):
+            step = _ibsr_inverse_symbol(params, theta, h) @ ell
     else:
         raise ValueError(f"unknown scheme {params.scheme!r}")
+    if not np.all(np.isfinite(step)):
+        raise np.linalg.LinAlgError("relaxation step overflows")
     return eye - params.omega * step
 
 

@@ -21,6 +21,11 @@ same at all eight images of a base, and the factors are maxima over one wedge
 ``-pi/3`` enters the wedge as ``+pi/3``: both carry the same nine-harmonic
 family because ``-pi/3 + 2 pi/3 = pi/3``, and the symbols are 2 pi periodic
 up to per-field signs.
+
+The factors are spectral radii of the real matrix ``D^-1 E D`` with
+``D = diag(1, 1, i)`` per harmonic.  This is exact: gradient and divergence
+entries are purely imaginary and the rest real, a pattern that survives
+products, inverses and the coarse solve.  ``two_grid_symbol`` stays complex.
 """
 
 from __future__ import annotations
@@ -45,6 +50,9 @@ FIELD_PHASES = np.array(
 )
 
 _DET_FLOOR = 1e-13
+
+# D^-1 X D = X * _SIMILARITY: pressure rows times -i, pressure columns times i
+_SIMILARITY = np.outer(np.tile([1.0, 1.0, -1.0j], 9), np.tile([1.0, 1.0, 1.0j], 9))
 
 
 @dataclass(frozen=True)
@@ -126,13 +134,10 @@ def _error_symbols(
         ch = ch[kept]
 
     freqs = _harmonic_freqs(thetas)
-    ell = _expand(symbols.stokes_symbol(freqs, h))
-    smo = _expand(symbols.relax_error_symbol(params, freqs, h))
     prolong, restrict = _transfer_mats(pair, freqs)
-
-    coarse_residual = restrict @ ell
-    correction = prolong @ np.linalg.solve(ch, coarse_residual)
-    cgc = np.eye(27, dtype=complex)[None] - correction
+    coarse_residual = restrict @ _expand(symbols.stokes_symbol(freqs, h))
+    cgc = np.eye(27, dtype=complex)[None] - prolong @ np.linalg.solve(ch, coarse_residual)
+    smo = _expand(symbols.relax_error_symbol(params, freqs, h))
     return cgc, smo, kept
 
 
@@ -156,6 +161,16 @@ def two_grid_symbol(
     return e
 
 
+def _real_form(mats: np.ndarray) -> np.ndarray:
+    """``D^-1 X D`` for a batch of 27x27 symbols ``X`` as float64, formed in
+    place in ``mats``; raises ``LinAlgError`` unless the discarded imaginary
+    part is exactly zero."""
+    mats *= _SIMILARITY
+    if np.any(mats.imag != 0.0):
+        raise np.linalg.LinAlgError("two-grid symbol is not similar to a real matrix")
+    return np.ascontiguousarray(mats.real)
+
+
 def _wedge(vals: np.ndarray) -> np.ndarray:
     """Pairs ``(vals[i], vals[j])`` with ``i >= j`` of ascending nonnegative 1D
     frequencies: the wedge ``theta1 >= theta2 >= 0``, shape (count, 2)."""
@@ -174,11 +189,13 @@ def _max_radius(
 
     ``S^nu2 C S^nu1`` is similar to ``C S^(nu1 + nu2)``, so one smoothing
     count per entry covers every pre/post split.  Powers of the smoother are
-    built incrementally across the sorted counts.
+    built incrementally across the sorted counts, all in real arithmetic.
     """
     cgc, smo, _ = _error_symbols(bases, params, pair, h)
+    cgc = _real_form(cgc)
+    smo = _real_form(smo)
     out: dict[int, float] = {}
-    power = np.broadcast_to(np.eye(27, dtype=complex), smo.shape).copy()
+    power = np.broadcast_to(np.eye(27), smo.shape).copy()
     last = 0
     for nu in sorted(nus):
         for _ in range(nu - last):

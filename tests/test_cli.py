@@ -184,6 +184,21 @@ def test_smooth_opt_numerical_failure_exit_code(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_huge_alpha_is_a_clean_numerical_failure(capsys):
+    # alpha = 1e308 overflows the qdr mass block and the qibsr relaxation
+    # step (the twogrid-lfa default scheme): both end in a numerical failure
+    # without numpy warnings
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert run_cli(["smooth-opt", "--resolution", "9", "--scheme", "qdr",
+                        "--alpha", "1e308"]) == 2
+        assert run_cli(["twogrid-lfa", "--resolution", "9", "--alpha", "1e308"]) == 2
+    assert not caught
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("numerical failure") == 2
+
+
 def test_twogrid_lfa_rows_match_library(tmp_path):
     out = tmp_path / "lfa.csv"
     code = run_cli(["twogrid-lfa", "--scheme", "qdr", "--transfer", "r9b",

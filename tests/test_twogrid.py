@@ -304,3 +304,57 @@ def test_wedge_lattice_factor_matches_full_lattice(params):
             want = max(twogrid._max_radius(bases, params, pair, h, (nu,))[nu], rho_zero)
             got = twogrid.periodic_lattice_factor(params, pair, nu, 0, n)
             assert abs(got - want) < 1e-10, (restrict, nu)
+
+
+@pytest.mark.parametrize("params", _TABLE_PARAMS, ids=lambda p: f"{p.scheme}-a{p.alpha:.2f}")
+def test_real_factor_table_matches_complex_oracle(params):
+    # the table runs in real arithmetic on D^-1 E D; the oracle is the
+    # complex two-grid symbol at every offset low sample
+    n = 27
+    h = 1.0 / n
+    for restrict in stencils.RESTRICTIONS:
+        pair = TransferPair(restrict)
+        table = twogrid.two_grid_factor_table(params, pair, nus=(1, 2), n=n, h=h)
+        for nu in (1, 2):
+            oracle = max(
+                float(np.abs(np.linalg.eigvals(
+                    twogrid.two_grid_symbol(theta, nu, 0, params, pair, h))).max())
+                for theta in symbols.low_freq_samples(n)
+            )
+            assert abs(table[nu] - oracle) < 1e-12, (restrict, nu)
+
+
+@pytest.mark.parametrize("params", _TABLE_PARAMS, ids=lambda p: f"{p.scheme}-a{p.alpha:.2f}")
+def test_similarity_discards_an_exact_zero(params):
+    # velocity-pressure entries are purely imaginary and the rest real, so
+    # D^-1 X D drops an imaginary part that is exactly zero, on the offset
+    # and the periodic low lattices alike
+    n = 27
+    ks = 2.0 * np.pi * np.arange(-4, 5) / n
+    t1, t2 = np.meshgrid(ks, ks, indexing="ij")
+    lattice = np.stack([t1.ravel(), t2.ravel()], axis=-1)
+    lattice = lattice[np.abs(lattice).max(axis=-1) > 0.0]
+    for bases in (symbols.low_freq_samples(n), lattice):
+        for restrict in stencils.RESTRICTIONS:
+            cgc, smo, kept = twogrid._error_symbols(bases, params, TransferPair(restrict), 1.0 / n)
+            assert kept.all()
+            for mats in (cgc, smo):
+                sim = mats * twogrid._SIMILARITY
+                assert np.abs(sim.imag).max() == 0.0
+                real = twogrid._real_form(mats.copy())
+                assert real.dtype == np.float64
+                assert np.array_equal(real, sim.real)
+
+
+def test_real_form_rejects_a_symbol_without_the_pattern():
+    e = twogrid.two_grid_symbol((0.3, 0.1), 1, 0, reference_params("qdr"),
+                                TransferPair("p25t"), 1.0 / 27.0)
+    assert twogrid._real_form(e[None].copy()).shape == (1, 27, 27)
+    bad = e.copy()
+    bad[0, 1] += 0.5j  # a complex velocity-velocity entry
+    with pytest.raises(np.linalg.LinAlgError):
+        twogrid._real_form(bad[None])
+    bad = e.copy()
+    bad[3, 5] = 1.0  # a real velocity-pressure entry
+    with pytest.raises(np.linalg.LinAlgError):
+        twogrid._real_form(bad[None])
