@@ -99,7 +99,7 @@ def pad_field(f: np.ndarray, radius: int, signs, bc: str,
         out = np.empty((f.shape[0] + 2 * r, f.shape[1] + 2 * r), f.dtype)
     out[r : r + f.shape[0], r : r + f.shape[1]] = f
     for axis in range(2):
-        src = np.moveaxis(out, axis, 0)
+        src = out if axis == 0 else out.T
         m = f.shape[axis]
         if bc == "periodic":
             if r > m:

@@ -15,6 +15,10 @@ coarse closure stands in for the fine one because the lattices are nested: a
 wall mirror maps coarse points to coarse points (fine pressure index 1
 mirrors to -2 = 1 - 3), and 3 divides n for the periodic wrap.
 
+Up to ``DENSE_MAX`` fine points per side a transfer is instead ``A_x F A_y^T``,
+two BLAS products with 1D matrices: there a strided call would cost its Python
+overhead several times over its arithmetic.  The input size picks the path.
+
 A cycle allocates no grid field after its first call: each level's
 residual, coarse data and coarse state, and every sweep and transfer
 temporary, are work arrays of that level's ``SaddleSystem`` (roles in
@@ -27,6 +31,7 @@ residual norm falls below 1e-12, then report rho_m = (r_k / r_0)^(1/k).
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -46,6 +51,36 @@ NESTED_OFFSETS = {
 }
 
 
+# the largest fine grid whose transfers run as dense 1D matrix products; the
+# measurements behind it are in the README's transfer paragraph
+DENSE_MAX = 81
+
+
+def _restrict_pass(s: np.ndarray, d: np.ndarray, w: np.ndarray, o: int,
+                   tmp: np.ndarray | None = None) -> np.ndarray:
+    """``d[I] = sum_k w[k] s[o + 3I + k]`` along axis 0; ``tmp`` (None: fresh)
+    has d's shape and layout, or the in-place add strides badly."""
+    np.multiply(s[o::3][: len(d)], w[0], out=d)
+    for k in range(1, len(w)):
+        d += np.multiply(s[o + k :: 3][: len(d)], w[k], out=tmp)
+    return d
+
+
+def _prolong_pass(s: np.ndarray, d: np.ndarray, w: np.ndarray, o: int,
+                  tmp: np.ndarray | None = None) -> np.ndarray:
+    """Along axis 0, padded coarse index J adds ``w[k] s[J]`` to fine index
+    ``3J + k - (3 + r - o)``, r the stencil radius, where that index exists;
+    ``tmp`` has at least ``len(s)`` rows and d's memory layout, or is None."""
+    start = 3 + len(w) // 2 - o
+    for k in range(len(w)):
+        j0 = max(0, -((k - start) // 3))  # first J landing at index >= 0
+        i0 = 3 * j0 + k - start
+        count = min(len(range(i0, len(d), 3)), len(s) - j0)
+        d[i0::3][:count] += np.multiply(s[j0 : j0 + count], w[k],
+                                        out=None if tmp is None else tmp[:count])
+    return d
+
+
 def restrict_field(fine: np.ndarray, w: np.ndarray, offsets, bc: str, signs,
                    out: np.ndarray, work: grid.Workspace) -> np.ndarray:
     """Apply ``outer(w, w)`` at the nested points only, one axis at a time,
@@ -54,40 +89,45 @@ def restrict_field(fine: np.ndarray, w: np.ndarray, offsets, bc: str, signs,
     fp = grid.pad_field(fine, r, signs, bc,
                         out=work("pad", (fine.shape[0] + 2 * r, fine.shape[1] + 2 * r), dtype))
     mid = work("xfer_mid", (out.shape[0], fp.shape[1]), dtype)
-    for axis, (src, dst) in enumerate(((fp, mid), (mid, out))):
-        o = offsets[axis]
-        s, d = np.moveaxis(src, axis, 0), np.moveaxis(dst, axis, 0)
-        # tmp takes d's memory layout; with another, the in-place add strides badly
-        tmp = np.moveaxis(work("xfer_tmp", dst.shape, dtype), axis, 0)
-        np.multiply(s[o::3][: len(d)], w[0], out=d)
-        for k in range(1, len(w)):
-            np.multiply(s[o + k :: 3][: len(d)], w[k], out=tmp)
-            d += tmp
+    _restrict_pass(fp, mid, w, offsets[0], work("xfer_tmp", mid.shape, dtype))
+    _restrict_pass(mid.T, out.T, w, offsets[1], work("xfer_tmp", out.shape, dtype).T)
     return out
 
 
 def prolong_field(coarse: np.ndarray, w: np.ndarray, offsets, bc: str, signs,
                   add_to: np.ndarray, work: grid.Workspace) -> np.ndarray:
-    """Add the prolongation of ``coarse`` to ``add_to``, one axis at a time:
-    padded coarse index J adds ``w[k] c[J]`` at fine index
-    ``3J + k - (3 + r - o)``, r the stencil radius, where that index exists."""
+    """Add the prolongation of ``coarse`` to ``add_to``, one axis at a time."""
     dtype = add_to.dtype
     cp = grid.pad_field(coarse, 1, signs, bc,
                         out=work("pad", (coarse.shape[0] + 2, coarse.shape[1] + 2), dtype))
     mid = work("xfer_mid", (add_to.shape[0], cp.shape[1]), dtype)
     mid.fill(0.0)
-    for axis, (src, dst) in enumerate(((cp, mid), (mid, add_to))):
-        start = 3 + len(w) // 2 - offsets[axis]
-        s, d = np.moveaxis(src, axis, 0), np.moveaxis(dst, axis, 0)
-        for k in range(len(w)):
-            j0 = max(0, -((k - start) // 3))  # first J landing at index >= 0
-            i0 = 3 * j0 + k - start
-            count = min(len(range(i0, len(d), 3)), len(s) - j0)
-            shape = (count, s.shape[1]) if axis == 0 else (s.shape[1], count)
-            tmp = np.moveaxis(work("xfer_tmp", shape, dtype), axis, 0)  # d's layout
-            np.multiply(s[j0 : j0 + count], w[k], out=tmp)
-            d[i0::3][:count] += tmp
+    _prolong_pass(cp, mid, w, offsets[0], work("xfer_tmp", cp.shape, dtype))
+    _prolong_pass(mid.T, add_to.T, w, offsets[1],
+                  work("xfer_tmp", (add_to.shape[0], cp.shape[1]), dtype).T)
     return add_to
+
+
+# bounded by DENSE_MAX: at most 5 transfers x 3 sizes x 2 BCs x 3 fields x 2 dtypes
+@functools.lru_cache(maxsize=None)
+def _transfer_matrices(tag: str, n: int, bc: str, name: str, dtype) -> tuple:
+    """Read-only 1D matrices ``(A_x, A_y)`` of restriction ``tag`` (or "p25")
+    of field ``name`` from grid n: ``A_x F A_y^T``.  Each is its strided pass
+    applied to an identity closed by ``grid.pad_field``, the one wall fold."""
+    fine, coarse = grid.field_shapes(n, bc)[name], grid.field_shapes(n // 3, bc)[name]
+    prolong = tag == "p25"
+    w = stencils.P25 if prolong else stencils.RESTRICTIONS[tag]
+    r = 1 if prolong else len(w) // 2  # the pad widths of prolong_field and restrict_field
+    mats = []
+    for axis in range(2):
+        sign, o = grid.TRANSFER_FOLDS[name][axis], NESTED_OFFSETS[(bc, name)][axis]
+        m = coarse[axis] if prolong else fine[axis]
+        closed = grid.pad_field(np.eye(m, dtype=dtype), r, (sign, sign), bc)[:, r : r + m]
+        a = (_prolong_pass(closed, np.zeros((fine[axis], m), dtype), w, o) if prolong
+             else _restrict_pass(closed, np.empty((coarse[axis], m), dtype), w, o))
+        a.flags.writeable = False
+        mats.append(a)
+    return tuple(mats)
 
 
 def restrict_state(fine: grid.StaggeredState, tag: str,
@@ -100,8 +140,14 @@ def restrict_state(fine: grid.StaggeredState, tag: str,
         out = grid.StaggeredState.zeros(fine.n // 3, fine.bc, fine.u.dtype)
     work = grid.Workspace() if work is None else work
     for name in ("u", "v", "p"):
-        restrict_field(getattr(fine, name), w, NESTED_OFFSETS[(fine.bc, name)], fine.bc,
-                       grid.TRANSFER_FOLDS[name], getattr(out, name), work)
+        f, o = getattr(fine, name), getattr(out, name)
+        if fine.n <= DENSE_MAX:
+            ax, ay = _transfer_matrices(tag, fine.n, fine.bc, name, o.dtype)
+            mid = np.matmul(ax, f, out=work("xfer_mid", (o.shape[0], f.shape[1]), o.dtype))
+            np.matmul(mid, ay.T, out=o)
+        else:
+            restrict_field(f, w, NESTED_OFFSETS[(fine.bc, name)], fine.bc,
+                           grid.TRANSFER_FOLDS[name], o, work)
     return out
 
 
@@ -117,8 +163,14 @@ def prolong_state(coarse: grid.StaggeredState, n_fine: int,
         add_to = grid.StaggeredState.zeros(n_fine, coarse.bc, coarse.u.dtype)
     work = grid.Workspace() if work is None else work
     for name in ("u", "v", "p"):
-        prolong_field(getattr(coarse, name), w, NESTED_OFFSETS[(coarse.bc, name)],
-                      coarse.bc, grid.TRANSFER_FOLDS[name], getattr(add_to, name), work)
+        c, a = getattr(coarse, name), getattr(add_to, name)
+        if n_fine <= DENSE_MAX:
+            ax, ay = _transfer_matrices("p25", n_fine, coarse.bc, name, a.dtype)
+            mid = np.matmul(ax, c, out=work("xfer_mid", (a.shape[0], c.shape[1]), a.dtype))
+            a += np.matmul(mid, ay.T, out=work("xfer_tmp", a.shape, a.dtype))
+        else:
+            prolong_field(c, w, NESTED_OFFSETS[(coarse.bc, name)], coarse.bc,
+                          grid.TRANSFER_FOLDS[name], a, work)
     return add_to
 
 

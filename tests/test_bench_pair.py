@@ -14,8 +14,9 @@ bench_pair = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(bench_pair)
 
 
-def run(side, seed, metrics, workload="w", trace=0, correct=True, failed=0):
+def run(side, seed, metrics, workload="w", trace=0, correct=True, failed=0, passes=None):
     return {"side": side, "workload": workload, "seed": seed, "trace": trace,
+            "passes": passes,
             "result": {"correct": correct, "failed": failed,
                        "metrics": {k: {"value": v} for k, v in metrics.items()}}}
 
@@ -58,6 +59,38 @@ def test_summarize_correctness_traced_rows_and_one_sided_groups():
     assert solo["seeds"] == [] and solo["metrics"] == {} and solo["all_correct"] is True
 
 
+def test_summarize_gain_shown_and_pass_counts():
+    # ten seeds; the parent's wall_s quartiles are 1.0175 and 1.0725 (IQR 0.055)
+    parent = [1.0 + 0.01 * s for s in range(10)]
+    metrics = {
+        "wall_s": [p - 0.2 for p in parent[:9]] + [parent[9] + 0.1],  # wins 9, gain 0.2
+        "op_p50_s": [p - 0.2 for p in parent[:8]] + [p + 0.1 for p in parent[8:]],  # wins 8
+        "op_tail_s": [p - 0.01 for p in parent],  # wins 10, gain inside the IQR
+        "setup_s": [p + 0.2 for p in parent],  # loses 10
+    }
+    runs = []
+    for s in range(10):
+        runs.append(run("parent", s, {k: parent[s] for k in metrics}, passes=3))
+        runs.append(run("change", s, {k: v[s] for k, v in metrics.items()},
+                        passes=4 if s < 6 else 3))
+    runs.append(run("parent", 0, {k: 2.0 for k in metrics}, trace=1))
+    runs.append(run("change", 0, {k: 1.0 for k in metrics}, trace=1))
+    rows = {r["trace"]: r for r in bench_pair.summarize(runs)}
+    got = rows[0]["metrics"]
+    assert got["wall_s"]["parent_iqr"] == pytest.approx(0.055)
+    assert got["wall_s"]["change_better"] == 9 and got["wall_s"]["gain_shown"] is True
+    assert got["op_p50_s"]["change_better"] == 8 and got["op_p50_s"]["gain_shown"] is False
+    assert got["op_tail_s"]["change_better"] == 10 and got["op_tail_s"]["gain_shown"] is False
+    assert got["setup_s"]["gain_shown"] is False
+    assert rows[0]["passes"] == {"parent": 3, "change": 4}
+    # traced rows carry neither the flag nor pass counts
+    assert "gain_shown" not in rows[1]["metrics"]["wall_s"] and "passes" not in rows[1]
+    # runs recorded without pass counts give none
+    (old,) = bench_pair.summarize([run("parent", 1, {"wall_s": 1.0}),
+                                   run("change", 1, {"wall_s": 1.0})])
+    assert old["passes"] == {"parent": None, "change": None}
+
+
 def fake_checkout(root, body):
     (root / "perfbench").mkdir(parents=True)
     (root / "perfbench" / "run.py").write_text(textwrap.dedent(body))
@@ -67,6 +100,7 @@ def fake_checkout(root, body):
 def test_crash_keeps_completed_runs_and_shows_stderr(tmp_path, capsys):
     good = fake_checkout(tmp_path / "parent", """\
         print('env: {"seed": 1}')
+        print('timing: {"pass_s": [0.5, 0.4]}')
         print('{"correct": true, "failed": 0, "metrics": {"wall_s": {"value": 1.0}}}')
         """)
     bad = fake_checkout(tmp_path / "change", """\
@@ -80,5 +114,5 @@ def test_crash_keeps_completed_runs_and_shows_stderr(tmp_path, capsys):
     assert code == 1
     assert "the benchmark broke here" in capsys.readouterr().err
     doc = json.loads(out.read_text())
-    assert [(r["side"], r["seed"]) for r in doc["runs"]] == [("parent", 1)]
+    assert [(r["side"], r["seed"], r["passes"]) for r in doc["runs"]] == [("parent", 1, 2)]
     assert doc["summary"][0]["seeds"] == []

@@ -6,7 +6,9 @@ temporaries from a level's workspace.  The oracles below are the earlier
 allocating forms: the same operations in the same order.  Each kernel runs twice on
 different data into arrays first filled with NaN, so stale workspace contents
 or unwritten entries show up.  n = 9 matters: it hit a numpy 2.4.6 fault in
-``np.negative`` on strided columns.
+``np.negative`` on strided columns.  Transfers on fine grids up to
+``multigrid.DENSE_MAX`` are matrix products, so they sum in another order;
+the transfer test adds n = 243 to reach the strided passes.
 """
 
 import numpy as np
@@ -242,7 +244,12 @@ def test_sweep_in_place_matches_allocating_sweep(n, bc, dtype, scheme):
             assert_close(got, w, tol=1e-13)
 
 
-@pytest.mark.parametrize("n, bc, dtype", CASES)
+# above multigrid.DENSE_MAX the transfers run the strided passes, which write
+# into their work arrays; at and below it, two matrix products
+TRANSFER_CASES = CASES + [(243, bc, dtype) for bc in grid.BCS for dtype in (float, complex)]
+
+
+@pytest.mark.parametrize("n, bc, dtype", TRANSFER_CASES)
 def test_transfers_write_into_out(n, bc, dtype):
     rng = np.random.default_rng(n + 3)
     nc = n // 3

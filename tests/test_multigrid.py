@@ -76,10 +76,11 @@ def _dense_filter(f, kernel, op, signs, bc):
 
 @pytest.mark.parametrize("dtype", (float, complex))
 @pytest.mark.parametrize("bc", grid.BCS)
-@pytest.mark.parametrize("n", (27, 81))
+@pytest.mark.parametrize("n", (9, 27, 81, 243))
 def test_transfers_match_dense_filter_oracle(n, bc, dtype):
-    # the strided separable passes against correlating (restriction) or
-    # convolving an embedded grid (prolongation) with the full 2D kernel
+    # the transfers (1D matrices up to DENSE_MAX, strided passes above it)
+    # against correlating (restriction) or convolving an embedded grid
+    # (prolongation) with the full 2D kernel
     rng = np.random.default_rng(n)
 
     def field(shape):

@@ -11,8 +11,12 @@ result line are appended to ``--out`` (created if missing), the file's
 a crash keeps the runs before it; a crashed run prints the tail of its
 stderr and exits 1.  The summary gives, per workload and trace mode, each
 metric's median on both sides, their ratio (change / parent) and, for
-untraced runs, the number of seeds where the change was better and the
-distance between the parent's quartiles.
+untraced runs, the number of seeds where the change was better, the
+distance between the parent's quartiles and ``gain_shown``: the change won
+at least 9 in 10 of the seeds and its median is better by more than that
+distance.  Each untraced run also records its pass count (the length of
+``pass_s`` on its ``timing:`` line), and the summary gives the median per
+side: ``peak_rss_mb`` can grow with the passes a run fits in its time.
 """
 
 from __future__ import annotations
@@ -40,22 +44,25 @@ def run_one(checkout: Path, workload: str, seed: int, seconds: float, trace: int
         raise RunFailed(f"{checkout}: {' '.join(cmd)} exited {proc.returncode}\n{tail}")
     lines = proc.stdout.splitlines()
     env = next(json.loads(line[len("env: "):]) for line in lines if line.startswith("env: "))
-    return {"env": env, "result": json.loads(lines[-1])}
+    timing = [json.loads(line[len("timing: "):]) for line in lines
+              if line.startswith("timing: ")]
+    return {"env": env, "result": json.loads(lines[-1]),
+            "passes": len(timing[0]["pass_s"]) if timing else None}
 
 
 def summarize(runs: list) -> list:
     groups: dict = {}
     for run in runs:
         key = (run["workload"], run["trace"])
-        groups.setdefault(key, {}).setdefault(run["side"], {})[run["seed"]] = run["result"]
+        groups.setdefault(key, {}).setdefault(run["side"], {})[run["seed"]] = run
     out = []
     for (workload, trace), sides in sorted(groups.items()):
         parent, change = sides.get("parent", {}), sides.get("change", {})
         seeds = sorted(set(parent) & set(change))
         row = {"workload": workload, "trace": trace, "seeds": seeds, "metrics": {}}
-        for name in (parent[seeds[0]]["metrics"] if seeds else {}):
-            a = [parent[s]["metrics"][name]["value"] for s in seeds]
-            b = [change[s]["metrics"][name]["value"] for s in seeds]
+        for name in (parent[seeds[0]]["result"]["metrics"] if seeds else {}):
+            a = [parent[s]["result"]["metrics"][name]["value"] for s in seeds]
+            b = [change[s]["result"]["metrics"][name]["value"] for s in seeds]
             med_a, med_b = statistics.median(a), statistics.median(b)
             entry = {"parent": med_a, "change": med_b,
                      "ratio": med_b / med_a if med_a else None}
@@ -65,8 +72,15 @@ def summarize(runs: list) -> list:
                 if len(a) > 1:
                     q1, _, q3 = statistics.quantiles(a, n=4)
                     entry["parent_iqr"] = q3 - q1
+                    entry["gain_shown"] = (10 * entry["change_better"] >= 9 * len(a)
+                                           and sign * (med_b - med_a) > q3 - q1)
             row["metrics"][name] = entry
-        row["all_correct"] = all(r["correct"] and r["failed"] == 0
+        if not trace:  # runs recorded before pass counts were kept have none
+            counts = {side: [recs[s]["passes"] for s in seeds if recs[s].get("passes")]
+                      for side, recs in (("parent", parent), ("change", change))}
+            row["passes"] = {side: statistics.median(c) if c else None
+                             for side, c in counts.items()}
+        row["all_correct"] = all(r["result"]["correct"] and r["result"]["failed"] == 0
                                  for side in (parent, change) for r in side.values())
         out.append(row)
     return out
