@@ -35,10 +35,23 @@ Laplacian, ``B^T`` the pressure gradient and ``B`` the negative divergence,
 so the whole matrix is symmetric.  All actions here are matrix-free slicing
 into given arrays, with temporaries taken from the level's ``Workspace``;
 ``assemble`` builds the same operators as sparse matrices, as oracles.
+
+On fields of at least ``BAND_MIN`` elements (n = 729, not 243) a system
+whose ``bands`` the multigrid cycles set above 1 splits its kernels into
+bands of memory rows, the caller running one and a per-process thread pool
+the rest while numpy releases the GIL: the interior copy of ``pad_field``,
+the stencils (with a 2-row halo of the padded input), the 1D differences of
+``grad`` and ``neg_div`` (a 1-row halo along axis 0, none along axis 1), the
+elementwise steps of ``residual`` and the sweeps, and the strided transfer
+passes.  Every element goes through the same ufuncs in the same order, so
+results are bit-identical; reductions are never banded.
 """
 
 from __future__ import annotations
 
+import functools
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -65,6 +78,58 @@ VELOCITY_SIGNS = {"u": (0.0, VELOCITY_GHOST), "v": (VELOCITY_GHOST, 0.0)}
 TRANSFER_FOLDS = {**VELOCITY_SIGNS, "p": (1.0, 1.0)}
 
 
+# the smallest field whose kernels run in bands: n = 729 gains, and on smaller
+# fields the pool's round trips would cost more than they split (see README)
+BAND_MIN = 729 * 729 // 2
+BANDS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+
+
+@functools.lru_cache(maxsize=1)
+def band_pool(pid: int) -> ThreadPoolExecutor:
+    """Process ``pid``'s band workers; a forked child gets its own."""
+    return ThreadPoolExecutor(max(1, BANDS - 1))
+
+
+def bands_for(f: np.ndarray, bands: int) -> int:
+    """The bands a kernel on ``f`` runs in: ``bands`` from BAND_MIN elements up."""
+    return bands if f.size >= BAND_MIN else 1
+
+
+def run_bands(body, count: int, bands: int) -> None:
+    """``body(lo, hi)`` over ``bands`` contiguous ranges of ``range(count)``,
+    the caller running the first.  A body is leaf numpy code: no workspace
+    lookup, no nested banding."""
+    cuts = [count * k // bands for k in range(bands + 1)]
+    pool = band_pool(os.getpid())
+    futures = [pool.submit(body, lo, hi) for lo, hi in zip(cuts[1:-1], cuts[2:])]
+    try:
+        body(cuts[0], cuts[1])
+    finally:
+        for fut in futures:
+            fut.result()
+
+
+def ufunc_rows(ufunc, x, y, out: np.ndarray, bands: int) -> np.ndarray:
+    """``ufunc(x, y, out=out)`` in ``bands`` row bands; ``x`` and ``y`` are
+    arrays of out's shape (``x[1:]`` makes a 1-row halo) or scalars."""
+    if bands == 1:
+        return ufunc(x, y, out=out)
+    cut = lambda a, lo, hi: a[lo:hi] if isinstance(a, np.ndarray) else a  # noqa: E731
+    run_bands(lambda lo, hi: ufunc(cut(x, lo, hi), cut(y, lo, hi), out=out[lo:hi]),
+              len(out), bands)
+    return out
+
+
+def across(bands: int, fn, arrays, *rest) -> None:
+    """``fn(*arrays, *rest)``, a pass along axis 0 of transposed views, in
+    ``bands`` bands across axis 1 (memory rows), which need no halo."""
+    if bands == 1:
+        fn(*arrays, *rest)
+    else:
+        run_bands(lambda lo, hi: fn(*(a[:, lo:hi] for a in arrays), *rest),
+                  arrays[0].shape[1], bands)
+
+
 def check_size(n: int) -> None:
     """Mesh sizes are 3 * 3**k so the hierarchy bottoms out on a 3x3 grid."""
     m = n
@@ -83,7 +148,7 @@ def field_shapes(n: int, bc: str) -> dict[str, tuple[int, int]]:
 
 
 def pad_field(f: np.ndarray, radius: int, signs, bc: str,
-              out: np.ndarray | None = None) -> np.ndarray:
+              out: np.ndarray | None = None, bands: int = 1) -> np.ndarray:
     """Pad a field by ``radius`` with its boundary closure, into ``out`` if
     given (shape ``f.shape + 2 * radius`` per axis).
 
@@ -91,13 +156,18 @@ def pad_field(f: np.ndarray, radius: int, signs, bc: str,
     along axis ``k`` is set to ``signs[k] * mirrored interior`` (reflection
     between samples); a sign of 0 leaves the zero extension.  Each axis is
     closed over the full extent of the other, so corners take both closures.
+    A large interior is copied in up to ``bands`` row bands.
     """
     if bc not in BCS:
         raise ValueError(f"unknown boundary mode {bc!r}")
     r = radius
     if out is None:
         out = np.empty((f.shape[0] + 2 * r, f.shape[1] + 2 * r), f.dtype)
-    out[r : r + f.shape[0], r : r + f.shape[1]] = f
+    inner = out[r : r + f.shape[0], r : r + f.shape[1]]
+    if bands_for(f, bands) == 1:
+        inner[...] = f
+    else:
+        run_bands(lambda lo, hi: np.copyto(inner[lo:hi], f[lo:hi]), len(f), bands)
     for axis in range(2):
         src = out if axis == 0 else out.T
         m = f.shape[axis]
@@ -164,10 +234,11 @@ class StaggeredState:
         return StaggeredState(self.n, self.bc, self.u.copy(), self.v.copy(), self.p.copy())
 
     def norm(self) -> float:
-        s = (
-            np.vdot(self.u, self.u) + np.vdot(self.v, self.v) + np.vdot(self.p, self.p)
-        ).real
-        return float(np.sqrt(s))
+        # einsum sums in numpy's own loops: np.vdot on a large field wakes
+        # OpenBLAS's threads, which then spin against the band workers
+        parts = [g for f in (self.u, self.v, self.p)
+                 for g in ((f.real, f.imag) if np.iscomplexobj(f) else (f,))]
+        return float(np.sqrt(sum(np.einsum("ij,ij->", g, g) for g in parts)))
 
     def flat(self) -> np.ndarray:
         return np.concatenate([self.u.ravel(), self.v.ravel(), self.p.ravel()])
@@ -200,6 +271,7 @@ class SaddleSystem:
     Every action writes into ``out`` when given and allocates its result
     otherwise; its padded copies and temporaries come from the level's
     ``work`` arrays, so a call with ``out`` allocates nothing after the first.
+    Large fields are worked in ``bands`` row bands (1 until a cycle sets it).
     """
 
     def __init__(self, n: int, bc: str):
@@ -211,6 +283,7 @@ class SaddleSystem:
         self.h = 1.0 / n
         self.shapes = field_shapes(n, bc)
         self.work = Workspace()
+        self.bands = 1
 
     def work_state(self, role: str, dtype) -> StaggeredState:
         """A state of workspace arrays; ``role`` names its three fields."""
@@ -222,9 +295,19 @@ class SaddleSystem:
 
     def _pad(self, f: np.ndarray, signs, dtype) -> np.ndarray:
         shape = (f.shape[0] + 2, f.shape[1] + 2)
-        return pad_field(f, 1, signs, self.bc, out=self.work("pad", shape, dtype))
+        return pad_field(f, 1, signs, self.bc, out=self.work("pad", shape, dtype),
+                         bands=self.bands)
 
     # -- stencils: pad with the boundary closure, then in-place slicing
+
+    def _stencil(self, kernel, fp: np.ndarray, out: np.ndarray, *work) -> np.ndarray:
+        """``kernel(fp, h, out, *work)``; out rows lo:hi read fp rows lo:hi + 2."""
+        bands = bands_for(out, self.bands)
+        if bands == 1:
+            return kernel(fp, self.h, out, *work)
+        run_bands(lambda lo, hi: kernel(fp[lo : hi + 2], self.h, out[lo:hi],
+                                        *(w[lo:hi] for w in work)), len(out), bands)
+        return out
 
     @staticmethod
     def _five_point(fp: np.ndarray, h: float, out: np.ndarray) -> np.ndarray:
@@ -252,58 +335,66 @@ class SaddleSystem:
     def _mass(self, f: np.ndarray, signs, out: np.ndarray) -> np.ndarray:
         fp = self._pad(f, signs, out.dtype)
         gx = self.work("mass", (f.shape[0], f.shape[1] + 2), out.dtype)
-        return self._nine_point_mass(fp, self.h, out, gx)
+        return self._stencil(self._nine_point_mass, fp, out, gx)
 
     # -- momentum block -------------------------------------------------
 
     def apply_lap_u(self, u: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         out = self._out(out, "u", u.dtype)
-        return self._five_point(self._pad(u, VELOCITY_SIGNS["u"], out.dtype), self.h, out)
+        return self._stencil(self._five_point, self._pad(u, VELOCITY_SIGNS["u"], out.dtype), out)
 
     def apply_lap_v(self, v: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         out = self._out(out, "v", v.dtype)
-        return self._five_point(self._pad(v, VELOCITY_SIGNS["v"], out.dtype), self.h, out)
+        return self._stencil(self._five_point, self._pad(v, VELOCITY_SIGNS["v"], out.dtype), out)
 
-    # -- gradient / divergence ------------------------------------------
+    # -- gradient / divergence: 1D passes along axis 0 (axis 1 through .T;
+    # those are banded across, each band running the whole pass)
+
+    def _grad_pass(self, p: np.ndarray, g: np.ndarray, bands: int) -> None:
+        # periodic g[i] = p[i] - p[i - 1]; Dirichlet g[i] = p[i + 1] - p[i]
+        if self.bc == "periodic":
+            np.subtract(p[:1], p[-1:], out=g[:1])
+            ufunc_rows(np.subtract, p[1:], p[:-1], g[1:], bands)
+        else:
+            ufunc_rows(np.subtract, p[1:], p[:-1], g, bands)
+        ufunc_rows(np.divide, g, self.h, g, bands)
+
+    def _div_pass(self, u: np.ndarray, d: np.ndarray, bands: int) -> None:
+        if self.bc == "periodic":
+            ufunc_rows(np.subtract, u[1:], u[:-1], d[:-1], bands)
+            np.subtract(u[:1], u[-1:], out=d[-1:])
+        else:
+            # the eliminated wall velocities are zero; multiply by -1 rather
+            # than np.negative (see pad_field)
+            d[0] = u[0]
+            ufunc_rows(np.subtract, u[1:], u[:-1], d[1:-1], bands)
+            np.multiply(u[-1], -1.0, out=d[-1])
+
+    def grad_axis(self, p: np.ndarray, axis: int, g: np.ndarray) -> np.ndarray:
+        """Component ``axis`` of the pressure gradient, into ``g``."""
+        bands = bands_for(p, self.bands)
+        if axis == 0:
+            self._grad_pass(p, g, bands)
+        else:
+            across(bands, self._grad_pass, (p.T, g.T), 1)
+        return g
 
     def grad(self, p: np.ndarray, out=None):
         """Pressure gradient onto the velocity points (the B^T action)."""
         gu, gv = out if out is not None else (self._out(None, "u", p.dtype),
                                               self._out(None, "v", p.dtype))
-        if self.bc == "periodic":
-            np.subtract(p[:1, :], p[-1:, :], out=gu[:1, :])
-            np.subtract(p[:, :1], p[:, -1:], out=gv[:, :1])
-            np.subtract(p[1:, :], p[:-1, :], out=gu[1:, :])
-            np.subtract(p[:, 1:], p[:, :-1], out=gv[:, 1:])
-        else:
-            np.subtract(p[1:, :], p[:-1, :], out=gu)
-            np.subtract(p[:, 1:], p[:, :-1], out=gv)
-        gu /= self.h
-        gv /= self.h
-        return gu, gv
+        return self.grad_axis(p, 0, gu), self.grad_axis(p, 1, gv)
 
     def neg_div(self, u: np.ndarray, v: np.ndarray,
                 out: np.ndarray | None = None) -> np.ndarray:
         """Negative discrete divergence at cell centers (the B action)."""
         out = self._out(out, "p", np.result_type(u, v))
-        dv = self.work("div", self.shapes["p"], out.dtype)
-        if self.bc == "periodic":
-            np.subtract(u[1:, :], u[:-1, :], out=out[:-1, :])
-            np.subtract(u[:1, :], u[-1:, :], out=out[-1:, :])
-            np.subtract(v[:, 1:], v[:, :-1], out=dv[:, :-1])
-            np.subtract(v[:, :1], v[:, -1:], out=dv[:, -1:])
-        else:
-            # the eliminated wall velocities are zero; multiply by -1 rather
-            # than np.negative (see pad_field)
-            out[0, :] = u[0, :]
-            np.subtract(u[1:, :], u[:-1, :], out=out[1:-1, :])
-            np.multiply(u[-1, :], -1.0, out=out[-1, :])
-            dv[:, 0] = v[:, 0]
-            np.subtract(v[:, 1:], v[:, :-1], out=dv[:, 1:-1])
-            np.multiply(v[:, -1], -1.0, out=dv[:, -1])
-        out += dv
-        out /= -self.h
-        return out
+        dv = self.work("pad", self.shapes["p"], out.dtype)  # no padded copy is live here
+        bands = bands_for(out, self.bands)
+        self._div_pass(u, out, bands)
+        across(bands, self._div_pass, (v.T, dv.T), 1)
+        ufunc_rows(np.add, out, dv, out, bands)
+        return ufunc_rows(np.divide, out, -self.h, out, bands)
 
     # -- mass operators and the distributive pressure operator ----------
 
@@ -318,20 +409,21 @@ class SaddleSystem:
     def apply_ap(self, p: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """Cell-centered Laplacian used by the distributive update."""
         out = self._out(out, "p", p.dtype)
-        return self._five_point(self._pad(p, (CELL_LAPLACIAN_GHOST,) * 2, out.dtype),
-                                self.h, out)
+        return self._stencil(self._five_point,
+                             self._pad(p, (CELL_LAPLACIAN_GHOST,) * 2, out.dtype), out)
 
     # -- full operator ---------------------------------------------------
 
     def apply(self, st: StaggeredState, out: StaggeredState | None = None) -> StaggeredState:
         if out is None:
             out = StaggeredState.zeros(self.n, self.bc, np.result_type(st.u, st.v, st.p))
-        gu, gv = self.grad(st.p, out=(self.work("grad_u", self.shapes["u"], out.u.dtype),
-                                      self.work("grad_v", self.shapes["v"], out.v.dtype)))
-        self.apply_lap_u(st.u, out=out.u)
-        out.u += gu
-        self.apply_lap_v(st.v, out=out.v)
-        out.v += gv
+        bands = bands_for(out.p, self.bands)
+        # each gradient component is formed in out.p, which neg_div writes last
+        for axis, lap, f, o in ((0, self.apply_lap_u, st.u, out.u),
+                                (1, self.apply_lap_v, st.v, out.v)):
+            lap(f, out=o)
+            g = self.grad_axis(st.p, axis, out.p[: o.shape[0], : o.shape[1]])
+            ufunc_rows(np.add, o, g, o, bands)
         self.neg_div(st.u, st.v, out=out.p)
         return out
 
@@ -341,12 +433,13 @@ class SaddleSystem:
             dtype = st.u.dtype if rhs is None else np.result_type(st.u, rhs.u)
             out = StaggeredState.zeros(self.n, self.bc, dtype)
         ax = self.apply(st, out=out)
+        bands = bands_for(ax.p, self.bands)
         for name in ("u", "v", "p"):
             f = getattr(ax, name)
             if rhs is None:
-                f *= -1.0
+                ufunc_rows(np.multiply, f, -1.0, f, bands)
             else:
-                np.subtract(getattr(rhs, name), f, out=f)
+                ufunc_rows(np.subtract, getattr(rhs, name), f, f, bands)
         return ax
 
 

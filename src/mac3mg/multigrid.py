@@ -55,9 +55,13 @@ NESTED_OFFSETS = {
 # measurements behind it are in the README's transfer paragraph
 DENSE_MAX = 81
 
+# OpenBLAS threads a dgemm with m n k > 262144, so a SeparableInverse on a
+# grid of this many points per side does; cycles that make one run no bands
+BLAS_THREADED_MIN = 81
 
-def _restrict_pass(s: np.ndarray, d: np.ndarray, w: np.ndarray, o: int,
-                   tmp: np.ndarray | None = None) -> np.ndarray:
+
+def _restrict_pass(s: np.ndarray, d: np.ndarray, tmp: np.ndarray | None, w: np.ndarray,
+                   o: int) -> np.ndarray:
     """``d[I] = sum_k w[k] s[o + 3I + k]`` along axis 0; ``tmp`` (None: fresh)
     has d's shape and layout, or the in-place add strides badly."""
     np.multiply(s[o::3][: len(d)], w[0], out=d)
@@ -66,8 +70,8 @@ def _restrict_pass(s: np.ndarray, d: np.ndarray, w: np.ndarray, o: int,
     return d
 
 
-def _prolong_pass(s: np.ndarray, d: np.ndarray, w: np.ndarray, o: int,
-                  tmp: np.ndarray | None = None) -> np.ndarray:
+def _prolong_pass(s: np.ndarray, d: np.ndarray, tmp: np.ndarray | None, w: np.ndarray,
+                  o: int) -> np.ndarray:
     """Along axis 0, padded coarse index J adds ``w[k] s[J]`` to fine index
     ``3J + k - (3 + r - o)``, r the stencil radius, where that index exists;
     ``tmp`` has at least ``len(s)`` rows and d's memory layout, or is None."""
@@ -82,29 +86,39 @@ def _prolong_pass(s: np.ndarray, d: np.ndarray, w: np.ndarray, o: int,
 
 
 def restrict_field(fine: np.ndarray, w: np.ndarray, offsets, bc: str, signs,
-                   out: np.ndarray, work: grid.Workspace) -> np.ndarray:
+                   out: np.ndarray, work: grid.Workspace, bands: int = 1) -> np.ndarray:
     """Apply ``outer(w, w)`` at the nested points only, one axis at a time,
-    into ``out``; the padded field and the x pass are work arrays."""
-    r, dtype = len(w) // 2, out.dtype
-    fp = grid.pad_field(fine, r, signs, bc,
+    into ``out``; the padded field and the x pass are work arrays.  A large
+    fine field runs each pass in up to ``bands`` bands of memory rows."""
+    r, dtype, bands = len(w) // 2, out.dtype, grid.bands_for(fine, bands)
+    fp = grid.pad_field(fine, r, signs, bc, bands=bands,
                         out=work("pad", (fine.shape[0] + 2 * r, fine.shape[1] + 2 * r), dtype))
     mid = work("xfer_mid", (out.shape[0], fp.shape[1]), dtype)
-    _restrict_pass(fp, mid, w, offsets[0], work("xfer_tmp", mid.shape, dtype))
-    _restrict_pass(mid.T, out.T, w, offsets[1], work("xfer_tmp", out.shape, dtype).T)
+    tmp = work("xfer_tmp", mid.shape, dtype)
+    if bands == 1:
+        _restrict_pass(fp, mid, tmp, w, offsets[0])
+    else:  # mid rows lo:hi read fp from row 3 lo on
+        grid.run_bands(lambda lo, hi: _restrict_pass(fp[3 * lo :], mid[lo:hi], tmp[lo:hi],
+                                                     w, offsets[0]), len(mid), bands)
+    tmp = work("xfer_tmp", out.shape, dtype).T
+    grid.across(bands, _restrict_pass, (mid.T, out.T, tmp), w, offsets[1])
     return out
 
 
 def prolong_field(coarse: np.ndarray, w: np.ndarray, offsets, bc: str, signs,
-                  add_to: np.ndarray, work: grid.Workspace) -> np.ndarray:
-    """Add the prolongation of ``coarse`` to ``add_to``, one axis at a time."""
-    dtype = add_to.dtype
+                  add_to: np.ndarray, work: grid.Workspace, bands: int = 1) -> np.ndarray:
+    """Add the prolongation of ``coarse`` to ``add_to``, one axis at a time;
+    when add_to is large the y pass runs in up to ``bands`` bands."""
+    dtype, bands = add_to.dtype, grid.bands_for(add_to, bands)
     cp = grid.pad_field(coarse, 1, signs, bc,
                         out=work("pad", (coarse.shape[0] + 2, coarse.shape[1] + 2), dtype))
     mid = work("xfer_mid", (add_to.shape[0], cp.shape[1]), dtype)
     mid.fill(0.0)
-    _prolong_pass(cp, mid, w, offsets[0], work("xfer_tmp", cp.shape, dtype))
-    _prolong_pass(mid.T, add_to.T, w, offsets[1],
-                  work("xfer_tmp", (add_to.shape[0], cp.shape[1]), dtype).T)
+    # the x pass stays whole: split across its columns it ran no faster, and
+    # row bands would share rows of its temporary
+    _prolong_pass(cp, mid, work("xfer_tmp", cp.shape, dtype), w, offsets[0])
+    tmp = work("xfer_tmp", (add_to.shape[0], cp.shape[1]), dtype).T
+    grid.across(bands, _prolong_pass, (mid.T, add_to.T, tmp), w, offsets[1])
     return add_to
 
 
@@ -123,8 +137,8 @@ def _transfer_matrices(tag: str, n: int, bc: str, name: str, dtype) -> tuple:
         sign, o = grid.TRANSFER_FOLDS[name][axis], NESTED_OFFSETS[(bc, name)][axis]
         m = coarse[axis] if prolong else fine[axis]
         closed = grid.pad_field(np.eye(m, dtype=dtype), r, (sign, sign), bc)[:, r : r + m]
-        a = (_prolong_pass(closed, np.zeros((fine[axis], m), dtype), w, o) if prolong
-             else _restrict_pass(closed, np.empty((coarse[axis], m), dtype), w, o))
+        a = (_prolong_pass(closed, np.zeros((fine[axis], m), dtype), None, w, o) if prolong
+             else _restrict_pass(closed, np.empty((coarse[axis], m), dtype), None, w, o))
         a.flags.writeable = False
         mats.append(a)
     return tuple(mats)
@@ -132,9 +146,9 @@ def _transfer_matrices(tag: str, n: int, bc: str, name: str, dtype) -> tuple:
 
 def restrict_state(fine: grid.StaggeredState, tag: str,
                    out: grid.StaggeredState | None = None,
-                   work: grid.Workspace | None = None) -> grid.StaggeredState:
+                   work: grid.Workspace | None = None, bands: int = 1) -> grid.StaggeredState:
     """Restriction ``tag`` of a fine state, into ``out`` if given; ``work``
-    holds the fine level's work arrays (throwaway ones if None)."""
+    and ``bands`` are the fine level's (throwaway work arrays if None)."""
     w = stencils.RESTRICTIONS[tag]
     if out is None:
         out = grid.StaggeredState.zeros(fine.n // 3, fine.bc, fine.u.dtype)
@@ -147,15 +161,15 @@ def restrict_state(fine: grid.StaggeredState, tag: str,
             np.matmul(mid, ay.T, out=o)
         else:
             restrict_field(f, w, NESTED_OFFSETS[(fine.bc, name)], fine.bc,
-                           grid.TRANSFER_FOLDS[name], o, work)
+                           grid.TRANSFER_FOLDS[name], o, work, bands)
     return out
 
 
 def prolong_state(coarse: grid.StaggeredState, n_fine: int,
                   add_to: grid.StaggeredState | None = None,
-                  work: grid.Workspace | None = None) -> grid.StaggeredState:
+                  work: grid.Workspace | None = None, bands: int = 1) -> grid.StaggeredState:
     """The p25 prolongation of a coarse state, added to ``add_to`` (a zero
-    fine state if None); ``work`` holds the fine level's work arrays."""
+    fine state if None); ``work`` and ``bands`` are the fine level's."""
     if n_fine != 3 * coarse.n:
         raise ValueError("prolongation must step up by exactly one level")
     w = stencils.P25
@@ -170,7 +184,7 @@ def prolong_state(coarse: grid.StaggeredState, n_fine: int,
             a += np.matmul(mid, ay.T, out=work("xfer_tmp", a.shape, a.dtype))
         else:
             prolong_field(c, w, NESTED_OFFSETS[(coarse.bc, name)], coarse.bc,
-                          grid.TRANSFER_FOLDS[name], a, work)
+                          grid.TRANSFER_FOLDS[name], a, work, bands)
     return add_to
 
 
@@ -299,25 +313,39 @@ def _descend(hier: GridHierarchy, level: int, state: grid.StaggeredState,
         sm.sweep(state, rhs)
     resid = system.residual(state, rhs, out=system.work_state("r", dtype))
     coarse_rhs = restrict_state(resid, hier.transfer.restrict,
-                                out=below.work_state("f", dtype), work=system.work)
+                                out=below.work_state("f", dtype), work=system.work,
+                                bands=system.bands)
     coarse = below.work_state("x", dtype)
     for f in (coarse.u, coarse.v, coarse.p):
         f.fill(0.0)
     _descend(hier, level + 1, coarse, coarse_rhs, nu1, nu2, solve_level)
-    prolong_state(coarse, hier.sizes[level], add_to=state, work=system.work)
+    prolong_state(coarse, hier.sizes[level], add_to=state, work=system.work,
+                  bands=system.bands)
     for _ in range(nu2):
         sm.sweep(state, rhs)
+
+
+def _set_bands(hier: GridHierarchy, solve_level: int) -> None:
+    """Give the cycle's systems ``grid.BANDS`` bands unless a level makes a
+    product OpenBLAS threads (``qbsr``'s Schur solve or the direct solve):
+    its workers spin for tens of ms after it, against the band workers."""
+    threaded = (hier.sizes[solve_level] >= BLAS_THREADED_MIN
+                or hier.params.scheme == "qbsr" and hier.sizes[0] >= BLAS_THREADED_MIN)
+    for system in hier.systems:
+        system.bands = 1 if threaded else grid.BANDS
 
 
 def two_grid_cycle(hier: GridHierarchy, state, rhs, nu1: int, nu2: int) -> None:
     """One two-grid cycle in place: smooth, exact next-level solve, correct."""
     if hier.levels < 2:
         raise ValueError("two-grid cycle needs at least two levels")
+    _set_bands(hier, 1)
     _descend(hier, 0, state, rhs, nu1, nu2, solve_level=1)
 
 
 def v_cycle(hier: GridHierarchy, state, rhs, nu1: int, nu2: int) -> None:
     """One V-cycle in place, recursing to the 3x3 grid's direct solve."""
+    _set_bands(hier, hier.levels - 1)
     _descend(hier, 0, state, rhs, nu1, nu2, solve_level=hier.levels - 1)
 
 

@@ -95,10 +95,11 @@ class SchurOperator:
         h = 1.0 / n
         g1 = assemble._grad1(n, h, bc)
         m_edge = assemble._mass1(g1.shape[0], bc, 0.0)
-        self._k = (g1.T @ m_edge @ g1).toarray()
-        self._m = assemble._mass1(n, bc, grid.VELOCITY_GHOST).toarray()
+        # sparse until a first solve needs them dense: qibsr never does
+        self._k = g1.T @ m_edge @ g1
+        self._m = assemble._mass1(n, bc, grid.VELOCITY_GHOST)
         self._h2 = h**2
-        dk, dm = np.diag(self._k), np.diag(self._m)
+        dk, dm = self._k.diagonal(), self._m.diagonal()
         self.diag = (self._h2 * (np.outer(dk, dm) + np.outer(dm, dk))).ravel()
         if (self.diag <= 0.0).any():
             raise ValueError("Schur diagonal must be positive")
@@ -108,8 +109,8 @@ class SchurOperator:
         """Mean-zero solution of ``S x = g`` (g is consistent up to roundoff);
         ``g`` is ``(n, n)`` or flat, ``out`` is ``(n, n)``."""
         if self._inverse is None:
-            self._inverse = SeparableInverse(self._k, self._m, self._k, self._m,
-                                             self._h2, singular=True)
+            k, m = self._k.toarray(), self._m.toarray()
+            self._inverse = SeparableInverse(k, m, k, m, self._h2, singular=True)
         x = self._inverse(g.reshape(self.n, self.n), out)
         return x if out is not None else x.reshape(g.shape)
 
@@ -118,8 +119,9 @@ class Smoother:
     """Bound relaxation sweep: a system, a scheme, and its parameters.
 
     Schur-related pieces are built lazily so the cheap schemes never pay for
-    them.  A sweep works in the system's workspace (roles ``r``, ``a`` and
-    ``b``), so it allocates nothing after its first call.
+    them.  A sweep works in the system's workspace (roles ``r``, ``a`` and,
+    but for ``quzawa``, ``bp``), so it allocates nothing after its first
+    call; on a banded system its elementwise steps run in row bands.
     """
 
     def __init__(self, system: grid.SaddleSystem, params: RelaxParams):
@@ -139,49 +141,52 @@ class Smoother:
         dtype = state.u.dtype
         r = sysm.residual(state, rhs, out=sysm.work_state("r", dtype))
         a = sysm.work_state("a", dtype)
-        b = sysm.work_state("b", dtype)
+        nb = grid.bands_for(state.p, sysm.bands)
+        ew = grid.ufunc_rows  # ew(ufunc, x, y, out, nb): an elementwise step in bands
         if p.scheme in ("qdr", "quzawa"):
             # du = Q r_u / alpha, t = r_p - B du; quzawa: dp = -sigma t; qdr:
             # dp' = Q_p t / alpha and delta = (du + grad dp', -A_p dp')
             sysm.apply_q(r.u, "u", out=a.u)
-            a.u /= p.alpha
+            ew(np.divide, a.u, p.alpha, a.u, nb)
             sysm.apply_q(r.v, "v", out=a.v)
-            a.v /= p.alpha
+            ew(np.divide, a.v, p.alpha, a.v, nb)
             sysm.neg_div(a.u, a.v, out=a.p)
-            np.subtract(r.p, a.p, out=a.p)
+            ew(np.subtract, r.p, a.p, a.p, nb)
             if p.scheme == "quzawa":
-                a.p *= -p.sigma
+                ew(np.multiply, a.p, -p.sigma, a.p, nb)
             else:
-                sysm.apply_qp(a.p, out=b.p)
-                b.p /= p.alpha
-                sysm.grad(b.p, out=(b.u, b.v))
-                a.u += b.u
-                a.v += b.v
-                sysm.apply_ap(b.p, out=a.p)
-                a.p *= -1.0
+                dp = sysm.apply_qp(a.p, out=sysm.work("bp", sysm.shapes["p"], dtype))
+                ew(np.divide, dp, p.alpha, dp, nb)
+                # each gradient component is formed in a.p, free until A_p dp' fills it
+                for axis, d in ((0, a.u), (1, a.v)):
+                    g = sysm.grad_axis(dp, axis, a.p[: d.shape[0], : d.shape[1]])
+                    ew(np.add, d, g, d, nb)
+                sysm.apply_ap(dp, out=a.p)
+                ew(np.multiply, a.p, -1.0, a.p, nb)
             delta = (a.u, a.v, a.p)
         elif p.scheme in ("qbsr", "qibsr"):
             # g = B Q r_u - alpha r_p, dp from S dp = g, du = Q (r_u - grad dp) / alpha
             sysm.apply_q(r.u, "u", out=a.u)
             sysm.apply_q(r.v, "v", out=a.v)
             sysm.neg_div(a.u, a.v, out=a.p)
-            np.multiply(r.p, p.alpha, out=b.p)
-            a.p -= b.p
+            dp = sysm.work("bp", sysm.shapes["p"], dtype)
+            ew(np.multiply, r.p, p.alpha, dp, nb)
+            ew(np.subtract, a.p, dp, a.p, nb)
             if p.scheme == "qbsr":
-                self.schur().solve(a.p, out=b.p)
+                self.schur().solve(a.p, out=dp)
             else:
-                np.multiply(a.p, p.omega_j, out=b.p)
-                b.p /= self.schur().diag.reshape(b.p.shape)
-            sysm.grad(b.p, out=(b.u, b.v))
-            np.subtract(r.u, b.u, out=b.u)
-            np.subtract(r.v, b.v, out=b.v)
-            sysm.apply_q(b.u, "u", out=a.u)
-            a.u /= p.alpha
-            sysm.apply_q(b.v, "v", out=a.v)
-            a.v /= p.alpha
-            delta = (a.u, a.v, b.p)
+                ew(np.multiply, a.p, p.omega_j, dp, nb)
+                ew(np.divide, dp, self.schur().diag.reshape(dp.shape), dp, nb)
+            # du is formed in a.u and a.v, free once B Q r_u is; apply_q reads
+            # its input through a padded copy, so it may write over it
+            for axis, d, rf, comp in ((0, a.u, r.u, "u"), (1, a.v, r.v, "v")):
+                sysm.grad_axis(dp, axis, d)
+                ew(np.subtract, rf, d, d, nb)
+                sysm.apply_q(d, comp, out=d)
+                ew(np.divide, d, p.alpha, d, nb)
+            delta = (a.u, a.v, dp)
         else:
             raise ValueError(f"unknown scheme {p.scheme!r}")
         for d, f in zip(delta, (state.u, state.v, state.p)):
-            d *= p.omega
-            f += d
+            ew(np.multiply, d, p.omega, d, nb)
+            ew(np.add, f, d, f, nb)

@@ -1,0 +1,189 @@
+"""Row bands: bit-identical kernels, the threaded-BLAS gate, the band pool.
+
+Bands run on fields of at least ``grid.BAND_MIN`` elements (n = 729), which
+is too large for unit tests, so these tests lower the threshold to 0 and set
+the band count to 2 and to 3 (cuts of unequal length) on small grids.  Every
+banded result must equal the unbanded one exactly: each element goes through
+the same ufuncs in the same order.  Transfers on fine grids of at most
+``multigrid.DENSE_MAX`` points are matrix products, so the strided passes are
+called directly.
+"""
+
+import concurrent.futures
+import multiprocessing
+
+import numpy as np
+import pytest
+
+from mac3mg import grid, multigrid, stencils, symbols
+from mac3mg.smoothers import Smoother
+from mac3mg.symbols import reference_params
+from mac3mg.twogrid import TransferPair
+
+CASES = [(n, bc, dtype) for n in (9, 27, 81) for bc in grid.BCS for dtype in (float, complex)]
+
+
+@pytest.fixture
+def no_threshold(monkeypatch):
+    monkeypatch.setattr(grid, "BAND_MIN", 0)
+
+
+def rand_state(rng, n, bc, dtype):
+    shapes = grid.field_shapes(n, bc)
+    fields = []
+    for f in ("u", "v", "p"):
+        x = rng.standard_normal(shapes[f])
+        if dtype is complex:
+            x = x + 1j * rng.standard_normal(shapes[f])
+        fields.append(x)
+    return grid.StaggeredState(n, bc, *fields)
+
+
+def assert_same(got, want):
+    for g, w in zip(got, want):
+        assert g.dtype == w.dtype and np.array_equal(g, w)
+
+
+def fields(st):
+    return (st.u, st.v, st.p)
+
+
+@pytest.mark.parametrize("bands", (2, 3))
+@pytest.mark.parametrize("n, bc, dtype", CASES)
+def test_banded_kernels_are_bit_identical(no_threshold, n, bc, dtype, bands):
+    rng = np.random.default_rng(n)
+    st, rhs = rand_state(rng, n, bc, dtype), rand_state(rng, n, bc, dtype)
+    plain, banded = grid.SaddleSystem(n, bc), grid.SaddleSystem(n, bc)
+    banded.bands = bands
+    for radius in (1, 2):
+        for signs in ((0.0, -1.0), (1.0, 1.0)):
+            want = grid.pad_field(st.p, radius, signs, bc)
+            assert_same([grid.pad_field(st.p, radius, signs, bc, bands=bands)], [want])
+    assert_same(fields(banded.apply(st)), fields(plain.apply(st)))
+    for r in (rhs, None):
+        assert_same(fields(banded.residual(st, r)), fields(plain.residual(st, r)))
+    for scheme in symbols.SCHEMES:
+        params = reference_params(scheme, "measured")
+        a, b = st.copy(), st.copy()
+        Smoother(plain, params).sweep(a, rhs)
+        Smoother(banded, params).sweep(b, rhs)
+        assert_same(fields(b), fields(a))
+
+
+@pytest.mark.parametrize("bands", (2, 3))
+@pytest.mark.parametrize("n, bc, dtype", CASES)
+def test_banded_strided_transfers_are_bit_identical(no_threshold, n, bc, dtype, bands):
+    rng = np.random.default_rng(n + 1)
+    fine, coarse = rand_state(rng, n, bc, dtype), rand_state(rng, n // 3, bc, dtype)
+    for name in ("u", "v", "p"):
+        args = (multigrid.NESTED_OFFSETS[(bc, name)], bc, grid.TRANSFER_FOLDS[name])
+        f, c = getattr(fine, name), getattr(coarse, name)
+        for tag in ("r1", "r9", "r9b", "p25t"):
+            w = stencils.RESTRICTIONS[tag]
+            got, want = np.empty_like(c), np.empty_like(c)
+            multigrid.restrict_field(f, w, *args, want, grid.Workspace())
+            multigrid.restrict_field(f, w, *args, got, grid.Workspace(), bands)
+            assert_same([got], [want])
+        got, want = f.copy(), f.copy()
+        multigrid.prolong_field(c, stencils.P25, *args, want, grid.Workspace())
+        multigrid.prolong_field(c, stencils.P25, *args, got, grid.Workspace(), bands)
+        assert_same([got], [want])
+
+
+@pytest.mark.parametrize("bands", (2, 3))
+@pytest.mark.parametrize("scheme", symbols.SCHEMES)
+@pytest.mark.parametrize("n, bc, dtype", CASES)
+def test_banded_v_cycle_is_bit_identical(no_threshold, monkeypatch, n, bc, dtype, scheme,
+                                         bands):
+    rhs = rand_state(np.random.default_rng(n + 2), n, bc, dtype)
+    results = []
+    for count in (1, bands):
+        monkeypatch.setattr(grid, "BANDS", count)
+        hier = multigrid.GridHierarchy(n, bc, reference_params(scheme, "measured"),
+                                       TransferPair("p25t"))
+        st = rand_state(np.random.default_rng(n + 3), n, bc, dtype)
+        multigrid.v_cycle(hier, st, rhs, 2, 0)
+        results.append(fields(st))
+    assert_same(results[1], results[0])
+
+
+# -- the gate and the pool -------------------------------------------------
+
+
+class CountingPool:
+    """Runs each band at once in the caller and counts the submissions."""
+
+    def __init__(self):
+        self.submits = 0
+
+    def submit(self, fn, *args):
+        self.submits += 1
+        fut = concurrent.futures.Future()
+        fut.set_result(fn(*args))
+        return fut
+
+
+@pytest.fixture
+def pool(monkeypatch):
+    counting = CountingPool()
+    monkeypatch.setattr(grid, "band_pool", lambda pid: counting)
+    monkeypatch.setattr(grid, "BANDS", 2)
+    return counting
+
+
+def cycle_submits(pool, scheme, n, cycle, hier=None):
+    hier = hier or multigrid.GridHierarchy(n, "dirichlet", reference_params(scheme, "measured"),
+                                           TransferPair("p25t"))
+    st = grid.random_state(n, "dirichlet", seed=1)
+    rhs = grid.StaggeredState.zeros(n, "dirichlet")
+    before = pool.submits
+    (multigrid.v_cycle if cycle == "v" else multigrid.two_grid_cycle)(hier, st, rhs, 2, 0)
+    return pool.submits - before
+
+
+@pytest.mark.parametrize("scheme, n, cycle, bands", [
+    ("qdr", 81, "v", True),
+    ("quzawa", 27, "two", True),  # the coarse solve on 9 points per side
+    ("qbsr", 27, "v", True),  # its Schur solves act on at most 27 per side
+    ("qbsr", 81, "v", False),  # a Schur solve on 81 per side
+    ("qdr", 243, "two", False),  # the coarse solve on 81 per side
+    ("qibsr", 243, "two", False),
+])
+def test_cycles_band_unless_a_level_makes_threaded_blas_products(no_threshold, pool, scheme,
+                                                                  n, cycle, bands):
+    assert (cycle_submits(pool, scheme, n, cycle) > 0) == bands
+
+
+def test_the_gate_is_decided_per_cycle(no_threshold, pool):
+    hier = multigrid.GridHierarchy(243, "dirichlet", reference_params("qdr", "measured"),
+                                   TransferPair("p25t"))
+    assert cycle_submits(pool, "qdr", 243, "v", hier) > 0
+    assert cycle_submits(pool, "qdr", 243, "two", hier) == 0
+    assert cycle_submits(pool, "qdr", 243, "v", hier) > 0
+
+
+def test_fields_below_the_threshold_submit_nothing(pool):
+    assert grid.BAND_MIN > 243 * 243
+    assert cycle_submits(pool, "qdr", 243, "v") == 0
+
+
+def _banded_residual_matches(n, bc, bands):
+    rng = np.random.default_rng(5)
+    st, rhs = rand_state(rng, n, bc, float), rand_state(rng, n, bc, float)
+    plain, banded = grid.SaddleSystem(n, bc), grid.SaddleSystem(n, bc)
+    banded.bands = bands
+    assert_same(fields(banded.residual(st, rhs)), fields(plain.residual(st, rhs)))
+
+
+def test_a_forked_child_builds_its_own_pool(no_threshold, monkeypatch):
+    monkeypatch.setattr(grid, "BANDS", 2)
+    _banded_residual_matches(27, "dirichlet", 2)  # the parent's pool now has a worker
+    child = multiprocessing.get_context("fork").Process(
+        target=_banded_residual_matches, args=(27, "dirichlet", 2))
+    child.start()
+    child.join(timeout=60)
+    if child.is_alive():
+        child.kill()
+        child.join()
+        pytest.fail("banded residual in a forked child did not finish")
+    assert child.exitcode == 0

@@ -4,6 +4,8 @@ Every matrix-free action is cross-checked against the independently built
 sparse matrices, and the periodic operators against their Fourier symbols.
 """
 
+import math
+
 import numpy as np
 import pytest
 
@@ -53,6 +55,23 @@ def test_flat_roundtrip():
 def test_norm_matches_flat_vector_norm():
     st = random_st(9, "dirichlet", 2)
     assert abs(st.norm() - np.linalg.norm(st.flat())) < 1e-13
+
+
+@pytest.mark.parametrize("dtype", (float, complex))
+@pytest.mark.parametrize("n", (27, 81, 243))
+def test_norm_matches_exact_sum_of_squares(n, dtype):
+    # norm sums with einsum, not BLAS; against a correctly rounded sum of the
+    # squared real and imaginary parts
+    rng = np.random.default_rng(n)
+    fields = {}
+    for name, shape in grid.field_shapes(n, "dirichlet").items():
+        fields[name] = rng.standard_normal(shape)
+        if dtype is complex:
+            fields[name] = fields[name] + 1j * rng.standard_normal(shape)
+    st = grid.StaggeredState(n, "dirichlet", **fields)
+    squares = [x * x for f in fields.values() for x in (f.real, f.imag)]
+    exact = math.sqrt(math.fsum(np.concatenate([s.ravel() for s in squares])))
+    assert abs(st.norm() - exact) <= 1e-15 * exact
 
 
 def test_flat_arithmetic_is_fieldwise():

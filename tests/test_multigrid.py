@@ -311,3 +311,22 @@ def test_warm_cycle_allocates_no_fine_field(scheme, bc):
         tracemalloc.stop()
     fields = peak / st.p.nbytes
     assert fields < (3.0 if scheme == "qbsr" else 1.0), fields
+
+
+# work arrays a warm V(2,0) cycle keeps at n = 243, in fine pressure fields,
+# summed over the levels; 17.4 for every scheme while ``apply`` kept a
+# gradient pair, ``neg_div`` its own scratch and every sweep a "b" state
+# (which quzawa never read)
+WORK_FIELDS = {"qdr": 12.0, "qbsr": 12.0, "qibsr": 12.0, "quzawa": 11.0}
+
+
+@pytest.mark.parametrize("bc", grid.BCS)
+@pytest.mark.parametrize("scheme", symbols.SCHEMES)
+def test_warm_cycle_work_arrays_stay_small(scheme, bc):
+    n = 243
+    hier = GridHierarchy(n, bc, reference_params(scheme, "measured"), TransferPair("p25t"))
+    st = grid.random_state(n, bc, seed=1)
+    multigrid.v_cycle(hier, st, grid.StaggeredState.zeros(n, bc), 2, 0)
+    total = sum(f.nbytes for s in hier.systems for f in s.work._flat.values())
+    fields = total / st.p.nbytes
+    assert fields < WORK_FIELDS[scheme], fields
