@@ -98,7 +98,8 @@ def bands_for(f: np.ndarray, bands: int) -> int:
 def run_bands(body, count: int, bands: int) -> None:
     """``body(lo, hi)`` over ``bands`` contiguous ranges of ``range(count)``,
     the caller running the first.  A body is leaf numpy code: no workspace
-    lookup, no nested banding."""
+    lookup, no nested banding.  The kernels' row bands and the two-grid LFA's
+    chunks of base frequencies (``twogrid._max_radius``) run through here."""
     cuts = [count * k // bands for k in range(bands + 1)]
     pool = band_pool(os.getpid())
     futures = [pool.submit(body, lo, hi) for lo, hi in zip(cuts[1:-1], cuts[2:])]

@@ -382,7 +382,9 @@ def solve(hier: GridHierarchy, nu1: int, nu2: int, cycle: str = "v",
     if rhs is None:
         rhs = grid.StaggeredState.zeros(n, hier.bc)
     system = hier.systems[0]
-    r0 = system.residual(state, rhs).norm()
+    # measured into the residual work array the cycle itself uses
+    resid = system.work_state("r", np.result_type(state.u, rhs.u))
+    r0 = system.residual(state, rhs, out=resid).norm()
     norms = [r0]
     converged = diverged = False
     k = 0
@@ -390,7 +392,7 @@ def solve(hier: GridHierarchy, nu1: int, nu2: int, cycle: str = "v",
         step(hier, state, rhs, nu1, nu2)
         grid.project_gauge(state)
         k += 1
-        rk = system.residual(state, rhs).norm()
+        rk = system.residual(state, rhs, out=resid).norm()
         norms.append(rk)
         if not np.isfinite(rk) or rk > 1e6 * r0:
             diverged = True

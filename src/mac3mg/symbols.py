@@ -95,9 +95,11 @@ class AuxSymbols(NamedTuple):
 
 
 def canonicalize(theta):
-    """Wrap frequencies into ``[-pi, pi)^2`` componentwise."""
+    """Wrap frequencies into ``[-pi, pi)^2`` componentwise; values already
+    there are returned unrounded."""
     theta = np.asarray(theta, dtype=float)
-    return (theta + np.pi) % (2.0 * np.pi) - np.pi
+    inside = (theta >= -np.pi) & (theta < np.pi)
+    return np.where(inside, theta, (theta + np.pi) % (2.0 * np.pi) - np.pi)
 
 
 def is_low(theta):
@@ -120,28 +122,42 @@ def check_resolution(n: int) -> None:
         raise ValueError(f"sampling resolution {n} is not a multiple of 3 of at least 9")
 
 
-def _offset_lattice(n: int) -> np.ndarray:
-    """All ``n^2`` frequencies ``2 pi (k + 1/2) / n`` canonicalized, shape (n*n, 2)."""
+def offset_units(n: int) -> np.ndarray:
+    """The offset frequencies ``2 pi (k + 1/2) / n``, k = 0, ..., n - 1, in
+    units of ``pi / n``: the odd integers ``2k + 1`` wrapped into ``[-n, n)``.
+
+    In these units a frequency is low exactly when ``-n <= 3 j < n``, with no
+    rounding at the ``+-pi/3`` edges.
+    """
     check_resolution(n)
-    vals = canonicalize(2.0 * np.pi * (np.arange(n) + 0.5) / n)
-    t1, t2 = np.meshgrid(vals, vals, indexing="ij")
-    return np.stack([t1.ravel(), t2.ravel()], axis=-1)
+    return (2 * np.arange(n) + 1 + n) % (2 * n) - n
+
+
+def _offset_lattice(n: int):
+    """All ``n^2`` offset frequencies, shape (n*n, 2), and the mask of the low
+    ones ``[-pi/3, pi/3)^2``, decided in integer units."""
+    units = offset_units(n)
+    j1, j2 = np.meshgrid(units, units, indexing="ij")
+    j = np.stack([j1.ravel(), j2.ravel()], axis=-1)
+    low = np.all((-n <= 3 * j) & (3 * j < n), axis=-1)
+    return np.pi * j / n, low
 
 
 def high_freq_samples(n: int = 81) -> np.ndarray:
-    """Offset sampling of the high-frequency region, shape (count, 2).
+    """Offset sampling of the high-frequency region, shape (8 n^2 / 9, 2).
 
     The half-step offset keeps every sample away from the singular frequency
     ``theta = 0`` and from the exact resonances of the smoother symbols.
     """
-    grid = _offset_lattice(n)
-    return grid[is_high(grid)]
+    grid, low = _offset_lattice(n)
+    return grid[~low]
 
 
 def low_freq_samples(n: int = 81) -> np.ndarray:
-    """Offset sampling of the low-frequency region ``[-pi/3, pi/3)^2``."""
-    grid = _offset_lattice(n)
-    return grid[is_low(grid)]
+    """Offset sampling of the low-frequency region ``[-pi/3, pi/3)^2``,
+    shape (n^2 / 9, 2)."""
+    grid, low = _offset_lattice(n)
+    return grid[low]
 
 
 def mass_dimless(theta):

@@ -74,9 +74,17 @@ def test_region_membership():
 
 
 def test_high_frequency_cosines_land_in_region():
-    t = symbols.high_freq_samples(27)
-    assert np.all(analytic.in_high_region(np.cos(t[:, 0]), np.cos(t[:, 1])))
-    t = symbols.low_freq_samples(27)
+    # cos cannot tell the high edge +pi/3 from the low edge -pi/3: the high
+    # samples whose largest component is pi/3 land on the region's boundary
+    # cos = 1/2, which rounding puts on either side
+    n = 27
+    t = symbols.high_freq_samples(n)
+    c = np.cos(t)
+    edge = np.rint(np.abs(t).max(axis=-1) * n / np.pi) == n // 3
+    assert edge.sum() == 2 * n // 3 + 1
+    assert np.all(analytic.in_high_region(c[~edge, 0], c[~edge, 1]))
+    assert np.allclose(c[edge].min(axis=-1), 0.5, rtol=0.0, atol=1e-15)
+    t = symbols.low_freq_samples(n)
     assert not np.any(analytic.in_high_region(np.cos(t[:, 0]), np.cos(t[:, 1])))
 
 

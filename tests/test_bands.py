@@ -6,16 +6,19 @@ the band count to 2 and to 3 (cuts of unequal length) on small grids.  Every
 banded result must equal the unbanded one exactly: each element goes through
 the same ufuncs in the same order.  Transfers on fine grids of at most
 ``multigrid.DENSE_MAX`` points are matrix products, so the strided passes are
-called directly.
+called directly.  The two-grid LFA splits its bases into ``grid.BANDS``
+chunks on the same pool, with no size threshold.
 """
 
 import concurrent.futures
 import multiprocessing
+import sys
+import threading
 
 import numpy as np
 import pytest
 
-from mac3mg import grid, multigrid, stencils, symbols
+from mac3mg import grid, multigrid, stencils, symbols, twogrid
 from mac3mg.smoothers import Smoother
 from mac3mg.symbols import reference_params
 from mac3mg.twogrid import TransferPair
@@ -187,3 +190,74 @@ def test_a_forked_child_builds_its_own_pool(no_threshold, monkeypatch):
         child.join()
         pytest.fail("banded residual in a forked child did not finish")
     assert child.exitcode == 0
+
+
+# -- the two-grid LFA's chunks of bases -------------------------------------
+
+
+def lfa_results(scheme, restrict, n):
+    params, pair = reference_params(scheme), TransferPair(restrict)
+    return (twogrid.two_grid_factor_table(params, pair, n=n, h=1.0 / n),
+            twogrid.periodic_lattice_factor(params, pair, 1, 1, n))
+
+
+@pytest.mark.parametrize("scheme", symbols.SCHEMES)
+def test_chunked_lfa_is_bit_identical(monkeypatch, scheme):
+    # each base's smoother powers and eigvals run alone, and a max does not
+    # depend on the order, so every chunking gives the same bits
+    for restrict in ("r9", "p25t"):
+        for n in (9, 27, 81):
+            results = []
+            for bands in (1, 2, 3):
+                monkeypatch.setattr(grid, "BANDS", bands)
+                results.append(lfa_results(scheme, restrict, n))
+            assert results[1] == results[0] and results[2] == results[0], (restrict, n)
+
+
+def test_chunked_lfa_under_fast_thread_switches(monkeypatch):
+    # more chunks than cores on a pool of five workers, the interpreter
+    # switching threads every microsecond: each chunk writes only its rows
+    monkeypatch.setattr(grid, "BANDS", 1)
+    want = lfa_results("qibsr", "p25t", 81)
+    workers = concurrent.futures.ThreadPoolExecutor(5)
+    monkeypatch.setattr(grid, "band_pool", lambda pid: workers)
+    monkeypatch.setattr(grid, "BANDS", 6)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(5):
+            assert lfa_results("qibsr", "p25t", 81) == want
+    finally:
+        sys.setswitchinterval(interval)
+        workers.shutdown(wait=True)
+
+
+def test_lfa_chunks_run_on_the_pool(pool, monkeypatch):
+    before = pool.submits
+    twogrid.two_grid_factor_table(reference_params("qdr"), TransferPair("p25t"), n=27,
+                                  h=1.0 / 27)
+    assert pool.submits - before == 1
+    # the chunk count is clamped to the batch: n = 9 has two nonzero bases
+    monkeypatch.setattr(grid, "BANDS", 3)
+    before = pool.submits
+    twogrid.periodic_lattice_factor(reference_params("qdr"), TransferPair("p25t"), 1, 1, 9)
+    assert pool.submits - before == 1
+    before = pool.submits
+    twogrid._max_radius(np.array([[0.1, 0.05]]), reference_params("qdr"),
+                        TransferPair("p25t"), 1.0 / 27, (1, 2))
+    assert pool.submits == before
+
+
+def test_a_worker_chunks_linalg_error_reaches_the_caller(monkeypatch):
+    monkeypatch.setattr(grid, "BANDS", 2)
+    caller, eigvals = threading.get_ident(), np.linalg.eigvals
+
+    def failing_off_the_caller(a):
+        if threading.get_ident() != caller:
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+        return eigvals(a)
+
+    monkeypatch.setattr(np.linalg, "eigvals", failing_off_the_caller)
+    with pytest.raises(np.linalg.LinAlgError, match="did not converge"):
+        twogrid.two_grid_factor_table(reference_params("qdr"), TransferPair("p25t"), n=27,
+                                      h=1.0 / 27)

@@ -95,13 +95,31 @@ def test_sample_lattices_partition_and_avoid_axes():
     high = symbols.high_freq_samples(n)
     low = symbols.low_freq_samples(n)
     assert len(high) + len(low) == n * n
-    # roughly one ninth of the torus is low (lattice edges round either way)
-    assert abs(len(low) - n * n / 9.0) <= 2 * n
+    assert len(low) == n * n // 9
     assert np.all(symbols.is_high(high))
     assert np.all(symbols.is_low(low))
     # offset sampling never touches the axes or the zero frequency
     assert np.abs(high).min() > 1e-8
     assert np.abs(low).min() > 1e-8
+
+
+@pytest.mark.parametrize("n", (9, 27, 81, 243))
+def test_sample_counts_and_integer_units(n):
+    # in units of pi/n the offset samples are the odd integers of [-n, n),
+    # and the low ones exactly those of [-n/3, n/3)
+    low, high = symbols.low_freq_samples(n), symbols.high_freq_samples(n)
+    assert len(low) == n * n // 9 and len(high) == 8 * n * n // 9
+
+    def units(t):
+        u = t * n / np.pi
+        assert np.abs(u - np.rint(u)).max() < 1e-9
+        return {tuple(q) for q in np.rint(u).astype(int)}
+
+    odd_low = range(-(n // 3), n // 3, 2)
+    odd_all = range(-n, n, 2)
+    assert units(low) == {(a, b) for a in odd_low for b in odd_low}
+    assert units(high) == {(a, b) for a in odd_all for b in odd_all} - units(low)
+    assert len(units(high)) == len(high)
 
 
 def test_sample_lattice_rejects_bad_resolution():

@@ -240,9 +240,8 @@ def _square_images(points, edge):
 @pytest.mark.parametrize("n, count", [(9, 3), (18, 6), (27, 15), (81, 105)])
 def test_offset_wedge_covers_the_low_samples(monkeypatch, n, count):
     # in units of pi/n the offset samples are odd integers and the low set
-    # is [-n/3, n/3); the edge sample pi/3 exists only when n/3 is odd.
-    # Rounding puts the oracle's edge row at +pi/3 (n = 9, 81) or at both
-    # +-pi/3 (n = 27), so the oracle is compared modulo the same alias.
+    # is [-n/3, n/3); the edge sample -pi/3 exists only when n/3 is odd, and
+    # the wedge holds it as its alias +pi/3, so both sides fold the edge.
     wedge = _bases_passed(monkeypatch, lambda: twogrid.two_grid_factor_table(
         reference_params("qdr"), TransferPair("p25t"), n=n, h=1.0 / n))
     assert np.all(wedge[:, 0] >= wedge[:, 1]) and np.all(wedge[:, 1] >= 0.0)
