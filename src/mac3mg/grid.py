@@ -11,7 +11,7 @@ boundaries the normal velocities on the boundary lines are eliminated as
 zeros, so ``u`` is ``(n-1) x n``, ``v`` is ``n x (n-1)`` and ``p`` is
 ``n x n``.
 
-Every boundary closure goes through ``pad_field``: periodic fields wrap, and
+Every boundary closure goes through ``pad_rows``: periodic fields wrap, and
 Dirichlet fields are padded per axis with ``sign * mirrored interior``, where
 a sign of 0 means zero extension.  The normal axis of a velocity component
 ends on the wall line itself, which carries the eliminated zero unknowns, so
@@ -36,15 +36,19 @@ so the whole matrix is symmetric.  All actions here are matrix-free slicing
 into given arrays, with temporaries taken from the level's ``Workspace``;
 ``assemble`` builds the same operators as sparse matrices, as oracles.
 
-On fields of at least ``BAND_MIN`` elements (n = 729, not 243) a system
-whose ``bands`` the multigrid cycles set above 1 splits its kernels into
-bands of memory rows, the caller running one and a per-process thread pool
-the rest while numpy releases the GIL: the interior copy of ``pad_field``,
-the stencils (with a 2-row halo of the padded input), the 1D differences of
-``grad`` and ``neg_div`` (a 1-row halo along axis 0, none along axis 1), the
-elementwise steps of ``residual`` and the sweeps, and the strided transfer
-passes.  Every element goes through the same ufuncs in the same order, so
-results are bit-identical; reductions are never banded.
+Every kernel is written once, over a range of memory rows (the x index).
+``SaddleSystem.run`` runs a chain of *phases*, each a body over rows
+``lo:hi``: on a level of at least ``BAND_MIN`` points (n = 243 and 729)
+whose ``bands`` a multigrid cycle set above 1, each phase runs in that many
+row bands, the caller running one and a per-process thread pool the rest
+while numpy releases the GIL, and the next phase starts when all are done;
+otherwise each phase runs once over all rows.  Within a phase no band reads
+rows another band writes: a stencil pads its band's rows plus a 1-row halo
+into rows of the padded work array that only that band uses, and a step that
+reads neighbouring rows of a field computed in the chain (a stencil, the x
+differences of ``grad`` and ``neg_div``) starts a new phase.  Every element
+goes through the same ufuncs in the same order, so results are
+bit-identical; reductions are never banded.
 """
 
 from __future__ import annotations
@@ -67,9 +71,11 @@ VELOCITY_GHOST = -1.0  # velocity Laplacian and velocity mass
 PRESSURE_MASS_GHOST = 0.0
 CELL_LAPLACIAN_GHOST = 1.0  # distributive cell Laplacian (Neumann)
 
-# Per-axis pad_field signs of the velocity components: zero on the normal
-# axis (the wall line), the ghost sign on the tangential one.
+# Per-axis pad signs of the velocity components: zero on the normal axis
+# (the wall line), the ghost sign on the tangential one.
 VELOCITY_SIGNS = {"u": (0.0, VELOCITY_GHOST), "v": (VELOCITY_GHOST, 0.0)}
+PRESSURE_MASS_SIGNS = (PRESSURE_MASS_GHOST,) * 2
+CELL_LAPLACIAN_SIGNS = (CELL_LAPLACIAN_GHOST,) * 2
 
 # Transfer stencil legs reaching past a wall mirror the field's symmetry
 # there: odd fold for tangential velocity (no-slip), zero extension in the
@@ -78,9 +84,9 @@ VELOCITY_SIGNS = {"u": (0.0, VELOCITY_GHOST), "v": (VELOCITY_GHOST, 0.0)}
 TRANSFER_FOLDS = {**VELOCITY_SIGNS, "p": (1.0, 1.0)}
 
 
-# the smallest field whose kernels run in bands: n = 729 gains, and on smaller
-# fields the pool's round trips would cost more than they split (see README)
-BAND_MIN = 729 * 729 // 2
+# the smallest level, in grid points, whose phases run in row bands: n = 243
+# gains and n = 81 loses to the pool's round trips (see README)
+BAND_MIN = 243 * 243 // 2
 BANDS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
 
@@ -90,45 +96,37 @@ def band_pool(pid: int) -> ThreadPoolExecutor:
     return ThreadPoolExecutor(max(1, BANDS - 1))
 
 
-def bands_for(f: np.ndarray, bands: int) -> int:
-    """The bands a kernel on ``f`` runs in: ``bands`` from BAND_MIN elements up."""
-    return bands if f.size >= BAND_MIN else 1
+def bands_for(size: int, bands: int) -> int:
+    """The bands work on ``size`` grid points runs in: ``bands`` from BAND_MIN up."""
+    return bands if size >= BAND_MIN else 1
 
 
-def run_bands(body, count: int, bands: int) -> None:
-    """``body(lo, hi)`` over ``bands`` contiguous ranges of ``range(count)``,
-    the caller running the first.  A body is leaf numpy code: no workspace
-    lookup, no nested banding.  The kernels' row bands and the two-grid LFA's
-    chunks of base frequencies (``twogrid._max_radius``) run through here."""
-    cuts = [count * k // bands for k in range(bands + 1)]
+def cuts(count: int, bands: int) -> list:
+    """``bands`` contiguous ``(lo, hi)`` ranges covering ``range(count)``."""
+    return [(count * k // bands, count * (k + 1) // bands) for k in range(bands)]
+
+
+def run_each(body, items) -> None:
+    """``body(*item)`` for every item, the caller running the first and the
+    per-process pool the rest; returns when all are done.  A body is leaf
+    numpy code: no workspace lookup, no nested banding."""
+    if len(items) == 1:
+        body(*items[0])
+        return
     pool = band_pool(os.getpid())
-    futures = [pool.submit(body, lo, hi) for lo, hi in zip(cuts[1:-1], cuts[2:])]
+    futures = [pool.submit(body, *item) for item in items[1:]]
     try:
-        body(cuts[0], cuts[1])
+        body(*items[0])
     finally:
         for fut in futures:
             fut.result()
 
 
-def ufunc_rows(ufunc, x, y, out: np.ndarray, bands: int) -> np.ndarray:
-    """``ufunc(x, y, out=out)`` in ``bands`` row bands; ``x`` and ``y`` are
-    arrays of out's shape (``x[1:]`` makes a 1-row halo) or scalars."""
-    if bands == 1:
-        return ufunc(x, y, out=out)
-    cut = lambda a, lo, hi: a[lo:hi] if isinstance(a, np.ndarray) else a  # noqa: E731
-    run_bands(lambda lo, hi: ufunc(cut(x, lo, hi), cut(y, lo, hi), out=out[lo:hi]),
-              len(out), bands)
-    return out
-
-
-def across(bands: int, fn, arrays, *rest) -> None:
-    """``fn(*arrays, *rest)``, a pass along axis 0 of transposed views, in
-    ``bands`` bands across axis 1 (memory rows), which need no halo."""
-    if bands == 1:
-        fn(*arrays, *rest)
-    else:
-        run_bands(lambda lo, hi: fn(*(a[:, lo:hi] for a in arrays), *rest),
-                  arrays[0].shape[1], bands)
+def run_bands(body, count: int, bands: int) -> None:
+    """``body(lo, hi)`` over ``bands`` contiguous ranges of ``range(count)``;
+    the two-grid LFA's chunks of base frequencies (``twogrid._max_radius``)
+    run through here."""
+    run_each(body, cuts(count, bands))
 
 
 def check_size(n: int) -> None:
@@ -148,47 +146,64 @@ def field_shapes(n: int, bc: str) -> dict[str, tuple[int, int]]:
     return {"u": (n - 1, n), "v": (n, n - 1), "p": (n, n)}
 
 
-def pad_field(f: np.ndarray, radius: int, signs, bc: str,
-              out: np.ndarray | None = None, bands: int = 1) -> np.ndarray:
-    """Pad a field by ``radius`` with its boundary closure, into ``out`` if
-    given (shape ``f.shape + 2 * radius`` per axis).
+def pad_rows(f: np.ndarray, radius: int, signs, bc: str, out: np.ndarray,
+             first: int = 0) -> np.ndarray:
+    """Rows ``first : first + len(out)`` of ``f`` padded by ``radius`` with
+    its boundary closure, into ``out`` (``f.shape[1] + 2 radius`` columns).
 
-    Periodic fields wrap.  Dirichlet fields are zero-padded, then each border
-    along axis ``k`` is set to ``signs[k] * mirrored interior`` (reflection
-    between samples); a sign of 0 leaves the zero extension.  Each axis is
-    closed over the full extent of the other, so corners take both closures.
-    A large interior is copied in up to ``bands`` row bands.
+    Padded row ``i`` holds field row ``i - radius``.  Periodic fields wrap.
+    Dirichlet fields are zero-extended, and each border along axis ``k`` is
+    ``signs[k] * mirrored interior`` (reflection between samples); a sign of 0
+    leaves the zero extension.  The x borders are closed first and each row
+    then along y, so corners take both closures.  Only ``f`` is read, so
+    bands may pad overlapping rows into rows of their own.
     """
+    r, (m, cols) = radius, f.shape
+    if bc == "periodic" and r > min(m, cols):
+        raise ValueError(f"wrap radius {r} exceeds the field length {min(m, cols)}")
+    a, b = first, first + len(out)
+    inner = out[:, r : r + cols]
+    lo, hi = max(a, r), min(b, r + m)
+    if lo < hi:
+        inner[lo - a : hi - a] = f[lo - r : hi - r]
+    for i in (*range(a, min(b, r)), *range(max(a, r + m), b)):
+        t = r - 1 - i if i < r else i - r - m  # the border row's distance from the wall
+        if bc == "periodic":
+            inner[i - a] = f[(i - r) % m]
+        elif signs[0] == 0.0 or t >= m:
+            inner[i - a] = 0.0
+        else:
+            # np.multiply with out= makes no temporary; np.negative would be the
+            # obvious -1 case, but numpy 2.4.6 gets it wrong on some strided columns
+            np.multiply(f[t if i < r else m - 1 - t], signs[0], out=inner[i - a])
+    if bc == "periodic":
+        out[:, :r] = out[:, cols : cols + r]
+        out[:, r + cols :] = out[:, r : 2 * r]
+        return out
+    out[:, :r] = 0.0
+    out[:, r + cols :] = 0.0
+    s = signs[1]
+    if s != 0.0:
+        for t in range(min(r, cols)):
+            np.multiply(out[:, r + t], s, out=out[:, r - 1 - t])
+            np.multiply(out[:, r + cols - 1 - t], s, out=out[:, r + cols + t])
+    return out
+
+
+def block(flat: np.ndarray, shape) -> np.ndarray:
+    """A contiguous ``shape`` array over the start of a flat work array."""
+    return flat[: shape[0] * shape[1]].reshape(shape)
+
+
+def pad_field(f: np.ndarray, radius: int, signs, bc: str,
+              out: np.ndarray | None = None) -> np.ndarray:
+    """Pad a whole field by ``radius`` with its boundary closure (``pad_rows``),
+    into ``out`` if given (shape ``f.shape + 2 * radius`` per axis)."""
     if bc not in BCS:
         raise ValueError(f"unknown boundary mode {bc!r}")
-    r = radius
     if out is None:
-        out = np.empty((f.shape[0] + 2 * r, f.shape[1] + 2 * r), f.dtype)
-    inner = out[r : r + f.shape[0], r : r + f.shape[1]]
-    if bands_for(f, bands) == 1:
-        inner[...] = f
-    else:
-        run_bands(lambda lo, hi: np.copyto(inner[lo:hi], f[lo:hi]), len(f), bands)
-    for axis in range(2):
-        src = out if axis == 0 else out.T
-        m = f.shape[axis]
-        if bc == "periodic":
-            if r > m:
-                raise ValueError(f"wrap radius {r} exceeds the field length {m}")
-            src[:r] = src[m : m + r]
-            src[r + m :] = src[r : 2 * r]
-            continue
-        src[:r] = 0.0
-        src[r + m :] = 0.0
-        s = signs[axis]
-        if s == 0.0:
-            continue
-        # np.multiply with out= makes no temporary; np.negative would be the
-        # obvious -1 case, but numpy 2.4.6 gets it wrong on some strided columns
-        for t in range(min(r, m)):
-            np.multiply(src[r + t], s, out=src[r - 1 - t])
-            np.multiply(src[r + m - 1 - t], s, out=src[r + m + t])
-    return out
+        out = np.empty((f.shape[0] + 2 * radius, f.shape[1] + 2 * radius), f.dtype)
+    return pad_rows(f, radius, signs, bc, out)
 
 
 class Workspace:
@@ -197,16 +212,29 @@ class Workspace:
     ``ws(role, shape, dtype)`` returns a ``shape`` view of the flat array kept
     for ``(role, dtype)``, grown when a larger shape asks for it, so the u, v
     and p shapes of one role share storage.  Two live arrays need two roles.
+    Each view is made once per ``(role, shape, dtype)`` and made again after
+    its flat array grows.
     """
 
     def __init__(self):
         self._flat: dict = {}
+        self._views: dict = {}
+        self.allocations = 0  # flat arrays made so far: views older than a change are stale
 
     def __call__(self, role: str, shape, dtype) -> np.ndarray:
-        key, size = (role, np.dtype(dtype)), shape[0] * shape[1]
-        flat = self._flat.get(key)
+        view = self._views.get((role, shape, dtype))
+        if view is None:
+            view = self._views[(role, shape, dtype)] = self._view(role, shape, np.dtype(dtype))
+        return view
+
+    def _view(self, role: str, shape, dtype: np.dtype) -> np.ndarray:
+        size = shape[0] * shape[1]
+        flat = self._flat.get((role, dtype))
         if flat is None or flat.size < size:
-            flat = self._flat[key] = np.empty(size, dtype)
+            flat = self._flat[(role, dtype)] = np.empty(size, dtype)
+            self.allocations += 1
+            self._views = {key: v for key, v in self._views.items()
+                           if key[0] != role or np.dtype(key[2]) != dtype}
         return flat[:size].reshape(shape)
 
 
@@ -272,7 +300,13 @@ class SaddleSystem:
     Every action writes into ``out`` when given and allocates its result
     otherwise; its padded copies and temporaries come from the level's
     ``work`` arrays, so a call with ``out`` allocates nothing after the first.
-    Large fields are worked in ``bands`` row bands (1 until a cycle sets it).
+    Each action is one phase of row kernels (``run``); large levels run
+    their phases in ``bands`` row bands (1 until a cycle sets it).
+
+    The row kernels (``*_rows``) compute rows ``lo:hi`` of their output,
+    clipped to its length, from inputs that no band of the running phase
+    writes.  ``seg`` and ``gx`` are the band's own rows of the padded work
+    array and of the mass stencil's first pass.
     """
 
     def __init__(self, n: int, bc: str):
@@ -285,6 +319,7 @@ class SaddleSystem:
         self.shapes = field_shapes(n, bc)
         self.work = Workspace()
         self.bands = 1
+        self._rows: dict = {}
 
     def work_state(self, role: str, dtype) -> StaggeredState:
         """A state of workspace arrays; ``role`` names its three fields."""
@@ -294,21 +329,30 @@ class SaddleSystem:
     def _out(self, out, comp: str, dtype) -> np.ndarray:
         return np.empty(self.shapes[comp], dtype) if out is None else out
 
-    def _pad(self, f: np.ndarray, signs, dtype) -> np.ndarray:
-        shape = (f.shape[0] + 2, f.shape[1] + 2)
-        return pad_field(f, 1, signs, self.bc, out=self.work("pad", shape, dtype),
-                         bands=self.bands)
+    def run(self, dtype, *phases) -> None:
+        """Each ``phase(lo, hi, seg, gx)`` over the level's row bands in turn.
+        ``seg`` and ``gx`` are flat: band k pads into rows ``lo + 2k`` to
+        ``hi + 2k + 2`` of the padded work array, so no two bands share a row
+        of it, and each kernel lays a contiguous block of its shape over them
+        (``block``)."""
+        bands = bands_for(self.n * self.n, self.bands)
+        made, rows = self._rows.get((dtype, bands), (None, None))
+        if made != self.work.allocations:
+            w = self.n + 2
+            pad = self.work("pad", (1, (self.n + 2 * bands) * w), dtype)[0]
+            gx = self.work("mass", (1, self.n * w), dtype)[0]
+            rows = [(lo, hi, pad[(lo + 2 * k) * w : (hi + 2 * k + 2) * w], gx[lo * w : hi * w])
+                    for k, (lo, hi) in enumerate(cuts(self.n, bands))]
+            self._rows[(dtype, bands)] = (self.work.allocations, rows)
+        for phase in phases:
+            run_each(phase, rows)
 
-    # -- stencils: pad with the boundary closure, then in-place slicing
+    # -- stencils: pad the band's rows with a halo, then in-place slicing
 
-    def _stencil(self, kernel, fp: np.ndarray, out: np.ndarray, *work) -> np.ndarray:
-        """``kernel(fp, h, out, *work)``; out rows lo:hi read fp rows lo:hi + 2."""
-        bands = bands_for(out, self.bands)
-        if bands == 1:
-            return kernel(fp, self.h, out, *work)
-        run_bands(lambda lo, hi: kernel(fp[lo : hi + 2], self.h, out[lo:hi],
-                                        *(w[lo:hi] for w in work)), len(out), bands)
-        return out
+    def _padded(self, f: np.ndarray, signs, seg: np.ndarray, lo: int, hi: int) -> np.ndarray:
+        """Rows ``lo - 1 .. hi`` of f padded by 1 (hi clipped to f), in seg."""
+        rows = max(min(hi, len(f)) - lo, 0)
+        return pad_rows(f, 1, signs, self.bc, block(seg, (rows + 2, f.shape[1] + 2)), lo)
 
     @staticmethod
     def _five_point(fp: np.ndarray, h: float, out: np.ndarray) -> np.ndarray:
@@ -323,7 +367,8 @@ class SaddleSystem:
     @staticmethod
     def _nine_point_mass(fp: np.ndarray, h: float, out: np.ndarray,
                          gx: np.ndarray) -> np.ndarray:
-        # separable [1 4 1] passes; the additions keep their left-to-right order
+        # separable [1 4 1] passes; the additions keep their left-to-right
+        # order.  out may overlay fp: the second pass reads only gx
         np.multiply(fp[1:-1, :], 4.0, out=gx)
         gx += fp[:-2, :]
         gx += fp[2:, :]
@@ -333,71 +378,126 @@ class SaddleSystem:
         out *= h**2 / 36.0
         return out
 
-    def _mass(self, f: np.ndarray, signs, out: np.ndarray) -> np.ndarray:
-        fp = self._pad(f, signs, out.dtype)
-        gx = self.work("mass", (f.shape[0], f.shape[1] + 2), out.dtype)
-        return self._stencil(self._nine_point_mass, fp, out, gx)
+    def five_point_rows(self, f, signs, out, lo, hi, seg) -> np.ndarray:
+        """Rows lo:hi of the five-point Laplacian of f, into out's rows."""
+        fp = self._padded(f, signs, seg, lo, hi)
+        return self._five_point(fp, self.h, out[lo : lo + len(fp) - 2])
 
-    # -- momentum block -------------------------------------------------
+    def mass_rows(self, f, signs, out, lo, hi, seg, gx) -> np.ndarray:
+        """Rows lo:hi of the nine-point mass of f, into out's rows or, with
+        ``out`` None, into the first rows of seg."""
+        fp = self._padded(f, signs, seg, lo, hi)
+        rows = len(fp) - 2
+        o = block(seg, (rows, f.shape[1])) if out is None else out[lo : lo + rows]
+        return self._nine_point_mass(fp, self.h, o, block(gx, (rows, fp.shape[1])))
+
+    # -- gradient / divergence: 1D passes along axis 0 over rows lo:hi
+    # (they read rows lo - 1 .. hi); along axis 1 each band runs the whole
+    # pass on its rows, transposed
+
+    def _grad_pass(self, p: np.ndarray, g: np.ndarray, lo: int, hi: int) -> None:
+        # periodic g[i] = p[i] - p[i - 1]; Dirichlet g[i] = p[i + 1] - p[i]
+        hi = min(hi, len(g))
+        if self.bc == "periodic":
+            if lo == 0:
+                np.subtract(p[:1], p[-1:], out=g[:1])
+            a = max(lo, 1)
+            np.subtract(p[a:hi], p[a - 1 : hi - 1], out=g[a:hi])
+        else:
+            np.subtract(p[lo + 1 : hi + 1], p[lo:hi], out=g[lo:hi])
+        np.divide(g[lo:hi], self.h, out=g[lo:hi])
+
+    def _div_pass(self, u: np.ndarray, d: np.ndarray, lo: int, hi: int) -> None:
+        hi = min(hi, len(d))
+        if self.bc == "periodic":
+            b = min(hi, len(d) - 1)
+            np.subtract(u[lo + 1 : b + 1], u[lo:b], out=d[lo:b])
+            if hi == len(d):
+                np.subtract(u[:1], u[-1:], out=d[-1:])
+            return
+        # the eliminated wall velocities are zero; multiply by -1 rather
+        # than np.negative (see pad_rows)
+        if lo == 0:
+            d[0] = u[0]
+        a, b = max(lo, 1), min(hi, len(d) - 1)
+        np.subtract(u[a:b], u[a - 1 : b - 1], out=d[a:b])
+        if hi == len(d):
+            np.multiply(u[-1], -1.0, out=d[-1])
+
+    def grad_rows(self, p: np.ndarray, axis: int, g: np.ndarray, lo: int, hi: int) -> np.ndarray:
+        """Rows lo:hi of gradient component ``axis`` of p, into g; returns them."""
+        if axis == 0:
+            self._grad_pass(p, g, lo, hi)
+        else:
+            band = g[lo:hi]
+            self._grad_pass(p[lo:hi].T, band.T, 0, band.shape[1])
+        return g[lo:hi]
+
+    def div_rows(self, u: np.ndarray, v: np.ndarray, out: np.ndarray, lo: int, hi: int,
+                 seg: np.ndarray) -> np.ndarray:
+        """Rows lo:hi of the negative divergence, into out's rows; the y
+        differences go through seg.  Returns the rows."""
+        self._div_pass(u, out, lo, hi)
+        o = out[lo:hi]
+        dv = block(seg, o.shape)
+        self._div_pass(v[lo:hi].T, dv.T, 0, o.shape[1])
+        np.add(o, dv, out=o)
+        return np.divide(o, -self.h, out=o)
+
+    def apply_rows(self, st: StaggeredState, out: StaggeredState, lo: int, hi: int,
+                   seg: np.ndarray) -> None:
+        """Rows lo:hi of the saddle operator applied to st."""
+        # each gradient component is formed in out.p, which neg_div writes last
+        for axis, comp, f, o in ((0, "u", st.u, out.u), (1, "v", st.v, out.v)):
+            lap = self.five_point_rows(f, VELOCITY_SIGNS[comp], o, lo, hi, seg)
+            g = self.grad_rows(st.p, axis, out.p[: o.shape[0], : o.shape[1]], lo, hi)
+            np.add(lap, g, out=lap)
+        self.div_rows(st.u, st.v, out.p, lo, hi, seg)
+
+    def residual_rows(self, st: StaggeredState, rhs: StaggeredState | None,
+                      out: StaggeredState, lo: int, hi: int, seg: np.ndarray) -> None:
+        """Rows lo:hi of ``rhs - L st`` (``-L st`` without rhs)."""
+        self.apply_rows(st, out, lo, hi, seg)
+        for name in ("u", "v", "p"):
+            f = getattr(out, name)[lo:hi]
+            if rhs is None:
+                np.multiply(f, -1.0, out=f)
+            else:
+                np.subtract(getattr(rhs, name)[lo:hi], f, out=f)
+
+    # -- the whole-field actions, one phase each ----------------------------
 
     def apply_lap_u(self, u: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         out = self._out(out, "u", u.dtype)
-        return self._stencil(self._five_point, self._pad(u, VELOCITY_SIGNS["u"], out.dtype), out)
+        self.run(out.dtype, lambda lo, hi, seg, gx:
+                 self.five_point_rows(u, VELOCITY_SIGNS["u"], out, lo, hi, seg))
+        return out
 
     def apply_lap_v(self, v: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         out = self._out(out, "v", v.dtype)
-        return self._stencil(self._five_point, self._pad(v, VELOCITY_SIGNS["v"], out.dtype), out)
-
-    # -- gradient / divergence: 1D passes along axis 0 (axis 1 through .T;
-    # those are banded across, each band running the whole pass)
-
-    def _grad_pass(self, p: np.ndarray, g: np.ndarray, bands: int) -> None:
-        # periodic g[i] = p[i] - p[i - 1]; Dirichlet g[i] = p[i + 1] - p[i]
-        if self.bc == "periodic":
-            np.subtract(p[:1], p[-1:], out=g[:1])
-            ufunc_rows(np.subtract, p[1:], p[:-1], g[1:], bands)
-        else:
-            ufunc_rows(np.subtract, p[1:], p[:-1], g, bands)
-        ufunc_rows(np.divide, g, self.h, g, bands)
-
-    def _div_pass(self, u: np.ndarray, d: np.ndarray, bands: int) -> None:
-        if self.bc == "periodic":
-            ufunc_rows(np.subtract, u[1:], u[:-1], d[:-1], bands)
-            np.subtract(u[:1], u[-1:], out=d[-1:])
-        else:
-            # the eliminated wall velocities are zero; multiply by -1 rather
-            # than np.negative (see pad_field)
-            d[0] = u[0]
-            ufunc_rows(np.subtract, u[1:], u[:-1], d[1:-1], bands)
-            np.multiply(u[-1], -1.0, out=d[-1])
-
-    def grad_axis(self, p: np.ndarray, axis: int, g: np.ndarray) -> np.ndarray:
-        """Component ``axis`` of the pressure gradient, into ``g``."""
-        bands = bands_for(p, self.bands)
-        if axis == 0:
-            self._grad_pass(p, g, bands)
-        else:
-            across(bands, self._grad_pass, (p.T, g.T), 1)
-        return g
+        self.run(out.dtype, lambda lo, hi, seg, gx:
+                 self.five_point_rows(v, VELOCITY_SIGNS["v"], out, lo, hi, seg))
+        return out
 
     def grad(self, p: np.ndarray, out=None):
         """Pressure gradient onto the velocity points (the B^T action)."""
         gu, gv = out if out is not None else (self._out(None, "u", p.dtype),
                                               self._out(None, "v", p.dtype))
-        return self.grad_axis(p, 0, gu), self.grad_axis(p, 1, gv)
+        self.run(gu.dtype, lambda lo, hi, seg, gx: (self.grad_rows(p, 0, gu, lo, hi),
+                                                   self.grad_rows(p, 1, gv, lo, hi)))
+        return gu, gv
 
     def neg_div(self, u: np.ndarray, v: np.ndarray,
                 out: np.ndarray | None = None) -> np.ndarray:
         """Negative discrete divergence at cell centers (the B action)."""
         out = self._out(out, "p", np.result_type(u, v))
-        dv = self.work("pad", self.shapes["p"], out.dtype)  # no padded copy is live here
-        bands = bands_for(out, self.bands)
-        self._div_pass(u, out, bands)
-        across(bands, self._div_pass, (v.T, dv.T), 1)
-        ufunc_rows(np.add, out, dv, out, bands)
-        return ufunc_rows(np.divide, out, -self.h, out, bands)
+        self.run(out.dtype, lambda lo, hi, seg, gx: self.div_rows(u, v, out, lo, hi, seg))
+        return out
 
-    # -- mass operators and the distributive pressure operator ----------
+    def _mass(self, f: np.ndarray, signs, out: np.ndarray) -> np.ndarray:
+        self.run(out.dtype, lambda lo, hi, seg, gx:
+                 self.mass_rows(f, signs, out, lo, hi, seg, gx))
+        return out
 
     def apply_q(self, f: np.ndarray, comp: str, out: np.ndarray | None = None) -> np.ndarray:
         """Velocity mass operator (a multiply, never a solve)."""
@@ -405,27 +505,19 @@ class SaddleSystem:
 
     def apply_qp(self, p: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """Pressure mass operator."""
-        return self._mass(p, (PRESSURE_MASS_GHOST,) * 2, self._out(out, "p", p.dtype))
+        return self._mass(p, PRESSURE_MASS_SIGNS, self._out(out, "p", p.dtype))
 
     def apply_ap(self, p: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """Cell-centered Laplacian used by the distributive update."""
         out = self._out(out, "p", p.dtype)
-        return self._stencil(self._five_point,
-                             self._pad(p, (CELL_LAPLACIAN_GHOST,) * 2, out.dtype), out)
-
-    # -- full operator ---------------------------------------------------
+        self.run(out.dtype, lambda lo, hi, seg, gx:
+                 self.five_point_rows(p, CELL_LAPLACIAN_SIGNS, out, lo, hi, seg))
+        return out
 
     def apply(self, st: StaggeredState, out: StaggeredState | None = None) -> StaggeredState:
         if out is None:
             out = StaggeredState.zeros(self.n, self.bc, np.result_type(st.u, st.v, st.p))
-        bands = bands_for(out.p, self.bands)
-        # each gradient component is formed in out.p, which neg_div writes last
-        for axis, lap, f, o in ((0, self.apply_lap_u, st.u, out.u),
-                                (1, self.apply_lap_v, st.v, out.v)):
-            lap(f, out=o)
-            g = self.grad_axis(st.p, axis, out.p[: o.shape[0], : o.shape[1]])
-            ufunc_rows(np.add, o, g, o, bands)
-        self.neg_div(st.u, st.v, out=out.p)
+        self.run(out.p.dtype, lambda lo, hi, seg, gx: self.apply_rows(st, out, lo, hi, seg))
         return out
 
     def residual(self, st: StaggeredState, rhs: StaggeredState | None,
@@ -433,15 +525,9 @@ class SaddleSystem:
         if out is None:
             dtype = st.u.dtype if rhs is None else np.result_type(st.u, rhs.u)
             out = StaggeredState.zeros(self.n, self.bc, dtype)
-        ax = self.apply(st, out=out)
-        bands = bands_for(ax.p, self.bands)
-        for name in ("u", "v", "p"):
-            f = getattr(ax, name)
-            if rhs is None:
-                ufunc_rows(np.multiply, f, -1.0, f, bands)
-            else:
-                ufunc_rows(np.subtract, getattr(rhs, name), f, f, bands)
-        return ax
+        self.run(out.p.dtype, lambda lo, hi, seg, gx:
+                 self.residual_rows(st, rhs, out, lo, hi, seg))
+        return out
 
 
 def build_system(n: int, bc: str = "dirichlet") -> SaddleSystem:

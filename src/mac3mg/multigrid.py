@@ -55,6 +55,10 @@ NESTED_OFFSETS = {
 # measurements behind it are in the README's transfer paragraph
 DENSE_MAX = 81
 
+# the smallest fine grid whose strided transfers run in row bands: at n = 243
+# a banded restriction took 0.36-0.67 ms against 0.24 ms whole (see README)
+TRANSFER_BAND_MIN = 729 * 729 // 2
+
 # OpenBLAS threads a dgemm with m n k > 262144, so a SeparableInverse on a
 # grid of this many points per side does; cycles that make one run no bands
 BLAS_THREADED_MIN = 81
@@ -89,27 +93,35 @@ def restrict_field(fine: np.ndarray, w: np.ndarray, offsets, bc: str, signs,
                    out: np.ndarray, work: grid.Workspace, bands: int = 1) -> np.ndarray:
     """Apply ``outer(w, w)`` at the nested points only, one axis at a time,
     into ``out``; the padded field and the x pass are work arrays.  A large
-    fine field runs each pass in up to ``bands`` bands of memory rows."""
-    r, dtype, bands = len(w) // 2, out.dtype, grid.bands_for(fine, bands)
-    fp = grid.pad_field(fine, r, signs, bc, bands=bands,
-                        out=work("pad", (fine.shape[0] + 2 * r, fine.shape[1] + 2 * r), dtype))
+    fine field runs in up to ``bands`` bands of out's rows, one phase: band k
+    pads the fine rows its x pass reads into rows of the padded array that
+    only it uses (neighbouring bands both read ``len(w) - 3`` of them), then
+    runs both passes on its rows."""
+    r, dtype = len(w) // 2, out.dtype
+    bands = bands if fine.size >= TRANSFER_BAND_MIN else 1
+    extra = max(0, len(w) - 3)
+    fp = work("pad", (fine.shape[0] + 2 * r + bands * extra, fine.shape[1] + 2 * r), dtype)
     mid = work("xfer_mid", (out.shape[0], fp.shape[1]), dtype)
-    tmp = work("xfer_tmp", mid.shape, dtype)
-    if bands == 1:
-        _restrict_pass(fp, mid, tmp, w, offsets[0])
-    else:  # mid rows lo:hi read fp from row 3 lo on
-        grid.run_bands(lambda lo, hi: _restrict_pass(fp[3 * lo :], mid[lo:hi], tmp[lo:hi],
-                                                     w, offsets[0]), len(mid), bands)
-    tmp = work("xfer_tmp", out.shape, dtype).T
-    grid.across(bands, _restrict_pass, (mid.T, out.T, tmp), w, offsets[1])
+    tmp = work("xfer_tmp", mid.shape, dtype)  # each pass lays its block over the band's rows
+
+    def band(k: int, lo: int, hi: int) -> None:
+        first = offsets[0] + 3 * lo
+        seg = fp[first + k * extra : first + k * extra + 3 * (hi - lo) + len(w) - 3]
+        grid.pad_rows(fine, r, signs, bc, seg, first)
+        _restrict_pass(seg, mid[lo:hi], tmp[lo:hi], w, 0)
+        band_tmp = grid.block(tmp[lo:hi].reshape(-1), (hi - lo, out.shape[1]))
+        _restrict_pass(mid[lo:hi].T, out[lo:hi].T, band_tmp.T, w, offsets[1])
+
+    grid.run_each(band, [(k, lo, hi) for k, (lo, hi) in enumerate(grid.cuts(len(out), bands))])
     return out
 
 
 def prolong_field(coarse: np.ndarray, w: np.ndarray, offsets, bc: str, signs,
                   add_to: np.ndarray, work: grid.Workspace, bands: int = 1) -> np.ndarray:
     """Add the prolongation of ``coarse`` to ``add_to``, one axis at a time;
-    when add_to is large the y pass runs in up to ``bands`` bands."""
-    dtype, bands = add_to.dtype, grid.bands_for(add_to, bands)
+    when add_to is large the y pass runs in up to ``bands`` bands of its rows."""
+    dtype = add_to.dtype
+    bands = bands if add_to.size >= TRANSFER_BAND_MIN else 1
     cp = grid.pad_field(coarse, 1, signs, bc,
                         out=work("pad", (coarse.shape[0] + 2, coarse.shape[1] + 2), dtype))
     mid = work("xfer_mid", (add_to.shape[0], cp.shape[1]), dtype)
@@ -117,8 +129,9 @@ def prolong_field(coarse: np.ndarray, w: np.ndarray, offsets, bc: str, signs,
     # the x pass stays whole: split across its columns it ran no faster, and
     # row bands would share rows of its temporary
     _prolong_pass(cp, mid, work("xfer_tmp", cp.shape, dtype), w, offsets[0])
-    tmp = work("xfer_tmp", (add_to.shape[0], cp.shape[1]), dtype).T
-    grid.across(bands, _prolong_pass, (mid.T, add_to.T, tmp), w, offsets[1])
+    tmp = work("xfer_tmp", mid.shape, dtype)
+    grid.run_bands(lambda lo, hi: _prolong_pass(mid[lo:hi].T, add_to[lo:hi].T, tmp[lo:hi].T,
+                                                w, offsets[1]), len(add_to), bands)
     return add_to
 
 
@@ -301,7 +314,12 @@ class GridHierarchy:
 
 
 def _descend(hier: GridHierarchy, level: int, state: grid.StaggeredState,
-             rhs: grid.StaggeredState, nu1: int, nu2: int, solve_level: int) -> None:
+             rhs: grid.StaggeredState, nu1: int, nu2: int, solve_level: int,
+             zero: bool = False) -> None:
+    """One cycle from ``level`` down, in place.  With ``zero`` the state's
+    contents are taken as zero (a coarse level's first guess): the first
+    pre-smoothing sweep starts from ``rhs`` alone, and only a cycle without
+    pre-smoothing zero-fills the state."""
     if level == solve_level:
         hier.direct(level).solve_state(rhs, out=state)
         return
@@ -309,16 +327,17 @@ def _descend(hier: GridHierarchy, level: int, state: grid.StaggeredState,
     system, below = hier.systems[level], hier.systems[level + 1]
     dtype = state.u.dtype
     sm = hier.smoothers[level]
-    for _ in range(nu1):
-        sm.sweep(state, rhs)
+    if zero and nu1 == 0:
+        for f in (state.u, state.v, state.p):
+            f.fill(0.0)
+    for i in range(nu1):
+        sm.sweep(state, rhs, zero=zero and i == 0)
     resid = system.residual(state, rhs, out=system.work_state("r", dtype))
     coarse_rhs = restrict_state(resid, hier.transfer.restrict,
                                 out=below.work_state("f", dtype), work=system.work,
                                 bands=system.bands)
     coarse = below.work_state("x", dtype)
-    for f in (coarse.u, coarse.v, coarse.p):
-        f.fill(0.0)
-    _descend(hier, level + 1, coarse, coarse_rhs, nu1, nu2, solve_level)
+    _descend(hier, level + 1, coarse, coarse_rhs, nu1, nu2, solve_level, zero=True)
     prolong_state(coarse, hier.sizes[level], add_to=state, work=system.work,
                   bands=system.bands)
     for _ in range(nu2):

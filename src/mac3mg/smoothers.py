@@ -121,7 +121,9 @@ class Smoother:
     Schur-related pieces are built lazily so the cheap schemes never pay for
     them.  A sweep works in the system's workspace (roles ``r``, ``a`` and,
     but for ``quzawa``, ``bp``), so it allocates nothing after its first
-    call; on a banded system its elementwise steps run in row bands.
+    call.  It is a chain of phases of the system's row kernels
+    (``SaddleSystem.run``): a new phase starts only where a step reads
+    neighbouring rows of a field computed earlier in the sweep.
     """
 
     def __init__(self, system: grid.SaddleSystem, params: RelaxParams):
@@ -134,59 +136,103 @@ class Smoother:
             self._schur = SchurOperator(self.system.n, self.system.bc)
         return self._schur
 
-    def sweep(self, state: grid.StaggeredState, rhs: grid.StaggeredState | None) -> None:
-        """Apply one relaxation sweep in place."""
-        sysm = self.system
-        p = self.params
+    def sweep(self, state: grid.StaggeredState, rhs: grid.StaggeredState | None,
+              zero: bool = False) -> None:
+        """Apply one relaxation sweep in place.  With ``zero`` the state is
+        taken as zero, whatever it holds: the residual is ``rhs`` itself, and
+        the sweep writes ``state = omega * delta``."""
+        sysm, p = self.system, self.params
         dtype = state.u.dtype
-        r = sysm.residual(state, rhs, out=sysm.work_state("r", dtype))
+        if zero and rhs is None:
+            raise ValueError("a sweep from a zero state needs a right-hand side")
+        r = rhs if zero else sysm.work_state("r", dtype)
         a = sysm.work_state("a", dtype)
-        nb = grid.bands_for(state.p, sysm.bands)
-        ew = grid.ufunc_rows  # ew(ufunc, x, y, out, nb): an elementwise step in bands
+        su, sv = grid.VELOCITY_SIGNS["u"], grid.VELOCITY_SIGNS["v"]
+
+        def update(d, f, tmp=None):
+            # f += omega * d, d scaled in place unless a tmp takes omega * d
+            if zero:
+                np.multiply(d, p.omega, out=f)
+                return
+            d = np.multiply(d, p.omega, out=d if tmp is None else grid.block(tmp, d.shape))
+            np.add(f, d, out=f)
+
+        def residual(lo, hi, seg, gx):
+            sysm.residual_rows(state, rhs, r, lo, hi, seg)
+
+        phases = [] if zero else [residual]
         if p.scheme in ("qdr", "quzawa"):
             # du = Q r_u / alpha, t = r_p - B du; quzawa: dp = -sigma t; qdr:
             # dp' = Q_p t / alpha and delta = (du + grad dp', -A_p dp')
-            sysm.apply_q(r.u, "u", out=a.u)
-            ew(np.divide, a.u, p.alpha, a.u, nb)
-            sysm.apply_q(r.v, "v", out=a.v)
-            ew(np.divide, a.v, p.alpha, a.v, nb)
-            sysm.neg_div(a.u, a.v, out=a.p)
-            ew(np.subtract, r.p, a.p, a.p, nb)
-            if p.scheme == "quzawa":
-                ew(np.multiply, a.p, -p.sigma, a.p, nb)
-            else:
-                dp = sysm.apply_qp(a.p, out=sysm.work("bp", sysm.shapes["p"], dtype))
-                ew(np.divide, dp, p.alpha, dp, nb)
-                # each gradient component is formed in a.p, free until A_p dp' fills it
-                for axis, d in ((0, a.u), (1, a.v)):
-                    g = sysm.grad_axis(dp, axis, a.p[: d.shape[0], : d.shape[1]])
-                    ew(np.add, d, g, d, nb)
-                sysm.apply_ap(dp, out=a.p)
-                ew(np.multiply, a.p, -1.0, a.p, nb)
-            delta = (a.u, a.v, a.p)
+            def mass(lo, hi, seg, gx):
+                for f, o, s, x in ((r.u, a.u, su, state.u), (r.v, a.v, sv, state.v)):
+                    d = sysm.mass_rows(f, s, o, lo, hi, seg, gx)
+                    np.divide(d, p.alpha, out=d)
+                    if p.scheme == "quzawa":  # d stays for B du in the next phase
+                        update(d, x[lo:hi], tmp=seg)
+
+            def div(lo, hi, seg, gx):
+                t = sysm.div_rows(a.u, a.v, a.p, lo, hi, seg)
+                np.subtract(r.p[lo:hi], t, out=t)
+                if p.scheme == "quzawa":
+                    np.multiply(t, -p.sigma, out=t)
+                    update(t, state.p[lo:hi])
+
+            phases += [mass, div]
+            if p.scheme == "qdr":
+                dp = sysm.work("bp", sysm.shapes["p"], dtype)
+
+                def mass_p(lo, hi, seg, gx):
+                    d = sysm.mass_rows(a.p, grid.PRESSURE_MASS_SIGNS, dp, lo, hi, seg, gx)
+                    np.divide(d, p.alpha, out=d)
+
+                def distribute(lo, hi, seg, gx):
+                    # each gradient component is formed in a.p, free until
+                    # A_p dp' fills it
+                    for axis, d in ((0, a.u), (1, a.v)):
+                        g = sysm.grad_rows(dp, axis, a.p[: d.shape[0], : d.shape[1]], lo, hi)
+                        np.add(d[lo:hi], g, out=d[lo:hi])
+                    t = sysm.five_point_rows(dp, grid.CELL_LAPLACIAN_SIGNS, a.p, lo, hi, seg)
+                    np.multiply(t, -1.0, out=t)
+                    for d, f in zip((a.u, a.v, a.p), (state.u, state.v, state.p)):
+                        update(d[lo:hi], f[lo:hi])
+
+                phases += [mass_p, distribute]
+            sysm.run(dtype, *phases)
         elif p.scheme in ("qbsr", "qibsr"):
             # g = B Q r_u - alpha r_p, dp from S dp = g, du = Q (r_u - grad dp) / alpha
-            sysm.apply_q(r.u, "u", out=a.u)
-            sysm.apply_q(r.v, "v", out=a.v)
-            sysm.neg_div(a.u, a.v, out=a.p)
             dp = sysm.work("bp", sysm.shapes["p"], dtype)
-            ew(np.multiply, r.p, p.alpha, dp, nb)
-            ew(np.subtract, a.p, dp, a.p, nb)
+            diag = self.schur().diag.reshape(dp.shape) if p.scheme == "qibsr" else None
+
+            def mass(lo, hi, seg, gx):
+                sysm.mass_rows(r.u, su, a.u, lo, hi, seg, gx)
+                sysm.mass_rows(r.v, sv, a.v, lo, hi, seg, gx)
+
+            def schur_rhs(lo, hi, seg, gx):
+                g = sysm.div_rows(a.u, a.v, a.p, lo, hi, seg)
+                d = np.multiply(r.p[lo:hi], p.alpha, out=dp[lo:hi])
+                np.subtract(g, d, out=g)
+                if diag is not None:
+                    np.multiply(g, p.omega_j, out=d)
+                    np.divide(d, diag[lo:hi], out=d)
+
+            sysm.run(dtype, *phases, mass, schur_rhs)
             if p.scheme == "qbsr":
                 self.schur().solve(a.p, out=dp)
-            else:
-                ew(np.multiply, a.p, p.omega_j, dp, nb)
-                ew(np.divide, dp, self.schur().diag.reshape(dp.shape), dp, nb)
-            # du is formed in a.u and a.v, free once B Q r_u is; apply_q reads
-            # its input through a padded copy, so it may write over it
-            for axis, d, rf, comp in ((0, a.u, r.u, "u"), (1, a.v, r.v, "v")):
-                sysm.grad_axis(dp, axis, d)
-                ew(np.subtract, rf, d, d, nb)
-                sysm.apply_q(d, comp, out=d)
-                ew(np.divide, d, p.alpha, d, nb)
-            delta = (a.u, a.v, dp)
+
+            def velocity_rhs(lo, hi, seg, gx):
+                for axis, d, f in ((0, a.u, r.u), (1, a.v, r.v)):
+                    g = sysm.grad_rows(dp, axis, d, lo, hi)
+                    np.subtract(f[lo:hi], g, out=g)
+
+            def correct(lo, hi, seg, gx):
+                # du = Q (r_u - grad dp) / alpha lands in the band's padded rows
+                for d, s, f in ((a.u, su, state.u), (a.v, sv, state.v)):
+                    t = sysm.mass_rows(d, s, None, lo, hi, seg, gx)
+                    np.divide(t, p.alpha, out=t)
+                    update(t, f[lo:hi])
+                update(dp[lo:hi], state.p[lo:hi])
+
+            sysm.run(dtype, velocity_rhs, correct)
         else:
             raise ValueError(f"unknown scheme {p.scheme!r}")
-        for d, f in zip(delta, (state.u, state.v, state.p)):
-            ew(np.multiply, d, p.omega, d, nb)
-            ew(np.add, f, d, f, nb)

@@ -111,10 +111,6 @@ def is_low(theta):
     )
 
 
-def is_high(theta):
-    return np.logical_not(is_low(theta))
-
-
 def check_resolution(n: int) -> None:
     """Sampling resolutions are multiples of 3 (the offset lattice is then
     closed under the 2 pi / 3 harmonic shifts) of at least 9."""

@@ -1,13 +1,15 @@
-"""Row bands: bit-identical kernels, the threaded-BLAS gate, the band pool.
+"""Phase bands: bit-identical kernels, the threshold, the threaded-BLAS gate,
+the band pool.
 
-Bands run on fields of at least ``grid.BAND_MIN`` elements (n = 729), which
-is too large for unit tests, so these tests lower the threshold to 0 and set
-the band count to 2 and to 3 (cuts of unequal length) on small grids.  Every
-banded result must equal the unbanded one exactly: each element goes through
-the same ufuncs in the same order.  Transfers on fine grids of at most
-``multigrid.DENSE_MAX`` points are matrix products, so the strided passes are
-called directly.  The two-grid LFA splits its bases into ``grid.BANDS``
-chunks on the same pool, with no size threshold.
+A level's kernels run in row bands from ``grid.BAND_MIN`` points (n = 243),
+and strided transfers from ``multigrid.TRANSFER_BAND_MIN`` (n = 729).  Most
+tests lower both thresholds to 0 and set the band count to 2 and to 3 (cuts
+of unequal length) on small grids; the n = 243 tests keep the real
+threshold.  Every banded result must equal the unbanded one exactly: each
+element goes through the same ufuncs in the same order.  Transfers on fine
+grids of at most ``multigrid.DENSE_MAX`` points are matrix products, so the
+strided passes are called directly.  The two-grid LFA splits its bases into
+``grid.BANDS`` chunks on the same pool, with no size threshold.
 """
 
 import concurrent.futures
@@ -29,6 +31,7 @@ CASES = [(n, bc, dtype) for n in (9, 27, 81) for bc in grid.BCS for dtype in (fl
 @pytest.fixture
 def no_threshold(monkeypatch):
     monkeypatch.setattr(grid, "BAND_MIN", 0)
+    monkeypatch.setattr(multigrid, "TRANSFER_BAND_MIN", 0)
 
 
 def rand_state(rng, n, bc, dtype):
@@ -51,6 +54,16 @@ def fields(st):
     return (st.u, st.v, st.p)
 
 
+def sweep_states(plain, banded, st, rhs, schemes=symbols.SCHEMES, zero=False):
+    """Each scheme's sweep of st on both systems; yields (banded, plain)."""
+    for scheme in schemes:
+        params = reference_params(scheme, "measured")
+        a, b = st.copy(), st.copy()
+        Smoother(plain, params).sweep(a, rhs, zero=zero)
+        Smoother(banded, params).sweep(b, rhs, zero=zero)
+        yield fields(b), fields(a)
+
+
 @pytest.mark.parametrize("bands", (2, 3))
 @pytest.mark.parametrize("n, bc, dtype", CASES)
 def test_banded_kernels_are_bit_identical(no_threshold, n, bc, dtype, bands):
@@ -60,17 +73,17 @@ def test_banded_kernels_are_bit_identical(no_threshold, n, bc, dtype, bands):
     banded.bands = bands
     for radius in (1, 2):
         for signs in ((0.0, -1.0), (1.0, 1.0)):
+            # padded rows in separate pieces, as bands pad them
             want = grid.pad_field(st.p, radius, signs, bc)
-            assert_same([grid.pad_field(st.p, radius, signs, bc, bands=bands)], [want])
+            got = np.full_like(want, np.nan)
+            for lo, hi in grid.cuts(len(want), bands):
+                grid.pad_rows(st.p, radius, signs, bc, got[lo:hi], lo)
+            assert_same([got], [want])
     assert_same(fields(banded.apply(st)), fields(plain.apply(st)))
     for r in (rhs, None):
         assert_same(fields(banded.residual(st, r)), fields(plain.residual(st, r)))
-    for scheme in symbols.SCHEMES:
-        params = reference_params(scheme, "measured")
-        a, b = st.copy(), st.copy()
-        Smoother(plain, params).sweep(a, rhs)
-        Smoother(banded, params).sweep(b, rhs)
-        assert_same(fields(b), fields(a))
+    for got, want in sweep_states(plain, banded, st, rhs):
+        assert_same(got, want)
 
 
 @pytest.mark.parametrize("bands", (2, 3))
@@ -166,8 +179,78 @@ def test_the_gate_is_decided_per_cycle(no_threshold, pool):
 
 
 def test_fields_below_the_threshold_submit_nothing(pool):
-    assert grid.BAND_MIN > 243 * 243
-    assert cycle_submits(pool, "qdr", 243, "v") == 0
+    # at n = 81 a two-phase residual took 0.105 ms banded, 0.066 ms whole
+    assert grid.BAND_MIN > 81 * 81
+    assert cycle_submits(pool, "qdr", 81, "v") == 0
+
+
+def test_an_n243_cycle_bands_its_finest_level_but_not_its_transfers(pool):
+    assert grid.BAND_MIN <= 243 * 243
+    assert cycle_submits(pool, "qdr", 243, "v") > 0
+    # a banded restriction from n = 243 measured slower than a whole one
+    assert multigrid.TRANSFER_BAND_MIN > 243 * 243
+    fine = grid.random_state(243, "dirichlet", seed=2)
+    before = pool.submits
+    multigrid.restrict_state(fine, "p25t", work=grid.Workspace(), bands=2)
+    multigrid.prolong_state(multigrid.restrict_state(fine, "p25t"), 243, add_to=fine.copy(),
+                            work=grid.Workspace(), bands=2)
+    assert pool.submits == before
+
+
+# -- n = 243 at the real threshold -------------------------------------------
+
+CASES_243 = [(bc, dtype, bands) for bc in grid.BCS for dtype in (float, complex)
+             for bands in (2, 3)]
+
+
+@pytest.mark.parametrize("bc, dtype, bands", CASES_243)
+def test_n243_phases_are_bit_identical(monkeypatch, bc, dtype, bands):
+    n = 243
+    assert grid.bands_for(n * n, bands) == bands
+    rng = np.random.default_rng(7)
+    st, rhs = rand_state(rng, n, bc, dtype), rand_state(rng, n, bc, dtype)
+    plain, banded = grid.SaddleSystem(n, bc), grid.SaddleSystem(n, bc)
+    banded.bands = bands
+    assert_same(fields(banded.residual(st, rhs)), fields(plain.residual(st, rhs)))
+    for got, want in sweep_states(plain, banded, st, rhs):
+        assert_same(got, want)
+    for got, want in sweep_states(plain, banded, st, rhs, zero=True):
+        assert_same(got, want)
+    for scheme in symbols.SCHEMES:
+        results = []
+        for count in (1, bands):
+            monkeypatch.setattr(grid, "BANDS", count)
+            hier = multigrid.GridHierarchy(n, bc, reference_params(scheme, "measured"),
+                                           TransferPair("p25t"))
+            x = st.copy()
+            multigrid.v_cycle(hier, x, rhs, 2, 0)
+            results.append(fields(x))
+        assert_same(results[1], results[0])
+
+
+def test_n243_phases_under_fast_thread_switches(monkeypatch):
+    # three bands on three threads, the interpreter switching every
+    # microsecond: a phase that read rows another band is still writing
+    # would differ from the whole-level run
+    n, bc = 243, "periodic"
+    rng = np.random.default_rng(8)
+    st, rhs = rand_state(rng, n, bc, float), rand_state(rng, n, bc, float)
+    plain, banded = grid.SaddleSystem(n, bc), grid.SaddleSystem(n, bc)
+    banded.bands = 3
+    want_res = fields(plain.residual(st, rhs))
+    want = list(sweep_states(plain, plain, st, rhs))
+    workers = concurrent.futures.ThreadPoolExecutor(2)
+    monkeypatch.setattr(grid, "band_pool", lambda pid: workers)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(3):
+            assert_same(fields(banded.residual(st, rhs)), want_res)
+            for (got, _), (w, _) in zip(sweep_states(banded, banded, st, rhs), want):
+                assert_same(got, w)
+    finally:
+        sys.setswitchinterval(interval)
+        workers.shutdown(wait=True)
 
 
 def _banded_residual_matches(n, bc, bands):

@@ -13,6 +13,7 @@ import scipy.ndimage as ndi
 
 from mac3mg import assemble, grid, multigrid, stencils, symbols, twogrid
 from mac3mg.multigrid import GridHierarchy
+from mac3mg.smoothers import Smoother
 from mac3mg.symbols import RelaxParams, reference_params
 from mac3mg.twogrid import TransferPair
 
@@ -330,3 +331,64 @@ def test_warm_cycle_work_arrays_stay_small(scheme, bc):
     total = sum(f.nbytes for s in hier.systems for f in s.work._flat.values())
     fields = total / st.p.nbytes
     assert fields < WORK_FIELDS[scheme], fields
+
+
+# -- coarse levels start from zero ------------------------------------------
+
+
+def complex_state(n, bc, seed, dtype):
+    st = rand_state(n, bc, seed)
+    if dtype is complex:
+        im = rand_state(n, bc, seed + 100)
+        st = grid.StaggeredState(n, bc, st.u + 1j * im.u, st.v + 1j * im.v, st.p + 1j * im.p)
+    return st
+
+
+def nan_fill(st):
+    for f in (st.u, st.v, st.p):
+        f.fill(np.nan)
+
+
+@pytest.mark.parametrize("dtype", (float, complex))
+@pytest.mark.parametrize("bc", grid.BCS)
+@pytest.mark.parametrize("scheme", symbols.SCHEMES)
+def test_a_sweep_from_zero_equals_a_full_sweep_of_a_zero_state(scheme, bc, dtype):
+    n = 27
+    rhs = complex_state(n, bc, 11, dtype)
+    sm = Smoother(grid.SaddleSystem(n, bc), reference_params(scheme, "measured"))
+    full = grid.StaggeredState.zeros(n, bc, dtype)
+    sm.sweep(full, rhs)
+    # the zero start never reads the state, so NaN garbage must not show
+    zero = grid.StaggeredState.zeros(n, bc, dtype)
+    nan_fill(zero)
+    before = rhs.copy()
+    sm.sweep(zero, rhs, zero=True)
+    for got, want in zip((zero.u, zero.v, zero.p), (full.u, full.v, full.p)):
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+    for got, want in zip((rhs.u, rhs.v, rhs.p), (before.u, before.v, before.p)):
+        assert np.array_equal(got, want)  # the right-hand side is the residual, read only
+    with pytest.raises(ValueError, match="right-hand side"):
+        sm.sweep(zero, None, zero=True)
+
+
+@pytest.mark.parametrize("nu1, nu2", [(2, 0), (1, 1), (0, 2)])
+@pytest.mark.parametrize("bc", grid.BCS)
+def test_cycles_never_read_a_coarse_state_left_from_before(nu1, bc, nu2):
+    # with pre-smoothing the coarse levels start by a sweep from zero; a
+    # cycle without it zero-fills them
+    n = 81
+    params = reference_params("qdr", "measured")
+    rhs = rand_state(n, bc, 4)
+    results = []
+    for stale in (False, True):
+        hier = GridHierarchy(n, bc, params, TransferPair("p25t"))
+        st = rand_state(n, bc, 5)
+        multigrid.v_cycle(hier, st, rhs, nu1, nu2)
+        if stale:
+            for system in hier.systems[1:]:
+                nan_fill(system.work_state("x", float))
+            st = rand_state(n, bc, 5)
+            multigrid.v_cycle(hier, st, rhs, nu1, nu2)
+        results.append(st)
+    assert np.isfinite(results[1].flat()).all()
+    assert np.array_equal(results[1].flat(), results[0].flat())

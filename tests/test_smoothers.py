@@ -117,7 +117,7 @@ def test_per_mode_damping_on_the_lattice():
     n = 27
     ks = [(k1, k2) for k1 in range(n) for k2 in range(n) if (k1, k2) != (0, 0)]
     thetas = np.array([[2 * np.pi * k1 / n, 2 * np.pi * k2 / n] for k1, k2 in ks])
-    high = symbols.is_high(thetas)
+    high = ~symbols.is_low(thetas)
     mu = {"qdr": 17.0 / 47.0, "qbsr": 17.0 / 47.0,
           "qibsr": 0.45, "quzawa": np.sqrt(17.0 / 47.0)}
     for scheme in symbols.SCHEMES:

@@ -82,12 +82,11 @@ def test_canonicalize_and_region_predicates():
     assert np.allclose(symbols.canonicalize([np.pi, -np.pi]), [-np.pi, -np.pi])
     assert symbols.is_low([0.1, -0.2])
     assert not symbols.is_low([np.pi / 2, 0.0])
-    assert symbols.is_high([np.pi / 2, 0.0])
     # half-open region edges, probed strictly inside and outside to stay
     # clear of canonicalization roundoff
     assert symbols.is_low([-np.pi / 3 + 1e-9, 0.0])
-    assert symbols.is_high([-np.pi / 3 - 1e-9, 0.0])
-    assert symbols.is_high([np.pi / 3 + 1e-9, 0.0])
+    assert not symbols.is_low([-np.pi / 3 - 1e-9, 0.0])
+    assert not symbols.is_low([np.pi / 3 + 1e-9, 0.0])
 
 
 def test_sample_lattices_partition_and_avoid_axes():
@@ -96,7 +95,7 @@ def test_sample_lattices_partition_and_avoid_axes():
     low = symbols.low_freq_samples(n)
     assert len(high) + len(low) == n * n
     assert len(low) == n * n // 9
-    assert np.all(symbols.is_high(high))
+    assert not np.any(symbols.is_low(high))
     assert np.all(symbols.is_low(low))
     # offset sampling never touches the axes or the zero frequency
     assert np.abs(high).min() > 1e-8
