@@ -23,6 +23,9 @@ A cycle allocates no grid field after its first call: each level's
 residual, coarse data and coarse state, and every sweep and transfer
 temporary, are work arrays of that level's ``SaddleSystem`` (roles in
 ``grid.Workspace``), and the prolongation adds straight into the fine state.
+Each coarse level starts from a zero guess (Trottenberg, Oosterlee and
+Schueller, *Multigrid*, 2001), so its first pre-smoothing sweep takes the
+restricted residual as its residual and writes the state without reading it.
 
 The drivers measure convergence the way the experiments report it: iterate
 cycles on a seeded random initial guess with zero right-hand side until the
