@@ -354,42 +354,35 @@ class SaddleSystem:
         rows = max(min(hi, len(f)) - lo, 0)
         return pad_rows(f, 1, signs, self.bc, block(seg, (rows + 2, f.shape[1] + 2)), lo)
 
-    @staticmethod
-    def _five_point(fp: np.ndarray, h: float, out: np.ndarray) -> np.ndarray:
-        np.multiply(fp[1:-1, 1:-1], 4.0, out=out)
-        out -= fp[:-2, 1:-1]
-        out -= fp[2:, 1:-1]
-        out -= fp[1:-1, :-2]
-        out -= fp[1:-1, 2:]
-        out /= h**2
-        return out
-
-    @staticmethod
-    def _nine_point_mass(fp: np.ndarray, h: float, out: np.ndarray,
-                         gx: np.ndarray) -> np.ndarray:
-        # separable [1 4 1] passes; the additions keep their left-to-right
-        # order.  out may overlay fp: the second pass reads only gx
-        np.multiply(fp[1:-1, :], 4.0, out=gx)
-        gx += fp[:-2, :]
-        gx += fp[2:, :]
-        np.multiply(gx[:, 1:-1], 4.0, out=out)
-        out += gx[:, :-2]
-        out += gx[:, 2:]
-        out *= h**2 / 36.0
-        return out
-
-    def five_point_rows(self, f, signs, out, lo, hi, seg) -> np.ndarray:
+    def five_point_rows(self, f, signs, out, lo, hi, seg, gx=None) -> np.ndarray:
         """Rows lo:hi of the five-point Laplacian of f, into out's rows."""
         fp = self._padded(f, signs, seg, lo, hi)
-        return self._five_point(fp, self.h, out[lo : lo + len(fp) - 2])
+        o = out[lo : lo + len(fp) - 2]
+        np.multiply(fp[1:-1, 1:-1], 4.0, out=o)
+        o -= fp[:-2, 1:-1]
+        o -= fp[2:, 1:-1]
+        o -= fp[1:-1, :-2]
+        o -= fp[1:-1, 2:]
+        o /= self.h**2
+        return o
 
     def mass_rows(self, f, signs, out, lo, hi, seg, gx) -> np.ndarray:
         """Rows lo:hi of the nine-point mass of f, into out's rows or, with
-        ``out`` None, into the first rows of seg."""
+        ``out`` None, into the first rows of seg, which the second pass may
+        overwrite: it reads only gx."""
         fp = self._padded(f, signs, seg, lo, hi)
         rows = len(fp) - 2
         o = block(seg, (rows, f.shape[1])) if out is None else out[lo : lo + rows]
-        return self._nine_point_mass(fp, self.h, o, block(gx, (rows, fp.shape[1])))
+        gx = block(gx, (rows, fp.shape[1]))
+        # separable [1 4 1] passes; the additions keep their left-to-right order
+        np.multiply(fp[1:-1, :], 4.0, out=gx)
+        gx += fp[:-2, :]
+        gx += fp[2:, :]
+        np.multiply(gx[:, 1:-1], 4.0, out=o)
+        o += gx[:, :-2]
+        o += gx[:, 2:]
+        o *= self.h**2 / 36.0
+        return o
 
     # -- gradient / divergence: 1D passes along axis 0 over rows lo:hi
     # (they read rows lo - 1 .. hi); along axis 1 each band runs the whole
@@ -467,17 +460,31 @@ class SaddleSystem:
 
     # -- the whole-field actions, one phase each ----------------------------
 
-    def apply_lap_u(self, u: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        out = self._out(out, "u", u.dtype)
-        self.run(out.dtype, lambda lo, hi, seg, gx:
-                 self.five_point_rows(u, VELOCITY_SIGNS["u"], out, lo, hi, seg))
+    def _stencil(self, rows_kernel, f: np.ndarray, signs, out: np.ndarray) -> np.ndarray:
+        self.run(out.dtype, lambda lo, hi, seg, gx: rows_kernel(f, signs, out, lo, hi, seg, gx))
         return out
 
+    def apply_lap_u(self, u: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        return self._stencil(self.five_point_rows, u, VELOCITY_SIGNS["u"],
+                             self._out(out, "u", u.dtype))
+
     def apply_lap_v(self, v: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        out = self._out(out, "v", v.dtype)
-        self.run(out.dtype, lambda lo, hi, seg, gx:
-                 self.five_point_rows(v, VELOCITY_SIGNS["v"], out, lo, hi, seg))
-        return out
+        return self._stencil(self.five_point_rows, v, VELOCITY_SIGNS["v"],
+                             self._out(out, "v", v.dtype))
+
+    def apply_q(self, f: np.ndarray, comp: str, out: np.ndarray | None = None) -> np.ndarray:
+        """Velocity mass operator (a multiply, never a solve)."""
+        return self._stencil(self.mass_rows, f, VELOCITY_SIGNS[comp],
+                             self._out(out, comp, f.dtype))
+
+    def apply_qp(self, p: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """Pressure mass operator."""
+        return self._stencil(self.mass_rows, p, PRESSURE_MASS_SIGNS, self._out(out, "p", p.dtype))
+
+    def apply_ap(self, p: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """Cell-centered Laplacian used by the distributive update."""
+        return self._stencil(self.five_point_rows, p, CELL_LAPLACIAN_SIGNS,
+                             self._out(out, "p", p.dtype))
 
     def grad(self, p: np.ndarray, out=None):
         """Pressure gradient onto the velocity points (the B^T action)."""
@@ -492,26 +499,6 @@ class SaddleSystem:
         """Negative discrete divergence at cell centers (the B action)."""
         out = self._out(out, "p", np.result_type(u, v))
         self.run(out.dtype, lambda lo, hi, seg, gx: self.div_rows(u, v, out, lo, hi, seg))
-        return out
-
-    def _mass(self, f: np.ndarray, signs, out: np.ndarray) -> np.ndarray:
-        self.run(out.dtype, lambda lo, hi, seg, gx:
-                 self.mass_rows(f, signs, out, lo, hi, seg, gx))
-        return out
-
-    def apply_q(self, f: np.ndarray, comp: str, out: np.ndarray | None = None) -> np.ndarray:
-        """Velocity mass operator (a multiply, never a solve)."""
-        return self._mass(f, VELOCITY_SIGNS[comp], self._out(out, comp, f.dtype))
-
-    def apply_qp(self, p: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        """Pressure mass operator."""
-        return self._mass(p, PRESSURE_MASS_SIGNS, self._out(out, "p", p.dtype))
-
-    def apply_ap(self, p: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        """Cell-centered Laplacian used by the distributive update."""
-        out = self._out(out, "p", p.dtype)
-        self.run(out.dtype, lambda lo, hi, seg, gx:
-                 self.five_point_rows(p, CELL_LAPLACIAN_SIGNS, out, lo, hi, seg))
         return out
 
     def apply(self, st: StaggeredState, out: StaggeredState | None = None) -> StaggeredState:

@@ -157,10 +157,8 @@ class Smoother:
             d = np.multiply(d, p.omega, out=d if tmp is None else grid.block(tmp, d.shape))
             np.add(f, d, out=f)
 
-        def residual(lo, hi, seg, gx):
-            sysm.residual_rows(state, rhs, r, lo, hi, seg)
-
-        phases = [] if zero else [residual]
+        if not zero:
+            sysm.residual(state, rhs, out=r)
         if p.scheme in ("qdr", "quzawa"):
             # du = Q r_u / alpha, t = r_p - B du; quzawa: dp = -sigma t; qdr:
             # dp' = Q_p t / alpha and delta = (du + grad dp', -A_p dp')
@@ -178,7 +176,7 @@ class Smoother:
                     np.multiply(t, -p.sigma, out=t)
                     update(t, state.p[lo:hi])
 
-            phases += [mass, div]
+            phases = [mass, div]
             if p.scheme == "qdr":
                 dp = sysm.work("bp", sysm.shapes["p"], dtype)
 
@@ -216,7 +214,7 @@ class Smoother:
                     np.multiply(g, p.omega_j, out=d)
                     np.divide(d, diag[lo:hi], out=d)
 
-            sysm.run(dtype, *phases, mass, schur_rhs)
+            sysm.run(dtype, mass, schur_rhs)
             if p.scheme == "qbsr":
                 self.schur().solve(a.p, out=dp)
 
