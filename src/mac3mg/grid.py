@@ -447,17 +447,6 @@ class SaddleSystem:
             np.add(lap, g, out=lap)
         self.div_rows(st.u, st.v, out.p, lo, hi, seg)
 
-    def residual_rows(self, st: StaggeredState, rhs: StaggeredState | None,
-                      out: StaggeredState, lo: int, hi: int, seg: np.ndarray) -> None:
-        """Rows lo:hi of ``rhs - L st`` (``-L st`` without rhs)."""
-        self.apply_rows(st, out, lo, hi, seg)
-        for name in ("u", "v", "p"):
-            f = getattr(out, name)[lo:hi]
-            if rhs is None:
-                np.multiply(f, -1.0, out=f)
-            else:
-                np.subtract(getattr(rhs, name)[lo:hi], f, out=f)
-
     # -- the whole-field actions, one phase each ----------------------------
 
     def _stencil(self, rows_kernel, f: np.ndarray, signs, out: np.ndarray) -> np.ndarray:
@@ -512,8 +501,17 @@ class SaddleSystem:
         if out is None:
             dtype = st.u.dtype if rhs is None else np.result_type(st.u, rhs.u)
             out = StaggeredState.zeros(self.n, self.bc, dtype)
-        self.run(out.p.dtype, lambda lo, hi, seg, gx:
-                 self.residual_rows(st, rhs, out, lo, hi, seg))
+
+        def rows(lo, hi, seg, gx):
+            self.apply_rows(st, out, lo, hi, seg)
+            for name in ("u", "v", "p"):
+                f = getattr(out, name)[lo:hi]
+                if rhs is None:
+                    np.multiply(f, -1.0, out=f)
+                else:
+                    np.subtract(getattr(rhs, name)[lo:hi], f, out=f)
+
+        self.run(out.p.dtype, rows)
         return out
 
 

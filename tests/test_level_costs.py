@@ -10,8 +10,10 @@ level_costs = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(level_costs)
 
 
-def test_level_costs_at_n27(capsys):
+def test_level_costs_at_n27(capsys, monkeypatch):
     from mac3mg import grid, multigrid, smoothers
+
+    monkeypatch.setattr(level_costs, "WARM_S", 0.0)
 
     wrapped = (multigrid._descend, smoothers.Smoother.sweep, grid.SaddleSystem.residual)
     assert level_costs.main(["--n", "27", "--schemes", "qdr,quzawa", "--repeats", "3"]) == 0
@@ -20,6 +22,7 @@ def test_level_costs_at_n27(capsys):
             grid.SaddleSystem.residual) == wrapped
     out = json.loads(capsys.readouterr().out)
     assert out["cycle"] == "V(2,0)" and out["repeats"] == 3
+    assert len(out["band_speedup_before_after"]) == 2
     assert [(r["scheme"], r["n"]) for r in out["results"]] == [("qdr", 27), ("quzawa", 27)]
     for r in out["results"]:
         assert list(r["from_level_ms"]) == ["27", "9", "3"]

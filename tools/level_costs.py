@@ -5,7 +5,8 @@
 
 For each scheme and finest size n (Dirichlet, ``p25t`` transfers, measured
 parameters) the script runs V(2,0) cycles from a seeded random state with a
-zero right-hand side and reports, as medians over ``--repeats`` cycles:
+zero right-hand side and reports, as medians over ``--repeats`` cycles
+after at least as many untimed ones and half a second:
 
 - ``cycle_ms``: one whole cycle;
 - ``finest_sweep_ms`` and ``finest_residual_ms``: one sweep and one
@@ -13,6 +14,10 @@ zero right-hand side and reports, as medians over ``--repeats`` cycles:
 - ``from_level_ms``: per level size, the time from that level down (the
   cycle's recursion entered at that level, its direct solve included);
 - ``share``: two finest sweeps divided by ``cycle_ms``.
+
+``band_speedup_before_after`` times a fixed elementwise load on one thread
+and in ``grid.BANDS`` bands before and after the cycles: banded timings mean
+little from a run where it fell near or below 1 (another load held a core).
 
 The cycle times come from plain cycles; the per-level times from a second
 run of cycles in which ``multigrid._descend``, ``Smoother.sweep`` and
@@ -24,6 +29,7 @@ by default it is this checkout's ``src/``.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import os
 import statistics
@@ -32,6 +38,7 @@ import time
 from pathlib import Path
 
 NU1, NU2 = 2, 0
+WARM_S = 0.5  # untimed cycles before the timed ones, at least ``--repeats`` of them
 
 
 def _clock(owner, name: str, record) -> None:
@@ -67,7 +74,12 @@ def level_costs(n: int, scheme: str, repeats: int, seed: int = 0) -> dict:
         multigrid.v_cycle(hier, state, rhs, NU1, NU2)
         return time.perf_counter() - t0
 
-    cycle()  # builds whatever the cycles build lazily
+    # the first cycles build what the cycles build lazily
+    warm = time.perf_counter() + WARM_S
+    for i in itertools.count():
+        if i >= repeats and time.perf_counter() > warm:
+            break
+        cycle()
     cycles = [cycle() for _ in range(repeats)]
 
     sweeps, residuals, below = [], [], {m: [] for m in hier.sizes}
@@ -101,6 +113,37 @@ def level_costs(n: int, scheme: str, repeats: int, seed: int = 0) -> dict:
     }
 
 
+def band_speedup(repeats: int = 20) -> float:
+    """A fixed elementwise load's median time on one thread over its time in
+    ``grid.BANDS`` bands: near the core count while the cores are free, and
+    below 1 when a band waits on a core that something else holds."""
+    import numpy as np
+    from mac3mg import grid
+
+    a = np.random.default_rng(0).random((486, 486))
+    b = np.empty_like(a)
+
+    def body(lo: int, hi: int) -> None:
+        for _ in range(10):
+            np.multiply(a[lo:hi], 1.0001, out=b[lo:hi])
+            np.add(b[lo:hi], a[lo:hi], out=b[lo:hi])
+
+    def timed(bands: int) -> float:
+        times = []
+        for _ in range(repeats):
+            t0 = time.perf_counter()
+            grid.run_bands(body, len(a), bands)
+            times.append(time.perf_counter() - t0)
+        return statistics.median(times)
+
+    # a process's new pool thread shares the caller's core for about 0.1 s,
+    # until the kernel moves it
+    warm = time.perf_counter() + WARM_S
+    while time.perf_counter() < warm:
+        timed(grid.BANDS)
+    return round(timed(1) / timed(grid.BANDS), 2)
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--n", default="81,243,729", help="finest sizes, comma separated")
@@ -115,13 +158,16 @@ def main(argv=None) -> int:
 
     sizes = [int(x) for x in args.n.split(",")]
     schemes = args.schemes.split(",")
+    speedup = [band_speedup()]
     results = [level_costs(n, s, args.repeats) for s in schemes for n in sizes]
+    speedup.append(band_speedup())
     print(json.dumps({
         "src": str(Path(mac3mg.__file__).resolve().parent),
         "cpus": len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
         else os.cpu_count(),
         "bands": grid.BANDS, "cycle": f"V({NU1},{NU2})", "bc": "dirichlet",
         "transfer": "p25t", "params": "measured", "repeats": args.repeats,
+        "band_speedup_before_after": speedup,
         "results": results,
     }, indent=1))
     return 0
