@@ -54,14 +54,14 @@ def fields(st):
     return (st.u, st.v, st.p)
 
 
-def sweep_states(plain, banded, st, rhs, schemes=symbols.SCHEMES, zero=False):
-    """Each scheme's sweep of st on both systems; yields (banded, plain)."""
-    for scheme in schemes:
-        params = reference_params(scheme, "measured")
-        a, b = st.copy(), st.copy()
-        Smoother(plain, params).sweep(a, rhs, zero=zero)
-        Smoother(banded, params).sweep(b, rhs, zero=zero)
-        yield fields(b), fields(a)
+def swept(system, st, rhs, zero=False):
+    """Each scheme's sweep of a copy of st on system."""
+    out = []
+    for scheme in symbols.SCHEMES:
+        x = st.copy()
+        Smoother(system, reference_params(scheme, "measured")).sweep(x, rhs, zero=zero)
+        out.append(fields(x))
+    return out
 
 
 @pytest.mark.parametrize("bands", (2, 3))
@@ -82,7 +82,7 @@ def test_banded_kernels_are_bit_identical(no_threshold, n, bc, dtype, bands):
     assert_same(fields(banded.apply(st)), fields(plain.apply(st)))
     for r in (rhs, None):
         assert_same(fields(banded.residual(st, r)), fields(plain.residual(st, r)))
-    for got, want in sweep_states(plain, banded, st, rhs):
+    for got, want in zip(swept(banded, st, rhs), swept(plain, st, rhs)):
         assert_same(got, want)
 
 
@@ -179,7 +179,7 @@ def test_the_gate_is_decided_per_cycle(no_threshold, pool):
 
 
 def test_fields_below_the_threshold_submit_nothing(pool):
-    # at n = 81 a two-phase residual took 0.105 ms banded, 0.066 ms whole
+    # at n = 81 a banded residual took 0.15 ms against 0.07 ms whole
     assert grid.BAND_MIN > 81 * 81
     assert cycle_submits(pool, "qdr", 81, "v") == 0
 
@@ -212,10 +212,9 @@ def test_n243_phases_are_bit_identical(monkeypatch, bc, dtype, bands):
     plain, banded = grid.SaddleSystem(n, bc), grid.SaddleSystem(n, bc)
     banded.bands = bands
     assert_same(fields(banded.residual(st, rhs)), fields(plain.residual(st, rhs)))
-    for got, want in sweep_states(plain, banded, st, rhs):
-        assert_same(got, want)
-    for got, want in sweep_states(plain, banded, st, rhs, zero=True):
-        assert_same(got, want)
+    for zero in (False, True):
+        for got, want in zip(swept(banded, st, rhs, zero), swept(plain, st, rhs, zero)):
+            assert_same(got, want)
     for scheme in symbols.SCHEMES:
         results = []
         for count in (1, bands):
@@ -238,7 +237,7 @@ def test_n243_phases_under_fast_thread_switches(monkeypatch):
     plain, banded = grid.SaddleSystem(n, bc), grid.SaddleSystem(n, bc)
     banded.bands = 3
     want_res = fields(plain.residual(st, rhs))
-    want = list(sweep_states(plain, plain, st, rhs))
+    want = swept(plain, st, rhs)
     workers = concurrent.futures.ThreadPoolExecutor(2)
     monkeypatch.setattr(grid, "band_pool", lambda pid: workers)
     interval = sys.getswitchinterval()
@@ -246,7 +245,7 @@ def test_n243_phases_under_fast_thread_switches(monkeypatch):
     try:
         for _ in range(3):
             assert_same(fields(banded.residual(st, rhs)), want_res)
-            for (got, _), (w, _) in zip(sweep_states(banded, banded, st, rhs), want):
+            for got, w in zip(swept(banded, st, rhs), want):
                 assert_same(got, w)
     finally:
         sys.setswitchinterval(interval)

@@ -38,11 +38,12 @@ import time
 from pathlib import Path
 
 NU1, NU2 = 2, 0
-WARM_S = 0.5  # untimed cycles before the timed ones, at least ``--repeats`` of them
+WARM_S = 0.5  # seconds of untimed work before each timing: cycles, or the probe's load
 
 
-def _clock(owner, name: str, record) -> None:
-    """Wrap ``owner.name`` so each call appends ``(key, seconds)`` to record."""
+def _clock(owner, name: str, record):
+    """Wrap ``owner.name`` so each call ends in ``record(args, seconds)``;
+    returns the unwrapped attribute."""
     fn = getattr(owner, name)
 
     def timed(*args, **kwargs):
