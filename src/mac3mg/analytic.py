@@ -45,12 +45,14 @@ def g(x, y):
 
 
 def in_high_region(x, y):
-    """Membership test for the high-frequency image region."""
+    """Membership test for the high-frequency image region, the union of
+    ``REGION_RECTS``."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    first = (np.abs(x) <= 1.0) & (-1.0 <= y) & (y <= 0.5)
-    second = (-1.0 <= x) & (x <= 0.5) & (0.5 <= y) & (y <= 1.0)
-    return first | second
+    inside = False
+    for (x0, x1), (y0, y1) in REGION_RECTS:
+        inside = inside | ((x0 <= x) & (x <= x1) & (y0 <= y) & (y <= y1))
+    return inside
 
 
 @dataclass(frozen=True)

@@ -34,7 +34,11 @@ The saddle operator is ``[[A, B^T], [B, 0]]`` where ``A`` is the vector
 Laplacian, ``B^T`` the pressure gradient and ``B`` the negative divergence,
 so the whole matrix is symmetric.  All actions here are matrix-free slicing
 into given arrays, with temporaries taken from the level's ``Workspace``;
-``assemble`` builds the same operators as sparse matrices, as oracles.
+``assemble`` builds the same operators as sparse matrices, as oracles.  The
+only whole-field actions are ``SaddleSystem.residual``, ``grad`` and
+``neg_div``; the sweeps chain the same row kernels through
+``SaddleSystem.run``, and ``L x`` is the negated residual for no right-hand
+side, so an operator is applied one way only.
 
 Every kernel is written once, over a range of memory rows (the x index).
 ``SaddleSystem.run`` runs a chain of *phases*, each a body over rows
@@ -94,11 +98,6 @@ BANDS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os
 def band_pool(pid: int) -> ThreadPoolExecutor:
     """Process ``pid``'s band workers; a forked child gets its own."""
     return ThreadPoolExecutor(max(1, BANDS - 1))
-
-
-def bands_for(size: int, bands: int) -> int:
-    """The bands work on ``size`` grid points runs in: ``bands`` from BAND_MIN up."""
-    return bands if size >= BAND_MIN else 1
 
 
 def cuts(count: int, bands: int) -> list:
@@ -297,11 +296,12 @@ def project_gauge(state: StaggeredState) -> StaggeredState:
 class SaddleSystem:
     """Matrix-free actions of the MAC Stokes operator on one grid level.
 
-    Every action writes into ``out`` when given and allocates its result
-    otherwise; its padded copies and temporaries come from the level's
-    ``work`` arrays, so a call with ``out`` allocates nothing after the first.
-    Each action is one phase of row kernels (``run``); large levels run
-    their phases in ``bands`` row bands (1 until a cycle sets it).
+    The whole-field actions are ``residual``, ``grad`` and ``neg_div``.  Each
+    writes into ``out`` when given and allocates its result otherwise; its
+    padded copies and temporaries come from the level's ``work`` arrays, so a
+    call with ``out`` allocates nothing after the first.  Each is one phase of
+    row kernels (``run``), as is each step of a sweep; large levels run their
+    phases in ``bands`` row bands (1 until a cycle sets it).
 
     The row kernels (``*_rows``) compute rows ``lo:hi`` of their output,
     clipped to its length, from inputs that no band of the running phase
@@ -335,7 +335,7 @@ class SaddleSystem:
         ``hi + 2k + 2`` of the padded work array, so no two bands share a row
         of it, and each kernel lays a contiguous block of its shape over them
         (``block``)."""
-        bands = bands_for(self.n * self.n, self.bands)
+        bands = self.bands if self.n * self.n >= BAND_MIN else 1
         made, rows = self._rows.get((dtype, bands), (None, None))
         if made != self.work.allocations:
             w = self.n + 2
@@ -449,32 +449,6 @@ class SaddleSystem:
 
     # -- the whole-field actions, one phase each ----------------------------
 
-    def _stencil(self, rows_kernel, f: np.ndarray, signs, out: np.ndarray) -> np.ndarray:
-        self.run(out.dtype, lambda lo, hi, seg, gx: rows_kernel(f, signs, out, lo, hi, seg, gx))
-        return out
-
-    def apply_lap_u(self, u: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        return self._stencil(self.five_point_rows, u, VELOCITY_SIGNS["u"],
-                             self._out(out, "u", u.dtype))
-
-    def apply_lap_v(self, v: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        return self._stencil(self.five_point_rows, v, VELOCITY_SIGNS["v"],
-                             self._out(out, "v", v.dtype))
-
-    def apply_q(self, f: np.ndarray, comp: str, out: np.ndarray | None = None) -> np.ndarray:
-        """Velocity mass operator (a multiply, never a solve)."""
-        return self._stencil(self.mass_rows, f, VELOCITY_SIGNS[comp],
-                             self._out(out, comp, f.dtype))
-
-    def apply_qp(self, p: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        """Pressure mass operator."""
-        return self._stencil(self.mass_rows, p, PRESSURE_MASS_SIGNS, self._out(out, "p", p.dtype))
-
-    def apply_ap(self, p: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        """Cell-centered Laplacian used by the distributive update."""
-        return self._stencil(self.five_point_rows, p, CELL_LAPLACIAN_SIGNS,
-                             self._out(out, "p", p.dtype))
-
     def grad(self, p: np.ndarray, out=None):
         """Pressure gradient onto the velocity points (the B^T action)."""
         gu, gv = out if out is not None else (self._out(None, "u", p.dtype),
@@ -488,12 +462,6 @@ class SaddleSystem:
         """Negative discrete divergence at cell centers (the B action)."""
         out = self._out(out, "p", np.result_type(u, v))
         self.run(out.dtype, lambda lo, hi, seg, gx: self.div_rows(u, v, out, lo, hi, seg))
-        return out
-
-    def apply(self, st: StaggeredState, out: StaggeredState | None = None) -> StaggeredState:
-        if out is None:
-            out = StaggeredState.zeros(self.n, self.bc, np.result_type(st.u, st.v, st.p))
-        self.run(out.p.dtype, lambda lo, hi, seg, gx: self.apply_rows(st, out, lo, hi, seg))
         return out
 
     def residual(self, st: StaggeredState, rhs: StaggeredState | None,

@@ -254,7 +254,11 @@ class DirectSolver:
         r -= r.mean()
         x = np.zeros_like(r)
         d = r.copy()
-        bnorm = np.linalg.norm(b)
+        # a diverging cycle's data can overflow the sum of squares: the
+        # infinite norm then ends the iteration at once, and the run's own
+        # residual check reports the divergence
+        with np.errstate(over="ignore"):
+            bnorm = np.linalg.norm(b)
         rr = np.vdot(r, r).real
         for it in range(CG_MAXITER + 1):
             if np.sqrt(rr) <= CG_TOL * bnorm:
@@ -317,12 +321,11 @@ class GridHierarchy:
 
 
 def _descend(hier: GridHierarchy, level: int, state: grid.StaggeredState,
-             rhs: grid.StaggeredState, nu1: int, nu2: int, solve_level: int,
-             zero: bool = False) -> None:
-    """One cycle from ``level`` down, in place.  With ``zero`` the state's
-    contents are taken as zero (a coarse level's first guess): the first
-    pre-smoothing sweep starts from ``rhs`` alone, and only a cycle without
-    pre-smoothing zero-fills the state."""
+             rhs: grid.StaggeredState, nu1: int, nu2: int, solve_level: int) -> None:
+    """One cycle from ``level`` down, in place.  Below the finest level the
+    state's contents are taken as zero (a coarse level's first guess): the
+    first pre-smoothing sweep starts from ``rhs`` alone, and only a cycle
+    without pre-smoothing zero-fills the state."""
     if level == solve_level:
         hier.direct(level).solve_state(rhs, out=state)
         return
@@ -330,6 +333,7 @@ def _descend(hier: GridHierarchy, level: int, state: grid.StaggeredState,
     system, below = hier.systems[level], hier.systems[level + 1]
     dtype = state.u.dtype
     sm = hier.smoothers[level]
+    zero = level > 0
     if zero and nu1 == 0:
         for f in (state.u, state.v, state.p):
             f.fill(0.0)
@@ -340,7 +344,7 @@ def _descend(hier: GridHierarchy, level: int, state: grid.StaggeredState,
                                 out=below.work_state("f", dtype), work=system.work,
                                 bands=system.bands)
     coarse = below.work_state("x", dtype)
-    _descend(hier, level + 1, coarse, coarse_rhs, nu1, nu2, solve_level, zero=True)
+    _descend(hier, level + 1, coarse, coarse_rhs, nu1, nu2, solve_level)
     prolong_state(coarse, hier.sizes[level], add_to=state, work=system.work,
                   bands=system.bands)
     for _ in range(nu2):

@@ -309,7 +309,8 @@ def relax_error_symbol(params: RelaxParams, theta, h: float = 1.0) -> np.ndarray
     Raises ``numpy.linalg.LinAlgError`` where the smoother symbol is singular
     (only at frequencies congruent to zero); the offset samplers never hit
     those, callers probing arbitrary frequencies must guard themselves.  It
-    also raises where a huge ``alpha`` overflows the step.
+    also raises where a huge ``alpha`` overflows the step or a huge
+    ``omega`` the symbol.
     """
     theta = np.asarray(theta, dtype=float)
     ell = stokes_symbol(theta, h)
@@ -327,7 +328,12 @@ def relax_error_symbol(params: RelaxParams, theta, h: float = 1.0) -> np.ndarray
         raise ValueError(f"unknown scheme {params.scheme!r}")
     if not np.all(np.isfinite(step)):
         raise np.linalg.LinAlgError("relaxation step overflows")
-    return eye - params.omega * step
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = eye - params.omega * step
+    if not np.all(np.isfinite(out)):
+        raise np.linalg.LinAlgError(f"relaxation error symbol overflows for omega = "
+                                    f"{params.omega:g}")
+    return out
 
 
 def smoothing_factor(params: RelaxParams, n: int = 81, h: float = 1.0) -> float:

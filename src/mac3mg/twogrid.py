@@ -196,7 +196,8 @@ def _max_radius(
     count per entry covers every pre/post split.  Powers of the smoother are
     built incrementally across the sorted counts, all in real arithmetic.
     The bases run in up to ``grid.BANDS`` chunks on the band pool, each
-    writing its own rows of the per-base radii.
+    writing its own rows of the per-base radii.  Raises ``LinAlgError`` where
+    a power overflows (a smoother that amplifies by far more than 1).
     """
     cgc, smo, _ = _error_symbols(bases, params, pair, h)
     cgc = _real_form(cgc)
@@ -209,10 +210,15 @@ def _max_radius(
         power = np.broadcast_to(np.eye(27), s.shape).copy()
         last = 0
         for col, nu in enumerate(order):
-            for _ in range(nu - last):
-                power = s @ power
+            # errstate is per thread: each chunk sets its own
+            with np.errstate(over="ignore", invalid="ignore"):
+                for _ in range(nu - last):
+                    power = s @ power
+                e = c @ power
+            if not np.all(np.isfinite(e)):
+                raise np.linalg.LinAlgError(f"two-grid symbol overflows at nu = {nu}")
             last = nu
-            radii[lo:hi, col] = np.abs(np.linalg.eigvals(c @ power)).max(axis=-1)
+            radii[lo:hi, col] = np.abs(np.linalg.eigvals(e)).max(axis=-1)
 
     grid.run_bands(chunk, len(smo), max(1, min(grid.BANDS, len(smo))))
     return {nu: float(r) for nu, r in zip(order, radii.max(axis=0))}

@@ -1,0 +1,23 @@
+"""Operator actions for the tests, built as the solver builds them: row
+kernels run through ``SaddleSystem.run``.  Test modules import them with
+``from conftest import apply, stencil``."""
+
+import numpy as np
+
+
+def stencil(system, kernel, f, signs, out=None):
+    """``kernel`` (``system.five_point_rows`` or ``system.mass_rows``) of
+    field ``f`` padded with ``signs``, run as one phase into ``out`` (a new
+    array of f's shape and dtype when None); returns ``out``."""
+    out = np.empty_like(f) if out is None else out
+    system.run(out.dtype, lambda lo, hi, seg, gx: kernel(f, signs, out, lo, hi, seg, gx))
+    return out
+
+
+def apply(system, st):
+    """The saddle operator applied to ``st``: the residual for no right-hand
+    side, negated.  The residual multiplies by -1.0, so this is bit-exact."""
+    out = system.residual(st, None)
+    for f in (out.u, out.v, out.p):
+        f *= -1.0
+    return out

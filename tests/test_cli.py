@@ -199,6 +199,24 @@ def test_huge_alpha_is_a_clean_numerical_failure(capsys):
     assert captured.err.count("numerical failure") == 2
 
 
+@pytest.mark.parametrize("flags, overflow", [
+    # omega = 1e308 overflows the relaxation error symbol itself
+    (["--omega", "1e308"], "error symbol overflows"),
+    # a qibsr smoother this far past its bounds amplifies by about 1e300 a
+    # sweep, so its second power overflows
+    (["--scheme", "qibsr", "--omega-j", "1.999999", "--alpha", "1e-300"],
+     "two-grid symbol overflows"),
+])
+def test_lfa_overflow_is_a_clean_numerical_failure(capsys, flags, overflow):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert run_cli(["twogrid-lfa", "--resolution", "9", *flags]) == 2
+    assert not caught
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "numerical failure" in captured.err and overflow in captured.err
+
+
 def test_twogrid_lfa_rows_match_library(tmp_path):
     out = tmp_path / "lfa.csv"
     code = run_cli(["twogrid-lfa", "--scheme", "qdr", "--transfer", "r9b",
@@ -236,6 +254,20 @@ def test_mg_run_divergence_exit_code(tmp_path):
     rows = read_csv(str(out))
     assert all(r["status"] == "diverged" for r in rows)
     assert all(r["rho_m"] == "nan" for r in rows)
+
+
+def test_overflowing_divergence_is_reported_without_warnings(tmp_path):
+    # omega = 1e300 overflows the state within the first cycle: the coarse
+    # solve's data overflow too, and the run still ends as diverged
+    out = tmp_path / "run.csv"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = run_cli(["mg-run", "--n", "9", "--nu", "1", "--resolution", "9",
+                        "--omega", "1e300", "--out", str(out)])
+    assert code == 2
+    assert not caught
+    rows = read_csv(str(out))
+    assert [r["status"] for r in rows] == ["diverged", "diverged"]
 
 
 def test_mg_run_eigensolver_failure_exit_code(tmp_path, monkeypatch, capsys):

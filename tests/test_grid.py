@@ -4,12 +4,17 @@ Every matrix-free action is cross-checked against the independently built
 sparse matrices, and the periodic operators against their Fourier symbols.
 """
 
+import functools
 import math
 
 import numpy as np
 import pytest
 
+from conftest import apply, stencil
 from mac3mg import assemble, grid, symbols
+from mac3mg.grid import CELL_LAPLACIAN_SIGNS, PRESSURE_MASS_SIGNS, VELOCITY_SIGNS
+
+MASS_SIGNS = {**VELOCITY_SIGNS, "p": PRESSURE_MASS_SIGNS}
 
 
 def random_fields(n, bc, seed):
@@ -215,11 +220,13 @@ def test_laplacians_symmetric_and_positive():
         for seed in range(20):
             x = random_fields(9, bc, 200 + seed)
             y = random_fields(9, bc, 300 + seed)
-            for apply_op, comp in ((sys.apply_lap_u, "u"), (sys.apply_lap_v, "v")):
-                lhs = np.vdot(apply_op(x[comp]), y[comp])
-                rhs = np.vdot(x[comp], apply_op(y[comp]))
+            for comp in ("u", "v"):
+                lap = functools.partial(stencil, sys, sys.five_point_rows,
+                                        signs=VELOCITY_SIGNS[comp])
+                lhs = np.vdot(lap(x[comp]), y[comp])
+                rhs = np.vdot(x[comp], lap(y[comp]))
                 assert abs(lhs - rhs) < 1e-9
-                energy = np.vdot(x[comp], apply_op(x[comp]))
+                energy = np.vdot(x[comp], lap(x[comp]))
                 assert energy >= -1e-12
 
 
@@ -229,15 +236,12 @@ def test_mass_operators_symmetric_positive():
         for seed in range(20):
             x = random_fields(9, bc, 400 + seed)
             y = random_fields(9, bc, 500 + seed)
-            for comp in ("u", "v"):
-                lhs = np.vdot(sys.apply_q(x[comp], comp), y[comp])
-                rhs = np.vdot(x[comp], sys.apply_q(y[comp], comp))
+            for comp in ("u", "v", "p"):
+                mass = functools.partial(stencil, sys, sys.mass_rows, signs=MASS_SIGNS[comp])
+                lhs = np.vdot(mass(x[comp]), y[comp])
+                rhs = np.vdot(x[comp], mass(y[comp]))
                 assert abs(lhs - rhs) < 1e-12
-                assert np.vdot(x[comp], sys.apply_q(x[comp], comp)) > 0.0
-            lhs = np.vdot(sys.apply_qp(x["p"]), y["p"])
-            rhs = np.vdot(x["p"], sys.apply_qp(y["p"]))
-            assert abs(lhs - rhs) < 1e-12
-            assert np.vdot(x["p"], sys.apply_qp(x["p"])) > 0.0
+                assert np.vdot(x[comp], mass(x[comp])) > 0.0
 
 
 def test_residual_definition():
@@ -246,43 +250,55 @@ def test_residual_definition():
         st = random_st(9, bc, 7)
         rhs = random_st(9, bc, 8)
         res = sys.residual(st, rhs)
-        expect = rhs.flat() - sys.apply(st).flat()
+        expect = rhs.flat() - apply(sys, st).flat()
         assert np.allclose(res.flat(), expect, atol=1e-14)
-        res0 = sys.residual(st, None)
-        assert np.allclose(res0.flat(), -sys.apply(st).flat(), atol=1e-14)
 
 
 # -- assembled matrices agree with the matrix-free actions ----------------
 
 
-@pytest.mark.parametrize("bc", grid.BCS)
-def test_matrix_free_matches_assembled(bc):
-    n = 9
+def check_against_assembled(n, bc, bands):
+    """Every matrix-free action against the assembled matrices.  The
+    tolerances are absolute at n = 9 and scale with each operator's power of
+    1/h, as its entries do."""
     sys = grid.build_system(n, bc)
+    sys.bands = bands
     ops = assemble.assemble_ops(n, bc)
     f = random_fields(n, bc, 9)
-    shapes = sys.shapes
+    scale = n / 9
 
-    got = sys.apply_lap_u(f["u"]).ravel()
-    assert np.abs(got - ops.a_u @ f["u"].ravel()).max() < 1e-11
-    got = sys.apply_lap_v(f["v"]).ravel()
-    assert np.abs(got - ops.a_v @ f["v"].ravel()).max() < 1e-11
+    def check(got, matrix, x, tol, power):
+        assert np.abs(got.ravel() - matrix @ x.ravel()).max() < tol * scale**power
+
+    for comp, a in (("u", ops.a_u), ("v", ops.a_v)):
+        check(stencil(sys, sys.five_point_rows, f[comp], VELOCITY_SIGNS[comp]), a, f[comp],
+              1e-11, 2)
 
     gu, gv = sys.grad(f["p"])
-    assert np.abs(gu.ravel() - ops.gx @ f["p"].ravel()).max() < 1e-11
-    assert np.abs(gv.ravel() - ops.gy @ f["p"].ravel()).max() < 1e-11
+    check(gu, ops.gx, f["p"], 1e-11, 1)
+    check(gv, ops.gy, f["p"], 1e-11, 1)
 
     vel = np.concatenate([f["u"].ravel(), f["v"].ravel()])
-    got = sys.neg_div(f["u"], f["v"]).ravel()
-    assert np.abs(got - ops.b @ vel).max() < 1e-11
+    check(sys.neg_div(f["u"], f["v"]), ops.b, vel, 1e-11, 1)
 
-    assert np.abs(sys.apply_q(f["u"], "u").ravel() - ops.q_u @ f["u"].ravel()).max() < 1e-13
-    assert np.abs(sys.apply_q(f["v"], "v").ravel() - ops.q_v @ f["v"].ravel()).max() < 1e-13
-    assert np.abs(sys.apply_qp(f["p"]).ravel() - ops.q_p @ f["p"].ravel()).max() < 1e-13
-    assert np.abs(sys.apply_ap(f["p"]).ravel() - ops.a_p @ f["p"].ravel()).max() < 1e-11
+    for comp, q in (("u", ops.q_u), ("v", ops.q_v), ("p", ops.q_p)):
+        check(stencil(sys, sys.mass_rows, f[comp], MASS_SIGNS[comp]), q, f[comp], 1e-13, -2)
+    check(stencil(sys, sys.five_point_rows, f["p"], CELL_LAPLACIAN_SIGNS), ops.a_p, f["p"],
+          1e-11, 2)
 
     st = grid.StaggeredState(n, bc, f["u"], f["v"], f["p"])
-    assert np.abs(sys.apply(st).flat() - ops.saddle @ st.flat()).max() < 1e-11
+    check(apply(sys, st).flat(), ops.saddle, st.flat(), 1e-11, 2)
+
+
+@pytest.mark.parametrize("bc", grid.BCS)
+def test_matrix_free_matches_assembled(bc):
+    check_against_assembled(9, bc, 1)
+
+
+@pytest.mark.parametrize("bc", grid.BCS)
+def test_banded_matrix_free_matches_assembled(bc):
+    # n = 243 is at least grid.BAND_MIN: every kernel runs in 2 row bands
+    check_against_assembled(243, bc, 2)
 
 
 @pytest.mark.parametrize("bc", grid.BCS)
@@ -312,7 +328,7 @@ def test_periodic_modes_match_stokes_symbol():
         L = symbols.stokes_symbol(np.array(theta), h=sys.h)
         for col, coeffs in enumerate(((1, 0, 0), (0, 1, 0), (0, 0, 1))):
             st = grid.fourier_state(n, theta, coeffs)
-            out = sys.apply(st)
+            out = apply(sys, st)
             got = grid.mode_coefficients(out, theta)
             assert np.abs(got - L[:, col]).max() < 1e-11, (k1, k2, col)
 
@@ -328,14 +344,16 @@ def test_periodic_mass_and_cell_laplacian_symbols():
         lap = 4.0 * (np.sin(theta[0] / 2) ** 2 + np.sin(theta[1] / 2) ** 2) / h**2
         st = grid.fourier_state(n, theta)
         got = grid.mode_coefficients(
-            grid.StaggeredState(n, "periodic", sys.apply_q(st.u, "u"),
-                                st.v, sys.apply_qp(st.p)),
+            grid.StaggeredState(n, "periodic",
+                                stencil(sys, sys.mass_rows, st.u, MASS_SIGNS["u"]),
+                                st.v, stencil(sys, sys.mass_rows, st.p, MASS_SIGNS["p"])),
             theta,
         )
         assert abs(got[0] - mass) < 1e-12
         assert abs(got[2] - mass) < 1e-12
         got_ap = grid.mode_coefficients(
-            grid.StaggeredState(n, "periodic", st.u, st.v, sys.apply_ap(st.p)),
+            grid.StaggeredState(n, "periodic", st.u, st.v,
+                                stencil(sys, sys.five_point_rows, st.p, CELL_LAPLACIAN_SIGNS)),
             theta,
         )
         assert abs(got_ap[2] - lap) < 1e-10

@@ -1,9 +1,10 @@
 """The in-place kernels against the allocating expressions they replaced.
 
-Every stencil, ``grad``, ``neg_div``, ``residual``, one sweep per scheme, the
-four restrictions and the prolongation write into given arrays and draw their
-temporaries from a level's workspace.  The oracles below are the earlier
-allocating forms: the same operations in the same order.  Each kernel runs twice on
+Every stencil (a row kernel run through ``SaddleSystem.run``), ``grad``,
+``neg_div``, ``residual``, one sweep per scheme, the four restrictions and the
+prolongation write into given arrays and draw their temporaries from a
+level's workspace.  The oracles below are the earlier allocating forms: the
+same operations in the same order.  Each kernel runs twice on
 different data into arrays first filled with NaN, so stale workspace contents
 or unwritten entries show up.  n = 9 matters: it hit a numpy 2.4.6 fault in
 ``np.negative`` on strided columns.  Transfers on fine grids up to
@@ -14,9 +15,10 @@ the transfer test adds n = 243 to reach the strided passes.
 import numpy as np
 import pytest
 
+from conftest import stencil
 from mac3mg import grid, multigrid, stencils, symbols
-from mac3mg.grid import (CELL_LAPLACIAN_GHOST, PRESSURE_MASS_GHOST, TRANSFER_FOLDS,
-                         VELOCITY_SIGNS)
+from mac3mg.grid import (CELL_LAPLACIAN_GHOST, CELL_LAPLACIAN_SIGNS, PRESSURE_MASS_GHOST,
+                         PRESSURE_MASS_SIGNS, TRANSFER_FOLDS, VELOCITY_SIGNS)
 from mac3mg.smoothers import SchurOperator, Smoother
 from mac3mg.symbols import reference_params
 
@@ -182,12 +184,18 @@ def test_stencils_grad_and_div_write_into_out(n, bc, dtype):
     sysm, old = grid.SaddleSystem(n, bc), Old(n, bc)
     shapes = sysm.shapes
     kernels = [
-        (lambda f, out: sysm.apply_lap_u(f["u"], out=out), lambda f: old.lap(f["u"], "u"), "u"),
-        (lambda f, out: sysm.apply_lap_v(f["v"], out=out), lambda f: old.lap(f["v"], "v"), "v"),
-        (lambda f, out: sysm.apply_q(f["u"], "u", out=out), lambda f: old.q(f["u"], "u"), "u"),
-        (lambda f, out: sysm.apply_q(f["v"], "v", out=out), lambda f: old.q(f["v"], "v"), "v"),
-        (lambda f, out: sysm.apply_qp(f["p"], out=out), lambda f: old.qp(f["p"]), "p"),
-        (lambda f, out: sysm.apply_ap(f["p"], out=out), lambda f: old.ap(f["p"]), "p"),
+        (lambda f, out: stencil(sysm, sysm.five_point_rows, f["u"], VELOCITY_SIGNS["u"], out),
+         lambda f: old.lap(f["u"], "u"), "u"),
+        (lambda f, out: stencil(sysm, sysm.five_point_rows, f["v"], VELOCITY_SIGNS["v"], out),
+         lambda f: old.lap(f["v"], "v"), "v"),
+        (lambda f, out: stencil(sysm, sysm.mass_rows, f["u"], VELOCITY_SIGNS["u"], out),
+         lambda f: old.q(f["u"], "u"), "u"),
+        (lambda f, out: stencil(sysm, sysm.mass_rows, f["v"], VELOCITY_SIGNS["v"], out),
+         lambda f: old.q(f["v"], "v"), "v"),
+        (lambda f, out: stencil(sysm, sysm.mass_rows, f["p"], PRESSURE_MASS_SIGNS, out),
+         lambda f: old.qp(f["p"]), "p"),
+        (lambda f, out: stencil(sysm, sysm.five_point_rows, f["p"], CELL_LAPLACIAN_SIGNS, out),
+         lambda f: old.ap(f["p"]), "p"),
         (lambda f, out: sysm.neg_div(f["u"], f["v"], out=out),
          lambda f: old.neg_div(f["u"], f["v"]), "p"),
     ]
@@ -204,10 +212,9 @@ def test_stencils_grad_and_div_write_into_out(n, bc, dtype):
         assert got[0] is gu and got[1] is gv
         for g, w in zip(got, old.grad(p)):
             assert_close(g, w)
-    # the allocating calls are the same kernels
+    # the allocating call is the same kernel
     f = {c: field(rng, shapes[c], dtype) for c in "uvp"}
     assert_close(sysm.neg_div(f["u"], f["v"]), old.neg_div(f["u"], f["v"]))
-    assert_close(sysm.apply_q(f["u"], "u"), old.q(f["u"], "u"))
 
 
 @pytest.mark.parametrize("n, bc, dtype", CASES)
