@@ -194,14 +194,11 @@ def block(flat: np.ndarray, shape) -> np.ndarray:
     return flat[: shape[0] * shape[1]].reshape(shape)
 
 
-def pad_field(f: np.ndarray, radius: int, signs, bc: str,
-              out: np.ndarray | None = None) -> np.ndarray:
-    """Pad a whole field by ``radius`` with its boundary closure (``pad_rows``),
-    into ``out`` if given (shape ``f.shape + 2 * radius`` per axis)."""
+def pad_field(f: np.ndarray, radius: int, signs, bc: str) -> np.ndarray:
+    """A whole field padded by ``radius`` with its boundary closure (``pad_rows``)."""
     if bc not in BCS:
         raise ValueError(f"unknown boundary mode {bc!r}")
-    if out is None:
-        out = np.empty((f.shape[0] + 2 * radius, f.shape[1] + 2 * radius), f.dtype)
+    out = np.empty((f.shape[0] + 2 * radius, f.shape[1] + 2 * radius), f.dtype)
     return pad_rows(f, radius, signs, bc, out)
 
 

@@ -5,9 +5,15 @@ system (mesh size 3h per step).  Coarse unknowns sit exactly on fine unknown
 locations; per-field nested offsets below record where the (0, 0) coarse
 point lands inside the fine index arrays.  Every transfer is stored as the
 even 1D weight vector ``w`` of ``stencils`` (its 2D kernel is ``outer(w, w)``),
-and applied as two strided 1D passes (x, then y): restriction evaluates
-``sum_k w[k] f[o + 3I + k]`` at the nested points only, prolongation
-scatter-adds ``w[k] c[I]`` around them.
+and applied as two 1D matrices: a restriction is ``A_x F A_y^T``, evaluating
+``sum_k w[k] f[o + 3I + k]`` at the nested points only, and a prolongation
+adds ``A_x C A_y^T``, scattering ``w[k] c[I]`` around them.  Each matrix is
+the strided 1D pass applied to an identity closed by ``grid.pad_field``, so
+the wall folds keep one definition; it is built once per transfer, boundary,
+fold sign, nested offset and length, and shared by every hierarchy.  Up to
+``DENSE_MAX`` fine points per side the matrices are dense ndarrays, and above
+it CSR arrays with at most 5 nonzeros per row; the input size picks the
+representation, and one expression applies both.
 Periodic fields wrap; Dirichlet fields are closed by the transfer folds of
 the closure table in ``grid`` (``grid.TRANSFER_FOLDS``), so contributions
 reaching across the eliminated normal-velocity wall lines drop out.  The
@@ -15,14 +21,12 @@ coarse closure stands in for the fine one because the lattices are nested: a
 wall mirror maps coarse points to coarse points (fine pressure index 1
 mirrors to -2 = 1 - 3), and 3 divides n for the periodic wrap.
 
-Up to ``DENSE_MAX`` fine points per side a transfer is instead ``A_x F A_y^T``,
-two BLAS products with 1D matrices: there a strided call would cost its Python
-overhead several times over its arithmetic.  The input size picks the path.
-
-A cycle allocates no grid field after its first call: each level's
-residual, coarse data and coarse state, and every sweep and transfer
-temporary, are work arrays of that level's ``SaddleSystem`` (roles in
-``grid.Workspace``), and the prolongation adds straight into the fine state.
+After its first call a cycle keeps no per-transfer work arrays: each level's
+residual, coarse data and coarse state, and every sweep temporary, are work
+arrays of that level's ``SaddleSystem`` (roles in ``grid.Workspace``).  A
+transfer's transient temporaries are at most a third of a fine field each:
+above ``DENSE_MAX`` the prolongation adds into the fine state in three row
+blocks.
 Each coarse level starts from a zero guess (Trottenberg, Oosterlee and
 Schueller, *Multigrid*, 2001), so its first pre-smoothing sweep takes the
 restricted residual as its residual and writes the state without reading it.
@@ -38,6 +42,7 @@ import functools
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy import sparse
 
 from . import assemble, grid, stencils
 from .smoothers import SeparableInverse, Smoother
@@ -54,153 +59,97 @@ NESTED_OFFSETS = {
 }
 
 
-# the largest fine grid whose transfers run as dense 1D matrix products; the
-# measurements behind it are in the README's transfer paragraph
+# the largest fine grid whose 1D transfer matrices are dense ndarrays; above
+# it they are CSR (see the README's transfer paragraph)
 DENSE_MAX = 81
-
-# the smallest fine grid whose strided transfers run in row bands: at n = 243
-# a banded restriction took 0.36-0.67 ms against 0.24 ms whole (see README)
-TRANSFER_BAND_MIN = 729 * 729 // 2
 
 # OpenBLAS threads a dgemm with m n k > 262144, so a SeparableInverse on a
 # grid of this many points per side does; cycles that make one run no bands
 BLAS_THREADED_MIN = 81
 
 
-def _restrict_pass(s: np.ndarray, d: np.ndarray, tmp: np.ndarray | None, w: np.ndarray,
-                   o: int) -> np.ndarray:
-    """``d[I] = sum_k w[k] s[o + 3I + k]`` along axis 0; ``tmp`` (None: fresh)
-    has d's shape and layout, or the in-place add strides badly."""
+def _restrict_pass(s: np.ndarray, d: np.ndarray, w: np.ndarray, o: int) -> np.ndarray:
+    """``d[I] = sum_k w[k] s[o + 3I + k]`` along axis 0."""
     np.multiply(s[o::3][: len(d)], w[0], out=d)
     for k in range(1, len(w)):
-        d += np.multiply(s[o + k :: 3][: len(d)], w[k], out=tmp)
+        d += s[o + k :: 3][: len(d)] * w[k]
     return d
 
 
-def _prolong_pass(s: np.ndarray, d: np.ndarray, tmp: np.ndarray | None, w: np.ndarray,
-                  o: int) -> np.ndarray:
+def _prolong_pass(s: np.ndarray, d: np.ndarray, w: np.ndarray, o: int) -> np.ndarray:
     """Along axis 0, padded coarse index J adds ``w[k] s[J]`` to fine index
-    ``3J + k - (3 + r - o)``, r the stencil radius, where that index exists;
-    ``tmp`` has at least ``len(s)`` rows and d's memory layout, or is None."""
+    ``3J + k - (3 + r - o)``, r the stencil radius, where that index exists."""
     start = 3 + len(w) // 2 - o
     for k in range(len(w)):
         j0 = max(0, -((k - start) // 3))  # first J landing at index >= 0
         i0 = 3 * j0 + k - start
         count = min(len(range(i0, len(d), 3)), len(s) - j0)
-        d[i0::3][:count] += np.multiply(s[j0 : j0 + count], w[k],
-                                        out=None if tmp is None else tmp[:count])
+        d[i0::3][:count] += s[j0 : j0 + count] * w[k]
     return d
 
 
-def restrict_field(fine: np.ndarray, w: np.ndarray, offsets, bc: str, signs,
-                   out: np.ndarray, work: grid.Workspace, bands: int = 1) -> np.ndarray:
-    """Apply ``outer(w, w)`` at the nested points only, one axis at a time,
-    into ``out``; the padded field and the x pass are work arrays.  A large
-    fine field runs in up to ``bands`` bands of out's rows, one phase: band k
-    pads the fine rows its x pass reads into rows of the padded array that
-    only it uses (neighbouring bands both read ``len(w) - 3`` of them), then
-    runs both passes on its rows."""
-    r, dtype = len(w) // 2, out.dtype
-    bands = bands if fine.size >= TRANSFER_BAND_MIN else 1
-    extra = max(0, len(w) - 3)
-    fp = work("pad", (fine.shape[0] + 2 * r + bands * extra, fine.shape[1] + 2 * r), dtype)
-    mid = work("xfer_mid", (out.shape[0], fp.shape[1]), dtype)
-    tmp = work("xfer_tmp", mid.shape, dtype)  # each pass lays its block over the band's rows
-
-    def band(k: int, lo: int, hi: int) -> None:
-        first = offsets[0] + 3 * lo
-        seg = fp[first + k * extra : first + k * extra + 3 * (hi - lo) + len(w) - 3]
-        grid.pad_rows(fine, r, signs, bc, seg, first)
-        _restrict_pass(seg, mid[lo:hi], tmp[lo:hi], w, 0)
-        band_tmp = grid.block(tmp[lo:hi].reshape(-1), (hi - lo, out.shape[1]))
-        _restrict_pass(mid[lo:hi].T, out[lo:hi].T, band_tmp.T, w, offsets[1])
-
-    grid.run_each(band, [(k, lo, hi) for k, (lo, hi) in enumerate(grid.cuts(len(out), bands))])
-    return out
-
-
-def prolong_field(coarse: np.ndarray, w: np.ndarray, offsets, bc: str, signs,
-                  add_to: np.ndarray, work: grid.Workspace, bands: int = 1) -> np.ndarray:
-    """Add the prolongation of ``coarse`` to ``add_to``, one axis at a time;
-    when add_to is large the y pass runs in up to ``bands`` bands of its rows."""
-    dtype = add_to.dtype
-    bands = bands if add_to.size >= TRANSFER_BAND_MIN else 1
-    cp = grid.pad_field(coarse, 1, signs, bc,
-                        out=work("pad", (coarse.shape[0] + 2, coarse.shape[1] + 2), dtype))
-    mid = work("xfer_mid", (add_to.shape[0], cp.shape[1]), dtype)
-    mid.fill(0.0)
-    # the x pass stays whole: split across its columns it ran no faster, and
-    # row bands would share rows of its temporary
-    _prolong_pass(cp, mid, work("xfer_tmp", cp.shape, dtype), w, offsets[0])
-    tmp = work("xfer_tmp", mid.shape, dtype)
-    grid.run_bands(lambda lo, hi: _prolong_pass(mid[lo:hi].T, add_to[lo:hi].T, tmp[lo:hi].T,
-                                                w, offsets[1]), len(add_to), bands)
-    return add_to
-
-
-# bounded by DENSE_MAX: at most 5 transfers x 3 sizes x 2 BCs x 3 fields x 2 dtypes
+# bounded: 5 transfers x 5 (bc, sign, offset) closures x the level sizes
 @functools.lru_cache(maxsize=None)
-def _transfer_matrices(tag: str, n: int, bc: str, name: str, dtype) -> tuple:
-    """Read-only 1D matrices ``(A_x, A_y)`` of restriction ``tag`` (or "p25")
-    of field ``name`` from grid n: ``A_x F A_y^T``.  Each is its strided pass
-    applied to an identity closed by ``grid.pad_field``, the one wall fold."""
-    fine, coarse = grid.field_shapes(n, bc)[name], grid.field_shapes(n // 3, bc)[name]
+def _matrix(tag: str, bc: str, sign, o: int, fine: int, coarse: int):
+    """The read-only 1D matrix of restriction ``tag`` (or "p25") along an axis
+    of ``fine`` points whose nested offset is ``o``: the strided pass applied
+    to an identity closed by ``grid.pad_field``, the one wall fold.  Dense up
+    to ``DENSE_MAX`` fine points, CSR above (at most 5 nonzeros per row)."""
     prolong = tag == "p25"
     w = stencils.P25 if prolong else stencils.RESTRICTIONS[tag]
-    r = 1 if prolong else len(w) // 2  # the pad widths of prolong_field and restrict_field
-    mats = []
-    for axis in range(2):
-        sign, o = grid.TRANSFER_FOLDS[name][axis], NESTED_OFFSETS[(bc, name)][axis]
-        m = coarse[axis] if prolong else fine[axis]
-        closed = grid.pad_field(np.eye(m, dtype=dtype), r, (sign, sign), bc)[:, r : r + m]
-        a = (_prolong_pass(closed, np.zeros((fine[axis], m), dtype), None, w, o) if prolong
-             else _restrict_pass(closed, np.empty((coarse[axis], m), dtype), None, w, o))
-        a.flags.writeable = False
-        mats.append(a)
-    return tuple(mats)
+    r = 1 if prolong else len(w) // 2
+    m = coarse if prolong else fine
+    closed = grid.pad_field(np.eye(m), r, (sign, sign), bc)[:, r : r + m]
+    a = (_prolong_pass(closed, np.zeros((fine, m)), w, o) if prolong
+         else _restrict_pass(closed, np.empty((coarse, m)), w, o))
+    if fine > DENSE_MAX:
+        a = sparse.csr_array(a)
+        arrays = (a.data, a.indices, a.indptr)
+    else:
+        arrays = (a,)
+    for x in arrays:
+        x.flags.writeable = False
+    return a
+
+
+# cached too: rebuilt per field and call, the pair took 3 us, half a 9 x 9 transfer
+@functools.lru_cache(maxsize=None)
+def _transfer_matrices(tag: str, n: int, bc: str, name: str) -> tuple:
+    """``(A_x, A_y)`` of restriction ``tag`` (or "p25") of field ``name`` from
+    grid n, so that the coarse field is ``A_x F A_y^T`` (the fine one, for
+    "p25").  Periodic axes share their matrices whatever the fold sign."""
+    fine, coarse = grid.field_shapes(n, bc)[name], grid.field_shapes(n // 3, bc)[name]
+    return tuple(_matrix(tag, bc, grid.TRANSFER_FOLDS[name][axis] if bc == "dirichlet" else None,
+                         NESTED_OFFSETS[(bc, name)][axis], fine[axis], coarse[axis])
+                 for axis in range(2))
 
 
 def restrict_state(fine: grid.StaggeredState, tag: str,
-                   out: grid.StaggeredState | None = None,
-                   work: grid.Workspace | None = None, bands: int = 1) -> grid.StaggeredState:
-    """Restriction ``tag`` of a fine state, into ``out`` if given; ``work``
-    and ``bands`` are the fine level's (throwaway work arrays if None)."""
-    w = stencils.RESTRICTIONS[tag]
+                   out: grid.StaggeredState | None = None) -> grid.StaggeredState:
+    """Restriction ``tag`` of a fine state, into ``out`` if given."""
     if out is None:
         out = grid.StaggeredState.zeros(fine.n // 3, fine.bc, fine.u.dtype)
-    work = grid.Workspace() if work is None else work
     for name in ("u", "v", "p"):
-        f, o = getattr(fine, name), getattr(out, name)
-        if fine.n <= DENSE_MAX:
-            ax, ay = _transfer_matrices(tag, fine.n, fine.bc, name, o.dtype)
-            mid = np.matmul(ax, f, out=work("xfer_mid", (o.shape[0], f.shape[1]), o.dtype))
-            np.matmul(mid, ay.T, out=o)
-        else:
-            restrict_field(f, w, NESTED_OFFSETS[(fine.bc, name)], fine.bc,
-                           grid.TRANSFER_FOLDS[name], o, work, bands)
+        ax, ay = _transfer_matrices(tag, fine.n, fine.bc, name)
+        getattr(out, name)[...] = (ay @ (ax @ getattr(fine, name)).T).T
     return out
 
 
 def prolong_state(coarse: grid.StaggeredState, n_fine: int,
-                  add_to: grid.StaggeredState | None = None,
-                  work: grid.Workspace | None = None, bands: int = 1) -> grid.StaggeredState:
+                  add_to: grid.StaggeredState | None = None) -> grid.StaggeredState:
     """The p25 prolongation of a coarse state, added to ``add_to`` (a zero
-    fine state if None); ``work`` and ``bands`` are the fine level's."""
+    fine state if None).  Above ``DENSE_MAX`` it adds in three row blocks, so
+    no temporary is as large as a fine field; below, a block costs more in
+    calls than it saves."""
     if n_fine != 3 * coarse.n:
         raise ValueError("prolongation must step up by exactly one level")
-    w = stencils.P25
     if add_to is None:
         add_to = grid.StaggeredState.zeros(n_fine, coarse.bc, coarse.u.dtype)
-    work = grid.Workspace() if work is None else work
     for name in ("u", "v", "p"):
-        c, a = getattr(coarse, name), getattr(add_to, name)
-        if n_fine <= DENSE_MAX:
-            ax, ay = _transfer_matrices("p25", n_fine, coarse.bc, name, a.dtype)
-            mid = np.matmul(ax, c, out=work("xfer_mid", (a.shape[0], c.shape[1]), a.dtype))
-            a += np.matmul(mid, ay.T, out=work("xfer_tmp", a.shape, a.dtype))
-        else:
-            prolong_field(c, w, NESTED_OFFSETS[(coarse.bc, name)], coarse.bc,
-                          grid.TRANSFER_FOLDS[name], a, work, bands)
+        ax, ay = _transfer_matrices("p25", n_fine, coarse.bc, name)
+        a, mid = getattr(add_to, name), ax @ getattr(coarse, name)
+        for lo, hi in grid.cuts(len(a), 3 if n_fine > DENSE_MAX else 1):
+            a[lo:hi] += (ay @ mid[lo:hi].T).T
     return add_to
 
 
@@ -340,13 +289,10 @@ def _descend(hier: GridHierarchy, level: int, state: grid.StaggeredState,
     for i in range(nu1):
         sm.sweep(state, rhs, zero=zero and i == 0)
     resid = system.residual(state, rhs, out=system.work_state("r", dtype))
-    coarse_rhs = restrict_state(resid, hier.transfer.restrict,
-                                out=below.work_state("f", dtype), work=system.work,
-                                bands=system.bands)
+    coarse_rhs = restrict_state(resid, hier.transfer.restrict, out=below.work_state("f", dtype))
     coarse = below.work_state("x", dtype)
     _descend(hier, level + 1, coarse, coarse_rhs, nu1, nu2, solve_level)
-    prolong_state(coarse, hier.sizes[level], add_to=state, work=system.work,
-                  bands=system.bands)
+    prolong_state(coarse, hier.sizes[level], add_to=state)
     for _ in range(nu2):
         sm.sweep(state, rhs)
 

@@ -1,14 +1,12 @@
 """Phase bands: bit-identical kernels, the threshold, the threaded-BLAS gate,
 the band pool.
 
-A level's kernels run in row bands from ``grid.BAND_MIN`` points (n = 243),
-and strided transfers from ``multigrid.TRANSFER_BAND_MIN`` (n = 729).  Most
-tests lower both thresholds to 0 and set the band count to 2 and to 3 (cuts
-of unequal length) on small grids; the n = 243 tests keep the real
+A level's kernels run in row bands from ``grid.BAND_MIN`` points (n = 243).
+Most tests lower the threshold to 0 and set the band count to 2 and to 3
+(cuts of unequal length) on small grids; the n = 243 tests keep the real
 threshold.  Every banded result must equal the unbanded one exactly: each
-element goes through the same ufuncs in the same order.  Transfers on fine
-grids of at most ``multigrid.DENSE_MAX`` points are matrix products, so the
-strided passes are called directly.  The two-grid LFA splits its bases into
+element goes through the same ufuncs in the same order.  Transfers are 1D
+matrix products and never band.  The two-grid LFA splits its bases into
 ``grid.BANDS`` chunks on the same pool, with no size threshold.
 """
 
@@ -21,7 +19,7 @@ import numpy as np
 import pytest
 
 from conftest import apply
-from mac3mg import grid, multigrid, stencils, symbols, twogrid
+from mac3mg import grid, multigrid, symbols, twogrid
 from mac3mg.smoothers import Smoother
 from mac3mg.symbols import reference_params
 from mac3mg.twogrid import TransferPair
@@ -32,7 +30,6 @@ CASES = [(n, bc, dtype) for n in (9, 27, 81) for bc in grid.BCS for dtype in (fl
 @pytest.fixture
 def no_threshold(monkeypatch):
     monkeypatch.setattr(grid, "BAND_MIN", 0)
-    monkeypatch.setattr(multigrid, "TRANSFER_BAND_MIN", 0)
 
 
 def rand_state(rng, n, bc, dtype):
@@ -85,26 +82,6 @@ def test_banded_kernels_are_bit_identical(no_threshold, n, bc, dtype, bands):
         assert_same(fields(banded.residual(st, r)), fields(plain.residual(st, r)))
     for got, want in zip(swept(banded, st, rhs), swept(plain, st, rhs)):
         assert_same(got, want)
-
-
-@pytest.mark.parametrize("bands", (2, 3))
-@pytest.mark.parametrize("n, bc, dtype", CASES)
-def test_banded_strided_transfers_are_bit_identical(no_threshold, n, bc, dtype, bands):
-    rng = np.random.default_rng(n + 1)
-    fine, coarse = rand_state(rng, n, bc, dtype), rand_state(rng, n // 3, bc, dtype)
-    for name in ("u", "v", "p"):
-        args = (multigrid.NESTED_OFFSETS[(bc, name)], bc, grid.TRANSFER_FOLDS[name])
-        f, c = getattr(fine, name), getattr(coarse, name)
-        for tag in ("r1", "r9", "r9b", "p25t"):
-            w = stencils.RESTRICTIONS[tag]
-            got, want = np.empty_like(c), np.empty_like(c)
-            multigrid.restrict_field(f, w, *args, want, grid.Workspace())
-            multigrid.restrict_field(f, w, *args, got, grid.Workspace(), bands)
-            assert_same([got], [want])
-        got, want = f.copy(), f.copy()
-        multigrid.prolong_field(c, stencils.P25, *args, want, grid.Workspace())
-        multigrid.prolong_field(c, stencils.P25, *args, got, grid.Workspace(), bands)
-        assert_same([got], [want])
 
 
 @pytest.mark.parametrize("bands", (2, 3))
@@ -185,17 +162,23 @@ def test_fields_below_the_threshold_submit_nothing(pool):
     assert cycle_submits(pool, "qdr", 81, "v") == 0
 
 
-def test_an_n243_cycle_bands_its_finest_level_but_not_its_transfers(pool):
+def test_an_n243_cycle_bands_its_finest_level_but_not_its_transfers(pool, monkeypatch):
     assert grid.BAND_MIN <= 243 * 243
+    during = []
+    for name in ("restrict_state", "prolong_state"):
+        def counted(*args, transfer=getattr(multigrid, name), **kwargs):
+            before = pool.submits
+            out = transfer(*args, **kwargs)
+            during.append(pool.submits - before)
+            return out
+        monkeypatch.setattr(multigrid, name, counted)
     assert cycle_submits(pool, "qdr", 243, "v") > 0
-    # a banded restriction from n = 243 measured slower than a whole one
-    assert multigrid.TRANSFER_BAND_MIN > 243 * 243
-    fine = grid.random_state(243, "dirichlet", seed=2)
-    before = pool.submits
-    multigrid.restrict_state(fine, "p25t", work=grid.Workspace(), bands=2)
-    multigrid.prolong_state(multigrid.restrict_state(fine, "p25t"), 243, add_to=fine.copy(),
-                            work=grid.Workspace(), bands=2)
-    assert pool.submits == before
+    assert during == [0] * 8  # four restrictions and four prolongations
+    # transfers from n = 729 are 1D matrix products too
+    fine = grid.random_state(729, "dirichlet", seed=2)
+    coarse = multigrid.restrict_state(fine, "p25t")
+    multigrid.prolong_state(coarse, 729, add_to=fine)
+    assert during[8:] == [0, 0]
 
 
 # -- n = 243 at the real threshold -------------------------------------------

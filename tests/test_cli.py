@@ -100,6 +100,14 @@ def test_unknown_config_key_fails(tmp_path):
     assert run_cli(["mg-run", "--config", str(path)]) == 1
 
 
+def test_config_file_that_is_not_utf8_fails_cleanly(tmp_path, capsys):
+    path = tmp_path / "bad.cfg"
+    path.write_bytes(b"scheme = q\xff\xfedr\n")
+    assert run_cli(["smooth-opt", "--config", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert "config error" in err and "utf-8" in err and "Traceback" not in err
+
+
 def test_bad_flag_values_exit_one(capsys):
     assert run_cli(["mg-run", "--nu", "1,x", "--n", "9"]) == 1
     assert run_cli(["twogrid-lfa", "--scheme", "bogus"]) == 1

@@ -7,9 +7,9 @@ level's workspace.  The oracles below are the earlier allocating forms: the
 same operations in the same order.  Each kernel runs twice on
 different data into arrays first filled with NaN, so stale workspace contents
 or unwritten entries show up.  n = 9 matters: it hit a numpy 2.4.6 fault in
-``np.negative`` on strided columns.  Transfers on fine grids up to
-``multigrid.DENSE_MAX`` are matrix products, so they sum in another order;
-the transfer test adds n = 243 to reach the strided passes.
+``np.negative`` on strided columns.  Transfers are 1D matrix products, so
+they sum in another order; the transfer test adds n = 243 to reach the CSR
+matrices used above ``multigrid.DENSE_MAX``.
 """
 
 import numpy as np
@@ -251,8 +251,7 @@ def test_sweep_in_place_matches_allocating_sweep(n, bc, dtype, scheme):
             assert_close(got, w, tol=1e-13)
 
 
-# above multigrid.DENSE_MAX the transfers run the strided passes, which write
-# into their work arrays; at and below it, two matrix products
+# dense 1D matrices up to multigrid.DENSE_MAX, CSR ones above it
 TRANSFER_CASES = CASES + [(243, bc, dtype) for bc in grid.BCS for dtype in (float, complex)]
 
 
@@ -260,13 +259,12 @@ TRANSFER_CASES = CASES + [(243, bc, dtype) for bc in grid.BCS for dtype in (floa
 def test_transfers_write_into_out(n, bc, dtype):
     rng = np.random.default_rng(n + 3)
     nc = n // 3
-    work = grid.Workspace()
     out = nan_state(nc, bc, dtype)
     for tag in ("r1", "r9", "r9b", "p25t"):
         w = stencils.RESTRICTIONS[tag]
         for _ in range(2):
             fine = state(rng, n, bc, dtype)
-            assert multigrid.restrict_state(fine, tag, out=out, work=work) is out
+            assert multigrid.restrict_state(fine, tag, out=out) is out
             for name in "uvp":
                 want = old_restrict_field(getattr(fine, name), w,
                                           multigrid.NESTED_OFFSETS[(bc, name)], bc,
@@ -276,7 +274,7 @@ def test_transfers_write_into_out(n, bc, dtype):
     for _ in range(2):
         coarse, target = state(rng, nc, bc, dtype), state(rng, n, bc, dtype)
         before = target.copy()
-        assert multigrid.prolong_state(coarse, n, add_to=target, work=work) is target
+        assert multigrid.prolong_state(coarse, n, add_to=target) is target
         alone = multigrid.prolong_state(coarse, n)
         for name in "uvp":
             want = old_prolong_field(getattr(coarse, name), getattr(target, name).shape, w,

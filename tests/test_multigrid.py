@@ -80,7 +80,7 @@ def _dense_filter(f, kernel, op, signs, bc):
 @pytest.mark.parametrize("bc", grid.BCS)
 @pytest.mark.parametrize("n", (9, 27, 81, 243))
 def test_transfers_match_dense_filter_oracle(n, bc, dtype):
-    # the transfers (1D matrices up to DENSE_MAX, strided passes above it)
+    # the transfers (dense 1D matrices up to DENSE_MAX, CSR above it)
     # against correlating (restriction) or convolving an embedded grid
     # (prolongation) with the full 2D kernel
     rng = np.random.default_rng(n)
@@ -110,6 +110,24 @@ def test_transfers_match_dense_filter_oracle(n, bc, dtype):
             have = getattr(got, name)
             assert have.shape == want.shape and have.dtype == want.dtype, (tag, name)
             assert np.abs(have - want).max() <= 1e-13 * np.abs(want).max(), (tag, name)
+
+
+@pytest.mark.parametrize("n", (27, 243))
+def test_cached_transfer_matrices_are_read_only(n):
+    # every hierarchy shares them: dense up to DENSE_MAX, CSR above it
+    for bc in grid.BCS:
+        for tag in ("p25t", "p25"):
+            for a in multigrid._transfer_matrices(tag, n, bc, "u"):
+                if n <= multigrid.DENSE_MAX:
+                    assert isinstance(a, np.ndarray)
+                    arrays = (a,)
+                else:
+                    assert a.format == "csr" and np.diff(a.indptr).max() <= 5
+                    arrays = (a.data, a.indices, a.indptr)
+                for x in arrays:
+                    assert not x.flags.writeable
+                    with pytest.raises(ValueError, match="read-only"):
+                        x[0] = 0
 
 
 def test_restrict_prolong_shape_contracts():
@@ -319,7 +337,7 @@ def test_warm_cycle_allocates_no_fine_field(scheme, bc):
 # summed over the levels; 17.4 for every scheme while ``apply`` kept a
 # gradient pair, ``neg_div`` its own scratch and every sweep a "b" state
 # (which quzawa never read)
-WORK_FIELDS = {"qdr": 12.0, "qbsr": 12.0, "qibsr": 12.0, "quzawa": 11.0}
+WORK_FIELDS = {"qdr": 11.0, "qbsr": 11.0, "qibsr": 11.0, "quzawa": 10.0}
 
 
 @pytest.mark.parametrize("bc", grid.BCS)
