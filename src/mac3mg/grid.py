@@ -59,6 +59,8 @@ from __future__ import annotations
 
 import functools
 import os
+import threading
+import weakref
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -210,6 +212,12 @@ class Workspace:
     and p shapes of one role share storage.  Two live arrays need two roles.
     Each view is made once per ``(role, shape, dtype)`` and made again after
     its flat array grows.
+
+    Every ``SaddleSystem`` of one grid size built in one thread shares one
+    workspace (``_level_workspace``), whatever its scheme or boundary, so its
+    arrays are scratch for one cycle or one action at a time: hierarchies
+    built in one thread must not run cycles at the same time, while those
+    built in different threads never share.
     """
 
     def __init__(self):
@@ -232,6 +240,21 @@ class Workspace:
             self._views = {key: v for key, v in self._views.items()
                            if key[0] != role or np.dtype(key[2]) != dtype}
         return flat[:size].reshape(shape)
+
+
+_LEVELS = threading.local()
+
+
+def _level_workspace(n: int) -> Workspace:
+    """This thread's workspace of grid size n, made when no live system of
+    that size holds one, and freed with the last system that does."""
+    shared = getattr(_LEVELS, "by_n", None)
+    if shared is None:
+        shared = _LEVELS.by_n = weakref.WeakValueDictionary()
+    work = shared.get(n)
+    if work is None:
+        work = shared[n] = Workspace()
+    return work
 
 
 @dataclass
@@ -295,8 +318,10 @@ class SaddleSystem:
 
     The whole-field actions are ``residual``, ``grad`` and ``neg_div``.  Each
     writes into ``out`` when given and allocates its result otherwise; its
-    padded copies and temporaries come from the level's ``work`` arrays, so a
-    call with ``out`` allocates nothing after the first.  Each is one phase of
+    padded copies and temporaries come from ``work``, the ``Workspace`` that
+    every system of size n built in the same thread shares (so they may not
+    run at the same time), and a call with ``out`` allocates nothing after
+    the first.  Each is one phase of
     row kernels (``run``), as is each step of a sweep; large levels run their
     phases in ``bands`` row bands (1 until a cycle sets it).
 
@@ -314,7 +339,7 @@ class SaddleSystem:
         self.bc = bc
         self.h = 1.0 / n
         self.shapes = field_shapes(n, bc)
-        self.work = Workspace()
+        self.work = _level_workspace(n)
         self.bands = 1
         self._rows: dict = {}
 
@@ -331,7 +356,8 @@ class SaddleSystem:
         ``seg`` and ``gx`` are flat: band k pads into rows ``lo + 2k`` to
         ``hi + 2k + 2`` of the padded work array, so no two bands share a row
         of it, and each kernel lays a contiguous block of its shape over them
-        (``block``)."""
+        (``block``).  The bands' views are made again after any growth of the
+        shared workspace, whichever system caused it."""
         bands = self.bands if self.n * self.n >= BAND_MIN else 1
         made, rows = self._rows.get((dtype, bands), (None, None))
         if made != self.work.allocations:

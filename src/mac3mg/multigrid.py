@@ -23,7 +23,8 @@ mirrors to -2 = 1 - 3), and 3 divides n for the periodic wrap.
 
 After its first call a cycle keeps no per-transfer work arrays: each level's
 residual, coarse data and coarse state, and every sweep temporary, are work
-arrays of that level's ``SaddleSystem`` (roles in ``grid.Workspace``).  A
+arrays of that level's ``SaddleSystem`` (roles in ``grid.Workspace``), shared
+with every system of its size in the thread.  A
 transfer's transient temporaries are at most a third of a fine field each:
 above ``DENSE_MAX`` the prolongation adds into the fine state in three row
 blocks.
@@ -135,21 +136,39 @@ def restrict_state(fine: grid.StaggeredState, tag: str,
     return out
 
 
+@functools.lru_cache(maxsize=None)
+def _row_blocks(n: int, bc: str, name: str) -> tuple:
+    """``(lo, hi, rows lo:hi of A_x)`` of the p25 prolongation of field
+    ``name`` onto grid n, in three read-only CSR row blocks."""
+    ax = _transfer_matrices("p25", n, bc, name)[0]
+    blocks = tuple((lo, hi, ax[lo:hi]) for lo, hi in grid.cuts(ax.shape[0], 3))
+    for _, _, b in blocks:
+        for x in (b.data, b.indices, b.indptr):
+            x.flags.writeable = False
+    return blocks
+
+
 def prolong_state(coarse: grid.StaggeredState, n_fine: int,
                   add_to: grid.StaggeredState | None = None) -> grid.StaggeredState:
     """The p25 prolongation of a coarse state, added to ``add_to`` (a zero
-    fine state if None).  Above ``DENSE_MAX`` it adds in three row blocks, so
-    no temporary is as large as a fine field; below, a block costs more in
-    calls than it saves."""
+    fine state if None).  Above ``DENSE_MAX`` it applies ``A_y`` first and
+    adds ``A_x`` times that in three row blocks (``_row_blocks``), so no
+    temporary is as large as a fine field and no add is strided; below, a
+    block costs more in calls than it saves."""
     if n_fine != 3 * coarse.n:
         raise ValueError("prolongation must step up by exactly one level")
     if add_to is None:
         add_to = grid.StaggeredState.zeros(n_fine, coarse.bc, coarse.u.dtype)
     for name in ("u", "v", "p"):
         ax, ay = _transfer_matrices("p25", n_fine, coarse.bc, name)
-        a, mid = getattr(add_to, name), ax @ getattr(coarse, name)
-        for lo, hi in grid.cuts(len(a), 3 if n_fine > DENSE_MAX else 1):
-            a[lo:hi] += (ay @ mid[lo:hi].T).T
+        a, c = getattr(add_to, name), getattr(coarse, name)
+        if n_fine > DENSE_MAX:
+            t = (ay @ c.T).T.copy()
+            for lo, hi, block in _row_blocks(n_fine, coarse.bc, name):
+                a[lo:hi] += block @ t
+            del t  # else it lives on beside the next field's two temporaries
+        else:
+            a += (ay @ (ax @ c).T).T
     return add_to
 
 
@@ -198,20 +217,27 @@ class DirectSolver:
         annihilates it, so a leftover mean breaks the iteration.  ``b - mean``
         keeps a roundoff mean of the size of ``b``, hence the second
         projection; and the residual is measured against all of ``b``, so a
-        ``b`` that is constant up to roundoff needs no iteration."""
+        ``b`` that is constant up to roundoff needs no iteration.
+
+        The squared norms would under- or overflow for data far from 1, so
+        ``b`` is first scaled by the power of two that brings ``max |b|`` to
+        [1/2, 1) (within the normal exponents), and the result back: exact,
+        so data of normal size solve bit for bit as unscaled.  A non-finite
+        ``b`` has exponent 0 and stops the iteration at once, as before."""
+        e = min(max(int(np.frexp(np.abs(b).max())[1]), -1021), 1023)
+        b = b * np.ldexp(1.0, -e)
         r = b - b.mean()
         r -= r.mean()
         x = np.zeros_like(r)
         d = r.copy()
-        # a diverging cycle's data can overflow the sum of squares: the
-        # infinite norm then ends the iteration at once, and the run's own
-        # residual check reports the divergence
-        with np.errstate(over="ignore"):
-            bnorm = np.linalg.norm(b)
+        bnorm = np.linalg.norm(b)
         rr = np.vdot(r, r).real
         for it in range(CG_MAXITER + 1):
             if np.sqrt(rr) <= CG_TOL * bnorm:
-                return x - x.mean()
+                # a diverging cycle's solution may overflow when scaled
+                # back; the run's own residual check reports the divergence
+                with np.errstate(over="ignore"):
+                    return (x - x.mean()) * np.ldexp(1.0, e)
             if it == CG_MAXITER:
                 break
             q = self._schur(d)

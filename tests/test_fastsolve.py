@@ -98,6 +98,28 @@ def test_direct_solver_on_nearly_nullspace_data(n, bc):
     assert again.norm() <= 1e-10 * x.norm()
 
 
+@pytest.mark.parametrize("bc", grid.BCS)
+@pytest.mark.parametrize("n", (3, 27, 81))
+def test_direct_solver_at_extreme_scales(n, bc):
+    # conjugate gradients square their norms: unscaled, data of size 1e-160
+    # underflowed and 1e160 overflowed, and the solve raised or returned a
+    # wrong answer.  A power-of-two scale is exact, and so is the solution.
+    rng = np.random.default_rng(30 + n)
+    shapes = grid.field_shapes(n, bc)
+    rhs = grid.StaggeredState(n, bc, *(rng.standard_normal(shapes[f]) for f in "uvp"))
+    solver = multigrid.DirectSolver(n, bc)
+    want = solver.solve_state(rhs).flat()
+
+    def solved(scale):
+        return solver.solve_state(grid.StaggeredState(n, bc, *(scale * f for f in
+                                                                (rhs.u, rhs.v, rhs.p)))).flat()
+
+    for k in (-600, 600):
+        assert np.array_equal(solved(2.0**k), want * 2.0**k)
+    for scale in (1e-300, 1e-160, 1e160, 1e300):
+        assert rel_err(solved(scale) / scale, want) < 1e-12
+
+
 def test_direct_solver_reports_missed_tolerance(monkeypatch):
     # a Dirichlet n = 27 solve needs about 20 iterations
     monkeypatch.setattr(multigrid, "CG_MAXITER", 3)

@@ -5,7 +5,12 @@ propagation matrix of the real cycle must reproduce the lattice factor
 computed from the 27x27 harmonic symbols to near machine precision.
 """
 
+import concurrent.futures
+import gc
+import sys
+import threading
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -286,6 +291,19 @@ def test_solve_divergence_guard():
     assert "diverged" in rep.summary()
 
 
+def test_cycles_go_on_once_the_residual_leaves_the_normal_range():
+    # without gauge projection the mean pressure stays while the residual
+    # falls past 1e-160, where the squared norms of the 3x3 solve's
+    # conjugate gradients underflowed (the 201st cycle raised)
+    n, bc = 27, "dirichlet"
+    hier = GridHierarchy(n, bc, reference_params("qbsr", "measured"), TransferPair("p25t"))
+    st, rhs = grid.random_state(n, bc, seed=1), grid.StaggeredState.zeros(n, bc)
+    for _ in range(210):
+        multigrid.v_cycle(hier, st, rhs, 2, 0)
+    assert np.isfinite(st.flat()).all()
+    assert hier.systems[0].residual(st, rhs).norm() < 1e-140
+
+
 def test_solve_rejects_unknown_cycle():
     hier = GridHierarchy(9, "dirichlet", reference_params("qdr"))
     with pytest.raises(ValueError):
@@ -333,23 +351,144 @@ def test_warm_cycle_allocates_no_fine_field(scheme, bc):
     assert fields < (3.0 if scheme == "qbsr" else 1.0), fields
 
 
+def in_new_thread(fn, *args):
+    """``fn(*args)`` in a thread of its own, whose registry of level
+    workspaces starts empty; returns its result or raises its exception."""
+    with concurrent.futures.ThreadPoolExecutor(1) as worker:
+        return worker.submit(fn, *args).result(timeout=300)
+
+
+def held_workspace(n):
+    """This thread's workspace of size n, or None when no live system holds one."""
+    gc.collect()
+    return getattr(grid._LEVELS, "by_n", {}).get(n)
+
+
+def work_fields(hiers, n):
+    """The arrays of every workspace the hierarchies reach, each counted once,
+    in pressure fields of size n."""
+    systems = [s for h in hiers for s in (*h.systems, *(d.system for d in h._direct.values()))]
+    flats = {id(f): f for s in systems for f in s.work._flat.values()}
+    return sum(f.nbytes for f in flats.values()) / (n * n * 8)
+
+
 # work arrays a warm V(2,0) cycle keeps at n = 243, in fine pressure fields,
 # summed over the levels; 17.4 for every scheme while ``apply`` kept a
 # gradient pair, ``neg_div`` its own scratch and every sweep a "b" state
 # (which quzawa never read)
 WORK_FIELDS = {"qdr": 11.0, "qbsr": 11.0, "qibsr": 11.0, "quzawa": 10.0}
+CONFIGS = [(scheme, bc) for scheme in symbols.SCHEMES for bc in grid.BCS]
+
+
+def warm_hierarchy(n, scheme, bc):
+    hier = GridHierarchy(n, bc, reference_params(scheme, "measured"), TransferPair("p25t"))
+    multigrid.v_cycle(hier, grid.random_state(n, bc, seed=1), grid.StaggeredState.zeros(n, bc),
+                      2, 0)
+    return hier
 
 
 @pytest.mark.parametrize("bc", grid.BCS)
 @pytest.mark.parametrize("scheme", symbols.SCHEMES)
 def test_warm_cycle_work_arrays_stay_small(scheme, bc):
-    n = 243
-    hier = GridHierarchy(n, bc, reference_params(scheme, "measured"), TransferPair("p25t"))
-    st = grid.random_state(n, bc, seed=1)
-    multigrid.v_cycle(hier, st, grid.StaggeredState.zeros(n, bc), 2, 0)
-    total = sum(f.nbytes for s in hier.systems for f in s.work._flat.values())
-    fields = total / st.p.nbytes
+    # one hierarchy, alone in its thread's registry
+    def alone():
+        assert held_workspace(243) is None
+        return work_fields([warm_hierarchy(243, scheme, bc)], 243)
+
+    fields = in_new_thread(alone)
     assert fields < WORK_FIELDS[scheme], fields
+
+
+def test_every_scheme_and_boundary_together_keep_one_hierarchys_work_arrays():
+    # all eight hierarchies of one size share their levels' arrays, so
+    # together they keep what the largest (qdr, periodic: every role, the
+    # n x n velocities, two bands' padding) keeps alone
+    def together():
+        assert held_workspace(243) is None
+        hiers = [warm_hierarchy(243, "qdr", "periodic")]
+        alone = work_fields(hiers, 243)
+        hiers += [warm_hierarchy(243, *cfg) for cfg in CONFIGS if cfg != ("qdr", "periodic")]
+        return alone, work_fields(hiers, 243)
+
+    alone, fields = in_new_thread(together)
+    assert fields == alone and fields < 11.0, (alone, fields)
+
+
+def test_hierarchies_of_one_size_share_their_work_arrays_until_the_last_goes():
+    def shared():
+        a = warm_hierarchy(27, "qdr", "dirichlet")
+        b = warm_hierarchy(27, "quzawa", "periodic")
+        assert [s.work for s in a.systems] == [s.work for s in b.systems]
+        assert len({id(s.work) for s in a.systems}) == a.levels  # one per size
+        assert a.direct(a.levels - 1).system.work is a.systems[-1].work
+        held = [weakref.ref(s.work) for s in a.systems]
+        del a
+        assert all(held_workspace(m) is ref() for m, ref in zip(b.sizes, held))
+        del b
+        assert all(held_workspace(m) is None for m in (27, 9, 3))
+        assert all(ref() is None for ref in held)
+
+    in_new_thread(shared)
+
+
+# the cycles of the sharing tests: the two-grid cycle, whose level solve
+# builds a system of its own, for qbsr, then V(2,0) for every scheme and
+# boundary.  In this order later cycles grow arrays that earlier ones made:
+# the n x n periodic velocities after the Dirichlet ones, and at n = 243 the
+# banded V-cycles' padding after the unbanded two-grid cycles'.
+CYCLES = [(scheme, bc, cycle) for cycle, schemes in (("two", ("qbsr",)), ("v", symbols.SCHEMES))
+          for scheme in schemes for bc in ("dirichlet", "periodic")]
+
+
+def cycled(n, cycles, rounds=2):
+    """The states of ``cycles`` after ``rounds`` cycles each, their
+    hierarchies, built here, taking turns."""
+    runs = []
+    for scheme, bc, cycle in cycles:
+        hier = GridHierarchy(n, bc, reference_params(scheme, "measured"), TransferPair("p25t"))
+        step = multigrid.v_cycle if cycle == "v" else multigrid.two_grid_cycle
+        k = CYCLES.index((scheme, bc, cycle))
+        runs.append((hier, step, rand_state(n, bc, 20 + k), rand_state(n, bc, 40 + k)))
+    for _ in range(rounds):
+        for hier, step, st, rhs in runs:
+            step(hier, st, rhs, 2, 0)
+    return [st.flat() for _, _, st, _ in runs]
+
+
+@pytest.mark.parametrize("n", (81, 243))
+def test_interleaved_cycles_match_separate_runs(n):
+    # each reference runs in a thread of its own and so shares nothing
+    want = [in_new_thread(cycled, n, [cyc])[0] for cyc in CYCLES]
+    for got, w in zip(cycled(n, CYCLES), want):
+        assert np.array_equal(got, w)
+
+
+def test_threads_cycling_their_own_hierarchies_match_serial_runs():
+    # three threads build the same sizes at once and cycle them with the
+    # interpreter switching every microsecond: arrays shared across threads
+    # would mix their data
+    n, threads = 81, 3
+    want = cycled(n, CYCLES)
+    start = threading.Barrier(threads, timeout=60)
+    works = []
+
+    def run():
+        works.append(grid.SaddleSystem(n, "dirichlet").work)
+        start.wait()  # every thread holds its workspace
+        return cycled(n, CYCLES)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with concurrent.futures.ThreadPoolExecutor(threads) as workers:
+            futures = [workers.submit(run) for _ in range(threads)]
+            results = [f.result(timeout=300) for f in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    assert len({id(w) for w in works}) == threads
+    for got in results:
+        for g, w in zip(got, want):
+            assert np.array_equal(g, w)
 
 
 # -- coarse levels start from zero ------------------------------------------
