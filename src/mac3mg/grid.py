@@ -211,7 +211,7 @@ class Workspace:
     for ``(role, dtype)``, grown when a larger shape asks for it, so the u, v
     and p shapes of one role share storage.  Two live arrays need two roles.
     Each view is made once per ``(role, shape, dtype)`` and made again after
-    its flat array grows.
+    its flat array grows, as are the band views (``band_rows``) of its dtype.
 
     Every ``SaddleSystem`` of one grid size built in one thread shares one
     workspace (``_level_workspace``), whatever its scheme or boundary, so its
@@ -223,7 +223,6 @@ class Workspace:
     def __init__(self):
         self._flat: dict = {}
         self._views: dict = {}
-        self.allocations = 0  # flat arrays made so far: views older than a change are stale
 
     def __call__(self, role: str, shape, dtype) -> np.ndarray:
         view = self._views.get((role, shape, dtype))
@@ -236,10 +235,23 @@ class Workspace:
         flat = self._flat.get((role, dtype))
         if flat is None or flat.size < size:
             flat = self._flat[(role, dtype)] = np.empty(size, dtype)
-            self.allocations += 1
+            # band views of this dtype go too, whichever role grew
             self._views = {key: v for key, v in self._views.items()
-                           if key[0] != role or np.dtype(key[2]) != dtype}
+                           if key[0] not in (role, "bands") or np.dtype(key[2]) != dtype}
         return flat[:size].reshape(shape)
+
+    def band_rows(self, n: int, bands: int, dtype) -> list:
+        """``(lo, hi, seg, gx)`` per row band of an n-row level: band k pads into
+        rows ``lo + 2k`` to ``hi + 2k + 2`` of the flat ``pad`` (n + 2 columns),
+        so no two bands share a row, and ``gx`` is its rows of ``mass``."""
+        key = ("bands", (n, bands), dtype)
+        if key not in self._views:
+            w = n + 2
+            pad = self("pad", (1, (n + 2 * bands) * w), dtype)[0]
+            gx = self("mass", (1, n * w), dtype)[0]
+            self._views[key] = [(lo, hi, pad[(lo + 2 * k) * w : (hi + 2 * k + 2) * w],
+                                 gx[lo * w : hi * w]) for k, (lo, hi) in enumerate(cuts(n, bands))]
+        return self._views[key]
 
 
 _LEVELS = threading.local()
@@ -341,7 +353,6 @@ class SaddleSystem:
         self.shapes = field_shapes(n, bc)
         self.work = _level_workspace(n)
         self.bands = 1
-        self._rows: dict = {}
 
     def work_state(self, role: str, dtype) -> StaggeredState:
         """A state of workspace arrays; ``role`` names its three fields."""
@@ -353,20 +364,11 @@ class SaddleSystem:
 
     def run(self, dtype, *phases) -> None:
         """Each ``phase(lo, hi, seg, gx)`` over the level's row bands in turn.
-        ``seg`` and ``gx`` are flat: band k pads into rows ``lo + 2k`` to
-        ``hi + 2k + 2`` of the padded work array, so no two bands share a row
-        of it, and each kernel lays a contiguous block of its shape over them
-        (``block``).  The bands' views are made again after any growth of the
-        shared workspace, whichever system caused it."""
+        ``seg`` and ``gx`` are flat rows of the shared workspace that only
+        this band uses (``Workspace.band_rows``), over which each kernel lays
+        a contiguous block of its shape (``block``)."""
         bands = self.bands if self.n * self.n >= BAND_MIN else 1
-        made, rows = self._rows.get((dtype, bands), (None, None))
-        if made != self.work.allocations:
-            w = self.n + 2
-            pad = self.work("pad", (1, (self.n + 2 * bands) * w), dtype)[0]
-            gx = self.work("mass", (1, self.n * w), dtype)[0]
-            rows = [(lo, hi, pad[(lo + 2 * k) * w : (hi + 2 * k + 2) * w], gx[lo * w : hi * w])
-                    for k, (lo, hi) in enumerate(cuts(self.n, bands))]
-            self._rows[(dtype, bands)] = (self.work.allocations, rows)
+        rows = self.work.band_rows(self.n, bands, dtype)
         for phase in phases:
             run_each(phase, rows)
 

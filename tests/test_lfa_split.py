@@ -1,0 +1,34 @@
+"""tools/lfa_split.py: the time split of the factor tables at a small resolution."""
+
+import importlib.util
+import json
+from pathlib import Path
+
+import numpy as np
+
+TOOL = Path(__file__).resolve().parents[1] / "tools" / "lfa_split.py"
+_spec = importlib.util.spec_from_file_location("lfa_split", TOOL)
+lfa_split = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(lfa_split)
+
+
+def test_lfa_split_at_resolution_27(capsys):
+    from mac3mg import grid, twogrid
+
+    wrapped = (twogrid._error_symbols, twogrid._radius_bounds, np.linalg.eigvals, grid.BANDS)
+    assert lfa_split.main(["--resolution", "27", "--repeats", "2",
+                           "--schemes", "qdr,quzawa"]) == 0
+    # the clocks are taken off again, and the chunk count restored
+    assert (twogrid._error_symbols, twogrid._radius_bounds, np.linalg.eigvals,
+            grid.BANDS) == wrapped
+    out = json.loads(capsys.readouterr().out)
+    assert out["resolution"] == 27 and out["threads"] == 1
+    assert [r["scheme"] for r in out["results"]] == ["qdr", "quzawa"]
+    for r in out["results"]:
+        parts = [r[k] for k in ("symbols_ms", "bounds_ms", "eigvals_ms")]
+        assert all(t > 0.0 for t in parts) and sum(parts) < r["table_ms"]
+        assert r["other_ms"] > 0.0
+        # 15 wedge bases, four counts, four restrictions; one chunk solves
+        # at least its largest bound per table and count
+        assert r["eigvals_total"] == 15 * 4 * 4
+        assert 16 <= r["eigvals_kept"] < r["eigvals_total"]

@@ -431,6 +431,27 @@ def test_hierarchies_of_one_size_share_their_work_arrays_until_the_last_goes():
     in_new_thread(shared)
 
 
+def test_a_grown_padding_is_freed_while_a_system_that_used_it_lives():
+    # a periodic n = 243 system run with one band, then another with two:
+    # the second grows the shared padding, and no band view of the first
+    # keeps the replaced array alive
+    n, bc = 243, "periodic"
+    st = grid.random_state(n, bc, seed=3)
+
+    def grow():
+        one, two = grid.SaddleSystem(n, bc), grid.SaddleSystem(n, bc)
+        two.bands = 2
+        assert one.work is two.work
+        want = one.residual(st, None).flat()
+        old = weakref.ref(one.work._flat[("pad", np.dtype(float))])
+        assert np.array_equal(two.residual(st, None).flat(), want)
+        gc.collect()
+        assert old() is None
+        assert np.array_equal(one.residual(st, None).flat(), want)
+
+    in_new_thread(grow)
+
+
 # the cycles of the sharing tests: the two-grid cycle, whose level solve
 # builds a system of its own, for qbsr, then V(2,0) for every scheme and
 # boundary.  In this order later cycles grow arrays that earlier ones made:

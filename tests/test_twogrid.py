@@ -1,5 +1,8 @@
 """Two-grid harmonic analysis for coarsening by three."""
 
+import threading
+import warnings
+
 import numpy as np
 import pytest
 
@@ -271,6 +274,35 @@ _TABLE_PARAMS = list(dict.fromkeys(
     reference_params(s, purpose) for s in symbols.SCHEMES for purpose in ("lfa", "measured")))
 
 
+def _unpruned(bases, params, pair, h, nus):
+    """The largest radius of ``C S^nu`` over the bases by ``eigvals`` on every
+    base, with the powers formed as ``_max_radius`` forms them: the unpruned
+    reference for its factors."""
+    cgc, smo, _ = twogrid._error_symbols(bases, params, pair, h)
+    cgc, smo = twogrid._real_form(cgc), twogrid._real_form(smo)
+    out, power = {}, np.broadcast_to(np.eye(27), smo.shape).copy()
+    for nu in range(1, max(nus) + 1):
+        power = smo @ power
+        if nu in nus:
+            out[nu] = float(np.abs(np.linalg.eigvals(cgc @ power)).max())
+    return out
+
+
+def _routed(monkeypatch, call):
+    """``call()``'s result and the bases its one ``_max_radius`` call got."""
+    seen, real = [], twogrid._max_radius
+
+    def record(bases, *args):
+        seen.append(np.asarray(bases))
+        return real(bases, *args)
+
+    monkeypatch.setattr(twogrid, "_max_radius", record)
+    got = call()
+    monkeypatch.setattr(twogrid, "_max_radius", real)
+    assert len(seen) == 1
+    return got, seen[0]
+
+
 @pytest.mark.parametrize("params", _TABLE_PARAMS, ids=lambda p: f"{p.scheme}-a{p.alpha:.2f}")
 def test_wedge_table_matches_full_lattice(params):
     # the full offset low lattice is the oracle: every restriction at n = 27,
@@ -279,7 +311,7 @@ def test_wedge_table_matches_full_lattice(params):
     cases = [(r, 27) for r in stencils.RESTRICTIONS] + [("p25t", 81)]
     for restrict, n in cases:
         pair = TransferPair(restrict)
-        want = twogrid._max_radius(symbols.low_freq_samples(n), params, pair, 1.0 / n, nus)
+        want = _unpruned(symbols.low_freq_samples(n), params, pair, 1.0 / n, nus)
         got = twogrid.two_grid_factor_table(params, pair, nus=nus, n=n, h=1.0 / n)
         for nu in nus:
             assert abs(got[nu] - want[nu]) < 1e-10, (restrict, n, nu)
@@ -300,9 +332,75 @@ def test_wedge_lattice_factor_matches_full_lattice(params):
         for nu in (1, 2):
             s = np.linalg.matrix_power(symbols.relax_error_symbol(params, zero_freqs, h), nu)
             rho_zero = float(np.abs(np.linalg.eigvals(s)).max())
-            want = max(twogrid._max_radius(bases, params, pair, h, (nu,))[nu], rho_zero)
+            want = max(_unpruned(bases, params, pair, h, (nu,))[nu], rho_zero)
             got = twogrid.periodic_lattice_factor(params, pair, nu, 0, n)
             assert abs(got - want) < 1e-10, (restrict, nu)
+
+
+@pytest.mark.parametrize("params", _TABLE_PARAMS, ids=lambda p: f"{p.scheme}-a{p.alpha:.2f}")
+def test_pruned_factors_are_bitwise_the_unpruned_ones(monkeypatch, params):
+    # the power-norm bound only skips eigvals: the base that holds the
+    # maximum is always solved, on the same matrix
+    nus = (1, 2, 3, 4)
+    for restrict in stencils.RESTRICTIONS:
+        pair = TransferPair(restrict)
+        for n in (9, 27, 81):
+            got, bases = _routed(monkeypatch, lambda: twogrid.two_grid_factor_table(
+                params, pair, nus=nus, n=n, h=1.0 / n))
+            assert got == _unpruned(bases, params, pair, 1.0 / n, nus), (restrict, n)
+        got, bases = _routed(monkeypatch, lambda: twogrid._max_radius(
+            twogrid._wedge(2.0 * np.pi * np.arange(5) / 27)[1:], params, pair, 1.0 / 27, nus))
+        assert got == _unpruned(bases, params, pair, 1.0 / 27, nus), restrict
+
+
+def test_the_bound_prunes_most_eigvals(monkeypatch):
+    sizes, lock, eigvals = [], threading.Lock(), np.linalg.eigvals
+
+    def counted(a):
+        with lock:
+            sizes.append(a.size // 27**2)
+        return eigvals(a)
+
+    monkeypatch.setattr(np.linalg, "eigvals", counted)
+    twogrid.two_grid_factor_table(reference_params("qdr"), TransferPair("p25t"), n=81,
+                                  h=1.0 / 81)
+    assert sum(sizes) < 0.3 * 105 * 4, sizes
+
+
+@pytest.mark.parametrize("scale", (2.0**60, 2.0**-60), ids=("huge", "tiny"))
+def test_bounds_of_huge_and_tiny_radii_keep_the_factor(monkeypatch, scale):
+    # radii near 1e17 and 1e-19: their 256th powers over- and underflow
+    # unless the bound rescales every square, and with no rescaling the
+    # tiny ones all bound to zero and prune the maximum
+    params, pair, h = reference_params("qdr"), TransferPair("p25t"), 1.0 / 27
+    error_symbols = twogrid._error_symbols
+
+    def scaled(*args):
+        cgc, smo, kept = error_symbols(*args)
+        return cgc * scale, smo, kept
+
+    monkeypatch.setattr(twogrid, "_error_symbols", scaled)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got, bases = _routed(monkeypatch, lambda: twogrid.two_grid_factor_table(
+            params, pair, n=27, h=h))
+    assert got == _unpruned(bases, params, pair, h, (1, 2, 3, 4))
+    assert min(got.values()) > 1e16 if scale > 1.0 else max(got.values()) < 1e-17
+
+
+def test_radius_bounds_hold_and_need_no_warnings():
+    rng = np.random.default_rng(7)
+    e = rng.standard_normal((6, 27, 27))
+    e[1] *= 1e300
+    e[2] *= 1e-300
+    e[3] = 0.0
+    e[4] = np.triu(e[4], 1)  # nilpotent: radius 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        bound = twogrid._radius_bounds(e)
+    radius = np.abs(np.linalg.eigvals(e)).max(axis=-1)
+    assert np.all(bound >= radius * (1.0 - twogrid._MARGIN)) and bound[3] == 0.0
+    assert np.all(bound[[0, 1, 2, 5]] <= 1.5 * radius[[0, 1, 2, 5]])
 
 
 @pytest.mark.parametrize("params", _TABLE_PARAMS, ids=lambda p: f"{p.scheme}-a{p.alpha:.2f}")
