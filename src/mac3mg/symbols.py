@@ -25,6 +25,8 @@ from . import stencils
 SCHEMES = ("qdr", "qbsr", "qibsr", "quzawa")
 FIELDS = ("u", "v", "p")
 LOW_EDGE = np.pi / 3.0
+# memory grows as n^2: twogrid-lfa and smooth-opt peaked at 326-364 MB at n = 729
+MAX_RESOLUTION = 729
 
 
 @dataclass(frozen=True)
@@ -113,9 +115,9 @@ def is_low(theta):
 
 def check_resolution(n: int) -> None:
     """Sampling resolutions are multiples of 3 (the offset lattice is then
-    closed under the 2 pi / 3 harmonic shifts) of at least 9."""
-    if n < 9 or n % 3 != 0:
-        raise ValueError(f"sampling resolution {n} is not a multiple of 3 of at least 9")
+    closed under the 2 pi / 3 harmonic shifts) from 9 to ``MAX_RESOLUTION``."""
+    if n < 9 or n % 3 != 0 or n > MAX_RESOLUTION:
+        raise ValueError(f"resolution {n} is not a multiple of 3 in [9, {MAX_RESOLUTION}]")
 
 
 def offset_units(n: int) -> np.ndarray:

@@ -27,10 +27,10 @@ The factors are spectral radii of the real matrix ``D^-1 E D`` with
 entries are purely imaginary and the rest real, a pattern that survives
 products, inverses and the coarse solve.  ``two_grid_symbol`` stays complex.
 
-The per-base eigenvalue work runs in ``grid.BANDS`` contiguous chunks of
-bases on the band pool (``grid.run_bands``).  Each matrix is computed on its
-own whatever its batch, so the factors are bit-identical, and Gelfand's
-bound ``rho(E) <= ||E^256||_F^(1/256)`` spares most bases their ``eigvals``.
+Each of ``grid.BANDS`` chunks of bases builds its symbols and powers on the
+band pool (``grid.run_bands``); Gelfand's bound ``rho(E) <= ||E^256||_F^(1/256)``
+leaves a second dispatch only the bases that may hold the maximum.  Each matrix
+is computed on its own whatever its batch, so the factors are bit-identical.
 """
 
 from __future__ import annotations
@@ -57,9 +57,13 @@ FIELD_PHASES = np.array(
 _DET_FLOOR = 1e-13
 
 # rho(E) <= ||E^m||_F^(1/m), m = 2^_SQUARINGS, lies 0-5.3% above the radii in the 16
-# tables at resolution 81 and spares 6044 of 6720 eigvals; the margin absorbs roundoff
+# tables at resolution 81 and spares 6139 of 6720 eigvals on 2 chunks; the margin absorbs roundoff
 _SQUARINGS = 8
 _MARGIN = 1e-6
+# a divisor of _SQUARINGS: the bounds of a table at resolution 81 took 8.9-9.8 ms at 4,
+# 10.0-11.1 at 2 and 12.2-13.2 at 1 on one thread; at 8 every power underflows
+_RENORM = 4
+_TINY = 2.0**-900  # a power's sum of squares below this may have lost entries
 
 # D^-1 X D = X * _SIMILARITY: pressure rows times -i, pressure columns times i
 _SIMILARITY = np.outer(np.tile([1.0, 1.0, -1.0j], 9), np.tile([1.0, 1.0, 1.0j], 9))
@@ -137,7 +141,7 @@ def _error_symbols(
     thetas = np.asarray(thetas, dtype=float).reshape(-1, 2)
     ch = coarse_symbol(thetas, h)
     det = np.abs(np.linalg.det(ch))
-    kept = det > _DET_FLOOR * np.abs(ch).max()
+    kept = det > _DET_FLOOR * np.abs(ch).max(axis=(1, 2))
     if not np.all(kept):
         logger.warning("excluded %d singular coarse samples", int((~kept).sum()))
         thetas = thetas[kept]
@@ -183,17 +187,25 @@ def _real_form(mats: np.ndarray) -> np.ndarray:
 
 def _radius_bounds(e: np.ndarray) -> np.ndarray:
     """Bounds ``||E^m||_F^(1/m)``, ``m = 2^_SQUARINGS``, on the radii of a finite
-    batch, squaring in two buffers.  Each factor is scaled to a largest entry
-    of 1 and the logs of the scales carried, so no power under- or overflows."""
-    a, b, log = e.copy(), np.empty_like(e), np.zeros(len(e))
-    for k in range(_SQUARINGS):
-        scale = np.maximum(a.max(axis=(1, 2)), -a.min(axis=(1, 2)))
-        scale[scale == 0.0] = 1.0
-        a /= scale[:, None, None]
-        log += np.log(scale) / 2**k
-        a, b = np.matmul(a, a, out=b), a
-    with np.errstate(over="ignore", divide="ignore"):
-        return np.exp(log + np.log(np.linalg.norm(a, axis=(1, 2))) / 2**_SQUARINGS)
+    batch, squaring in two buffers.  Each ``E`` is scaled once by a power of two
+    to entries below 1 (exact) and its power to a unit Frobenius norm every
+    ``_RENORM`` squarings, the logs of the scales carried, so nothing overflows.
+    A power whose sum of squares falls below ``_TINY`` may have underflowed: its
+    base keeps the previous bound (``inf`` before the first), so it is not pruned."""
+    top = np.abs(e).max(axis=(1, 2))
+    _, exp = np.frexp(top)
+    a, b = np.ldexp(e, -exp[:, None, None]), np.empty_like(e)
+    log, bound = exp * np.log(2.0), np.where(top > 0.0, np.inf, 0.0)
+    for k in range(_RENORM, _SQUARINGS + 1, _RENORM):
+        for _ in range(_RENORM):
+            a, b = np.matmul(a, a, out=b), a
+        sq = np.einsum("ijk,ijk->i", a, a)
+        norm = np.sqrt(sq, out=np.ones_like(sq), where=sq >= _TINY)
+        log += np.log(norm) / 2**k
+        bound = np.where(sq >= _TINY, np.exp(log), bound)
+        if k < _SQUARINGS:
+            a *= (1.0 / norm)[:, None, None]
+    return bound
 
 
 def _wedge(vals: np.ndarray) -> np.ndarray:
@@ -216,23 +228,22 @@ def _max_radius(
     count per entry covers every pre/post split.  Powers of the smoother are
     built incrementally across the sorted counts, all in real arithmetic.
     The bases run in up to ``grid.BANDS`` chunks on the band pool, each
-    writing its own rows of the per-base radii.  Raises ``LinAlgError`` where
-    a power overflows (a smoother that amplifies by far more than 1).  A chunk
-    solves its base of largest ``_radius_bounds``, then only the bases whose
-    bound is at least that radius times ``1 - _MARGIN``: a pruned base's
-    ``eigvals`` never runs, so a non-convergence there is not raised.
+    building its own symbols.  Raises ``LinAlgError`` where a power overflows
+    (a smoother that amplifies by far more than 1).  A chunk solves its base
+    of largest ``_radius_bounds`` and keeps ``E`` of the bases whose bound is
+    at least that radius times ``1 - _MARGIN``; a second dispatch solves those
+    that reach the largest radius of all chunks.  A pruned base's ``eigvals``
+    never runs, so a non-convergence there is not raised.
     """
-    cgc, smo, _ = _error_symbols(bases, params, pair, h)
-    cgc = _real_form(cgc)
-    smo = _real_form(smo)
-    order = sorted(nus)
-    radii = np.zeros((len(smo), len(order)))
+    order, found = sorted(nus), {}
 
     def chunk(lo: int, hi: int) -> None:
-        s, c = smo[lo:hi], cgc[lo:hi]
+        c, s, _ = _error_symbols(bases[lo:hi], params, pair, h)
+        c = _real_form(c)
+        s = _real_form(s)
         power = np.broadcast_to(np.eye(27), s.shape).copy()
-        last = 0
-        for col, nu in enumerate(order):
+        last, found[lo] = 0, []
+        for nu in order:
             # errstate is per thread: each chunk sets its own
             with np.errstate(over="ignore", invalid="ignore"):
                 for _ in range(nu - last):
@@ -243,13 +254,24 @@ def _max_radius(
             last = nu
             bound = _radius_bounds(e)
             top = int(np.argmax(bound))
-            radii[lo + top, col] = rho = np.abs(np.linalg.eigvals(e[top])).max()
+            rho = np.abs(np.linalg.eigvals(e[top])).max()
             keep = bound >= rho * (1.0 - _MARGIN)
             keep[top] = False
-            radii[lo:hi, col][keep] = np.abs(np.linalg.eigvals(e[keep])).max(axis=-1)
+            found[lo].append((rho, e[keep], bound[keep]))
 
-    grid.run_bands(chunk, len(smo), max(1, min(grid.BANDS, len(smo))))
-    return {nu: float(r) for nu, r in zip(order, radii.max(axis=0))}
+    grid.run_bands(chunk, len(bases), max(1, min(grid.BANDS, len(bases))))
+    tops = np.max([[rho for rho, _, _ in kept] for kept in found.values()], axis=0)
+    picked = [(col, e[bound >= tops[col] * (1.0 - _MARGIN)])
+              for kept in found.values() for col, (_, e, bound) in enumerate(kept)]
+    es = np.concatenate([e for _, e in picked])
+    radii = np.empty(len(es))
+
+    def solve(lo: int, hi: int) -> None:
+        radii[lo:hi] = np.abs(np.linalg.eigvals(es[lo:hi])).max(axis=-1)
+
+    grid.run_bands(solve, len(es), max(1, min(grid.BANDS, len(es))))
+    np.maximum.at(tops, np.repeat([col for col, _ in picked], [len(e) for _, e in picked]), radii)
+    return {nu: float(r) for nu, r in zip(order, tops)}
 
 
 def two_grid_factor_table(

@@ -19,7 +19,7 @@ import numpy as np
 import pytest
 
 from conftest import apply
-from mac3mg import grid, multigrid, symbols, twogrid
+from mac3mg import grid, multigrid, stencils, symbols, twogrid
 from mac3mg.smoothers import Smoother
 from mac3mg.symbols import reference_params
 from mac3mg.twogrid import TransferPair
@@ -312,6 +312,43 @@ def test_lfa_chunks_run_on_the_pool(pool, monkeypatch):
     twogrid._max_radius(np.array([[0.1, 0.05]]), reference_params("qdr"),
                         TransferPair("p25t"), 1.0 / 27, (1, 2))
     assert pool.submits == before
+
+
+def test_lfa_survivors_run_on_the_pool(pool):
+    # quzawa's radii lie on a plateau, so at n = 27 several bases reach the
+    # largest chunk radius, and the second dispatch splits them too
+    before = pool.submits
+    twogrid.two_grid_factor_table(reference_params("quzawa"), TransferPair("r9"), n=27,
+                                  h=1.0 / 27)
+    assert pool.submits - before == 2
+
+
+def test_chunks_prune_against_the_largest_chunk_radius(monkeypatch):
+    # each chunk solves its own top base; every other base must reach the
+    # largest radius of all chunks, so k chunks hand eigvals at most k - 1
+    # more matrices per count than one chunk does, with the same factors
+    sizes, lock, eigvals = [], threading.Lock(), np.linalg.eigvals
+
+    def counted(a):
+        with lock:
+            sizes.append(a.size // 27**2)
+        return eigvals(a)
+
+    monkeypatch.setattr(np.linalg, "eigvals", counted)
+    nus = (1, 2, 3, 4)
+    for scheme in symbols.SCHEMES:
+        for restrict in stencils.RESTRICTIONS:
+            params, pair = reference_params(scheme), TransferPair(restrict)
+            counts, tables = [], []
+            for bands in (1, 2, 3):
+                monkeypatch.setattr(grid, "BANDS", bands)
+                sizes.clear()
+                tables.append(twogrid.two_grid_factor_table(params, pair, nus=nus, n=27,
+                                                            h=1.0 / 27))
+                counts.append(sum(sizes))
+            for k in (2, 3):
+                assert counts[k - 1] <= counts[0] + (k - 1) * len(nus), (scheme, restrict, counts)
+                assert tables[k - 1] == tables[0], (scheme, restrict)
 
 
 def test_a_worker_chunks_linalg_error_reaches_the_caller(monkeypatch):

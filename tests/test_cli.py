@@ -117,6 +117,9 @@ def test_bad_flag_values_exit_one(capsys):
     assert run_cli(["mg-run", "--n", "80"]) == 1
     assert run_cli(["twogrid-lfa", "--resolution", "10"]) == 1
     assert run_cli(["smooth-opt", "--resolution", "10"]) == 1
+    # a resolution whose symbols would not fit in memory is refused before any is built
+    assert run_cli(["twogrid-lfa", "--resolution", "243000"]) == 1
+    assert run_cli(["smooth-opt", "--resolution", "243000"]) == 1
     # negative seeds and non-finite relaxation parameters
     assert run_cli(["mg-run", "--n", "9", "--nu", "1", "--resolution", "9", "--seed", "-1"]) == 1
     assert run_cli(["smooth-opt", "--resolution", "9", "--omega", "nan"]) == 1
@@ -135,7 +138,7 @@ def test_bad_flag_values_exit_one(capsys):
     # an unwritable output path is reported, not raised
     assert run_cli(["selftest", "--out", "/nonexistent/dir/x.json"]) == 1
     assert run_cli(["smooth-opt", "--resolution", "9", "--out", "/nonexistent/x.csv"]) == 1
-    assert capsys.readouterr().err.count("config error") == 13
+    assert capsys.readouterr().err.count("config error") == 15
 
 
 def test_help_exits_zero(capsys):

@@ -22,12 +22,14 @@ def test_lfa_split_at_resolution_27(capsys):
     assert (twogrid._error_symbols, twogrid._radius_bounds, np.linalg.eigvals,
             grid.BANDS) == wrapped
     out = json.loads(capsys.readouterr().out)
-    assert out["resolution"] == 27 and out["threads"] == 1
+    assert out["resolution"] == 27 and out["threads"] == 1 and out["bands"] == grid.BANDS
     assert [r["scheme"] for r in out["results"]] == ["qdr", "quzawa"]
     for r in out["results"]:
         parts = [r[k] for k in ("symbols_ms", "bounds_ms", "eigvals_ms")]
         assert all(t > 0.0 for t in parts) and sum(parts) < r["table_ms"]
         assert r["other_ms"] > 0.0
+        # the same four tables on the chunks, timed without the clocks
+        assert r["bands_table_ms"] > 0.0
         # 15 wedge bases, four counts, four restrictions; one chunk solves
         # at least its largest bound per table and count
         assert r["eigvals_total"] == 15 * 4 * 4

@@ -102,6 +102,17 @@ def test_two_grid_symbol_singular_at_zero_base():
         twogrid.two_grid_symbol((0.0, 0.0), 1, 0, p, TransferPair("p25t"))
 
 
+def test_singular_samples_are_decided_per_base():
+    # near theta = 0 the coarse symbol is nearly singular; whether a base is
+    # dropped must not depend on the bases batched with it, so the chunks of
+    # the factor routines keep the same bases wherever they split
+    bases = np.array([[1e-5, 5e-6], [1.0, 0.5], [1e-7, 5e-8]])
+    p, pair, h = reference_params("qdr"), TransferPair("p25t"), 1.0 / 27
+    _, _, kept = twogrid._error_symbols(bases, p, pair, h)
+    alone = [bool(twogrid._error_symbols(b, p, pair, h)[2][0]) for b in bases]
+    assert list(kept) == alone == [True, True, False]
+
+
 def test_pre_post_smoothing_split_is_spectrally_equivalent():
     # S^a C S^b is similar to C S^(a+b): identical eigenvalues
     p = reference_params("qbsr")
@@ -401,6 +412,33 @@ def test_radius_bounds_hold_and_need_no_warnings():
     radius = np.abs(np.linalg.eigvals(e)).max(axis=-1)
     assert np.all(bound >= radius * (1.0 - twogrid._MARGIN)) and bound[3] == 0.0
     assert np.all(bound[[0, 1, 2, 5]] <= 1.5 * radius[[0, 1, 2, 5]])
+
+
+def test_an_underflowing_power_never_prunes_the_maximum(monkeypatch):
+    # the maximising base's E = 1e-25 I + N with N^2 = 0 has a radius 1e-25 of
+    # its Frobenius norm, so its 16th power, about 16e-375 N, underflows
+    # between renormalisations; the others are diagonal with radii up to 8e-27,
+    # and a bound of 0 for the first would prune it against them
+    bases = np.stack([np.arange(1.0, 9.0), np.zeros(8)], axis=-1)
+    params, pair, h = reference_params("qdr"), TransferPair("p25t"), 1.0 / 27
+    diag = np.arange(27)
+
+    def crafted(thetas, *args):
+        thetas = np.asarray(thetas).reshape(-1, 2)
+        cgc = np.zeros((len(thetas), 27, 27), dtype=complex)
+        top = thetas[:, 0] == 5.0
+        cgc[:, diag, diag] = np.where(top, 1e-25, 1e-27 * thetas[:, 0])[:, None]
+        cgc[top, 0, 1] = 1.0
+        smo = np.broadcast_to(np.eye(27, dtype=complex), cgc.shape).copy()
+        return cgc, smo, np.ones(len(thetas), dtype=bool)
+
+    monkeypatch.setattr(twogrid, "_error_symbols", crafted)
+    nus = (1, 2, 3, 4)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = twogrid._max_radius(bases, params, pair, h, nus)
+    assert got == _unpruned(bases, params, pair, h, nus)
+    assert all(abs(r - 1e-25) < 1e-30 for r in got.values()), got
 
 
 @pytest.mark.parametrize("params", _TABLE_PARAMS, ids=lambda p: f"{p.scheme}-a{p.alpha:.2f}")

@@ -15,7 +15,9 @@ over ``--repeats`` rounds after one untimed round:
 - ``eigvals_ms``: ``np.linalg.eigvals``;
 - ``other_ms``: the rest (real forms, smoother powers, products);
 - ``eigvals_kept``: matrices handed to ``eigvals``, of ``eigvals_total``
-  (wedge bases times the four counts), summed over the four tables.
+  (wedge bases times the four counts), summed over the four tables;
+- ``bands_table_ms``: one table on ``grid.BANDS`` chunks (the top-level
+  ``bands``), with no clocks, timed in rounds of its own after the split.
 
 ``--src`` picks the ``mac3mg`` source tree, so two checkouts can be measured
 by the same script; by default it is this checkout's ``src/``.
@@ -65,6 +67,14 @@ def lfa_split(scheme: str, resolution: int, repeats: int) -> dict:
     pairs = [TransferPair(r) for r in stencils.RESTRICTIONS]
     bands, grid.BANDS = grid.BANDS, 1
     rounds = []
+
+    def tables() -> float:
+        t0 = time.perf_counter()
+        for pair in pairs:
+            twogrid.two_grid_factor_table(params, pair, nus=NUS, n=resolution,
+                                          h=1.0 / resolution)
+        return time.perf_counter() - t0
+
     try:
         for key, owner, name in PARTS:
             if hasattr(owners[owner], name):
@@ -72,15 +82,12 @@ def lfa_split(scheme: str, resolution: int, repeats: int) -> dict:
         for _ in range(repeats + 1):
             spent.clear()
             kept[0] = 0
-            t0 = time.perf_counter()
-            for pair in pairs:
-                twogrid.two_grid_factor_table(params, pair, nus=NUS, n=resolution,
-                                              h=1.0 / resolution)
-            rounds.append({"table_ms": time.perf_counter() - t0, **spent})
+            rounds.append({"table_ms": tables(), **spent})
     finally:
         grid.BANDS = bands
         for owner, name, fn in reversed(saved):
             setattr(owner, name, fn)
+    banded = [tables() for _ in range(repeats + 1)][1:]
     rounds = rounds[1:]
     out = {"scheme": scheme}
     for key in ("table_ms", *(key for key, _, _ in PARTS)):
@@ -92,6 +99,7 @@ def lfa_split(scheme: str, resolution: int, repeats: int) -> dict:
     wedge = side * (side + 1) // 2
     out["eigvals_kept"] = kept[0]
     out["eigvals_total"] = wedge * len(NUS) * len(pairs)
+    out["bands_table_ms"] = round(statistics.median(banded) / len(pairs) * 1e3, 3)
     return out
 
 
@@ -104,8 +112,11 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     sys.path.insert(0, str(args.src.resolve()))
     results = [lfa_split(s, args.resolution, args.repeats) for s in args.schemes.split(",")]
+    from mac3mg import grid
+
     print(json.dumps({"resolution": args.resolution, "nus": list(NUS), "threads": 1,
-                      "repeats": args.repeats, "results": results}, indent=1))
+                      "bands": grid.BANDS, "repeats": args.repeats, "results": results},
+                     indent=1))
     return 0
 
 
