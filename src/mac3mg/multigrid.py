@@ -32,9 +32,13 @@ Each coarse level starts from a zero guess (Trottenberg, Oosterlee and
 Schueller, *Multigrid*, 2001), so its first pre-smoothing sweep takes the
 restricted residual as its residual and writes the state without reading it.
 
-The drivers measure convergence the way the experiments report it: iterate
+``solve`` measures convergence the way the experiments report it: iterate
 cycles on a seeded random initial guess with zero right-hand side until the
 residual norm falls below 1e-12, then report rho_m = (r_k / r_0)^(1/k).
+``cycle_operator`` is one such cycle, gauge projected, as a scipy
+``LinearOperator``; ``cycle_spectral_radius`` takes its spectral radius by
+Arnoldi (ARPACK, Lehoucq, Sorensen and Yang, 1998), and
+``assemble_two_grid_matrix`` its dense matrix on tiny grids.
 """
 
 from __future__ import annotations
@@ -347,6 +351,14 @@ def v_cycle(hier: GridHierarchy, state, rhs, nu1: int, nu2: int) -> None:
     _descend(hier, 0, state, rhs, nu1, nu2, solve_level=hier.levels - 1)
 
 
+def _cycle(name: str):
+    """The cycle called ``name``, for ``solve`` and ``cycle_operator``."""
+    cycles = {"v": v_cycle, "two": two_grid_cycle}
+    if name not in cycles:
+        raise ValueError(f"cycle must be 'v' or 'two', got {name!r}")
+    return cycles[name]
+
+
 @dataclass
 class ConvergenceReport:
     """Residual history of a measured run and its convergence factor."""
@@ -372,9 +384,7 @@ def solve(hier: GridHierarchy, nu1: int, nu2: int, cycle: str = "v",
     With the default zero right-hand side the exact solution is zero, the
     state is the error, and rho_m estimates the cycle's convergence factor.
     """
-    if cycle not in ("v", "two"):
-        raise ValueError(f"cycle must be 'v' or 'two', got {cycle!r}")
-    step = v_cycle if cycle == "v" else two_grid_cycle
+    step = _cycle(cycle)
     n = hier.sizes[0]
     state = grid.random_state(n, hier.bc, seed=seed)
     if rhs is None:
@@ -410,63 +420,56 @@ def solve(hier: GridHierarchy, nu1: int, nu2: int, cycle: str = "v",
     return ConvergenceReport(norms, k, rho, converged, diverged, config)
 
 
-def asymptotic_factor(hier: GridHierarchy, nu1: int, nu2: int, cycle: str = "two",
-                      iters: int = 360, window: int = 60, seed: int = 0) -> float:
-    """Asymptotic per-cycle error contraction by renormalized power iteration.
+# ``cycle_spectral_radius``'s ARPACK settings.  On periodic two-grid nu = 1
+# cycles (n = 9 and 27, ``p25t``, measured parameters, seeds 0-2) they land
+# within 2.4e-10 of the lattice factor in 0.05-0.35 s, ``quzawa`` at n = 27
+# in 1.1-1.4 s and 1300-1550 cycles; k = 1 misses its complex pair (0.5958).
+ARNOLDI_K, ARNOLDI_NCV, ARNOLDI_TOL, ARNOLDI_MAXITER = 4, 20, 1e-10, 300
 
-    Applies the cycle to the homogeneous problem, rescaling the state to unit
-    norm each step so the iteration never hits the floating point floor.  The
-    estimate is the geometric mean of the last ``window`` contraction ratios,
-    which rides out oscillations from complex or clustered eigenvalues.
-    """
-    if cycle not in ("v", "two"):
-        raise ValueError(f"cycle must be 'v' or 'two', got {cycle!r}")
-    step = v_cycle if cycle == "v" else two_grid_cycle
-    n = hier.sizes[0]
-    state = grid.random_state(n, hier.bc, seed=seed)
-    rhs = grid.StaggeredState.zeros(n, hier.bc)
-    grid.project_gauge(state)
-    scale = state.norm()
-    for f in (state.u, state.v, state.p):
-        f /= scale
-    ratios = []
-    for _ in range(iters):
+
+def cycle_operator(hier: GridHierarchy, nu1: int, nu2: int, cycle: str):
+    """The cycle's error propagation as a scipy ``LinearOperator`` on flat
+    states: one cycle with zero right-hand side, then ``grid.project_gauge``.
+    Its ``cycles`` attribute counts the applications."""
+    from scipy.sparse.linalg import LinearOperator
+
+    step = _cycle(cycle)
+    n, bc = hier.sizes[0], hier.bc
+    rhs = grid.StaggeredState.zeros(n, bc)
+
+    def matvec(x: np.ndarray) -> np.ndarray:
+        state = grid.StaggeredState.from_flat(np.ravel(x), n, bc)
         step(hier, state, rhs, nu1, nu2)
-        grid.project_gauge(state)
-        nrm = state.norm()
-        ratios.append(nrm)
-        if nrm == 0.0 or not np.isfinite(nrm):
-            return float(nrm)
-        for f in (state.u, state.v, state.p):
-            f /= nrm
-    tail = np.array(ratios[-window:])
-    return float(np.exp(np.mean(np.log(tail))))
+        op.cycles += 1
+        return grid.project_gauge(state).flat()
+
+    op = LinearOperator((rhs.flat().size,) * 2, matvec=matvec, dtype=float)
+    op.cycles = 0
+    return op
+
+
+def cycle_spectral_radius(hier: GridHierarchy, nu1: int, nu2: int, cycle: str,
+                          seed: int) -> tuple:
+    """``(radius, cycles)``: the spectral radius of ``cycle_operator`` by ARPACK's
+    ``eigs`` from the seeded ``grid.random_state``, and the cycles it applied.
+    An ARPACK failure, such as missing the tolerance, raises ``LinAlgError``."""
+    from scipy.sparse.linalg import ArpackError, eigs
+
+    op = cycle_operator(hier, nu1, nu2, cycle)
+    v0 = grid.random_state(hier.sizes[0], hier.bc, seed=seed).flat()
+    try:
+        vals = eigs(op, k=ARNOLDI_K, ncv=ARNOLDI_NCV, tol=ARNOLDI_TOL,
+                    maxiter=ARNOLDI_MAXITER, v0=v0, return_eigenvectors=False)
+    except ArpackError as exc:  # its subclass ArpackNoConvergence too
+        raise np.linalg.LinAlgError(f"Arnoldi on the {cycle} cycle: {exc}") from None
+    return float(np.abs(vals).max()), op.cycles
 
 
 def assemble_two_grid_matrix(n: int, params: RelaxParams, transfer: TransferPair,
                              nu1: int, nu2: int, bc: str = "periodic") -> np.ndarray:
-    """Dense error-propagation matrix of one two-grid cycle, by column probing.
-
-    Applies the cycle with zero right-hand side to every unit-error state, so
-    column j is the propagated error of basis vector j.  Guarded to tiny grids.
-    """
+    """Dense matrix of the two-grid ``cycle_operator``, column j the image of
+    unit state j.  Guarded to tiny grids."""
     if n > 9:
         raise ValueError("brute-force matrix oracle is limited to n <= 9")
-    hier = GridHierarchy(n, bc, params, transfer)
-    rhs = grid.StaggeredState.zeros(n, bc)
-    size = rhs.flat().size
-    mat = np.empty((size, size))
-    for j in range(size):
-        e = np.zeros(size)
-        e[j] = 1.0
-        st = grid.StaggeredState.from_flat(e, n, bc)
-        two_grid_cycle(hier, st, rhs, nu1, nu2)
-        mat[:, j] = st.flat()
-    return mat
-
-
-def projected_spectral_radius(mat: np.ndarray, n: int, bc: str) -> float:
-    """Spectral radius with the operator nullspace (fixed modes) projected out."""
-    ns = assemble.nullspace(n, bc)
-    proj = np.eye(mat.shape[0]) - ns @ ns.T
-    return float(np.abs(np.linalg.eigvals(proj @ mat @ proj)).max())
+    op = cycle_operator(GridHierarchy(n, bc, params, transfer), nu1, nu2, "two")
+    return op @ np.eye(op.shape[0])

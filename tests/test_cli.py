@@ -313,8 +313,32 @@ def test_compare_periodic_check_passes(tmp_path):
     report = read_json(str(out))
     check = report["periodic_check"]
     assert check["pass"] is True
-    assert check["gap"] <= 0.01
+    assert check["gap"] <= 1e-6
     assert check["n"] == 9
+
+
+@pytest.mark.parametrize("where", ("arnoldi", "lattice"))
+def test_compare_periodic_check_failure_exit_code(where, tmp_path, monkeypatch, capsys):
+    # ARPACK missing its tolerance, or the lattice factor failing, is a
+    # numerical failure (exit 2), not a traceback
+    from scipy.sparse import linalg
+    from mac3mg import twogrid
+
+    def fail(*args, **kwargs):
+        if where == "arnoldi":
+            raise linalg.ArpackNoConvergence("ARPACK error -1: No convergence", [], [])
+        raise np.linalg.LinAlgError("No convergence")
+
+    if where == "arnoldi":
+        monkeypatch.setattr(linalg, "eigs", fail)
+    else:
+        monkeypatch.setattr(twogrid, "periodic_lattice_factor", fail)
+    code = run_cli(["compare", "--scheme", "qdr", "--n", "9", "--nu", "1",
+                    "--resolution", "27", "--out", str(tmp_path / "cmp.csv")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "numerical failure" in err and "No convergence" in err
+    assert not (tmp_path / "cmp.csv").exists()
 
 
 def test_selftest_passes(tmp_path):

@@ -215,9 +215,29 @@ def test_two_grid_matrix_matches_lattice_factor(scheme, tag):
     params = reference_params(scheme)
     pair = TransferPair(tag)
     mat = multigrid.assemble_two_grid_matrix(n, params, pair, 1, 0)
-    rho_mat = multigrid.projected_spectral_radius(mat, n, "periodic")
+    rho_mat = np.abs(np.linalg.eigvals(mat)).max()
     rho_lat = twogrid.periodic_lattice_factor(params, pair, 1, 0, n)
     assert abs(rho_mat - rho_lat) < 1e-8, (scheme, tag, rho_mat, rho_lat)
+
+
+@pytest.mark.parametrize("scheme", symbols.SCHEMES)
+def test_two_grid_matrix_is_the_projected_column_probe(scheme):
+    # the operator's matrix is the unprojected cycle's column probe M with
+    # the orthonormal nullspace N projected out after the cycle: (I - N N^T) M
+    n, bc = 9, "periodic"
+    params, pair = reference_params(scheme), TransferPair("p25t")
+    hier = GridHierarchy(n, bc, params, pair)
+    rhs = grid.StaggeredState.zeros(n, bc)
+
+    def cycle(st):
+        multigrid.two_grid_cycle(hier, st, rhs, 1, 0)
+        return st
+
+    m = probe_matrix(cycle, n, bc)
+    ns = assemble.nullspace(n, bc)
+    want = m - ns @ (ns.T @ m)
+    got = multigrid.assemble_two_grid_matrix(n, params, pair, 1, 0)
+    assert np.abs(got - want).max() < 1e-13
 
 
 def test_two_grid_matrix_guard():
@@ -309,21 +329,32 @@ def test_solve_rejects_unknown_cycle():
     with pytest.raises(ValueError):
         multigrid.solve(hier, 1, 0, cycle="w")
     with pytest.raises(ValueError):
-        multigrid.asymptotic_factor(hier, 1, 0, cycle="fmg")
+        multigrid.cycle_operator(hier, 1, 0, cycle="fmg")
 
 
-@pytest.mark.parametrize("scheme", ("qdr", "quzawa"))
-def test_asymptotic_factor_matches_lattice_prediction(scheme):
-    # the renormalized power iteration on the real periodic cycle converges
-    # to the lattice factor (the measured-protocol geometric mean would stop
-    # early and undershoot; this estimator is the asymptotic one)
+@pytest.mark.parametrize("scheme", symbols.SCHEMES)
+def test_cycle_spectral_radius_matches_lattice_factor(scheme):
+    # Arnoldi on the real periodic two-grid cycle lands on the lattice factor;
+    # quzawa's top eigenvalues are a complex pair beside a cluster
     n = 27
-    params = reference_params(scheme)
+    params = reference_params(scheme, "measured")
     pair = TransferPair("p25t")
     hier = GridHierarchy(n, "periodic", params, pair)
-    got = multigrid.asymptotic_factor(hier, 1, 0, cycle="two", seed=0)
+    got, cycles = multigrid.cycle_spectral_radius(hier, 1, 0, cycle="two", seed=0)
     want = twogrid.periodic_lattice_factor(params, pair, 1, 0, n)
-    assert abs(got - want) < 0.01, (scheme, got, want)
+    assert abs(got - want) < 1e-8, (scheme, got, want)
+    assert cycles > multigrid.ARNOLDI_NCV
+
+
+def test_cycle_spectral_radius_matches_dense_eigenvalues():
+    # a Dirichlet V(1,0) cycle, which the lattice analysis does not cover
+    n, bc = 9, "dirichlet"
+    hier = GridHierarchy(n, bc, reference_params("qdr", "measured"), TransferPair("p25t"))
+    op = multigrid.cycle_operator(hier, 1, 0, cycle="v")
+    want = np.abs(np.linalg.eigvals(op @ np.eye(op.shape[0]))).max()
+    assert op.cycles == op.shape[0]
+    got, _ = multigrid.cycle_spectral_radius(hier, 1, 0, cycle="v", seed=0)
+    assert abs(got - want) < 1e-8, (got, want)
 
 
 # -- work arrays -----------------------------------------------------------

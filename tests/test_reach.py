@@ -25,6 +25,7 @@ ORACLES = {
     "analytic.uzawa_mu_c": "the complex branch of the sigma-Uzawa factor (criterion 9)",
     "analytic.uzawa_mu_r": "the real branch of the sigma-Uzawa factor (criterion 9)",
     "assemble.assemble_schur": "the assembled Schur oracle, which perfbench traces by name",
+    "assemble.nullspace": "the orthonormal nullspace, which checks the cycle operator's gauge",
     "grid.mode_coefficients": "the per-mode probe of the periodic operators and sweeps",
     "twogrid.two_grid_symbol": "the single-sample LFA oracle for the batched factors",
 }
