@@ -208,7 +208,7 @@ class DirectSolver:
             edge = assemble._lap1(n - 1, h, bc, 0.0).toarray()
             tan = assemble._lap1(n, h, bc, grid.VELOCITY_GHOST).toarray()
             self._inv_u = SeparableInverse(edge, None, tan, None, 1.0, False)
-            self._inv_v = SeparableInverse(tan, None, edge, None, 1.0, False)
+            self._inv_v = self._inv_u.swapped()
 
     def _schur(self, p: np.ndarray) -> np.ndarray:
         gu, gv = self.system.grad(p)

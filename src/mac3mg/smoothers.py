@@ -37,7 +37,8 @@ class SeparableInverse:
     ``x = V1 ((V1^T g V2) / (scale (lambda1_i + lambda2_j))) V2^T``.  When
     ``singular``, both ``k`` annihilate the constant and so does the
     operator: the zero pair is dropped and the mean is projected out of ``g``
-    and of ``x``, giving the mean-zero solution for ``g - mean(g)``.
+    and of ``x``, giving the mean-zero solution for ``g - mean(g)``.  The
+    same pair of factors on both axes is decomposed once.
     """
 
     def __init__(self, k1, m1, k2, m2, scale: float, singular: bool):
@@ -47,7 +48,7 @@ class SeparableInverse:
             return scipy.linalg.eigh(k, m, driver="evd" if m is None else "gvd")
 
         lam1, self.v1 = eig(k1, m1)
-        lam2, self.v2 = eig(k2, m2)
+        lam2, self.v2 = (lam1.copy(), self.v1) if k2 is k1 and m2 is m1 else eig(k2, m2)
         if singular:
             lam1[0] = lam2[0] = 0.0
         denom = scale * (lam1[:, None] + lam2[None, :])
@@ -56,6 +57,13 @@ class SeparableInverse:
         self.inv = 1.0 / denom
         self.singular = singular
         self.work = grid.Workspace()
+
+    def swapped(self) -> SeparableInverse:
+        """The inverse with its two axes exchanged, on ``(n2, n1)`` arrays,
+        sharing this one's eigendecompositions."""
+        out = object.__new__(SeparableInverse)
+        vars(out).update(vars(self), v1=self.v2, v2=self.v1, inv=self.inv.T, work=grid.Workspace())
+        return out
 
     def __call__(self, g: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         dtype = np.result_type(g, self.v1)

@@ -22,15 +22,19 @@ same at all eight images of a base, and the factors are maxima over one wedge
 family because ``-pi/3 + 2 pi/3 = pi/3``, and the symbols are 2 pi periodic
 up to per-field signs.
 
-The factors are spectral radii of the real matrix ``D^-1 E D`` with
-``D = diag(1, 1, i)`` per harmonic.  This is exact: gradient and divergence
-entries are purely imaginary and the rest real, a pattern that survives
-products, inverses and the coarse solve.  ``two_grid_symbol`` stays complex.
+The smoother is block diagonal over the harmonics and the coarse-grid
+correction is the identity minus a rank-3 product, so the batched factors
+build ``E = blockdiag(S^nu) - P (Z S^nu)``, ``Z = Lc^-1 R L``, from 3x3 blocks,
+as the real ``D^-1 E D`` with ``D = diag(1, 1, i)`` per harmonic.  This is
+exact: gradient and divergence entries are purely imaginary and the rest
+real, a pattern that survives products, inverses and the coarse solve.
+``two_grid_symbol`` stays complex and dense.
 
-Each of ``grid.BANDS`` chunks of bases builds its symbols and powers on the
-band pool (``grid.run_bands``); Gelfand's bound ``rho(E) <= ||E^256||_F^(1/256)``
-leaves a second dispatch only the bases that may hold the maximum.  Each matrix
-is computed on its own whatever its batch, so the factors are bit-identical.
+Each of ``grid.BANDS`` chunks of bases builds its blocks and ``E`` on the band
+pool (``grid.run_bands``).  Gelfand's bound ``rho(E) <= ||A^m||_F^(1/m)``, ``A``
+similar to ``E`` by a power-of-two diagonal (Parlett and Reinsch 1969), prunes
+at ``m = 16`` and 256, leaving a second dispatch only the bases that may hold the
+maximum.  Each matrix is computed alone, whatever its batch: bit-identical factors.
 """
 
 from __future__ import annotations
@@ -56,17 +60,16 @@ FIELD_PHASES = np.array(
 
 _DET_FLOOR = 1e-13
 
-# rho(E) <= ||E^m||_F^(1/m), m = 2^_SQUARINGS, lies 0-5.3% above the radii in the 16
-# tables at resolution 81 and spares 6139 of 6720 eigvals on 2 chunks; the margin absorbs roundoff
+# the balanced rho(E) <= ||A^m||_F^(1/m), m = 2^_SQUARINGS, lies 0-3.5% above the radii in the
+# 16 tables at resolution 81 (0-46% at m = 16); the margin absorbs roundoff
 _SQUARINGS = 8
 _MARGIN = 1e-6
-# a divisor of _SQUARINGS: the bounds of a table at resolution 81 took 8.9-9.8 ms at 4,
-# 10.0-11.1 at 2 and 12.2-13.2 at 1 on one thread; at 8 every power underflows
+# a divisor of _SQUARINGS, and where the bounds prune: at 8 every power underflows
 _RENORM = 4
 _TINY = 2.0**-900  # a power's sum of squares below this may have lost entries
 
-# D^-1 X D = X * _SIMILARITY: pressure rows times -i, pressure columns times i
-_SIMILARITY = np.outer(np.tile([1.0, 1.0, -1.0j], 9), np.tile([1.0, 1.0, 1.0j], 9))
+# D^-1 X D = X * _SIMILARITY for a 3x3 block: pressure row times -i, pressure column times i
+_SIMILARITY = np.outer([1.0, 1.0, -1.0j], [1.0, 1.0, 1.0j])
 
 
 @dataclass(frozen=True)
@@ -95,11 +98,7 @@ def _harmonic_freqs(thetas) -> np.ndarray:
 
 def _expand(blocks: np.ndarray) -> np.ndarray:
     """(ns, 9, 3, 3) per-harmonic blocks -> (ns, 27, 27) block diagonal."""
-    ns = blocks.shape[0]
-    out = np.zeros((ns, 27, 27), dtype=complex)
-    for a in range(9):
-        out[:, 3 * a : 3 * a + 3, 3 * a : 3 * a + 3] = blocks[:, a]
-    return out
+    return (np.eye(9)[:, None, :, None] * blocks[:, :, :, None, :]).reshape(-1, 27, 27)
 
 
 def coarse_symbol(theta, h: float) -> np.ndarray:
@@ -108,36 +107,15 @@ def coarse_symbol(theta, h: float) -> np.ndarray:
     return symbols.stokes_symbol(3.0 * theta, 3.0 * h)
 
 
-def _transfer_mats(pair: TransferPair, freqs: np.ndarray):
-    """Batched transfers for freqs (ns, 9, 2) -> (ns, 27, 3), (ns, 3, 27).
-
-    Both stencils are even-symmetric so their symbols are real; the harmonic
-    phase signs multiply in.  Prolongation carries the 1/9 aliasing factor.
-    """
-    ns = freqs.shape[0]
-    p_sym = stencils.symbol(stencils.P25, freqs)  # (ns, 9)
-    r_sym = stencils.symbol(stencils.RESTRICTIONS[pair.restrict], freqs)
-    prolong = np.zeros((ns, 27, 3), dtype=complex)
-    restrict = np.zeros((ns, 3, 27), dtype=complex)
-    for a in range(9):
-        for f in range(3):
-            phase = FIELD_PHASES[a, f]
-            prolong[:, 3 * a + f, f] = (1.0 / 9.0) * p_sym[:, a] * phase
-            restrict[:, f, 3 * a + f] = r_sym[:, a] * phase
-    return prolong, restrict
-
-
-def _error_symbols(
-    thetas: np.ndarray,
-    params: RelaxParams,
-    pair: TransferPair,
-    h: float,
-):
-    """Coarse-grid correction and smoother symbols for a batch of low bases.
-
-    Returns ``(cgc, smo, kept)`` with shapes (ns, 27, 27): bases whose coarse
-    symbol is singular are dropped (cannot happen for offset sampling).
-    """
+def _blocks(thetas: np.ndarray, params: RelaxParams, pair: TransferPair, h: float):
+    """Complex symbols of a batch of low bases: ``(stokes, smo, coarse,
+    prolong, restrict, kept)``, the fine Stokes and smoother blocks
+    (ns, 9, 3, 3), the coarse symbol (ns, 3, 3) and the transfer weights
+    (ns, 9, 3): field f of harmonic a couples with coarse field f alone, by
+    the stencil symbol (real: the stencils are even) times
+    ``FIELD_PHASES[a, f]``, and prolongation carries the 1/9 aliasing factor.
+    Bases whose coarse symbol is singular are dropped (cannot happen for
+    offset sampling); ``kept`` marks the rest."""
     thetas = np.asarray(thetas, dtype=float).reshape(-1, 2)
     ch = coarse_symbol(thetas, h)
     det = np.abs(np.linalg.det(ch))
@@ -148,11 +126,43 @@ def _error_symbols(
         ch = ch[kept]
 
     freqs = _harmonic_freqs(thetas)
-    prolong, restrict = _transfer_mats(pair, freqs)
-    coarse_residual = restrict @ _expand(symbols.stokes_symbol(freqs, h))
-    cgc = np.eye(27, dtype=complex)[None] - prolong @ np.linalg.solve(ch, coarse_residual)
-    smo = _expand(symbols.relax_error_symbol(params, freqs, h))
-    return cgc, smo, kept
+    p_sym = stencils.symbol(stencils.P25, freqs)[..., None]
+    r_sym = stencils.symbol(stencils.RESTRICTIONS[pair.restrict], freqs)[..., None]
+    return (symbols.stokes_symbol(freqs, h), symbols.relax_error_symbol(params, freqs, h), ch,
+            (1.0 / 9.0) * p_sym * FIELD_PHASES, r_sym * FIELD_PHASES, kept)
+
+
+def _real_form(blocks: np.ndarray) -> np.ndarray:
+    """``D^-1 X D`` for a batch of 3x3 blocks ``X`` as float64; raises
+    ``LinAlgError`` unless the discarded imaginary part is exactly zero."""
+    blocks = blocks * _SIMILARITY
+    if np.any(blocks.imag != 0.0):
+        raise np.linalg.LinAlgError("two-grid symbol is not similar to a real matrix")
+    return np.ascontiguousarray(blocks.real)
+
+
+def _error_symbols(thetas: np.ndarray, params: RelaxParams, pair: TransferPair, h: float):
+    """Real forms of ``_blocks``: ``(smo, prolong, z, kept)``, the smoother
+    blocks (ns, 9, 3, 3), the prolongation weights (ns, 9, 3) and
+    ``Z = Lc^-1 R L`` as its nine 3x3 blocks (ns, 9, 3, 3)."""
+    stokes, smo, coarse, prolong, restrict, kept = _blocks(thetas, params, pair, h)
+    ns = len(coarse)
+    rl = (restrict[..., None] * _real_form(stokes)).transpose(0, 2, 1, 3).reshape(ns, 3, 27)
+    z = np.linalg.solve(_real_form(coarse), rl).reshape(ns, 3, 9, 3).transpose(0, 2, 1, 3)
+    return _real_form(smo), prolong, np.ascontiguousarray(z), kept
+
+
+def _error_matrices(power: np.ndarray, prolong: np.ndarray, z: np.ndarray,
+                    out: np.ndarray | None = None) -> np.ndarray:
+    """``E = blockdiag(W) - P (Z W)`` (ns, 27, 27), into ``out`` if given, from
+    smoother power blocks ``W`` and the weights and ``Z`` of ``_error_symbols``."""
+    ns = len(power)
+    zw = (z @ power).transpose(0, 2, 1, 3).reshape(ns, 1, 3, 27)  # Z W, rows by field
+    e = np.empty((ns, 27, 27)) if out is None else out
+    np.multiply(-prolong[..., None], zw, out=e.reshape(ns, 9, 3, 27))
+    diagonal = np.einsum("nafag->nafg", e.reshape(ns, 9, 3, 9, 3))  # a writable view
+    diagonal += power
+    return e
 
 
 def two_grid_symbol(
@@ -164,48 +174,74 @@ def two_grid_symbol(
     h: float = 1.0,
 ) -> np.ndarray:
     """27x27 two-grid error symbol ``S^nu2 (I - P Lc^-1 R L) S^nu1`` at one
-    base: the single-sample oracle for the batched factors."""
+    base, complex and dense: the single-sample oracle for the batched factors."""
     base = np.asarray(theta, dtype=float)
     if not bool(np.all(symbols.is_low(base))):
         raise ValueError("two-grid symbol requires a low base frequency")
-    cgc, smo, kept = _error_symbols(base.reshape(1, 2), params, pair, h)
+    stokes, smo, coarse, prolong, restrict, kept = _blocks(base, params, pair, h)
     if not kept.all():
         raise np.linalg.LinAlgError("coarse symbol is singular at this base frequency")
-    e = np.linalg.matrix_power(smo[0], nu2) @ cgc[0] @ np.linalg.matrix_power(smo[0], nu1)
-    return e
+    p, r = ((w[0, :, :, None] * np.eye(3)).reshape(27, 3) for w in (prolong, restrict))
+    cgc = np.eye(27) - p @ np.linalg.solve(coarse[0], r.T @ _expand(stokes)[0])
+    s = _expand(smo)[0]
+    return np.linalg.matrix_power(s, nu2) @ cgc @ np.linalg.matrix_power(s, nu1)
 
 
-def _real_form(mats: np.ndarray) -> np.ndarray:
-    """``D^-1 X D`` for a batch of 27x27 symbols ``X`` as float64, formed in
-    place in ``mats``; raises ``LinAlgError`` unless the discarded imaginary
-    part is exactly zero."""
-    mats *= _SIMILARITY
-    if np.any(mats.imag != 0.0):
-        raise np.linalg.LinAlgError("two-grid symbol is not similar to a real matrix")
-    return np.ascontiguousarray(mats.real)
+def _balance(e: np.ndarray, out: np.ndarray | None = None):
+    """``(A, t)`` with ``A = 2^-t D^-1 E D``, into ``out`` if given, for a batch
+    ``E``.  ``D = diag(2^k)`` halves the gap between the binary exponents of
+    each row's and column's 1-norm (Parlett and Reinsch 1969), clamped so that
+    every nonzero entry of ``A`` stays normal, and ``t`` brings the largest
+    into ``[1/2, 1)``: ``A`` is exact, with the radii of ``E`` over ``2^t``."""
+    mag = np.abs(e, out=out)
+    _, hi = np.frexp(mag.max(axis=(1, 2)))
+    _, lo = np.frexp(mag.min(axis=(1, 2), where=mag > 0.0, initial=np.inf))
+    _, rows = np.frexp(mag @ np.ones(27))
+    _, cols = np.frexp(np.ones(27) @ mag)
+    # A's nonzero entries lie in [2^(lo - 1 - hi - 2 spread), 1), spread = max k - min k
+    reach = np.maximum((lo - hi + 1021) // 4, 0)[:, None]
+    k = np.clip((rows - cols) // 2, -reach, reach)
+    low = k.min(axis=1, keepdims=True)
+    spread = k.max(axis=1, keepdims=True) - low
+    # in mag's memory: rows times 2^(min k - k - spread - hi), columns times 2^(k - min k)
+    a = np.ldexp(e, (low - k - spread - hi[:, None])[:, :, None], out=mag)
+    a *= np.ldexp(1.0, k - low)[:, None, :]
+    _, top = np.frexp(np.maximum(a.max(axis=(1, 2)), -a.min(axis=(1, 2))))
+    np.ldexp(a.reshape(len(e), -1), -top[:, None], out=a.reshape(len(e), -1))
+    return a, hi + spread[:, 0] + top
 
 
-def _radius_bounds(e: np.ndarray) -> np.ndarray:
-    """Bounds ``||E^m||_F^(1/m)``, ``m = 2^_SQUARINGS``, on the radii of a finite
-    batch, squaring in two buffers.  Each ``E`` is scaled once by a power of two
-    to entries below 1 (exact) and its power to a unit Frobenius norm every
-    ``_RENORM`` squarings, the logs of the scales carried, so nothing overflows.
-    A power whose sum of squares falls below ``_TINY`` may have underflowed: its
-    base keeps the previous bound (``inf`` before the first), so it is not pruned."""
-    top = np.abs(e).max(axis=(1, 2))
-    _, exp = np.frexp(top)
-    a, b = np.ldexp(e, -exp[:, None, None]), np.empty_like(e)
-    log, bound = exp * np.log(2.0), np.where(top > 0.0, np.inf, 0.0)
+def _radius_bounds(e: np.ndarray, work: np.ndarray | None = None):
+    """Bounds ``||A^m||_F^(1/m) 2^t``, ``(A, t) = _balance(e)``,
+    ``m = 2^_SQUARINGS``, on the radii of a finite batch, and the radii solved
+    on the way, by base.  The powers square in ``work``'s two buffers, scaled
+    to a unit norm every ``_RENORM`` squarings, the logs carried.  There, and
+    at ``m``, ``eigvals`` solves the base of largest bound, on ``E``; only
+    bases whose bound reaches the largest radius solved times ``1 - _MARGIN``
+    square on, as ``||A^2j|| <= ||A^j||^2``.  A power whose sum of squares falls
+    below ``_TINY`` may have underflowed: its base keeps the previous bound
+    (``inf`` before the first), so it is not pruned."""
+    a, b = np.empty((2,) + e.shape) if work is None else work
+    a, t = _balance(e, a)
+    live, solved = np.arange(len(e)), {}
+    log, bound = t * np.log(2.0), np.where(a.any(axis=(1, 2)), np.inf, 0.0)
     for k in range(_RENORM, _SQUARINGS + 1, _RENORM):
         for _ in range(_RENORM):
             a, b = np.matmul(a, a, out=b), a
         sq = np.einsum("ijk,ijk->i", a, a)
-        norm = np.sqrt(sq, out=np.ones_like(sq), where=sq >= _TINY)
+        ok = sq >= _TINY
+        norm = np.sqrt(sq, out=np.ones_like(sq), where=ok)
         log += np.log(norm) / 2**k
-        bound = np.where(sq >= _TINY, np.exp(log), bound)
+        bound[live] = np.where(ok, np.exp(log), bound[live])
+        top = int(live[np.argmax(bound[live])])
+        if top not in solved:
+            solved[top] = np.abs(np.linalg.eigvals(e[top])).max()
         if k < _SQUARINGS:
-            a *= (1.0 / norm)[:, None, None]
-    return bound
+            stay = bound[live] >= max(solved.values()) * (1.0 - _MARGIN)
+            live, log, count = live[stay], log[stay], int(stay.sum())
+            a, b = np.compress(stay, a, axis=0, out=b[:count]), a[:count]
+            a *= (1.0 / norm[stay])[:, None, None]
+    return bound, solved
 
 
 def _wedge(vals: np.ndarray) -> np.ndarray:
@@ -225,38 +261,34 @@ def _max_radius(
     """Largest spectral radius of ``C S^nu`` over the bases, for each nu.
 
     ``S^nu2 C S^nu1`` is similar to ``C S^(nu1 + nu2)``, so one smoothing
-    count per entry covers every pre/post split.  Powers of the smoother are
-    built incrementally across the sorted counts, all in real arithmetic.
-    The bases run in up to ``grid.BANDS`` chunks on the band pool, each
-    building its own symbols.  Raises ``LinAlgError`` where a power overflows
-    (a smoother that amplifies by far more than 1).  A chunk solves its base
-    of largest ``_radius_bounds`` and keeps ``E`` of the bases whose bound is
-    at least that radius times ``1 - _MARGIN``; a second dispatch solves those
-    that reach the largest radius of all chunks.  A pruned base's ``eigvals``
-    never runs, so a non-convergence there is not raised.
+    count per entry covers every pre/post split.  The smoother's 3x3 blocks
+    are powered incrementally across the sorted counts.  The bases run in up
+    to ``grid.BANDS`` chunks on the band pool, each building its own blocks.
+    Raises ``LinAlgError`` where a power overflows (a smoother that amplifies
+    by far more than 1).  A chunk keeps ``E`` of the bases whose bound reaches
+    the largest radius ``_radius_bounds`` solved times ``1 - _MARGIN``; a
+    second dispatch solves those that reach the largest radius of all chunks.
+    A pruned base's ``eigvals`` never runs, so its non-convergence is not raised.
     """
     order, found = sorted(nus), {}
 
     def chunk(lo: int, hi: int) -> None:
-        c, s, _ = _error_symbols(bases[lo:hi], params, pair, h)
-        c = _real_form(c)
-        s = _real_form(s)
-        power = np.broadcast_to(np.eye(27), s.shape).copy()
-        last, found[lo] = 0, []
+        s, p, z, _ = _error_symbols(bases[lo:hi], params, pair, h)
+        power = np.broadcast_to(np.eye(3), s.shape).copy()
+        last, found[lo], work = 0, [], np.empty((3, len(s), 27, 27))
         for nu in order:
             # errstate is per thread: each chunk sets its own
             with np.errstate(over="ignore", invalid="ignore"):
                 for _ in range(nu - last):
                     power = s @ power
-                e = c @ power
+                e = _error_matrices(power, p, z, work[0])
             if not np.all(np.isfinite(e)):
                 raise np.linalg.LinAlgError(f"two-grid symbol overflows at nu = {nu}")
             last = nu
-            bound = _radius_bounds(e)
-            top = int(np.argmax(bound))
-            rho = np.abs(np.linalg.eigvals(e[top])).max()
+            bound, solved = _radius_bounds(e, work[1:])
+            rho = max(solved.values())
             keep = bound >= rho * (1.0 - _MARGIN)
-            keep[top] = False
+            keep[list(solved)] = False
             found[lo].append((rho, e[keep], bound[keep]))
 
     grid.run_bands(chunk, len(bases), max(1, min(grid.BANDS, len(bases))))

@@ -324,14 +324,16 @@ def test_lfa_survivors_run_on_the_pool(pool):
 
 
 def test_chunks_prune_against_the_largest_chunk_radius(monkeypatch):
-    # each chunk solves its own top base; every other base must reach the
-    # largest radius of all chunks, so k chunks hand eigvals at most k - 1
-    # more matrices per count than one chunk does, with the same factors
+    # each chunk solves its own top bases, at the 16th power and at the
+    # 256th; every other base must reach the largest radius of all chunks.
+    # So the second dispatch of k chunks gets no base that one chunk neither
+    # kept nor solved, and not one chunk's top at the 16th power, which its
+    # own chunk solves: with the same factors
     sizes, lock, eigvals = [], threading.Lock(), np.linalg.eigvals
 
     def counted(a):
         with lock:
-            sizes.append(a.size // 27**2)
+            sizes.append((np.ndim(a), np.size(a) // 27**2))
         return eigvals(a)
 
     monkeypatch.setattr(np.linalg, "eigvals", counted)
@@ -339,15 +341,18 @@ def test_chunks_prune_against_the_largest_chunk_radius(monkeypatch):
     for scheme in symbols.SCHEMES:
         for restrict in stencils.RESTRICTIONS:
             params, pair = reference_params(scheme), TransferPair(restrict)
-            counts, tables = [], []
+            solved, second, tables = [], [], []
             for bands in (1, 2, 3):
                 monkeypatch.setattr(grid, "BANDS", bands)
                 sizes.clear()
                 tables.append(twogrid.two_grid_factor_table(params, pair, nus=nus, n=27,
                                                             h=1.0 / 27))
-                counts.append(sum(sizes))
+                solved.append(sum(count for ndim, count in sizes if ndim == 2))
+                second.append(sum(count for ndim, count in sizes if ndim == 3))
             for k in (2, 3):
-                assert counts[k - 1] <= counts[0] + (k - 1) * len(nus), (scheme, restrict, counts)
+                assert second[k - 1] <= second[0] + solved[0] - len(nus), (
+                    scheme, restrict, solved, second)
+                assert solved[k - 1] <= 2 * k * len(nus), (scheme, restrict, solved)
                 assert tables[k - 1] == tables[0], (scheme, restrict)
 
 

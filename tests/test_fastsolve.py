@@ -8,11 +8,12 @@ with multipliers.
 
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from mac3mg import assemble, grid, multigrid
-from mac3mg.smoothers import SchurOperator
+from mac3mg.smoothers import SchurOperator, SeparableInverse
 
 
 def constrained_solve(mat, cols, rhs):
@@ -129,3 +130,37 @@ def test_direct_solver_reports_missed_tolerance(monkeypatch):
     msg = str(info.value)
     assert "n=27" in msg and "bc=dirichlet" in msg
     assert "after 3 iterations" in msg and "relative residual" in msg
+
+
+def test_one_eigh_per_distinct_factor(monkeypatch):
+    # the Schur solve and the periodic direct solve put one factor pair on
+    # both axes, and the Dirichlet direct solve swaps (edge, tangential) for
+    # v: each distinct pair is decomposed once, and the shared solves keep
+    # the bits of solves built from their own decompositions
+    calls, eigh = [], scipy.linalg.eigh
+
+    def counted(*args, **kwargs):
+        calls.append(args[0].shape)
+        return eigh(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.linalg, "eigh", counted)
+    n, rng = 27, np.random.default_rng(5)
+    for bc in grid.BCS:
+        calls.clear()
+        SchurOperator(n, bc).solve(rng.standard_normal((n, n)))
+        assert len(calls) == 1, bc
+    calls.clear()
+    multigrid.DirectSolver(n, "periodic")
+    assert len(calls) == 1
+    calls.clear()
+    solver = multigrid.DirectSolver(n, "dirichlet")
+    assert sorted(calls) == [(n - 1, n - 1), (n, n)]
+    h = 1.0 / n
+    edge = assemble._lap1(n - 1, h, "dirichlet", 0.0).toarray()
+    tan = assemble._lap1(n, h, "dirichlet", grid.VELOCITY_GHOST).toarray()
+    g = rng.standard_normal((n, n - 1))
+    assert np.array_equal(solver._inv_v(g), SeparableInverse(tan, None, edge, None, 1.0, False)(g))
+    lap = assemble._lap1(n, h, "periodic", 0.0).toarray()
+    g = rng.standard_normal((n, n))
+    assert np.array_equal(SeparableInverse(lap, None, lap, None, 1.0, True)(g),
+                          SeparableInverse(lap, None, lap.copy(), None, 1.0, True)(g))

@@ -6,7 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
-from mac3mg import stencils, symbols, twogrid
+from mac3mg import grid, stencils, symbols, twogrid
 from mac3mg.symbols import reference_params
 from mac3mg.twogrid import TransferPair
 
@@ -73,21 +73,22 @@ def test_expanded_fine_symbol_is_block_diagonal():
 
 
 def test_transfer_symbols_sparsity_and_scaling():
+    # a transfer couples field f of harmonic a with coarse field f alone: its
+    # weight is the scalar stencil symbol times the phase sign, and the
+    # prolongation's carries the 1/9 aliasing factor
     freqs = twogrid._harmonic_freqs((0.01, 0.02))
-    pair = TransferPair("p25t")
-    prolong, restrict = twogrid._transfer_mats(pair, freqs[None])
-    prolong, restrict = prolong[0], restrict[0]
-    assert prolong.shape == (27, 3) and restrict.shape == (3, 27)
-    for f in range(3):
-        rows = np.flatnonzero(np.abs(prolong[:, f]) > 0)
-        assert set(rows) <= {3 * a + f for a in range(9)}
-        cols = np.flatnonzero(np.abs(restrict[f, :]) > 0)
-        assert set(cols) <= {3 * a + f for a in range(9)}
+    _, _, _, prolong, restrict, _ = twogrid._blocks(np.array([0.01, 0.02]),
+                                                    reference_params("qdr"),
+                                                    TransferPair("p25t"), 1.0 / 27)
+    assert prolong.shape == restrict.shape == (1, 9, 3)
+    p_sym = stencils.symbol(stencils.P25, freqs)
+    r_sym = stencils.symbol(stencils.RESTRICTIONS["p25t"], freqs)
+    assert np.array_equal(prolong[0], (1.0 / 9.0) * p_sym[:, None] * twogrid.FIELD_PHASES)
+    assert np.array_equal(restrict[0], r_sym[:, None] * twogrid.FIELD_PHASES)
     # near theta = 0 the base-harmonic weights approach 1 for both transfers
     b = twogrid.BASE_INDEX
-    for f in range(3):
-        assert abs(prolong[3 * b + f, f] - 1.0) < 1e-3
-        assert abs(restrict[f, 3 * b + f] - 1.0) < 1e-3
+    assert np.abs(prolong[0, b] - 1.0).max() < 1e-3
+    assert np.abs(restrict[0, b] - 1.0).max() < 1e-3
 
 
 def test_two_grid_symbol_requires_low_base():
@@ -108,8 +109,8 @@ def test_singular_samples_are_decided_per_base():
     # the factor routines keep the same bases wherever they split
     bases = np.array([[1e-5, 5e-6], [1.0, 0.5], [1e-7, 5e-8]])
     p, pair, h = reference_params("qdr"), TransferPair("p25t"), 1.0 / 27
-    _, _, kept = twogrid._error_symbols(bases, p, pair, h)
-    alone = [bool(twogrid._error_symbols(b, p, pair, h)[2][0]) for b in bases]
+    *_, kept = twogrid._error_symbols(bases, p, pair, h)
+    alone = [bool(twogrid._error_symbols(b, p, pair, h)[-1][0]) for b in bases]
     assert list(kept) == alone == [True, True, False]
 
 
@@ -287,15 +288,15 @@ _TABLE_PARAMS = list(dict.fromkeys(
 
 def _unpruned(bases, params, pair, h, nus):
     """The largest radius of ``C S^nu`` over the bases by ``eigvals`` on every
-    base, with the powers formed as ``_max_radius`` forms them: the unpruned
-    reference for its factors."""
-    cgc, smo, _ = twogrid._error_symbols(bases, params, pair, h)
-    cgc, smo = twogrid._real_form(cgc), twogrid._real_form(smo)
-    out, power = {}, np.broadcast_to(np.eye(27), smo.shape).copy()
+    base, with the powers and ``E`` formed as ``_max_radius`` forms them: the
+    unpruned reference for its factors."""
+    smo, prolong, z, _ = twogrid._error_symbols(bases, params, pair, h)
+    out, power = {}, np.broadcast_to(np.eye(3), smo.shape).copy()
     for nu in range(1, max(nus) + 1):
         power = smo @ power
         if nu in nus:
-            out[nu] = float(np.abs(np.linalg.eigvals(cgc @ power)).max())
+            e = twogrid._error_matrices(power, prolong, z)
+            out[nu] = float(np.abs(np.linalg.eigvals(e)).max())
     return out
 
 
@@ -384,13 +385,14 @@ def test_bounds_of_huge_and_tiny_radii_keep_the_factor(monkeypatch, scale):
     # unless the bound rescales every square, and with no rescaling the
     # tiny ones all bound to zero and prune the maximum
     params, pair, h = reference_params("qdr"), TransferPair("p25t"), 1.0 / 27
-    error_symbols = twogrid._error_symbols
+    error_matrices = twogrid._error_matrices
 
     def scaled(*args):
-        cgc, smo, kept = error_symbols(*args)
-        return cgc * scale, smo, kept
+        e = error_matrices(*args)
+        e *= scale
+        return e
 
-    monkeypatch.setattr(twogrid, "_error_symbols", scaled)
+    monkeypatch.setattr(twogrid, "_error_matrices", scaled)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         got, bases = _routed(monkeypatch, lambda: twogrid.two_grid_factor_table(
@@ -408,10 +410,32 @@ def test_radius_bounds_hold_and_need_no_warnings():
     e[4] = np.triu(e[4], 1)  # nilpotent: radius 0
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        bound = twogrid._radius_bounds(e)
+        bound, solved = twogrid._radius_bounds(e)
     radius = np.abs(np.linalg.eigvals(e)).max(axis=-1)
     assert np.all(bound >= radius * (1.0 - twogrid._MARGIN)) and bound[3] == 0.0
     assert np.all(bound[[0, 1, 2, 5]] <= 1.5 * radius[[0, 1, 2, 5]])
+    # the largest radius is solved, on E itself
+    assert solved[1] == radius[1]
+
+
+def _crafted(monkeypatch, make):
+    """Route ``_max_radius`` and ``_unpruned`` to crafted matrices:
+    ``_error_symbols`` hands each base's first frequency on as its
+    prolongation weights, and ``_error_matrices`` returns ``make(theta1)``
+    for each base, whatever the smoothing count."""
+
+    def error_symbols(thetas, *args):
+        thetas = np.asarray(thetas, dtype=float).reshape(-1, 2)
+        ns = len(thetas)
+        return (np.broadcast_to(np.eye(3), (ns, 9, 3, 3)).copy(),
+                np.broadcast_to(thetas[:, :1, None], (ns, 9, 3)).copy(),
+                np.zeros((ns, 9, 3, 3)), np.ones(ns, dtype=bool))
+
+    def error_matrices(power, prolong, z, out=None):
+        return np.stack([make(theta) for theta in prolong[:, 0, 0]])
+
+    monkeypatch.setattr(twogrid, "_error_symbols", error_symbols)
+    monkeypatch.setattr(twogrid, "_error_matrices", error_matrices)
 
 
 def test_an_underflowing_power_never_prunes_the_maximum(monkeypatch):
@@ -421,24 +445,122 @@ def test_an_underflowing_power_never_prunes_the_maximum(monkeypatch):
     # and a bound of 0 for the first would prune it against them
     bases = np.stack([np.arange(1.0, 9.0), np.zeros(8)], axis=-1)
     params, pair, h = reference_params("qdr"), TransferPair("p25t"), 1.0 / 27
-    diag = np.arange(27)
 
-    def crafted(thetas, *args):
-        thetas = np.asarray(thetas).reshape(-1, 2)
-        cgc = np.zeros((len(thetas), 27, 27), dtype=complex)
-        top = thetas[:, 0] == 5.0
-        cgc[:, diag, diag] = np.where(top, 1e-25, 1e-27 * thetas[:, 0])[:, None]
-        cgc[top, 0, 1] = 1.0
-        smo = np.broadcast_to(np.eye(27, dtype=complex), cgc.shape).copy()
-        return cgc, smo, np.ones(len(thetas), dtype=bool)
+    def make(theta):
+        e = np.diag(np.full(27, 1e-25 if theta == 5.0 else 1e-27 * theta))
+        e[0, 1] = 1.0 if theta == 5.0 else 0.0
+        return e
 
-    monkeypatch.setattr(twogrid, "_error_symbols", crafted)
+    _crafted(monkeypatch, make)
     nus = (1, 2, 3, 4)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         got = twogrid._max_radius(bases, params, pair, h, nus)
     assert got == _unpruned(bases, params, pair, h, nus)
     assert all(abs(r - 1e-25) < 1e-30 for r in got.values()), got
+
+
+def test_a_maximum_below_the_largest_16th_power_bound_is_found(monkeypatch):
+    # base 4 carries a 2x2 Jordan block of eigenvalue 0.5 that balancing
+    # cannot shrink (its rows and columns have equal norms), so its bound at
+    # the 16th power, about 0.998, tops the chunk and is solved first; base 2
+    # holds the maximum 0.9 and must survive that pruning to be solved at 256
+    bases = np.stack([np.arange(1.0, 7.0), np.zeros(6)], axis=-1)
+    params, pair, h = reference_params("qdr"), TransferPair("p25t"), 1.0 / 27
+    c = 1000.0
+
+    def make(theta):
+        e = np.diag(np.full(27, 0.1 if theta in (2.0, 4.0) else 0.05 * theta))
+        if theta == 2.0:
+            e[0, 0] = 0.9
+        if theta == 4.0:
+            e[:2, :2] = [[0.5 + c, c], [-c, 0.5 - c]]
+        return e
+
+    def bound16(e):
+        a, t = twogrid._balance(e[None])
+        return float(np.linalg.norm(np.linalg.matrix_power(a[0], 16)) ** (1 / 16) * 2.0 ** t[0])
+
+    assert bound16(make(4.0)) > 0.99 > bound16(make(2.0)) >= 0.9 > bound16(make(6.0))
+    _crafted(monkeypatch, make)
+    monkeypatch.setattr(grid, "BANDS", 1)
+    solved, eigvals = [], np.linalg.eigvals
+
+    def recorded(a):
+        solved.append(np.asarray(a).copy())
+        return eigvals(a)
+
+    monkeypatch.setattr(np.linalg, "eigvals", recorded)
+    nus = (1, 2)
+    got = twogrid._max_radius(bases, params, pair, h, nus)
+    # per count: base 4 at the 16th power, then base 2 at the 256th
+    firsts = [m for m in solved if m.ndim == 2]
+    assert len(firsts) == 2 * len(nus)
+    assert np.array_equal(firsts[0], make(4.0)) and np.array_equal(firsts[1], make(2.0))
+    assert got == _unpruned(bases, params, pair, h, nus)
+    assert all(abs(r - 0.9) < 1e-15 for r in got.values()), got
+
+
+@pytest.mark.parametrize("scheme", symbols.SCHEMES)
+def test_error_matrices_are_the_real_form_of_the_dense_symbol(scheme):
+    # E = blockdiag(S^nu) - P (Z S^nu) from the 3x3 blocks is D^-1 E D of
+    # the dense complex oracle, base by base: the blocks expand, the
+    # transfers place their weights and the real form discards nothing
+    params, pair, h = reference_params(scheme), TransferPair("r9b"), 1.0 / 27
+    bases = symbols.low_freq_samples(27)[::7]
+    smo, prolong, z, _ = twogrid._error_symbols(bases, params, pair, h)
+    d = np.tile([1.0, 1.0, 1.0j], 9)
+    power = np.broadcast_to(np.eye(3), smo.shape).copy()
+    for nu in (1, 2, 3):
+        power = smo @ power
+        e = twogrid._error_matrices(power, prolong, z)
+        assert e.dtype == np.float64
+        for b, theta in enumerate(bases):
+            dense = twogrid.two_grid_symbol(theta, nu, 0, params, pair, h)
+            real = dense * np.outer(d.conj(), d)
+            scale = np.abs(dense).max()
+            assert np.abs(real.imag).max() <= 1e-13 * scale, (nu, b)
+            assert np.abs(real.real - e[b]).max() <= 1e-13 * scale, (nu, b)
+
+
+def test_balancing_is_exact_keeps_the_radii_and_the_bounds_hold():
+    # one power-of-two diagonal similarity per matrix: every nonzero entry
+    # stays a normal number below 1, a ratio of powers of two to its
+    # original, so the radii are those of E over 2^t; zero rows and
+    # columns and entries near 1e+-300 need no special case.  Matrix 6 spans
+    # more than the normal range, so its smallest entry cannot stay normal:
+    # it is not balanced, and its bound still holds.  Nothing warns.
+    rng = np.random.default_rng(11)
+    graded = np.exp2(rng.integers(-8, 9, (6, 27)))
+    e = rng.standard_normal((8, 27, 27)) * graded[[0, 1, 2, 3, 4, 5, 0, 1], None, :]
+    e /= graded[[0, 1, 2, 3, 4, 5, 0, 1], :, None]  # D^-1 G D: rows and columns graded
+    e[1] *= 1e300
+    e[2] *= 1e-300
+    e[3][[3, 7]] = 0.0
+    e[3][:, [5, 9]] = 0.0
+    e[4] = 0.0
+    e[5] = np.triu(e[5], 1)  # nilpotent: radius 0
+    e[6][0, 1], e[6][1, 0] = 1e300, 1e-300  # a span of 2^1993
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        a, t = twogrid._balance(e)
+        bound, solved = twogrid._radius_bounds(e)
+    exact = [0, 1, 2, 3, 4, 5, 7]
+    nonzero = e[exact] != 0.0
+    assert np.array_equal(a[exact] != 0.0, nonzero)
+    assert np.abs(a[exact][nonzero]).min() >= np.finfo(float).tiny
+    assert np.abs(a).max(axis=(1, 2))[[0, 1, 2, 3, 5, 6, 7]].min() >= 0.5
+    assert np.abs(a).max() < 1.0
+    mantissa, _ = np.frexp(a[exact][nonzero] / e[exact][nonzero])
+    assert np.all(mantissa == 0.5)  # a / e is a power of two
+    assert np.abs(a[6]).max() >= 0.5 and a[6][1, 0] == 0.0
+    radius = np.abs(np.linalg.eigvals(e)).max(axis=-1)
+    balanced = np.abs(np.linalg.eigvals(a)).max(axis=-1)
+    for m in (0, 1, 2, 3, 6, 7):
+        assert abs(np.log(balanced[m]) + t[m] * np.log(2.0) - np.log(radius[m])) < 1e-12, m
+    assert bound[4] == 0.0 and balanced[4] == 0.0
+    assert np.all(bound >= radius * (1.0 - twogrid._MARGIN))
+    assert all(solved[m] == radius[m] for m in solved)
 
 
 @pytest.mark.parametrize("params", _TABLE_PARAMS, ids=lambda p: f"{p.scheme}-a{p.alpha:.2f}")
@@ -462,8 +584,9 @@ def test_real_factor_table_matches_complex_oracle(params):
 @pytest.mark.parametrize("params", _TABLE_PARAMS, ids=lambda p: f"{p.scheme}-a{p.alpha:.2f}")
 def test_similarity_discards_an_exact_zero(params):
     # velocity-pressure entries are purely imaginary and the rest real, so
-    # D^-1 X D drops an imaginary part that is exactly zero, on the offset
-    # and the periodic low lattices alike
+    # D^-1 X D drops an imaginary part that is exactly zero from every 3x3
+    # Stokes, smoother and coarse block, on the offset and the periodic low
+    # lattices alike; the transfer weights are real
     n = 27
     ks = 2.0 * np.pi * np.arange(-4, 5) / n
     t1, t2 = np.meshgrid(ks, ks, indexing="ij")
@@ -471,25 +594,33 @@ def test_similarity_discards_an_exact_zero(params):
     lattice = lattice[np.abs(lattice).max(axis=-1) > 0.0]
     for bases in (symbols.low_freq_samples(n), lattice):
         for restrict in stencils.RESTRICTIONS:
-            cgc, smo, kept = twogrid._error_symbols(bases, params, TransferPair(restrict), 1.0 / n)
+            stokes, smo, coarse, prolong, weights, kept = twogrid._blocks(
+                bases, params, TransferPair(restrict), 1.0 / n)
             assert kept.all()
-            for mats in (cgc, smo):
-                sim = mats * twogrid._SIMILARITY
+            assert prolong.dtype == weights.dtype == np.float64
+            for blocks in (stokes, smo, coarse):
+                sim = blocks * twogrid._SIMILARITY
                 assert np.abs(sim.imag).max() == 0.0
-                real = twogrid._real_form(mats.copy())
+                real = twogrid._real_form(blocks)
                 assert real.dtype == np.float64
                 assert np.array_equal(real, sim.real)
 
 
-def test_real_form_rejects_a_symbol_without_the_pattern():
-    e = twogrid.two_grid_symbol((0.3, 0.1), 1, 0, reference_params("qdr"),
-                                TransferPair("p25t"), 1.0 / 27.0)
-    assert twogrid._real_form(e[None].copy()).shape == (1, 27, 27)
-    bad = e.copy()
-    bad[0, 1] += 0.5j  # a complex velocity-velocity entry
+def test_real_form_rejects_a_symbol_without_the_pattern(monkeypatch):
+    stokes = twogrid._blocks(np.array([0.3, 0.1]), reference_params("qdr"),
+                             TransferPair("p25t"), 1.0 / 27.0)[0]
+    assert twogrid._real_form(stokes).shape == (1, 9, 3, 3)
+    bad = stokes.copy()
+    bad[0, 4, 0, 1] += 0.5j  # a complex velocity-velocity entry
     with pytest.raises(np.linalg.LinAlgError):
-        twogrid._real_form(bad[None])
-    bad = e.copy()
-    bad[3, 5] = 1.0  # a real velocity-pressure entry
+        twogrid._real_form(bad)
+    bad = stokes.copy()
+    bad[0, 4, 0, 2] = 1.0  # a real velocity-pressure entry
     with pytest.raises(np.linalg.LinAlgError):
-        twogrid._real_form(bad[None])
+        twogrid._real_form(bad)
+    # a smoother symbol without the pattern stops a table the same way
+    relax = symbols.relax_error_symbol
+    monkeypatch.setattr(symbols, "relax_error_symbol", lambda *args: relax(*args) + 0.5j)
+    with pytest.raises(np.linalg.LinAlgError):
+        twogrid.two_grid_factor_table(reference_params("qdr"), TransferPair("p25t"), n=27,
+                                      h=1.0 / 27)

@@ -10,14 +10,22 @@ over ``--repeats`` rounds after one untimed round:
 
 - ``table_ms``: one ``two_grid_factor_table`` call;
 - ``symbols_ms``: ``twogrid._error_symbols``, the batched symbol build;
-- ``bounds_ms``: ``twogrid._radius_bounds``, the power-norm bounds (null in
-  a tree without them);
+- ``matrices_ms``: ``twogrid._error_matrices``, the error matrices ``E``
+  assembled from the 3x3 harmonic blocks;
+- ``balance_ms``: ``twogrid._balance``, the diagonal similarity before the
+  bounds;
+- ``bounds_ms``: ``twogrid._radius_bounds``, the power-norm bounds and their
+  pruning;
 - ``eigvals_ms``: ``np.linalg.eigvals``;
-- ``other_ms``: the rest (real forms, smoother powers, products);
+- ``other_ms``: the rest (smoother powers, chunk bookkeeping);
 - ``eigvals_kept``: matrices handed to ``eigvals``, of ``eigvals_total``
   (wedge bases times the four counts), summed over the four tables;
 - ``bands_table_ms``: one table on ``grid.BANDS`` chunks (the top-level
   ``bands``), with no clocks, timed in rounds of its own after the split.
+
+Each part is the self time of its routine: time in a clocked routine that it
+calls is that routine's, so the parts and ``other_ms`` add up to
+``table_ms``.  A part whose routine a tree lacks is null.
 
 ``--src`` picks the ``mac3mg`` source tree, so two checkouts can be measured
 by the same script; by default it is this checkout's ``src/``.
@@ -34,6 +42,8 @@ from pathlib import Path
 
 NUS = (1, 2, 3, 4)
 PARTS = (("symbols_ms", "twogrid", "_error_symbols"),
+         ("matrices_ms", "twogrid", "_error_matrices"),
+         ("balance_ms", "twogrid", "_balance"),
          ("bounds_ms", "twogrid", "_radius_bounds"),
          ("eigvals_ms", "linalg", "eigvals"))
 
@@ -46,17 +56,21 @@ def lfa_split(scheme: str, resolution: int, repeats: int) -> dict:
     from mac3mg.twogrid import TransferPair
 
     owners = {"twogrid": twogrid, "linalg": np.linalg}
-    spent, kept, saved = {}, [0], []
+    spent, kept, saved, inner = {}, [0], [], []
 
     def clock(key, owner, name):
         fn = getattr(owner, name)
 
         def timed(*args):
+            inner.append(0.0)
             t0 = time.perf_counter()
             try:
                 return fn(*args)
             finally:
-                spent[key] = spent.get(key, 0.0) + time.perf_counter() - t0
+                dt = time.perf_counter() - t0
+                spent[key] = spent.get(key, 0.0) + dt - inner.pop()
+                if inner:
+                    inner[-1] += dt
                 if key == "eigvals_ms":
                     kept[0] += np.asarray(args[0]).size // 27**2
 
