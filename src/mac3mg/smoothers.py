@@ -62,7 +62,8 @@ class SeparableInverse:
         """The inverse with its two axes exchanged, on ``(n2, n1)`` arrays,
         sharing this one's eigendecompositions."""
         out = object.__new__(SeparableInverse)
-        vars(out).update(vars(self), v1=self.v2, v2=self.v1, inv=self.inv.T, work=grid.Workspace())
+        vars(out).update(vars(self), v1=self.v2, v2=self.v1, inv=self.inv.T.copy())
+        out.work = grid.Workspace()
         return out
 
     def __call__(self, g: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:

@@ -101,12 +101,6 @@ def _expand(blocks: np.ndarray) -> np.ndarray:
     return (np.eye(9)[:, None, :, None] * blocks[:, :, :, None, :]).reshape(-1, 27, 27)
 
 
-def coarse_symbol(theta, h: float) -> np.ndarray:
-    """Direct rediscretization on the coarse grid: Stokes symbol at (3 theta, 3h)."""
-    theta = np.asarray(theta, dtype=float)
-    return symbols.stokes_symbol(3.0 * theta, 3.0 * h)
-
-
 def _blocks(thetas: np.ndarray, params: RelaxParams, pair: TransferPair, h: float):
     """Complex symbols of a batch of low bases: ``(stokes, smo, coarse,
     prolong, restrict, kept)``, the fine Stokes and smoother blocks
@@ -117,7 +111,7 @@ def _blocks(thetas: np.ndarray, params: RelaxParams, pair: TransferPair, h: floa
     Bases whose coarse symbol is singular are dropped (cannot happen for
     offset sampling); ``kept`` marks the rest."""
     thetas = np.asarray(thetas, dtype=float).reshape(-1, 2)
-    ch = coarse_symbol(thetas, h)
+    ch = symbols.stokes_symbol(3.0 * thetas, 3.0 * h)  # rediscretised on the triple mesh
     det = np.abs(np.linalg.det(ch))
     kept = det > _DET_FLOOR * np.abs(ch).max(axis=(1, 2))
     if not np.all(kept):
@@ -165,14 +159,8 @@ def _error_matrices(power: np.ndarray, prolong: np.ndarray, z: np.ndarray,
     return e
 
 
-def two_grid_symbol(
-    theta,
-    nu1: int,
-    nu2: int,
-    params: RelaxParams,
-    pair: TransferPair,
-    h: float = 1.0,
-) -> np.ndarray:
+def two_grid_symbol(theta, nu1: int, nu2: int, params: RelaxParams, pair: TransferPair,
+                    h: float = 1.0) -> np.ndarray:
     """27x27 two-grid error symbol ``S^nu2 (I - P Lc^-1 R L) S^nu1`` at one
     base, complex and dense: the single-sample oracle for the batched factors."""
     base = np.asarray(theta, dtype=float)
@@ -211,19 +199,19 @@ def _balance(e: np.ndarray, out: np.ndarray | None = None):
     return a, hi + spread[:, 0] + top
 
 
-def _radius_bounds(e: np.ndarray, work: np.ndarray | None = None):
-    """Bounds ``||A^m||_F^(1/m) 2^t``, ``(A, t) = _balance(e)``,
-    ``m = 2^_SQUARINGS``, on the radii of a finite batch, and the radii solved
-    on the way, by base.  The powers square in ``work``'s two buffers, scaled
-    to a unit norm every ``_RENORM`` squarings, the logs carried.  There, and
-    at ``m``, ``eigvals`` solves the base of largest bound, on ``E``; only
-    bases whose bound reaches the largest radius solved times ``1 - _MARGIN``
-    square on, as ``||A^2j|| <= ||A^j||^2``.  A power whose sum of squares falls
-    below ``_TINY`` may have underflowed: its base keeps the previous bound
-    (``inf`` before the first), so it is not pruned."""
+def _radius_bounds(e: np.ndarray, matrices, groups: int = 1, work: np.ndarray | None = None):
+    """Bounds ``||A^m||_F^(1/m) 2^t``, ``(A, t) = _balance(e)``, ``m = 2^_SQUARINGS``,
+    on the radii of a finite batch in equal groups, each group's largest radius
+    solved and the set of bases solved.  The powers square in ``work``'s two
+    buffers (``e`` may be the second), scaled to a unit norm every ``_RENORM``
+    squarings.  There and at ``m``, ``eigvals`` solves each group's top base on
+    its ``E``, ``matrices(bases)``; only bases whose bound reaches their group's
+    radius times ``1 - _MARGIN`` square on, as ``||A^2j|| <= ||A^j||^2``.  A power
+    whose sum of squares falls below ``_TINY`` may have underflowed: its base
+    keeps the previous bound (``inf`` before the first), so it is not pruned."""
     a, b = np.empty((2,) + e.shape) if work is None else work
     a, t = _balance(e, a)
-    live, solved = np.arange(len(e)), {}
+    size, live, rho, solved = len(e) // groups, np.arange(len(e)), np.zeros(groups), set()
     log, bound = t * np.log(2.0), np.where(a.any(axis=(1, 2)), np.inf, 0.0)
     for k in range(_RENORM, _SQUARINGS + 1, _RENORM):
         for _ in range(_RENORM):
@@ -232,16 +220,20 @@ def _radius_bounds(e: np.ndarray, work: np.ndarray | None = None):
         ok = sq >= _TINY
         norm = np.sqrt(sq, out=np.ones_like(sq), where=ok)
         log += np.log(norm) / 2**k
-        bound[live] = np.where(ok, np.exp(log), bound[live])
-        top = int(live[np.argmax(bound[live])])
-        if top not in solved:
-            solved[top] = np.abs(np.linalg.eigvals(e[top])).max()
+        cur = bound[live] = np.where(ok, np.exp(log), bound[live])
+        full = np.full(len(e), -np.inf)
+        full[live] = cur
+        tops = np.setdiff1d(full.reshape(groups, size).argmax(axis=1) + size * np.arange(groups),
+                            list(solved))
+        if tops.size:
+            np.maximum.at(rho, tops // size, np.abs(np.linalg.eigvals(matrices(tops))).max(-1))
+            solved.update(tops.tolist())
         if k < _SQUARINGS:
-            stay = bound[live] >= max(solved.values()) * (1.0 - _MARGIN)
+            stay = cur >= rho[live // size] * (1.0 - _MARGIN)
             live, log, count = live[stay], log[stay], int(stay.sum())
             a, b = np.compress(stay, a, axis=0, out=b[:count]), a[:count]
             a *= (1.0 / norm[stay])[:, None, None]
-    return bound, solved
+    return bound, rho, solved
 
 
 def _wedge(vals: np.ndarray) -> np.ndarray:
@@ -251,45 +243,50 @@ def _wedge(vals: np.ndarray) -> np.ndarray:
     return np.stack([vals[i], vals[j]], axis=-1)
 
 
-def _max_radius(
-    bases: np.ndarray,
-    params: RelaxParams,
-    pair: TransferPair,
-    h: float,
-    nus: tuple[int, ...],
-) -> dict[int, float]:
+def _max_radius(bases: np.ndarray, params: RelaxParams, pair: TransferPair, h: float,
+                nus: tuple[int, ...]) -> dict[int, float]:
     """Largest spectral radius of ``C S^nu`` over the bases, for each nu.
 
     ``S^nu2 C S^nu1`` is similar to ``C S^(nu1 + nu2)``, so one smoothing
     count per entry covers every pre/post split.  The smoother's 3x3 blocks
     are powered incrementally across the sorted counts.  The bases run in up
-    to ``grid.BANDS`` chunks on the band pool, each building its own blocks.
+    to ``grid.BANDS`` chunks on the band pool, each building its own blocks
+    and bounding the ``E`` of all counts in one batch, one group per count.
     Raises ``LinAlgError`` where a power overflows (a smoother that amplifies
-    by far more than 1).  A chunk keeps ``E`` of the bases whose bound reaches
-    the largest radius ``_radius_bounds`` solved times ``1 - _MARGIN``; a
-    second dispatch solves those that reach the largest radius of all chunks.
-    A pruned base's ``eigvals`` never runs, so its non-convergence is not raised.
+    by far more than 1).  Per count, a chunk keeps ``E`` of the bases whose
+    bound reaches the largest radius ``_radius_bounds`` solved times
+    ``1 - _MARGIN``; a second dispatch solves those that reach the largest
+    radius of all chunks.  A pruned base's ``eigvals`` never runs.
     """
     order, found = sorted(nus), {}
 
     def chunk(lo: int, hi: int) -> None:
         s, p, z, _ = _error_symbols(bases[lo:hi], params, pair, h)
-        power = np.broadcast_to(np.eye(3), s.shape).copy()
-        last, found[lo], work = 0, [], np.empty((3, len(s), 27, 27))
-        for nu in order:
-            # errstate is per thread: each chunk sets its own
-            with np.errstate(over="ignore", invalid="ignore"):
+        ns, g, power, powers = len(s), len(order), np.broadcast_to(np.eye(3), s.shape), []
+        # errstate is per thread: each chunk sets its own
+        with np.errstate(over="ignore", invalid="ignore"):
+            for last, nu in zip([0, *order], order):
                 for _ in range(nu - last):
                     power = s @ power
-                e = _error_matrices(power, p, z, work[0])
-            if not np.all(np.isfinite(e)):
-                raise np.linalg.LinAlgError(f"two-grid symbol overflows at nu = {nu}")
-            last = nu
-            bound, solved = _radius_bounds(e, work[1:])
-            rho = max(solved.values())
-            keep = bound >= rho * (1.0 - _MARGIN)
-            keep[list(solved)] = False
-            found[lo].append((rho, e[keep], bound[keep]))
+                powers.append(power)
+        w, p, z = np.concatenate(powers), np.tile(p, (g, 1, 1)), np.tile(z, (g, 1, 1, 1))
+
+        def matrices(idx, out=None):
+            with np.errstate(over="ignore", invalid="ignore"):
+                return _error_matrices(w[idx], p[idx], z[idx], out)
+
+        work = np.empty((2, g * ns, 27, 27))
+        e = matrices(slice(None), work[1])
+        finite = np.isfinite(e).reshape(g, -1).all(axis=1)
+        if not finite.all():
+            nu = order[np.argmin(finite)]
+            raise np.linalg.LinAlgError(f"two-grid symbol overflows at nu = {nu}")
+        bound, rho, solved = _radius_bounds(e, matrices, g, work)
+        keep = bound >= np.repeat(rho, ns) * (1.0 - _MARGIN)
+        keep[list(solved)] = False
+        idx = np.flatnonzero(keep)
+        groups = np.split(idx, np.searchsorted(idx, ns * np.arange(1, g)))
+        found[lo] = [(r, matrices(i), bound[i]) for r, i in zip(rho, groups)]
 
     grid.run_bands(chunk, len(bases), max(1, min(grid.BANDS, len(bases))))
     tops = np.max([[rho for rho, _, _ in kept] for kept in found.values()], axis=0)

@@ -329,30 +329,39 @@ def test_chunks_prune_against_the_largest_chunk_radius(monkeypatch):
     # So the second dispatch of k chunks gets no base that one chunk neither
     # kept nor solved, and not one chunk's top at the 16th power, which its
     # own chunk solves: with the same factors
-    sizes, lock, eigvals = [], threading.Lock(), np.linalg.eigvals
+    sizes, solved, lock = [], [], threading.Lock()
+    eigvals, radius_bounds = np.linalg.eigvals, twogrid._radius_bounds
 
     def counted(a):
         with lock:
-            sizes.append((np.ndim(a), np.size(a) // 27**2))
+            sizes.append(np.size(a) // 27**2)
         return eigvals(a)
 
+    def bounds(*args):
+        out = radius_bounds(*args)
+        with lock:
+            solved.append(len(out[2]))
+        return out
+
     monkeypatch.setattr(np.linalg, "eigvals", counted)
+    monkeypatch.setattr(twogrid, "_radius_bounds", bounds)
     nus = (1, 2, 3, 4)
     for scheme in symbols.SCHEMES:
         for restrict in stencils.RESTRICTIONS:
             params, pair = reference_params(scheme), TransferPair(restrict)
-            solved, second, tables = [], [], []
+            chunks, second, tables = [], [], []
             for bands in (1, 2, 3):
                 monkeypatch.setattr(grid, "BANDS", bands)
                 sizes.clear()
+                solved.clear()
                 tables.append(twogrid.two_grid_factor_table(params, pair, nus=nus, n=27,
                                                             h=1.0 / 27))
-                solved.append(sum(count for ndim, count in sizes if ndim == 2))
-                second.append(sum(count for ndim, count in sizes if ndim == 3))
+                chunks.append(sum(solved))
+                second.append(sum(sizes) - sum(solved))
             for k in (2, 3):
-                assert second[k - 1] <= second[0] + solved[0] - len(nus), (
-                    scheme, restrict, solved, second)
-                assert solved[k - 1] <= 2 * k * len(nus), (scheme, restrict, solved)
+                assert second[k - 1] <= second[0] + chunks[0] - len(nus), (
+                    scheme, restrict, chunks, second)
+                assert chunks[k - 1] <= 2 * k * len(nus), (scheme, restrict, chunks)
                 assert tables[k - 1] == tables[0], (scheme, restrict)
 
 

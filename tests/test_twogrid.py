@@ -410,12 +410,12 @@ def test_radius_bounds_hold_and_need_no_warnings():
     e[4] = np.triu(e[4], 1)  # nilpotent: radius 0
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        bound, solved = twogrid._radius_bounds(e)
+        bound, rho, solved = twogrid._radius_bounds(e, e.__getitem__)
     radius = np.abs(np.linalg.eigvals(e)).max(axis=-1)
     assert np.all(bound >= radius * (1.0 - twogrid._MARGIN)) and bound[3] == 0.0
     assert np.all(bound[[0, 1, 2, 5]] <= 1.5 * radius[[0, 1, 2, 5]])
     # the largest radius is solved, on E itself
-    assert solved[1] == radius[1]
+    assert solved == {1} and rho[0] == radius[1]
 
 
 def _crafted(monkeypatch, make):
@@ -432,7 +432,7 @@ def _crafted(monkeypatch, make):
                 np.zeros((ns, 9, 3, 3)), np.ones(ns, dtype=bool))
 
     def error_matrices(power, prolong, z, out=None):
-        return np.stack([make(theta) for theta in prolong[:, 0, 0]])
+        return np.array([make(theta) for theta in prolong[:, 0, 0]]).reshape(-1, 27, 27)
 
     monkeypatch.setattr(twogrid, "_error_symbols", error_symbols)
     monkeypatch.setattr(twogrid, "_error_matrices", error_matrices)
@@ -493,10 +493,10 @@ def test_a_maximum_below_the_largest_16th_power_bound_is_found(monkeypatch):
     monkeypatch.setattr(np.linalg, "eigvals", recorded)
     nus = (1, 2)
     got = twogrid._max_radius(bases, params, pair, h, nus)
-    # per count: base 4 at the 16th power, then base 2 at the 256th
-    firsts = [m for m in solved if m.ndim == 2]
-    assert len(firsts) == 2 * len(nus)
-    assert np.array_equal(firsts[0], make(4.0)) and np.array_equal(firsts[1], make(2.0))
+    # for both counts at once: base 4 at the 16th power, then base 2 at the 256th
+    assert [len(m) for m in solved[:2]] == [len(nus), len(nus)]
+    assert all(np.array_equal(m, make(4.0)) for m in solved[0])
+    assert all(np.array_equal(m, make(2.0)) for m in solved[1])
     assert got == _unpruned(bases, params, pair, h, nus)
     assert all(abs(r - 0.9) < 1e-15 for r in got.values()), got
 
@@ -544,7 +544,7 @@ def test_balancing_is_exact_keeps_the_radii_and_the_bounds_hold():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         a, t = twogrid._balance(e)
-        bound, solved = twogrid._radius_bounds(e)
+        bound, rho, solved = twogrid._radius_bounds(e, e.__getitem__)
     exact = [0, 1, 2, 3, 4, 5, 7]
     nonzero = e[exact] != 0.0
     assert np.array_equal(a[exact] != 0.0, nonzero)
@@ -560,7 +560,7 @@ def test_balancing_is_exact_keeps_the_radii_and_the_bounds_hold():
         assert abs(np.log(balanced[m]) + t[m] * np.log(2.0) - np.log(radius[m])) < 1e-12, m
     assert bound[4] == 0.0 and balanced[4] == 0.0
     assert np.all(bound >= radius * (1.0 - twogrid._MARGIN))
-    assert all(solved[m] == radius[m] for m in solved)
+    assert rho[0] == radius[list(solved)].max()
 
 
 @pytest.mark.parametrize("params", _TABLE_PARAMS, ids=lambda p: f"{p.scheme}-a{p.alpha:.2f}")
