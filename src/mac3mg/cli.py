@@ -9,11 +9,13 @@ compare      mg-run plus LFA predictions plus a periodic cross-validation
 selftest     fast internal consistency checks (exit 3 on mismatch)
 
 Configuration may come from ``--config FILE`` holding ``key = value`` lines
-(keys equal the long flag names: scheme, transfer, nu, n, bc, omega, alpha,
-sigma, omega-j, resolution, seed, out, format; ``#`` starts a comment).
-Flags override file values.  Environment variables are never consulted, and
-no timestamps are emitted, so rerunning a command with the same configuration
-reproduces the output byte for byte.
+(keys are the long flag names: scheme, transfer, nu, n, bc, omega, alpha,
+sigma, omega-j, resolution, seed, out, format; ``#`` starts a comment).  Each
+line is parsed as the flag ``--key=value`` by the same parser as the command
+line, which takes no abbreviations, and flags override file values.  Every
+bad input prints ``config error: ...`` and exits 1.  Environment variables
+are never consulted, and no timestamps are emitted, so rerunning a command
+with the same configuration reproduces the output byte for byte.
 
 Output is CSV (one row per table cell, values rounded to three decimals,
 configuration carried in columns) or JSON (raw values, full configuration
@@ -74,16 +76,6 @@ class ExperimentConfig:
     fmt: str = "csv"
 
     def validate(self) -> None:
-        if self.scheme not in SCHEMES:
-            raise ConfigError(f"unknown scheme {self.scheme!r}, expected one of {SCHEMES}")
-        if self.transfer not in RESTRICTION_NAMES:
-            raise ConfigError(
-                f"unknown transfer {self.transfer!r}, expected one of {RESTRICTION_NAMES}"
-            )
-        if self.bc not in ("dirichlet", "periodic"):
-            raise ConfigError("bc must be 'dirichlet' or 'periodic'")
-        if self.fmt not in ("csv", "json"):
-            raise ConfigError("format must be 'csv' or 'json'")
         if not self.nus or any(nu < 1 for nu in self.nus):
             raise ConfigError("nu list must contain positive integers")
         if self.seed < 0:
@@ -123,45 +115,23 @@ def load_config_file(path: str) -> dict:
     return values
 
 
-_FLOAT_KEYS = ("omega", "alpha", "sigma", "omega_j")
-_INT_KEYS = ("n", "resolution", "seed")
-
-
 def build_config(args: argparse.Namespace) -> ExperimentConfig:
-    """Merge defaults, config file values, and flags (highest precedence)."""
-    cfg = ExperimentConfig(command=args.command)
-    file_values = load_config_file(args.config) if getattr(args, "config", None) else {}
-    for key, value in file_values.items():
-        if key in ("scheme", "transfer", "bc", "out"):
-            setattr(cfg, key, value)
-        elif key == "format":
-            cfg.fmt = value
-        elif key == "nu":
-            cfg.nus = _parse_nus(value)
-        elif key in _INT_KEYS:
-            try:
-                setattr(cfg, key, int(value))
-            except ValueError:
-                raise ConfigError(f"config key {key} wants an integer, got {value!r}") from None
-        elif key in _FLOAT_KEYS:
-            try:
-                setattr(cfg, key, float(value))
-            except ValueError:
-                raise ConfigError(f"config key {key} wants a number, got {value!r}") from None
-        else:
-            raise ConfigError(f"unknown config key {key!r}")
-    for key in ("scheme", "transfer", "bc", "out", "seed", "n", "resolution"):
-        value = getattr(args, key, None)
-        if value is not None:
-            setattr(cfg, key, value)
-    if getattr(args, "format", None) is not None:
-        cfg.fmt = args.format
-    if getattr(args, "nu", None) is not None:
-        cfg.nus = _parse_nus(args.nu)
-    for key in _FLOAT_KEYS:
-        value = getattr(args, key, None)
-        if value is not None:
-            setattr(cfg, key, value)
+    """Merge defaults, config file values and flags (highest precedence); a
+    file line ``key = value`` parses as the flag ``--key=value``."""
+    layers = [args]
+    if args.config:
+        tokens = {f"--{key.replace('_', '-')}={value}": key
+                  for key, value in load_config_file(args.config).items()}
+        try:
+            parsed, unknown = make_parser().parse_known_args([args.command, *tokens])
+            if unknown or parsed.config is not None:
+                key = tokens[unknown[0]] if unknown else "config"
+                raise ConfigError(f"unknown config key {key!r}")
+        except ConfigError as exc:
+            raise ConfigError(f"{args.config}: {exc}") from None
+        layers.insert(0, parsed)
+    cfg = ExperimentConfig(**{key: value for layer in layers for key, value in vars(layer).items()
+                              if value is not None and key != "config"})
     cfg.validate()
     return cfg
 
@@ -297,8 +267,6 @@ def _measured_rows(cfg: ExperimentConfig, cycles=("two", "v")):
         for nu in sorted(set(cfg.nus)):
             with _numerical("direct solve failure"):
                 report = solve(hier, nu, 0, cycle=cycle, seed=cfg.seed)
-            status = "diverged" if report.diverged else (
-                "converged" if report.converged else "maxiter")
             failed = failed or report.diverged
             rows.append({
                 "scheme": cfg.scheme,
@@ -308,7 +276,7 @@ def _measured_rows(cfg: ExperimentConfig, cycles=("two", "v")):
                 "rho_m": report.rho_m if not report.diverged else float("nan"),
                 "rho_lfa": lfa[nu],
                 "iterations": report.iterations,
-                "status": status,
+                "status": report.status,
                 "n": cfg.n,
                 "bc": cfg.bc,
                 "seed": cfg.seed,
@@ -402,43 +370,46 @@ COMMANDS = {
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message: str):  # a bad flag, value or command
+        raise ConfigError(message)
+
+
 def make_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    """The parser of the command line and of config file lines; flags are
+    taken by their full names only."""
+    parser = _Parser(
         prog="mac3mg",
+        allow_abbrev=False,
         description="Smoothing analysis and multigrid experiments for the "
         "staggered Stokes discretization with coarsening by three.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
     for name, fn in COMMANDS.items():
-        p = sub.add_parser(name, help=fn.__doc__.splitlines()[0].lower())
-        p.add_argument("--scheme", choices=SCHEMES, default=None)
-        p.add_argument("--transfer", choices=RESTRICTION_NAMES, default=None)
-        p.add_argument("--nu", default=None, help="comma separated list, e.g. 1,2,3,4")
-        p.add_argument("--n", type=int, default=None, help="finest grid cells per side")
-        p.add_argument("--bc", choices=("dirichlet", "periodic"), default=None)
-        p.add_argument("--omega", type=float, default=None)
-        p.add_argument("--alpha", type=float, default=None)
-        p.add_argument("--sigma", type=float, default=None)
-        p.add_argument("--omega-j", dest="omega_j", type=float, default=None)
-        p.add_argument("--resolution", type=int, default=None,
-                       help="frequency samples per axis for LFA sweeps")
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--out", default=None, help="output path (default stdout)")
-        p.add_argument("--format", choices=("csv", "json"), default=None)
-        p.add_argument("--config", default=None, help="key = value config file")
+        p = sub.add_parser(name, help=fn.__doc__.splitlines()[0].lower(), allow_abbrev=False)
+        p.add_argument("--scheme", choices=SCHEMES)
+        p.add_argument("--transfer", choices=RESTRICTION_NAMES)
+        p.add_argument("--nu", type=_parse_nus, dest="nus", metavar="NU", help="e.g. 1,2,3,4")
+        p.add_argument("--n", type=int, help="finest grid cells per side")
+        p.add_argument("--bc", choices=("dirichlet", "periodic"))
+        p.add_argument("--omega", type=float)
+        p.add_argument("--alpha", type=float)
+        p.add_argument("--sigma", type=float)
+        p.add_argument("--omega-j", dest="omega_j", type=float)
+        p.add_argument("--resolution", type=int, help="frequency samples per axis for LFA sweeps")
+        p.add_argument("--seed", type=int)
+        p.add_argument("--out", help="output path (default stdout)")
+        p.add_argument("--format", choices=("csv", "json"), dest="fmt")
+        p.add_argument("--config", help="key = value config file")
     return parser
 
 
 def main(argv=None) -> int:
-    parser = make_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        code = exc.code if isinstance(exc.code, int) else 0
-        return 1 if code == 2 else code
-    try:
-        cfg = build_config(args)
+        cfg = build_config(make_parser().parse_args(argv))
         return COMMANDS[cfg.command](cfg)
+    except SystemExit as exc:  # --help; a bad input raises ConfigError
+        return exc.code
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1

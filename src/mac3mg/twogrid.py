@@ -74,14 +74,11 @@ _SIMILARITY = np.outer([1.0, 1.0, -1.0j], [1.0, 1.0, 1.0j])
 
 @dataclass(frozen=True)
 class TransferPair:
-    """Prolongation/restriction tags; prolongation is always the 25-point one."""
+    """Restriction tag; prolongation is always the 25-point one."""
 
     restrict: str
-    prolong: str = "p25"
 
     def __post_init__(self) -> None:
-        if self.prolong != "p25":
-            raise ValueError("only the 25-point prolongation is supported")
         if self.restrict not in stencils.RESTRICTIONS:
             raise ValueError(
                 f"unknown restriction {self.restrict!r}, "
@@ -256,7 +253,7 @@ def _max_radius(bases: np.ndarray, params: RelaxParams, pair: TransferPair, h: f
     by far more than 1).  Per count, a chunk keeps ``E`` of the bases whose
     bound reaches the largest radius ``_radius_bounds`` solved times
     ``1 - _MARGIN``; a second dispatch solves those that reach the largest
-    radius of all chunks.  A pruned base's ``eigvals`` never runs.
+    radius of all chunks, if any do.  A pruned base's ``eigvals`` never runs.
     """
     order, found = sorted(nus), {}
 
@@ -298,7 +295,8 @@ def _max_radius(bases: np.ndarray, params: RelaxParams, pair: TransferPair, h: f
     def solve(lo: int, hi: int) -> None:
         radii[lo:hi] = np.abs(np.linalg.eigvals(es[lo:hi])).max(axis=-1)
 
-    grid.run_bands(solve, len(es), max(1, min(grid.BANDS, len(es))))
+    if len(es):
+        grid.run_bands(solve, len(es), min(grid.BANDS, len(es)))
     np.maximum.at(tops, np.repeat([col for col, _ in picked], [len(e) for _, e in picked]), radii)
     return {nu: float(r) for nu, r in zip(order, tops)}
 

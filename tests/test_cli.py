@@ -62,10 +62,6 @@ def test_validate_rejects_bad_values():
     cfg = cli.ExperimentConfig(command="mg-run")
     cfg.validate()
     for attr, value in (
-        ("scheme", "jacobi"),
-        ("transfer", "r4"),
-        ("bc", "neumann"),
-        ("fmt", "yaml"),
         ("nus", ()),
         ("nus", (0,)),
         ("n", 2),
@@ -79,6 +75,31 @@ def test_validate_rejects_bad_values():
         setattr(broken, attr, value)
         with pytest.raises(cli.ConfigError):
             broken.validate()
+
+
+_BAD_VALUES = [("scheme", "jacobi"), ("transfer", "r4"), ("bc", "neumann"), ("format", "yaml"),
+               ("n", "x"), ("n", "10"), ("n", "3"), ("resolution", "10"), ("seed", "-1"),
+               ("nu", "1,a"), ("nu", "0"), ("omega", "nan")]
+# not full flag names: unknown, an abbreviation, the file itself, a field name
+_BAD_KEYS = [("cycles", "3"), ("sch", "qdr"), ("config", "other.cfg"), ("nus", "1,2")]
+
+
+@pytest.mark.parametrize("source, key, value", [
+    *((source, key, value) for source in ("flag", "file") for key, value in _BAD_VALUES),
+    *(("file", key, value) for key, value in _BAD_KEYS),
+])
+def test_every_bad_input_is_a_config_error(source, key, value, tmp_path, capsys):
+    # a flag and a config file line go through one parser and one error path
+    if source == "flag":
+        args = [f"--{key}", value]
+    else:
+        path = tmp_path / "run.cfg"
+        path.write_text(f"{key} = {value}\n")
+        args = ["--config", str(path)]
+    assert run_cli(["mg-run", *args]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error")
+    assert "usage:" not in err and "Traceback" not in err
 
 
 def test_flags_override_config_file(tmp_path):

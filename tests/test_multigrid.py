@@ -311,6 +311,18 @@ def test_solve_divergence_guard():
     assert "diverged" in rep.summary()
 
 
+def test_report_status_names_each_outcome():
+    # one word per outcome, for the summary and the CLI's status column
+    hier = GridHierarchy(9, "dirichlet", reference_params("qibsr"), TransferPair("p25t"))
+    unstable = GridHierarchy(9, "dirichlet", RelaxParams("qdr", omega=5.0, alpha=1.0),
+                             TransferPair("r9"))
+    for rep, status in ((multigrid.solve(hier, 1, 0, cycle="two"), "converged"),
+                        (multigrid.solve(hier, 1, 0, cycle="two", max_iters=2), "maxiter"),
+                        (multigrid.solve(unstable, 1, 0, cycle="two"), "diverged")):
+        assert rep.status == status
+        assert rep.summary().endswith(f"[{status}]")
+
+
 def test_cycles_go_on_once_the_residual_leaves_the_normal_range():
     # without gauge projection the mean pressure stays while the residual
     # falls past 1e-160, where the squared norms of the 3x3 solve's

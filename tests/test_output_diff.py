@@ -71,3 +71,10 @@ def test_summarize_per_command():
     assert row["max_abs"] == 3e-15 and row["max_rel"] == 2e-15
     assert row["fields"] == {"$.rows[].rho_lfa"}
     assert summary["selftest"]["identical"] == 1
+
+
+def test_config_file_runs_read_the_files_they_name(tmp_path):
+    cmds = output_diff.command_matrix(tmp_path)
+    named = [c[c.index("--config") + 1] for c in cmds if "--config" in c]
+    assert sorted(set(named)) == sorted(str(tmp_path / n) for n in output_diff.CONFIG_FILES)
+    assert all(Path(path).read_text() for path in named)

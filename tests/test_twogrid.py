@@ -16,8 +16,6 @@ def test_transfer_pair_validation():
     TransferPair("p25t")
     with pytest.raises(ValueError):
         TransferPair("p25_r1")
-    with pytest.raises(ValueError):
-        TransferPair("r1", prolong="p9")
 
 
 def test_harmonics_require_low_base():
@@ -363,6 +361,27 @@ def test_pruned_factors_are_bitwise_the_unpruned_ones(monkeypatch, params):
         got, bases = _routed(monkeypatch, lambda: twogrid._max_radius(
             twogrid._wedge(2.0 * np.pi * np.arange(5) / 27)[1:], params, pair, 1.0 / 27, nus))
         assert got == _unpruned(bases, params, pair, 1.0 / 27, nus), restrict
+
+
+def test_no_table_hands_eigvals_an_empty_batch(monkeypatch):
+    # when no chunk keeps a base past its own solves, the second dispatch
+    # is skipped; the factors are still bitwise the unpruned ones
+    sizes, lock, eigvals = [], threading.Lock(), np.linalg.eigvals
+
+    def counted(a):
+        with lock:
+            sizes.append(len(a))
+        return eigvals(a)
+
+    monkeypatch.setattr(np.linalg, "eigvals", counted)
+    for scheme in symbols.SCHEMES:
+        for restrict in stencils.RESTRICTIONS:
+            params, pair = reference_params(scheme), TransferPair(restrict)
+            got, bases = _routed(monkeypatch, lambda: twogrid.two_grid_factor_table(
+                params, pair, n=27, h=1.0 / 27))
+            assert 0 not in sizes, (scheme, restrict, sizes)
+            assert got == _unpruned(bases, params, pair, 1.0 / 27, (1, 2, 3, 4)), (scheme, restrict)
+            sizes.clear()
 
 
 def test_the_bound_prunes_most_eigvals(monkeypatch):

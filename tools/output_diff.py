@@ -10,7 +10,12 @@ stdout.  The matrix:
 - smooth-opt: every scheme;
 - mg-run: n = 27, every scheme, both boundary types;
 - compare: n = 27, every scheme;
-- selftest.
+- selftest;
+- config files, written to a temporary directory that both checkouts read:
+  an ``mg-run`` and a ``twogrid-lfa`` driven by one, a run whose flags
+  override file values (every file run's own ``--format json`` overrides the
+  file's ``format = csv``), and bad inputs as flags and as file lines, whose
+  exit codes and empty stdout are compared.
 
 Each command gets one of three results.  ``identical`` means the same exit
 code and the same stdout bytes.  ``MISMATCH`` is a structural difference:
@@ -31,13 +36,25 @@ import os
 import re
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 SCHEMES = ("qdr", "qbsr", "qibsr", "quzawa")
 TRANSFERS = ("r1", "r9", "r9b", "p25t")
+CONFIG_FILES = {
+    "mg.cfg": "scheme = qdr\nn = 27\nbc = periodic\nnu = 1,2\nformat = csv\n",
+    "lfa.cfg": "scheme = quzawa\ntransfer = r9\nomega = 0.9\nresolution = 27\nformat = csv\n",
+    "bad-choice.cfg": "scheme = bogus\n",
+    "bad-int.cfg": "n = x\n",
+    "bad-key.cfg": "sch = qdr\n",
+}
 
 
-def command_matrix() -> list:
+def command_matrix(tmp: Path) -> list:
+    """The commands; the config files they read are written into ``tmp``."""
+    for name, text in CONFIG_FILES.items():
+        (tmp / name).write_text(text)
+    cfg = {name: str(tmp / name) for name in CONFIG_FILES}
     cmds = [["twogrid-lfa", "--scheme", s, "--transfer", t, "--resolution", str(r)]
             for r in (27, 81) for s in SCHEMES for t in TRANSFERS]
     cmds += [["smooth-opt", "--scheme", s] for s in SCHEMES]
@@ -45,6 +62,13 @@ def command_matrix() -> list:
              for s in SCHEMES for bc in ("dirichlet", "periodic")]
     cmds += [["compare", "--scheme", s, "--n", "27"] for s in SCHEMES]
     cmds.append(["selftest"])
+    cmds += [["mg-run", "--config", cfg["mg.cfg"]],
+             ["twogrid-lfa", "--config", cfg["lfa.cfg"]],
+             ["twogrid-lfa", "--config", cfg["lfa.cfg"], "--scheme", "qdr", "--nu", "2,3"]]
+    cmds += [["twogrid-lfa", "--scheme", "bogus"], ["mg-run", "--n", "x"],
+             ["mg-run", "--nu", "1,a"], ["smooth-opt", "--resolution", "10"]]
+    cmds += [["mg-run", "--config", cfg[name]]
+             for name in ("bad-choice.cfg", "bad-int.cfg", "bad-key.cfg")]
     return cmds
 
 
@@ -143,10 +167,11 @@ def main(argv=None) -> int:
     parser.add_argument("--change", type=Path, required=True)
     args = parser.parse_args(argv)
     results = []
-    for cmd in command_matrix():
-        res = compare_runs(run_one(args.parent, cmd), run_one(args.change, cmd))
-        results.append((cmd, res))
-        print(f"{' '.join(cmd)}: {describe(res)}", flush=True)
+    with tempfile.TemporaryDirectory() as tmp:
+        for cmd in command_matrix(Path(tmp)):
+            res = compare_runs(run_one(args.parent, cmd), run_one(args.change, cmd))
+            results.append((cmd, res))
+            print(f"{' '.join(cmd)}: {describe(res)}", flush=True)
     print("summary:")
     for name, row in summarize(results).items():
         line = (f"  {name}: {row['identical']} identical, {row['floats']} floats, "
