@@ -117,23 +117,29 @@ def load_config_file(path: str) -> dict:
 
 def build_config(args: argparse.Namespace) -> ExperimentConfig:
     """Merge defaults, config file values and flags (highest precedence); a
-    file line ``key = value`` parses as the flag ``--key=value``."""
-    layers = [args]
-    if args.config:
-        tokens = {f"--{key.replace('_', '-')}={value}": key
-                  for key, value in load_config_file(args.config).items()}
-        try:
-            parsed, unknown = make_parser().parse_known_args([args.command, *tokens])
-            if unknown or parsed.config is not None:
-                key = tokens[unknown[0]] if unknown else "config"
-                raise ConfigError(f"unknown config key {key!r}")
-        except ConfigError as exc:
-            raise ConfigError(f"{args.config}: {exc}") from None
-        layers.insert(0, parsed)
-    cfg = ExperimentConfig(**{key: value for layer in layers for key, value in vars(layer).items()
-                              if value is not None and key != "config"})
-    cfg.validate()
-    return cfg
+    file line ``key = value`` parses as the flag ``--key=value``.  The file's
+    values are checked on their own first, so a parse or range error in the
+    file names it, whether or not a flag overrides the value."""
+    def merged(*layers) -> ExperimentConfig:
+        cfg = ExperimentConfig(**{key: value for layer in layers
+                                  for key, value in vars(layer).items()
+                                  if value is not None and key != "config"})
+        cfg.validate()
+        return cfg
+
+    if not args.config:
+        return merged(args)
+    tokens = {f"--{key.replace('_', '-')}={value}": key
+              for key, value in load_config_file(args.config).items()}
+    try:
+        parsed, unknown = make_parser().parse_known_args([args.command, *tokens])
+        if unknown or parsed.config is not None:
+            key = tokens[unknown[0]] if unknown else "config"
+            raise ConfigError(f"unknown config key {key!r}")
+        merged(parsed)
+    except ConfigError as exc:
+        raise ConfigError(f"{args.config}: {exc}") from None
+    return merged(parsed, args)
 
 
 def resolve_params(cfg: ExperimentConfig, purpose: str) -> RelaxParams:

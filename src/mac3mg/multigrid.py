@@ -31,6 +31,10 @@ blocks.
 Each coarse level starts from a zero guess (Trottenberg, Oosterlee and
 Schueller, *Multigrid*, 2001), so its first pre-smoothing sweep takes the
 restricted residual as its residual and writes the state without reading it.
+The coarsest level is solved exactly by ``DirectSolver``: separable solves
+of the saddle system with a Neumann tangential ghost, whose velocity
+Laplacian commutes with the gradient, corrected on the 4(n-1) wall rows by
+a capacitance matrix (Buzbee, Dorr, George and Golub, 1971).
 
 ``solve`` measures convergence the way the experiments report it: iterate
 cycles on a seeded random initial guess with zero right-hand side until the
@@ -47,10 +51,11 @@ import functools
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.linalg
 from scipy import sparse
 
 from . import assemble, grid, stencils
-from .smoothers import SeparableInverse, Smoother
+from .smoothers import SeparableInverse, Smoother, eig1
 from .symbols import RelaxParams
 from .twogrid import TransferPair
 
@@ -176,24 +181,29 @@ def prolong_state(coarse: grid.StaggeredState, n_fine: int,
     return add_to
 
 
-# Conjugate gradients on the pressure Schur complement stop at this relative
-# residual, or fail after CG_MAXITER iterations.  On mean-zero periodic
-# pressures the complement is the identity (1-2 iterations); Dirichlet grids
-# up to n = 729 need at most 26.
-CG_TOL = 1e-14
-CG_MAXITER = 100
-
-
 class DirectSolver:
-    """Exact solve of one level's saddle system ``[[A, B^T], [B, 0]]``.
+    """Exact solve of one level's saddle system ``M = [[A, B^T], [B, 0]]`` by
+    a capacitance matrix on the wall rows (Buzbee, Dorr, George and Golub,
+    *SIAM J. Numer. Anal.* 8, 1971).
 
-    The velocity Laplacians are Kronecker sums of 1D second differences
-    (``assemble._lap1``), so ``A^+`` is one ``SeparableInverse`` per
-    component.  Conjugate gradients solve ``B A^+ B^T p = B A^+ f - g`` for
-    the pressure, and ``u = A^+ (f - B^T p)``.  The nullspace components of
-    the data (mean pressure; mean velocities under periodic BCs) are dropped
-    and the result has none, which is the gauge-projected solution the cycles
-    need.  Missing the CG tolerance raises ``np.linalg.LinAlgError``.
+    Per axis the edge factor of ``A`` is ``D D^T`` (``D`` the 1D difference)
+    and, read with the Neumann tangential ghost +1, the tangential one is
+    ``D^T D``; as ``(D D^T) D = D (D^T D)``, that ``A_N`` commutes with the
+    gradient, ``A_N B^T = B^T L_p`` with ``L_p = B B^T``.  So
+    ``M_N = [[A_N, B^T], [B, 0]]`` is solved exactly by ``p = L_p^+ B f - g``
+    (mean removed) and ``u = A_N^+ (f - B^T p)``: three ``SeparableInverse``
+    solves in the edge (DST-I-like) and Neumann (DCT-II-like) eigenbases.
+    The true ghost -1 makes ``M = M_N + (2/h^2) R^T R``, ``R`` picking the
+    m = 4(n-1) tangential velocities next to a wall (``_walls``), so
+    ``x = M_N^+ (r - R^T z)`` with ``K z = R M_N^+ r`` for the symmetric
+    positive definite ``K = (h^2/2) I + R (A_N^+ - B^T L_p^+2 B) R^T``, kept
+    as its Cholesky factor.  A periodic grid has no walls (m = 0).
+
+    The data's nullspace components (mean pressure; mean velocities under
+    periodic BCs) are dropped and the result has none: the gauge-projected
+    solution the cycles need.  The data are scaled by the power of two that
+    brings their largest entry to [1/2, 1), and the result back: exact, and
+    nothing under- or overflows for data from 1e-300 to 1e300.
     """
 
     def __init__(self, n: int, bc: str):
@@ -202,73 +212,74 @@ class DirectSolver:
         self.system = grid.SaddleSystem(n, bc)
         h = 1.0 / n
         if bc == "periodic":
-            lap = assemble._lap1(n, h, bc, 0.0).toarray()
-            self._inv_u = self._inv_v = SeparableInverse(lap, None, lap, None, 1.0, True)
-        else:
-            edge = assemble._lap1(n - 1, h, bc, 0.0).toarray()
-            tan = assemble._lap1(n, h, bc, grid.VELOCITY_GHOST).toarray()
-            self._inv_u = SeparableInverse(edge, None, tan, None, 1.0, False)
-            self._inv_v = self._inv_u.swapped()
+            lap = eig1(assemble._lap1(n, h, bc, 0.0).toarray())
+            self._inv_u = self._inv_v = self._inv_p = SeparableInverse(lap, lap, 1.0, True)
+            self._walls, self._chol = (), None
+            return
+        edge = eig1(assemble._lap1(n - 1, h, bc, 0.0).toarray())
+        neu = eig1(assemble._lap1(n, h, bc, 1.0).toarray())  # D^T D
+        self._inv_u = SeparableInverse(edge, neu, 1.0, False)
+        self._inv_v = SeparableInverse(neu, edge, 1.0, False)
+        self._inv_p = SeparableInverse(neu, neu, 1.0, True)
+        self._walls = (("u", np.s_[:, 0]), ("u", np.s_[:, -1]), ("v", np.s_[0]), ("v", np.s_[-1]))
+        self._chol = scipy.linalg.cho_factor(self._capacitance(), overwrite_a=True)
 
-    def _schur(self, p: np.ndarray) -> np.ndarray:
-        gu, gv = self.system.grad(p)
-        return self.system.neg_div(self._inv_u(gu), self._inv_v(gv))
+    def _capacitance(self) -> np.ndarray:
+        """``K`` from the edge and Neumann eigenvectors ``Ve`` and ``C``, in
+        ``_walls`` order: one component's walls a, a' give
+        ``Ve diag(W_A c_a c_a') Ve^T - DC diag(W_2 c_a c_a') (DC)^T`` (u and v
+        alike), and u's wall a against v's wall b ``-DC (c_b W_2 c_a) (DC)^T``,
+        with ``c_a`` row a of ``C`` and ``W_A``, ``W_2`` the weights of
+        ``A_N^+`` and ``L_p^+2``.  Probing K by columns would cost 4 GFlop at
+        n = 81."""
+        ve, c, h = self._inv_u.v1, self._inv_p.v1, 1.0 / self.n
+        dc = np.diff(c, axis=0) / h
+        w2 = self._inv_p.inv**2
+        cw = c[[0, -1]]
+        pairs = cw[[0, 0, 1]] * cw[[0, 1, 1]]
+        same = ((ve * (pairs @ self._inv_u.inv.T)[:, None]) @ ve.T
+                - (dc * (pairs @ w2)[:, None]) @ dc.T)
+        cross = -dc @ (cw[None, :, :, None] * w2 * cw[:, None, None, :]) @ dc.T
 
-    def _pressure(self, b: np.ndarray) -> np.ndarray:
-        """Conjugate gradients for ``B A^+ B^T p = b`` over mean-zero pressures.
+        def tile(blocks):  # (2, 2, m, m) blocks as one (2m, 2m) matrix
+            return blocks.swapaxes(1, 2).reshape(2 * len(ve), -1)
 
-        The mean of ``b`` and of each residual is projected out: the operator
-        annihilates it, so a leftover mean breaks the iteration.  ``b - mean``
-        keeps a roundoff mean of the size of ``b``, hence the second
-        projection; and the residual is measured against all of ``b``, so a
-        ``b`` that is constant up to roundoff needs no iteration.
+        one, cross = tile(same[[[0, 1], [1, 2]]]), tile(cross)
+        k = np.block([[one, cross], [cross.T, one]])
+        k[np.diag_indices_from(k)] += h * h / (1.0 - grid.VELOCITY_GHOST)
+        return k
 
-        The squared norms would under- or overflow for data far from 1, so
-        ``b`` is first scaled by the power of two that brings ``max |b|`` to
-        [1/2, 1) (within the normal exponents), and the result back: exact,
-        so data of normal size solve bit for bit as unscaled.  A non-finite
-        ``b`` has exponent 0 and stops the iteration at once, as before."""
-        e = min(max(int(np.frexp(np.abs(b).max())[1]), -1021), 1023)
-        b = b * np.ldexp(1.0, -e)
-        r = b - b.mean()
-        r -= r.mean()
-        x = np.zeros_like(r)
-        d = r.copy()
-        bnorm = np.linalg.norm(b)
-        rr = np.vdot(r, r).real
-        for it in range(CG_MAXITER + 1):
-            if np.sqrt(rr) <= CG_TOL * bnorm:
-                # a diverging cycle's solution may overflow when scaled
-                # back; the run's own residual check reports the divergence
-                with np.errstate(over="ignore"):
-                    return (x - x.mean()) * np.ldexp(1.0, e)
-            if it == CG_MAXITER:
-                break
-            q = self._schur(d)
-            dq = np.vdot(d, q).real
-            if not dq > 0.0:  # breakdown: no descent left above roundoff
-                break
-            x += (rr / dq) * d
-            r -= (rr / dq) * q
-            r -= r.mean()
-            rr, rr_old = np.vdot(r, r).real, rr
-            d = r + (rr / rr_old) * d
-        raise np.linalg.LinAlgError(
-            f"direct solve n={self.n} bc={self.bc}: conjugate gradients stopped at relative "
-            f"residual {np.sqrt(rr) / bnorm:.3e} after {it} iterations "
-            f"(tolerance {CG_TOL:g}, cap {CG_MAXITER})")
+    def _commuting(self, f: grid.StaggeredState, out: grid.StaggeredState) -> None:
+        """The solution of ``M_N x = f``, into ``out``."""
+        sysm = self.system
+        p = self._inv_p(sysm.neg_div(f.u, f.v, out=out.p), out=out.p)
+        p -= f.p
+        p -= p.mean()
+        gu, gv = sysm.grad(p, out=(out.u, out.v))
+        self._inv_u(np.subtract(f.u, gu, out=gu), out=out.u)
+        self._inv_v(np.subtract(f.v, gv, out=gv), out=out.v)
 
     def solve_state(self, rhs: grid.StaggeredState,
                     out: grid.StaggeredState | None = None) -> grid.StaggeredState:
-        sysm = self.system
-        b = sysm.neg_div(self._inv_u(rhs.u), self._inv_v(rhs.v))
-        b -= rhs.p
-        p = self._pressure(b)
-        gu, gv = sysm.grad(p)
-        u, v = self._inv_u(rhs.u - gu), self._inv_v(rhs.v - gv)
         if out is None:
-            return grid.StaggeredState(self.n, self.bc, u, v, p)
-        out.u[...], out.v[...], out.p[...] = u, v, p
+            out = grid.StaggeredState.zeros(self.n, self.bc, np.result_type(rhs.u, rhs.v, rhs.p))
+        top = max(np.abs(x).max() for x in (rhs.u, rhs.v, rhs.p))
+        e = min(max(int(np.frexp(top)[1]), -1021), 1023)
+        f = grid.StaggeredState(self.n, self.bc, *(x * np.ldexp(1.0, -e) for x in
+                                                   (rhs.u, rhs.v, rhs.p)))
+        self._commuting(f, out)
+        if self._walls:
+            # non-finite data (a diverging cycle) pass through as NaN
+            z = scipy.linalg.cho_solve(self._chol, np.concatenate(
+                [getattr(out, name)[wall] for name, wall in self._walls]), check_finite=False)
+            for (name, wall), zw in zip(self._walls, z.reshape(len(self._walls), -1)):
+                getattr(f, name)[wall] -= zw
+            self._commuting(f, out)
+        # a diverging cycle's solution may overflow when scaled back; the
+        # run's own residual check reports the divergence
+        with np.errstate(over="ignore"):
+            for x in (out.u, out.v, out.p):
+                x *= np.ldexp(1.0, e)
         return out
 
 

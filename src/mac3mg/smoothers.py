@@ -27,29 +27,32 @@ from . import assemble, grid
 from .symbols import RelaxParams
 
 
+def eig1(k: np.ndarray, m: np.ndarray | None = None) -> tuple:
+    """``(lambda, V)`` of a 1D factor: ``k V = m V diag(lambda)`` with
+    ``V^T m V = I`` (``m`` None for the identity), eigenvalues ascending."""
+    # divide and conquer: the default MRRR driver's eigenvectors are
+    # orthogonal only to 1e-13 at n = 81, which the solves inherit
+    return scipy.linalg.eigh(k, m, driver="evd" if m is None else "gvd")
+
+
 class SeparableInverse:
     """(Pseudo-)inverse of a Kronecker sum ``scale (kron(k1, m2) + kron(m1, k2))``.
 
     The operator acts on ``(n1, n2)`` arrays; each ``k`` is symmetric and each
-    ``m`` positive definite (``None`` for the identity).  One dense
-    generalised eigenproblem ``k V = m V Lambda`` per axis, with
-    ``V^T m V = I``, diagonalises it (Lynch, Rice and Thomas 1964):
+    ``m`` positive definite (``None`` for the identity).  Given each axis's
+    generalised eigenpairs ``e = eig1(k, m)`` (Lynch, Rice and Thomas 1964):
     ``x = V1 ((V1^T g V2) / (scale (lambda1_i + lambda2_j))) V2^T``.  When
     ``singular``, both ``k`` annihilate the constant and so does the
     operator: the zero pair is dropped and the mean is projected out of ``g``
-    and of ``x``, giving the mean-zero solution for ``g - mean(g)``.  The
-    same pair of factors on both axes is decomposed once.
+    and of ``x``, giving the mean-zero solution for ``g - mean(g)``.  Solves
+    that share a factor are given its one ``eig1`` pair, so it is decomposed
+    once.
     """
 
-    def __init__(self, k1, m1, k2, m2, scale: float, singular: bool):
-        def eig(k, m):
-            # divide and conquer: the default MRRR driver's eigenvectors are
-            # orthogonal only to 1e-13 at n = 81, which the solves inherit
-            return scipy.linalg.eigh(k, m, driver="evd" if m is None else "gvd")
-
-        lam1, self.v1 = eig(k1, m1)
-        lam2, self.v2 = (lam1.copy(), self.v1) if k2 is k1 and m2 is m1 else eig(k2, m2)
+    def __init__(self, e1: tuple, e2: tuple, scale: float, singular: bool):
+        (lam1, self.v1), (lam2, self.v2) = e1, e2
         if singular:
+            lam1, lam2 = lam1.copy(), lam2.copy()
             lam1[0] = lam2[0] = 0.0
         denom = scale * (lam1[:, None] + lam2[None, :])
         if singular:
@@ -57,14 +60,6 @@ class SeparableInverse:
         self.inv = 1.0 / denom
         self.singular = singular
         self.work = grid.Workspace()
-
-    def swapped(self) -> SeparableInverse:
-        """The inverse with its two axes exchanged, on ``(n2, n1)`` arrays,
-        sharing this one's eigendecompositions."""
-        out = object.__new__(SeparableInverse)
-        vars(out).update(vars(self), v1=self.v2, v2=self.v1, inv=self.inv.T.copy())
-        out.work = grid.Workspace()
-        return out
 
     def __call__(self, g: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         dtype = np.result_type(g, self.v1)
@@ -118,8 +113,8 @@ class SchurOperator:
         """Mean-zero solution of ``S x = g`` (g is consistent up to roundoff);
         ``g`` is ``(n, n)`` or flat, ``out`` is ``(n, n)``."""
         if self._inverse is None:
-            k, m = self._k.toarray(), self._m.toarray()
-            self._inverse = SeparableInverse(k, m, k, m, self._h2, singular=True)
+            e = eig1(self._k.toarray(), self._m.toarray())
+            self._inverse = SeparableInverse(e, e, self._h2, singular=True)
         x = self._inverse(g.reshape(self.n, self.n), out)
         return x if out is not None else x.reshape(g.shape)
 

@@ -102,6 +102,18 @@ def test_every_bad_input_is_a_config_error(source, key, value, tmp_path, capsys)
     assert "usage:" not in err and "Traceback" not in err
 
 
+def test_a_file_range_error_names_the_file(tmp_path, capsys):
+    # a file value that parses but is out of range names the file, as a
+    # parse error does, even where a flag overrides it; the flag alone does not
+    path = tmp_path / "run.cfg"
+    path.write_text("n = 10\n")
+    for flags in ([], ["--n", "27"]):
+        assert run_cli(["mg-run", "--config", str(path), *flags]) == 1
+        assert capsys.readouterr().err.startswith(f"config error: {path}: grid size 10 ")
+    assert run_cli(["mg-run", "--n", "10"]) == 1
+    assert capsys.readouterr().err.startswith("config error: grid size 10 ")
+
+
 def test_flags_override_config_file(tmp_path):
     path = tmp_path / "run.cfg"
     path.write_text("scheme = qdr\nnu = 1,2\nformat = json\nresolution = 27\n")
@@ -316,14 +328,14 @@ def test_mg_run_eigensolver_failure_exit_code(tmp_path, monkeypatch, capsys):
 @pytest.mark.parametrize("command", ("mg-run", "compare"))
 def test_direct_solve_failure_exit_code(command, tmp_path, monkeypatch, capsys):
     def fail(*args, **kwargs):
-        raise np.linalg.LinAlgError("conjugate gradients stopped")
+        raise np.linalg.LinAlgError("capacitance matrix is not positive definite")
 
     monkeypatch.setattr(multigrid.DirectSolver, "solve_state", fail)
     code = run_cli([command, "--scheme", "qdr", "--n", "9", "--nu", "1",
                     "--resolution", "27", "--out", str(tmp_path / "run.csv")])
     assert code == 2
     err = capsys.readouterr().err
-    assert "numerical failure" in err and "conjugate gradients stopped" in err
+    assert "numerical failure" in err and "not positive definite" in err
 
 
 def test_compare_periodic_check_passes(tmp_path):

@@ -13,7 +13,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from mac3mg import assemble, grid, multigrid
-from mac3mg.smoothers import SchurOperator, SeparableInverse
+from mac3mg.smoothers import SchurOperator, SeparableInverse, eig1
 
 
 def constrained_solve(mat, cols, rhs):
@@ -121,22 +121,49 @@ def test_direct_solver_at_extreme_scales(n, bc):
         assert rel_err(solved(scale) / scale, want) < 1e-12
 
 
-def test_direct_solver_reports_missed_tolerance(monkeypatch):
-    # a Dirichlet n = 27 solve needs about 20 iterations
-    monkeypatch.setattr(multigrid, "CG_MAXITER", 3)
-    rhs = grid.random_state(27, "dirichlet", seed=1)
-    with pytest.raises(np.linalg.LinAlgError) as info:
-        multigrid.DirectSolver(27, "dirichlet").solve_state(rhs)
-    msg = str(info.value)
-    assert "n=27" in msg and "bc=dirichlet" in msg
-    assert "after 3 iterations" in msg and "relative residual" in msg
+@pytest.mark.parametrize("n", (9, 27))
+def test_capacitance_matches_probing(n):
+    # column j of K is h^2/2 e_j plus the wall rows of the commuting solve
+    # of unit wall datum j: the structured build must equal it
+    solver = multigrid.DirectSolver(n, "dirichlet")
+    m = 4 * (n - 1)
+    probed = np.empty((m, m))
+    out = grid.StaggeredState.zeros(n, "dirichlet")
+    for j in range(m):
+        f = grid.StaggeredState.zeros(n, "dirichlet")
+        name, wall = solver._walls[j // (n - 1)]
+        getattr(f, name)[wall][j % (n - 1)] = 1.0
+        solver._commuting(f, out)
+        probed[:, j] = np.concatenate([getattr(out, name)[wall] for name, wall in solver._walls])
+    probed[np.diag_indices(m)] += 0.5 / n**2
+    assert rel_err(solver._capacitance(), probed) < 1e-13
+
+
+@pytest.mark.parametrize("n", (3, 9, 27, 81, 243))
+def test_capacitance_is_symmetric_positive_definite(n):
+    k = multigrid.DirectSolver(n, "dirichlet")._capacitance()
+    assert k.shape == (4 * (n - 1),) * 2
+    assert rel_err(k, k.T) < 1e-14
+    assert np.linalg.eigvalsh(k).min() > 0.0
+
+
+def test_direct_solver_leaves_a_small_residual_at_243():
+    # n = 243 is the direct solve of a two-grid cycle at n = 729
+    n, bc = 243, "dirichlet"
+    rhs = grid.random_state(n, bc, seed=2)
+    x = multigrid.DirectSolver(n, bc).solve_state(rhs)
+    null = assemble.nullspace(n, bc)
+    b = rhs.flat() - null @ (null.T @ rhs.flat())
+    r = assemble.assemble_ops(n, bc).saddle @ x.flat() - b
+    assert np.linalg.norm(r) <= 1e-10 * np.linalg.norm(b)
 
 
 def test_one_eigh_per_distinct_factor(monkeypatch):
     # the Schur solve and the periodic direct solve put one factor pair on
-    # both axes, and the Dirichlet direct solve swaps (edge, tangential) for
-    # v: each distinct pair is decomposed once, and the shared solves keep
-    # the bits of solves built from their own decompositions
+    # both axes, and the Dirichlet direct solve builds its three inverses
+    # from the edge and Neumann factors: each distinct factor is decomposed
+    # once, and the shared solves keep the bits of solves built from their
+    # own decompositions
     calls, eigh = [], scipy.linalg.eigh
 
     def counted(*args, **kwargs):
@@ -157,10 +184,11 @@ def test_one_eigh_per_distinct_factor(monkeypatch):
     assert sorted(calls) == [(n - 1, n - 1), (n, n)]
     h = 1.0 / n
     edge = assemble._lap1(n - 1, h, "dirichlet", 0.0).toarray()
-    tan = assemble._lap1(n, h, "dirichlet", grid.VELOCITY_GHOST).toarray()
+    neu = assemble._lap1(n, h, "dirichlet", 1.0).toarray()
     g = rng.standard_normal((n, n - 1))
-    assert np.array_equal(solver._inv_v(g), SeparableInverse(tan, None, edge, None, 1.0, False)(g))
+    assert np.array_equal(solver._inv_v(g), SeparableInverse(eig1(neu), eig1(edge), 1.0, False)(g))
     lap = assemble._lap1(n, h, "periodic", 0.0).toarray()
     g = rng.standard_normal((n, n))
-    assert np.array_equal(SeparableInverse(lap, None, lap, None, 1.0, True)(g),
-                          SeparableInverse(lap, None, lap.copy(), None, 1.0, True)(g))
+    e = eig1(lap)
+    assert np.array_equal(SeparableInverse(e, e, 1.0, True)(g),
+                          SeparableInverse(e, eig1(lap.copy()), 1.0, True)(g))

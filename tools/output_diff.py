@@ -8,14 +8,16 @@ stdout.  The matrix:
 
 - twogrid-lfa: every scheme and restriction, resolutions 27 and 81;
 - smooth-opt: every scheme;
-- mg-run: n = 27, every scheme, both boundary types;
+- mg-run: n = 27, every scheme, both boundary types, and ``qibsr`` at
+  n = 243 (Dirichlet), whose two-grid cycles make n = 81 direct solves;
 - compare: n = 27, every scheme;
 - selftest;
 - config files, written to a temporary directory that both checkouts read:
   an ``mg-run`` and a ``twogrid-lfa`` driven by one, a run whose flags
   override file values (every file run's own ``--format json`` overrides the
-  file's ``format = csv``), and bad inputs as flags and as file lines, whose
-  exit codes and empty stdout are compared.
+  file's ``format = csv``), and bad inputs as flags and as file lines (a bad
+  choice, a bad integer, an unknown key, an out-of-range size), whose exit
+  codes and empty stdout are compared.
 
 Each command gets one of three results.  ``identical`` means the same exit
 code and the same stdout bytes.  ``MISMATCH`` is a structural difference:
@@ -47,6 +49,7 @@ CONFIG_FILES = {
     "bad-choice.cfg": "scheme = bogus\n",
     "bad-int.cfg": "n = x\n",
     "bad-key.cfg": "sch = qdr\n",
+    "bad-range.cfg": "n = 10\n",
 }
 
 
@@ -60,6 +63,8 @@ def command_matrix(tmp: Path) -> list:
     cmds += [["smooth-opt", "--scheme", s] for s in SCHEMES]
     cmds += [["mg-run", "--scheme", s, "--n", "27", "--bc", bc]
              for s in SCHEMES for bc in ("dirichlet", "periodic")]
+    # the size the benchmark's two-grid solve runs, over an n = 81 direct solve
+    cmds.append(["mg-run", "--scheme", "qibsr", "--n", "243", "--bc", "dirichlet"])
     cmds += [["compare", "--scheme", s, "--n", "27"] for s in SCHEMES]
     cmds.append(["selftest"])
     cmds += [["mg-run", "--config", cfg["mg.cfg"]],
@@ -68,7 +73,7 @@ def command_matrix(tmp: Path) -> list:
     cmds += [["twogrid-lfa", "--scheme", "bogus"], ["mg-run", "--n", "x"],
              ["mg-run", "--nu", "1,a"], ["smooth-opt", "--resolution", "10"]]
     cmds += [["mg-run", "--config", cfg[name]]
-             for name in ("bad-choice.cfg", "bad-int.cfg", "bad-key.cfg")]
+             for name in ("bad-choice.cfg", "bad-int.cfg", "bad-key.cfg", "bad-range.cfg")]
     return cmds
 
 
