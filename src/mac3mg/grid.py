@@ -109,8 +109,8 @@ def cuts(count: int, bands: int) -> list:
 
 def run_each(body, items) -> None:
     """``body(*item)`` for every item, the caller running the first and the
-    per-process pool the rest; returns when all are done.  A body is leaf
-    numpy code: no workspace lookup, no nested banding."""
+    per-process pool the rest; returns when all are done.  A body (a phase's row
+    band, a chunk of LFA bases) is leaf numpy code: no workspace lookup, no nesting."""
     if len(items) == 1:
         body(*items[0])
         return
@@ -121,13 +121,6 @@ def run_each(body, items) -> None:
     finally:
         for fut in futures:
             fut.result()
-
-
-def run_bands(body, count: int, bands: int) -> None:
-    """``body(lo, hi)`` over ``bands`` contiguous ranges of ``range(count)``;
-    the two-grid LFA's chunks of base frequencies (``twogrid._max_radius``)
-    run through here."""
-    run_each(body, cuts(count, bands))
 
 
 def check_size(n: int) -> None:

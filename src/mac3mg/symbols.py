@@ -25,7 +25,7 @@ from . import stencils
 SCHEMES = ("qdr", "qbsr", "qibsr", "quzawa")
 FIELDS = ("u", "v", "p")
 LOW_EDGE = np.pi / 3.0
-# memory grows as n^2: twogrid-lfa and smooth-opt peaked at 326-364 MB at n = 729
+# memory grows as n^2: at n = 729 twogrid-lfa peaked at 499-603 MB, smooth-opt at 340 MB
 MAX_RESOLUTION = 729
 
 

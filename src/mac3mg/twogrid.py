@@ -31,7 +31,7 @@ real, a pattern that survives products, inverses and the coarse solve.
 ``two_grid_symbol`` stays complex and dense.
 
 Each of ``grid.BANDS`` chunks of bases builds its blocks and ``E`` on the band
-pool (``grid.run_bands``).  Gelfand's bound ``rho(E) <= ||A^m||_F^(1/m)``, ``A``
+pool (``grid.run_each``).  Gelfand's bound ``rho(E) <= ||A^m||_F^(1/m)``, ``A``
 similar to ``E`` by a power-of-two diagonal (Parlett and Reinsch 1969), prunes
 at ``m = 16`` and 256, leaving a second dispatch only the bases that may hold the
 maximum.  Each matrix is computed alone, whatever its batch: bit-identical factors.
@@ -285,7 +285,7 @@ def _max_radius(bases: np.ndarray, params: RelaxParams, pair: TransferPair, h: f
         groups = np.split(idx, np.searchsorted(idx, ns * np.arange(1, g)))
         found[lo] = [(r, matrices(i), bound[i]) for r, i in zip(rho, groups)]
 
-    grid.run_bands(chunk, len(bases), max(1, min(grid.BANDS, len(bases))))
+    grid.run_each(chunk, grid.cuts(len(bases), max(1, min(grid.BANDS, len(bases)))))
     tops = np.max([[rho for rho, _, _ in kept] for kept in found.values()], axis=0)
     picked = [(col, e[bound >= tops[col] * (1.0 - _MARGIN)])
               for kept in found.values() for col, (_, e, bound) in enumerate(kept)]
@@ -296,7 +296,7 @@ def _max_radius(bases: np.ndarray, params: RelaxParams, pair: TransferPair, h: f
         radii[lo:hi] = np.abs(np.linalg.eigvals(es[lo:hi])).max(axis=-1)
 
     if len(es):
-        grid.run_bands(solve, len(es), min(grid.BANDS, len(es)))
+        grid.run_each(solve, grid.cuts(len(es), min(grid.BANDS, len(es))))
     np.maximum.at(tops, np.repeat([col for col, _ in picked], [len(e) for _, e in picked]), radii)
     return {nu: float(r) for nu, r in zip(order, tops)}
 

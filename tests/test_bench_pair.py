@@ -91,6 +91,45 @@ def test_summarize_gain_shown_and_pass_counts():
     assert old["passes"] == {"parent": None, "change": None}
 
 
+def test_summarize_verdicts_by_the_benchmark_better_and_bound():
+    tight = [1.0, 1.01, 1.02, 1.03]  # IQR 0.025, inside every bound
+    wide = [1.0, 1.5, 2.0, 2.5]  # median 1.75, IQR 1.25, wider than every bound
+    cases = {  # metric: (parent, change, verdict)
+        "wall_s": (tight, [t + 0.3 for t in tight], "worse"),  # bound 0.24
+        "op_p50_s": (tight, [t + 0.05 for t in tight], "held"),  # worse in all, inside bound
+        "op_tail_s": (wide, [w + 0.1 for w in wide], "unresolved"),
+        "setup_s": (wide, [0.5, 0.6, 0.7, 0.95], "held"),  # all beat the parent's best run
+        "peak_rss_mb": ([100.0 * t for t in tight], [120.0 * t for t in tight],
+                        "worse"),  # +20% is past its bound of 0.15
+        "dof_per_s": ([10.0 * t for t in tight], [7.0 * t for t in tight],
+                      "worse"),  # higher is better
+    }
+    runs = []
+    for seed in range(4):
+        runs.append(run("parent", seed, {k: v[0][seed] for k, v in cases.items()}))
+        runs.append(run("change", seed, {k: v[1][seed] for k, v in cases.items()}))
+    (row,) = bench_pair.summarize(runs)
+    assert {k: e["verdict"] for k, e in row["metrics"].items()} == {
+        k: v[2] for k, v in cases.items()}
+    # a better median inside a wide spread, with runs that overlap the
+    # parent's, is unresolved; a higher dof_per_s is held
+    more = [run("parent", s, {"wall_s": wide[s], "dof_per_s": 10.0 * tight[s]}) for s in range(4)]
+    more += [run("change", s, {"wall_s": wide[s] - 0.3, "dof_per_s": 11.0 * tight[s]})
+             for s in range(4)]
+    (row,) = bench_pair.summarize(more)
+    assert row["metrics"]["wall_s"]["verdict"] == "unresolved"
+    assert row["metrics"]["dof_per_s"]["verdict"] == "held"
+    # one seed has no spread: held only when the change run is better
+    for change, expect in ((0.9, "held"), (1.1, "unresolved"), (1.3, "worse")):
+        (row,) = bench_pair.summarize([run("parent", 1, {"wall_s": 1.0}),
+                                       run("change", 1, {"wall_s": change})])
+        assert row["metrics"]["wall_s"]["verdict"] == expect
+    # traced rows carry no verdict
+    (row,) = bench_pair.summarize([run("parent", 1, {"wall_s": 1.0}, trace=1),
+                                   run("change", 1, {"wall_s": 9.0}, trace=1)])
+    assert "verdict" not in row["metrics"]["wall_s"]
+
+
 def fake_checkout(root, body):
     (root / "perfbench").mkdir(parents=True)
     (root / "perfbench" / "run.py").write_text(textwrap.dedent(body))

@@ -1,8 +1,12 @@
 """tools/level_costs.py: the per-level V(2,0) costs on a small grid."""
 
+import ast
 import importlib.util
 import json
 from pathlib import Path
+
+import numpy as np
+import pytest
 
 TOOL = Path(__file__).resolve().parents[1] / "tools" / "level_costs.py"
 _spec = importlib.util.spec_from_file_location("level_costs", TOOL)
@@ -30,3 +34,31 @@ def test_level_costs_at_n27(capsys, monkeypatch):
         assert all(t > 0.0 for t in below) and below == sorted(below, reverse=True)
         assert 0.0 < r["finest_residual_ms"] and 0.0 < r["finest_sweep_ms"] < r["cycle_ms"]
         assert r["share"] == round(2 * r["finest_sweep_ms"] / r["cycle_ms"], 3)
+
+
+def test_a_raising_wrapped_call_leaves_the_routines_as_they_were(monkeypatch):
+    from mac3mg import grid, multigrid, smoothers
+
+    monkeypatch.setattr(level_costs, "WARM_S", 0.0)
+    descend, sweep = multigrid._descend, smoothers.Smoother.sweep
+
+    def failing_sweep(self, *args, **kwargs):
+        # the plain cycles run; the first sweep under the tool's spans raises
+        if multigrid._descend is not descend:
+            raise np.linalg.LinAlgError("injected")
+        return sweep(self, *args, **kwargs)
+
+    monkeypatch.setattr(smoothers.Smoother, "sweep", failing_sweep)
+    wrapped = (multigrid._descend, smoothers.Smoother.sweep, grid.SaddleSystem.residual)
+    with pytest.raises(np.linalg.LinAlgError, match="injected"):
+        level_costs.main(["--n", "27", "--schemes", "qdr", "--repeats", "1"])
+    assert (multigrid._descend, smoothers.Smoother.sweep,
+            grid.SaddleSystem.residual) == wrapped
+
+
+def test_the_timing_tools_wrap_only_through_the_tracer():
+    for name in ("level_costs.py", "lfa_split.py"):
+        tree = ast.parse((TOOL.parent / name).read_text())
+        calls = [node.func.id for node in ast.walk(tree)
+                 if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)]
+        assert "setattr" not in calls, name

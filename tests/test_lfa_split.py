@@ -5,6 +5,7 @@ import json
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 TOOL = Path(__file__).resolve().parents[1] / "tools" / "lfa_split.py"
 _spec = importlib.util.spec_from_file_location("lfa_split", TOOL)
@@ -40,3 +41,18 @@ def test_lfa_split_at_resolution_27(capsys):
         # keeps the most: 31 of 240)
         assert r["eigvals_total"] == 15 * 4 * 4
         assert 16 <= r["eigvals_kept"] <= 0.15 * r["eigvals_total"]
+
+
+def test_a_raising_eigvals_leaves_the_routines_and_bands_as_they_were(monkeypatch):
+    from mac3mg import grid, twogrid
+
+    def failing_eigvals(a):
+        raise np.linalg.LinAlgError("injected")
+
+    monkeypatch.setattr(np.linalg, "eigvals", failing_eigvals)
+    wrapped = (twogrid._error_symbols, twogrid._error_matrices, twogrid._balance,
+               twogrid._radius_bounds, np.linalg.eigvals, grid.BANDS)
+    with pytest.raises(np.linalg.LinAlgError, match="injected"):
+        lfa_split.main(["--resolution", "27", "--repeats", "1", "--schemes", "qdr"])
+    assert (twogrid._error_symbols, twogrid._error_matrices, twogrid._balance,
+            twogrid._radius_bounds, np.linalg.eigvals, grid.BANDS) == wrapped

@@ -14,7 +14,17 @@ metric's median on both sides, their ratio (change / parent) and, for
 untraced runs, the number of seeds where the change was better, the
 distance between the parent's quartiles and ``gain_shown``: the change won
 at least 9 in 10 of the seeds and its median is better by more than that
-distance.  Each untraced run also records its pass count (the length of
+distance.  Each untraced metric also gets a ``verdict``, judged by its
+``better`` and ``bound`` in this checkout's ``BENCHMARK.json``:
+
+- ``worse``: the change's median is worse than the parent's by more than
+  ``bound`` times the parent's median;
+- ``unresolved``: otherwise, when the parent's quartiles lie further apart
+  than ``bound`` times its median (or one seed gives none) and not every
+  change run is better than every parent run;
+- ``held``: every other case.
+
+Each untraced run also records its pass count (the length of
 ``pass_s`` on its ``timing:`` line), and the summary gives the median per
 side: ``peak_rss_mb`` can grow with the passes a run fits in its time.
 """
@@ -28,7 +38,7 @@ import subprocess
 import sys
 from pathlib import Path
 
-HIGHER_IS_BETTER = {"dof_per_s"}
+ROOT = Path(__file__).resolve().parents[1]
 
 
 class RunFailed(Exception):
@@ -50,7 +60,26 @@ def run_one(checkout: Path, workload: str, seed: int, seconds: float, trace: int
             "passes": len(timing[0]["pass_s"]) if timing else None}
 
 
+def end_to_end() -> dict:
+    """Each end-to-end metric's entry (``better``, ``bound``) in BENCHMARK.json, by name."""
+    doc = json.loads((ROOT / "BENCHMARK.json").read_text())
+    return {m["name"]: m for m in doc["end_to_end"]}
+
+
+def verdict(a: list, b: list, sign: int, bound: float, iqr) -> str:
+    """``a`` the parent's values and ``iqr`` their quartile distance (None for
+    one seed), ``b`` the change's; ``sign`` is 1 when higher is better."""
+    med_a = statistics.median(a)
+    if sign * (statistics.median(b) - med_a) < -bound * med_a:
+        return "worse"
+    noisy = iqr is None or iqr > bound * med_a
+    if noisy and not all(sign * (y - x) > 0 for x in a for y in b):
+        return "unresolved"
+    return "held"
+
+
 def summarize(runs: list) -> list:
+    judged = end_to_end()
     groups: dict = {}
     for run in runs:
         key = (run["workload"], run["trace"])
@@ -67,13 +96,15 @@ def summarize(runs: list) -> list:
             entry = {"parent": med_a, "change": med_b,
                      "ratio": med_b / med_a if med_a else None}
             if not trace:
-                sign = 1 if name in HIGHER_IS_BETTER else -1
+                sign = 1 if judged[name]["better"] == "higher" else -1
                 entry["change_better"] = sum(sign * (y - x) > 0 for x, y in zip(a, b))
                 if len(a) > 1:
                     q1, _, q3 = statistics.quantiles(a, n=4)
                     entry["parent_iqr"] = q3 - q1
                     entry["gain_shown"] = (10 * entry["change_better"] >= 9 * len(a)
                                            and sign * (med_b - med_a) > q3 - q1)
+                entry["verdict"] = verdict(a, b, sign, judged[name]["bound"],
+                                           entry.get("parent_iqr"))
             row["metrics"][name] = entry
         if not trace:  # runs recorded before pass counts were kept have none
             counts = {side: [recs[s]["passes"] for s in seeds if recs[s].get("passes")]

@@ -21,9 +21,13 @@ little from a run where it fell near or below 1 (another load held a core).
 
 The cycle times come from plain cycles; the per-level times from a second
 run of cycles in which ``multigrid._descend``, ``Smoother.sweep`` and
-``SaddleSystem.residual`` are wrapped by a clock.  ``--src`` picks the
-``mac3mg`` source tree, so two checkouts can be measured by the same script;
-by default it is this checkout's ``src/``.
+``SaddleSystem.residual`` record spans through perfbench's ``Tracer``
+(``perfbench/spans.py`` of this checkout), each span sized by the level it
+acts on.  The tracer keeps one span stack for all threads, which holds here:
+the wrapped calls run on the caller's thread, and the band pool runs only
+phase bodies.  ``--src`` picks the ``mac3mg`` source tree, so two checkouts
+can be measured by the same script; by default it is this checkout's
+``src/``.
 """
 
 from __future__ import annotations
@@ -37,30 +41,16 @@ import sys
 import time
 from pathlib import Path
 
+ROOT = Path(__file__).resolve().parents[1]
 NU1, NU2 = 2, 0
 WARM_S = 0.5  # seconds of untimed work before each timing: cycles, or the probe's load
-
-
-def _clock(owner, name: str, record):
-    """Wrap ``owner.name`` so each call ends in ``record(args, seconds)``;
-    returns the unwrapped attribute."""
-    fn = getattr(owner, name)
-
-    def timed(*args, **kwargs):
-        t0 = time.perf_counter()
-        try:
-            return fn(*args, **kwargs)
-        finally:
-            record(args, time.perf_counter() - t0)
-
-    setattr(owner, name, timed)
-    return fn
 
 
 def level_costs(n: int, scheme: str, repeats: int, seed: int = 0) -> dict:
     from mac3mg import grid, multigrid, smoothers
     from mac3mg.symbols import reference_params
     from mac3mg.twogrid import TransferPair
+    from spans import Tracer
 
     hier = multigrid.GridHierarchy(n, "dirichlet", reference_params(scheme, "measured"),
                                    TransferPair("p25t"))
@@ -83,34 +73,29 @@ def level_costs(n: int, scheme: str, repeats: int, seed: int = 0) -> dict:
         cycle()
     cycles = [cycle() for _ in range(repeats)]
 
-    sweeps, residuals, below = [], [], {m: [] for m in hier.sizes}
-    originals = [
-        (smoothers.Smoother, "sweep", _clock(
-            smoothers.Smoother, "sweep",
-            lambda a, dt: a[0].system.n == n and sweeps.append(dt))),
-        (grid.SaddleSystem, "residual", _clock(
-            grid.SaddleSystem, "residual",
-            lambda a, dt: a[0].n == n and residuals.append(dt))),
-        (multigrid, "_descend", _clock(
-            multigrid, "_descend", lambda a, dt: below[hier.sizes[a[1]]].append(dt))),
-    ]
+    tracer = Tracer(enabled=True)
     try:
+        tracer.wrap(smoothers.Smoother, "sweep", "sweep", lambda a, kw: (a[0].system.n, {}))
+        tracer.wrap(grid.SaddleSystem, "residual", "residual", lambda a, kw: (a[0].n, {}))
+        tracer.wrap(multigrid, "_descend", "descend", lambda a, kw: (hier.sizes[a[1]], {}))
         for _ in range(repeats):
             cycle()
     finally:
-        for owner, name, fn in originals:
-            setattr(owner, name, fn)
+        tracer.unwrap_all()
+    times: dict = {}
+    for span in tracer.spans:
+        times.setdefault((span.name, span.n), []).append(span.duration)
 
     ms = lambda xs: round(statistics.median(xs) * 1e3, 4)  # noqa: E731
-    cycle_ms = ms(cycles)
+    cycle_ms, sweep_ms = ms(cycles), ms(times["sweep", n])
     return {
         "scheme": scheme,
         "n": n,
         "cycle_ms": cycle_ms,
-        "finest_sweep_ms": ms(sweeps),
-        "finest_residual_ms": ms(residuals),
-        "from_level_ms": {str(m): ms(t) for m, t in below.items()},
-        "share": round(NU1 * ms(sweeps) / cycle_ms, 3),
+        "finest_sweep_ms": sweep_ms,
+        "finest_residual_ms": ms(times["residual", n]),
+        "from_level_ms": {str(m): ms(times["descend", m]) for m in hier.sizes},
+        "share": round(NU1 * sweep_ms / cycle_ms, 3),
     }
 
 
@@ -133,7 +118,7 @@ def band_speedup(repeats: int = 20) -> float:
         times = []
         for _ in range(repeats):
             t0 = time.perf_counter()
-            grid.run_bands(body, len(a), bands)
+            grid.run_each(body, grid.cuts(len(a), bands))
             times.append(time.perf_counter() - t0)
         return statistics.median(times)
 
@@ -150,10 +135,9 @@ def main(argv=None) -> int:
     ap.add_argument("--n", default="81,243,729", help="finest sizes, comma separated")
     ap.add_argument("--schemes", default="qdr,qbsr,qibsr,quzawa")
     ap.add_argument("--repeats", type=int, default=15, help="cycles per median")
-    ap.add_argument("--src", default=str(Path(__file__).resolve().parents[1] / "src"),
-                    help="the mac3mg source tree to measure")
+    ap.add_argument("--src", default=str(ROOT / "src"), help="the mac3mg source tree to measure")
     args = ap.parse_args(argv)
-    sys.path.insert(0, str(Path(args.src).resolve()))
+    sys.path[:0] = [str(Path(args.src).resolve()), str(ROOT / "perfbench")]
     import mac3mg
     from mac3mg import grid
 
