@@ -24,10 +24,10 @@ mirrors to -2 = 1 - 3), and 3 divides n for the periodic wrap.
 After its first call a cycle keeps no per-transfer work arrays: each level's
 residual, coarse data and coarse state, and every sweep temporary, are work
 arrays of that level's ``SaddleSystem`` (roles in ``grid.Workspace``), shared
-with every system of its size in the thread.  A
-transfer's transient temporaries are at most a third of a fine field each:
-above ``DENSE_MAX`` the prolongation adds into the fine state in three row
-blocks.
+with every system of its size in the thread.  A prolongation applies ``A_y``
+first and adds ``A_x`` times that in row blocks (``_row_blocks``), three
+above ``DENSE_MAX``, where no transient temporary of a transfer is then
+larger than a third of a fine field.
 Each coarse level starts from a zero guess (Trottenberg, Oosterlee and
 Schueller, *Multigrid*, 2001), so its first pre-smoothing sweep takes the
 restricted residual as its residual and writes the state without reading it.
@@ -148,8 +148,12 @@ def restrict_state(fine: grid.StaggeredState, tag: str,
 @functools.lru_cache(maxsize=None)
 def _row_blocks(n: int, bc: str, name: str) -> tuple:
     """``(lo, hi, rows lo:hi of A_x)`` of the p25 prolongation of field
-    ``name`` onto grid n, in three read-only CSR row blocks."""
+    ``name`` onto grid n, read-only: the one block ``A_x`` up to ``DENSE_MAX``,
+    where a block costs more in calls than it saves, and three CSR row blocks
+    above."""
     ax = _transfer_matrices("p25", n, bc, name)[0]
+    if n <= DENSE_MAX:
+        return ((0, ax.shape[0], ax),)
     blocks = tuple((lo, hi, ax[lo:hi]) for lo, hi in grid.cuts(ax.shape[0], 3))
     for _, _, b in blocks:
         for x in (b.data, b.indices, b.indptr):
@@ -160,24 +164,20 @@ def _row_blocks(n: int, bc: str, name: str) -> tuple:
 def prolong_state(coarse: grid.StaggeredState, n_fine: int,
                   add_to: grid.StaggeredState | None = None) -> grid.StaggeredState:
     """The p25 prolongation of a coarse state, added to ``add_to`` (a zero
-    fine state if None).  Above ``DENSE_MAX`` it applies ``A_y`` first and
-    adds ``A_x`` times that in three row blocks (``_row_blocks``), so no
-    temporary is as large as a fine field and no add is strided; below, a
-    block costs more in calls than it saves."""
+    fine state if None).  It applies ``A_y`` first and adds ``A_x`` times that
+    in the row blocks of ``_row_blocks``, so no add is strided, and above
+    ``DENSE_MAX`` no temporary is as large as a fine field."""
     if n_fine != 3 * coarse.n:
         raise ValueError("prolongation must step up by exactly one level")
     if add_to is None:
         add_to = grid.StaggeredState.zeros(n_fine, coarse.bc, coarse.u.dtype)
     for name in ("u", "v", "p"):
-        ax, ay = _transfer_matrices("p25", n_fine, coarse.bc, name)
-        a, c = getattr(add_to, name), getattr(coarse, name)
-        if n_fine > DENSE_MAX:
-            t = (ay @ c.T).T.copy()
-            for lo, hi, block in _row_blocks(n_fine, coarse.bc, name):
-                a[lo:hi] += block @ t
-            del t  # else it lives on beside the next field's two temporaries
-        else:
-            a += (ay @ (ax @ c).T).T
+        ay = _transfer_matrices("p25", n_fine, coarse.bc, name)[1]
+        a = getattr(add_to, name)
+        t = (ay @ getattr(coarse, name).T).T.copy()
+        for lo, hi, block in _row_blocks(n_fine, coarse.bc, name):
+            a[lo:hi] += block @ t
+        del t  # else it lives on beside the next field's two temporaries
     return add_to
 
 

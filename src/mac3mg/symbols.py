@@ -23,10 +23,12 @@ import numpy as np
 from . import stencils
 
 SCHEMES = ("qdr", "qbsr", "qibsr", "quzawa")
-FIELDS = ("u", "v", "p")
 LOW_EDGE = np.pi / 3.0
 # memory grows as n^2: at n = 729 twogrid-lfa peaked at 499-603 MB, smooth-opt at 340 MB
 MAX_RESOLUTION = 729
+# self-coefficient of the mass-preconditioned Schur stencil: the lattice mean
+# of ``aux(theta).m_r``, which tests/test_symbols.py checks
+SCHUR_JACOBI_WEIGHT = 4.0 / 3.0
 
 
 @dataclass(frozen=True)
@@ -158,21 +160,16 @@ def low_freq_samples(n: int = 81) -> np.ndarray:
     return grid[low]
 
 
-def mass_dimless(theta):
-    """Dimensionless velocity mass symbol ``(4 + 2cos t1 + 2cos t2 + cos t1 cos t2)/9``."""
-    return stencils.symbol(stencils.MASS, theta)
-
-
 def aux(theta) -> AuxSymbols:
     """Scalar helper symbols (m, m_s, m_r).
 
     ``m = sin^2(t1/2) + sin^2(t2/2)`` drives the scalar Laplacian symbol
-    ``4m/h^2``; ``m_s`` is the reciprocal dimensionless mass symbol and
-    ``m_r = 4m/m_s`` the dimensionless mass-preconditioned Schur symbol.
+    ``4m/h^2``; ``m_s`` is the reciprocal dimensionless mass symbol (of
+    ``stencils.MASS``) and ``m_r = 4m/m_s`` the mass-preconditioned Schur one.
     """
     theta = np.asarray(theta, dtype=float)
     m = np.sin(theta[..., 0] / 2.0) ** 2 + np.sin(theta[..., 1] / 2.0) ** 2
-    q = mass_dimless(theta)
+    q = stencils.symbol(stencils.MASS, theta)
     m_s = 1.0 / q
     return AuxSymbols(m=m, m_s=m_s, m_r=4.0 * m * q)
 
@@ -215,24 +212,11 @@ def dist_p_symbol(theta, h: float = 1.0) -> np.ndarray:
     return out
 
 
-def schur_jacobi_weight() -> float:
-    """Self-coefficient of the mass-preconditioned Schur stencil (exactly 4/3).
-
-    The stencil coefficient at offset zero equals the lattice average of the
-    symbol ``m_r`` over any lattice finer than the stencil degree; an 8x8
-    lattice is exact here.
-    """
-    k = 2.0 * np.pi * np.arange(8) / 8.0
-    t1, t2 = np.meshgrid(k, k, indexing="ij")
-    grid = np.stack([t1.ravel(), t2.ravel()], axis=-1)
-    return float(np.mean(aux(grid).m_r))
-
-
 def _mass_block(theta, h, alpha):
     """Common (u, u) and (v, v) entry ``alpha * m_s / h^2`` of the M symbols;
     raises ``LinAlgError`` where a huge finite ``alpha`` overflows it."""
     with np.errstate(over="ignore"):
-        diag = alpha / (mass_dimless(theta) * h**2)
+        diag = alpha / (stencils.symbol(stencils.MASS, theta) * h**2)
     if not np.all(np.isfinite(diag)):
         raise np.linalg.LinAlgError(f"mass block overflows for alpha = {alpha:g}")
     return diag
@@ -281,8 +265,8 @@ def _ibsr_inverse_symbol(params: RelaxParams, theta, h: float) -> np.ndarray:
     weighted Jacobi sweep with the translation-invariant diagonal 4/3."""
     theta = np.asarray(theta, dtype=float)
     s1, s2 = _halves(theta)
-    q = mass_dimless(theta) * h**2  # velocity mass symbol
-    wj = params.omega_j / schur_jacobi_weight()
+    q = stencils.symbol(stencils.MASS, theta) * h**2  # velocity mass symbol
+    wj = params.omega_j / SCHUR_JACOBI_WEIGHT
     a = params.alpha
 
     out = np.zeros(theta.shape[:-1] + (3, 3), dtype=complex)

@@ -43,7 +43,7 @@ def test_a_raising_wrapped_call_leaves_the_routines_as_they_were(monkeypatch):
     descend, sweep = multigrid._descend, smoothers.Smoother.sweep
 
     def failing_sweep(self, *args, **kwargs):
-        # the plain cycles run; the first sweep under the tool's spans raises
+        # the warm-up cycles run; the first sweep once the tool has wrapped it raises
         if multigrid._descend is not descend:
             raise np.linalg.LinAlgError("injected")
         return sweep(self, *args, **kwargs)
@@ -54,6 +54,38 @@ def test_a_raising_wrapped_call_leaves_the_routines_as_they_were(monkeypatch):
         level_costs.main(["--n", "27", "--schemes", "qdr", "--repeats", "1"])
     assert (multigrid._descend, smoothers.Smoother.sweep,
             grid.SaddleSystem.residual) == wrapped
+
+
+def test_untraced_and_traced_cycles_alternate(capsys, monkeypatch):
+    # cycle_ms and the per-level spans come from the same stretch: after the
+    # warm-up, each repeat runs one untraced cycle and then one traced one
+    from mac3mg import multigrid
+
+    monkeypatch.setattr(level_costs, "WARM_S", 0.0)
+    monkeypatch.syspath_prepend(str(TOOL.parents[1] / "perfbench"))
+    import spans
+
+    made = []
+
+    class Recorded(spans.Span):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            made.append(self.name)
+
+    monkeypatch.setattr(spans, "Span", Recorded)
+    v_cycle, traced = multigrid.v_cycle, []
+
+    def recording(*args, **kwargs):
+        before = len(made)
+        out = v_cycle(*args, **kwargs)
+        traced.append("descend" in made[before:])
+        return out
+
+    monkeypatch.setattr(multigrid, "v_cycle", recording)
+    assert level_costs.main(["--n", "27", "--schemes", "qdr", "--repeats", "3"]) == 0
+    capsys.readouterr()
+    assert traced[-6:] == [False, True] * 3
+    assert len(traced) > 6 and not any(traced[:-6])
 
 
 def test_the_timing_tools_wrap_only_through_the_tracer():

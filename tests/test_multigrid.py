@@ -135,6 +135,27 @@ def test_cached_transfer_matrices_are_read_only(n):
                         x[0] = 0
 
 
+@pytest.mark.parametrize("bc", grid.BCS)
+@pytest.mark.parametrize("n", (9, 27, 81, 243))
+def test_row_blocks_are_read_only_and_stack_to_the_prolongation_rows(n, bc):
+    # prolong_state adds A_x t through these blocks at every size: the one
+    # dense A_x up to DENSE_MAX, three CSR row blocks above it
+    for name in ("u", "v", "p"):
+        ax = multigrid._transfer_matrices("p25", n, bc, name)[0]
+        blocks = multigrid._row_blocks(n, bc, name)
+        assert len(blocks) == (1 if n <= multigrid.DENSE_MAX else 3)
+        assert [b[0] for b in blocks] == [0, *(b[1] for b in blocks[:-1])]
+        assert blocks[-1][1] == ax.shape[0]
+        rows = []
+        for lo, hi, block in blocks:
+            dense = isinstance(block, np.ndarray)
+            assert block.shape == (hi - lo, ax.shape[1])
+            for x in (block,) if dense else (block.data, block.indices, block.indptr):
+                assert not x.flags.writeable
+            rows.append(block if dense else block.toarray())
+        assert np.array_equal(np.vstack(rows), ax if n <= multigrid.DENSE_MAX else ax.toarray())
+
+
 def test_restrict_prolong_shape_contracts():
     st = rand_state(9, "dirichlet", 0)
     coarse = multigrid.restrict_state(st, "r9")

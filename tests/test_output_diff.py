@@ -78,3 +78,11 @@ def test_config_file_runs_read_the_files_they_name(tmp_path):
     named = [c[c.index("--config") + 1] for c in cmds if "--config" in c]
     assert sorted(set(named)) == sorted(str(tmp_path / n) for n in output_diff.CONFIG_FILES)
     assert all(Path(path).read_text() for path in named)
+
+
+def test_the_matrix_runs_mg_run_at_the_cli_default_size(tmp_path):
+    # n = 81 is the largest size whose transfers use dense 1D matrices
+    cmds = output_diff.command_matrix(tmp_path)
+    sizes = {c[c.index("--n") + 1] for c in cmds if c[0] == "mg-run" and "--n" in c}
+    assert {"27", "81", "243"} <= sizes
+    assert ["mg-run", "--scheme", "qdr", "--n", "81"] in cmds

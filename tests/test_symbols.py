@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from mac3mg import analytic, symbols
+from mac3mg import analytic, stencils, symbols
 from mac3mg.symbols import RelaxParams, reference_params
 
 
@@ -56,7 +56,7 @@ def test_mass_symbol_and_m_r_match_polynomial():
     # the closed-form optimization
     for t in rand_thetas(50, 4, lo=0.0, hi=np.pi):
         m, m_s, m_r = symbols.aux(t)
-        q = symbols.mass_dimless(t)
+        q = stencils.symbol(stencils.MASS, t)
         c1, c2 = np.cos(t)
         assert abs(q - (4 + 2 * c1 + 2 * c2 + c1 * c2) / 9.0) < 1e-13
         assert abs(m_s * q - 1.0) < 1e-13
@@ -74,7 +74,14 @@ def test_m_r_range_on_high_frequencies():
 
 
 def test_schur_jacobi_weight_is_four_thirds():
-    assert abs(symbols.schur_jacobi_weight() - 4.0 / 3.0) < 1e-14
+    # the stencil coefficient at offset zero is the mean of its symbol over
+    # any lattice finer than the stencil degree; an 8x8 lattice is exact
+    k = 2.0 * np.pi * np.arange(8) / 8.0
+    t1, t2 = np.meshgrid(k, k, indexing="ij")
+    lattice = np.stack([t1.ravel(), t2.ravel()], axis=-1)
+    mean = float(np.mean(symbols.aux(lattice).m_r))
+    assert abs(mean - symbols.SCHUR_JACOBI_WEIGHT) < 1e-14
+    assert symbols.SCHUR_JACOBI_WEIGHT == 4.0 / 3.0
 
 
 def test_canonicalize_and_region_predicates():

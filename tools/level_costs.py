@@ -19,11 +19,13 @@ after at least as many untimed ones and half a second:
 and in ``grid.BANDS`` bands before and after the cycles: banded timings mean
 little from a run where it fell near or below 1 (another load held a core).
 
-The cycle times come from plain cycles; the per-level times from a second
-run of cycles in which ``multigrid._descend``, ``Smoother.sweep`` and
-``SaddleSystem.residual`` record spans through perfbench's ``Tracer``
-(``perfbench/spans.py`` of this checkout), each span sized by the level it
-acts on.  The tracer keeps one span stack for all threads, which holds here:
+``multigrid._descend``, ``Smoother.sweep`` and ``SaddleSystem.residual``
+record spans through perfbench's ``Tracer`` (``perfbench/spans.py`` of this
+checkout), each span sized by the level it acts on.  They are wrapped once,
+and each repeat then runs one cycle with the tracer off, timed whole for
+``cycle_ms``, and one with it on, for the per-level times: so ``cycle_ms``,
+the per-level medians and ``share`` come from the same stretch of the run.
+The tracer keeps one span stack for all threads, which holds here:
 the wrapped calls run on the caller's thread, and the band pool runs only
 phase bodies.  ``--src`` picks the ``mac3mg`` source tree, so two checkouts
 can be measured by the same script; by default it is this checkout's
@@ -71,14 +73,16 @@ def level_costs(n: int, scheme: str, repeats: int, seed: int = 0) -> dict:
         if i >= repeats and time.perf_counter() > warm:
             break
         cycle()
-    cycles = [cycle() for _ in range(repeats)]
 
-    tracer = Tracer(enabled=True)
+    tracer, cycles = Tracer(), []
     try:
         tracer.wrap(smoothers.Smoother, "sweep", "sweep", lambda a, kw: (a[0].system.n, {}))
         tracer.wrap(grid.SaddleSystem, "residual", "residual", lambda a, kw: (a[0].n, {}))
         tracer.wrap(multigrid, "_descend", "descend", lambda a, kw: (hier.sizes[a[1]], {}))
         for _ in range(repeats):
+            tracer.enabled = False
+            cycles.append(cycle())
+            tracer.enabled = True
             cycle()
     finally:
         tracer.unwrap_all()
