@@ -2,8 +2,9 @@
 
 Block symbols are complex matrices over the field ordering ``(u, v, p)``.
 Frequency arguments are pairs or arrays of pairs ``(..., 2)``; every symbol
-routine broadcasts, returning ``(..., 3, 3)`` so that whole sampling sweeps
-run through one batched LAPACK call.
+routine broadcasts, returning ``(..., 3, 3)``, so a whole sampling sweep is
+one batch of array expressions.  A relaxation's symbol is formed step by step
+as its sweep forms the correction, with no solve or inverse.
 
 Frequencies live on the torus ``[-pi, pi)^2``.  Under coarsening by three a
 frequency is low when both components lie in ``[-pi/3, pi/3)``; everything
@@ -24,7 +25,7 @@ from . import stencils
 
 SCHEMES = ("qdr", "qbsr", "qibsr", "quzawa")
 LOW_EDGE = np.pi / 3.0
-# memory grows as n^2: at n = 729 twogrid-lfa peaked at 499-603 MB, smooth-opt at 340 MB
+# memory grows as n^2: at n = 729 twogrid-lfa peaked at 499-603 MB, smooth-opt at 294-305 MB
 MAX_RESOLUTION = 729
 # self-coefficient of the mass-preconditioned Schur stencil: the lattice mean
 # of ``aux(theta).m_r``, which tests/test_symbols.py checks
@@ -198,124 +199,62 @@ def stokes_symbol(theta, h: float = 1.0) -> np.ndarray:
     return out
 
 
-def dist_p_symbol(theta, h: float = 1.0) -> np.ndarray:
-    """Symbol of the distributive transformation (gradient column, cell Laplacian)."""
-    theta = np.asarray(theta, dtype=float)
-    s1, s2 = _halves(theta)
-    m = s1**2 + s2**2
-    out = np.zeros(theta.shape[:-1] + (3, 3), dtype=complex)
-    out[..., 0, 0] = 1.0
-    out[..., 1, 1] = 1.0
-    out[..., 0, 2] = 2.0j * s1 / h
-    out[..., 1, 2] = 2.0j * s2 / h
-    out[..., 2, 2] = -4.0 * m / h**2
-    return out
+def _step_symbol(params: RelaxParams, theta, h: float) -> np.ndarray:
+    """Correction map ``K`` of one sweep, ``delta = K r``, shape ``(..., 3, 3)``,
+    formed step by step as ``Smoother.sweep`` forms it.
 
-
-def _mass_block(theta, h, alpha):
-    """Common (u, u) and (v, v) entry ``alpha * m_s / h^2`` of the M symbols;
-    raises ``LinAlgError`` where a huge finite ``alpha`` overflows it."""
-    with np.errstate(over="ignore"):
-        diag = alpha / (stencils.symbol(stencils.MASS, theta) * h**2)
-    if not np.all(np.isfinite(diag)):
-        raise np.linalg.LinAlgError(f"mass block overflows for alpha = {alpha:g}")
-    return diag
-
-
-def smoother_symbol(params: RelaxParams, theta, h: float = 1.0) -> np.ndarray:
-    """Block symbol of the smoother matrix M for the given scheme.
-
-    For ``qibsr`` this is the inverse of the inexact solve map (the scheme is
-    defined through its inverse action); it is singular exactly where the
-    inexact map is.
+    ``Q`` is the mass ``q h^2``, ``grad`` the gradient column of
+    ``stokes_symbol`` and ``B = -grad^T`` its divergence row.  ``qdr`` and
+    ``quzawa`` take ``du = Q r_u / alpha`` and ``t = r_p - B du``; then
+    ``quzawa`` takes ``dp = -sigma t``, and ``qdr`` takes ``dp' = Q t / alpha``
+    with ``delta = (du + grad dp', -A_p dp')``.  ``qbsr`` and ``qibsr`` take
+    ``dp = c (B Q r_u - alpha r_p)`` and ``du = Q (r_u - grad dp) / alpha``,
+    where ``c`` is the exact Schur inverse ``1 / (4 m q)`` or the Jacobi weight
+    ``omega_j / SCHUR_JACOBI_WEIGHT``.  Raises ``LinAlgError`` where a huge
+    ``alpha`` takes ``Q / alpha`` below the normal range.
     """
-    theta = np.asarray(theta, dtype=float)
     s1, s2 = _halves(theta)
-    diag = _mass_block(theta, h, params.alpha)
-    out = np.zeros(theta.shape[:-1] + (3, 3), dtype=complex)
-    if params.scheme == "qdr":
-        out[..., 0, 0] = diag
-        out[..., 1, 1] = diag
-        out[..., 2, 2] = diag
-        out[..., 2, 0] = -2.0j * s1 / h
-        out[..., 2, 1] = -2.0j * s2 / h
-        return out
-    if params.scheme == "qbsr":
-        out[..., 0, 0] = diag
-        out[..., 1, 1] = diag
-        out[..., 0, 2] = 2.0j * s1 / h
-        out[..., 1, 2] = 2.0j * s2 / h
-        out[..., 2, 0] = -2.0j * s1 / h
-        out[..., 2, 1] = -2.0j * s2 / h
-        return out
-    if params.scheme == "quzawa":
-        out[..., 0, 0] = diag
-        out[..., 1, 1] = diag
-        out[..., 2, 0] = -2.0j * s1 / h
-        out[..., 2, 1] = -2.0j * s2 / h
-        out[..., 2, 2] = -1.0 / params.sigma
-        return out
-    if params.scheme == "qibsr":
-        return np.linalg.inv(_ibsr_inverse_symbol(params, theta, h))
-    raise ValueError(f"unknown scheme {params.scheme!r}")
-
-
-def _ibsr_inverse_symbol(params: RelaxParams, theta, h: float) -> np.ndarray:
-    """Symbol of the inexact block solve: exact Schur inverse replaced by one
-    weighted Jacobi sweep with the translation-invariant diagonal 4/3."""
-    theta = np.asarray(theta, dtype=float)
-    s1, s2 = _halves(theta)
-    q = stencils.symbol(stencils.MASS, theta) * h**2  # velocity mass symbol
-    wj = params.omega_j / SCHUR_JACOBI_WEIGHT
-    a = params.alpha
-
-    out = np.zeros(theta.shape[:-1] + (3, 3), dtype=complex)
-    # pressure row: delta_p = (wj/d) * (B C^{-1} r_u - alpha r_p)
-    dp0 = np.asarray(wj * (-2.0j * s1 / h) * q, dtype=complex)
-    dp1 = np.asarray(wj * (-2.0j * s2 / h) * q, dtype=complex)
-    dp2 = np.broadcast_to(np.asarray(-wj * a, dtype=complex), dp0.shape)
-    # velocity rows: delta_u = (1/alpha) C^{-1} (r_u - B^T delta_p)
-    gu = 2.0j * s1 / h
-    gv = 2.0j * s2 / h
-    out[..., 0, 0] = (q / a) * (1.0 - gu * dp0)
-    out[..., 0, 1] = (q / a) * (-gu * dp1)
-    out[..., 0, 2] = (q / a) * (-gu * dp2)
-    out[..., 1, 0] = (q / a) * (-gv * dp0)
-    out[..., 1, 1] = (q / a) * (1.0 - gv * dp1)
-    out[..., 1, 2] = (q / a) * (-gv * dp2)
-    out[..., 2, 0] = dp0
-    out[..., 2, 1] = dp1
-    out[..., 2, 2] = dp2
-    return out
+    q = (stencils.symbol(stencils.MASS, theta) * h**2)[..., None]
+    qa = q / params.alpha
+    if np.any(qa < np.finfo(float).tiny):
+        raise np.linalg.LinAlgError(f"mass step underflows for alpha = {params.alpha:g}")
+    grad = np.stack([2.0j * s1 / h, 2.0j * s2 / h], axis=-1)
+    r_u, r_p = np.eye(3)[:2], np.eye(3)[2]  # the maps r -> r_u and r -> r_p
+    b_u = -grad @ r_u  # r -> B r_u
+    if params.scheme in ("qdr", "quzawa"):
+        du = qa[..., None] * r_u
+        t = r_p - qa * b_u  # r_p - B du
+        if params.scheme == "quzawa":
+            dp = -params.sigma * t
+        else:  # dp' = Q_p t / alpha, distributed as (du + grad dp', -A_p dp')
+            dp = qa * t
+            du = du + grad[..., None] * dp[..., None, :]
+            dp = -(4.0 * (s1**2 + s2**2) / h**2)[..., None] * dp
+    else:
+        c = (1.0 / aux(theta).m_r[..., None] if params.scheme == "qbsr"
+             else params.omega_j / SCHUR_JACOBI_WEIGHT)
+        dp = c * (q * b_u - params.alpha * r_p)
+        du = qa[..., None] * (r_u - grad[..., None] * dp[..., None, :])
+    return np.concatenate([du, dp[..., None, :]], axis=-2)
 
 
 def relax_error_symbol(params: RelaxParams, theta, h: float = 1.0) -> np.ndarray:
-    """Error propagation symbol ``S = I - omega * (solve step) @ L``.
+    """Error propagation symbol ``S = I - omega K L``, ``K`` the correction map
+    of one sweep (``_step_symbol``).
 
-    Raises ``numpy.linalg.LinAlgError`` where the smoother symbol is singular
-    (only at frequencies congruent to zero); the offset samplers never hit
-    those, callers probing arbitrary frequencies must guard themselves.  It
-    also raises where a huge ``alpha`` overflows the step or a huge
-    ``omega`` the symbol.
+    Raises ``numpy.linalg.LinAlgError`` where the step is not finite: where
+    ``qbsr``'s exact Schur inverse is singular (only at frequencies congruent
+    to zero; the offset samplers never hit those, callers probing arbitrary
+    frequencies must guard themselves), or where a huge ``alpha`` underflows
+    the mass step or a huge ``omega`` overflows the symbol.
     """
     theta = np.asarray(theta, dtype=float)
-    ell = stokes_symbol(theta, h)
-    eye = np.eye(3, dtype=complex)
-    if params.scheme == "qdr":
-        step = dist_p_symbol(theta, h) @ np.linalg.solve(
-            smoother_symbol(params, theta, h), ell
-        )
-    elif params.scheme in ("qbsr", "quzawa"):
-        step = np.linalg.solve(smoother_symbol(params, theta, h), ell)
-    elif params.scheme == "qibsr":
-        with np.errstate(over="ignore", invalid="ignore"):
-            step = _ibsr_inverse_symbol(params, theta, h) @ ell
-    else:
-        raise ValueError(f"unknown scheme {params.scheme!r}")
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        step = _step_symbol(params, theta, h) @ stokes_symbol(theta, h)
     if not np.all(np.isfinite(step)):
         raise np.linalg.LinAlgError("relaxation step overflows")
     with np.errstate(over="ignore", invalid="ignore"):
-        out = eye - params.omega * step
+        out = np.eye(3) - params.omega * step
     if not np.all(np.isfinite(out)):
         raise np.linalg.LinAlgError(f"relaxation error symbol overflows for omega = "
                                     f"{params.omega:g}")

@@ -10,7 +10,7 @@ import pytest
 
 from mac3mg import cli, multigrid
 from mac3mg.twogrid import TransferPair, two_grid_factor_table
-from mac3mg.symbols import reference_params
+from mac3mg.symbols import SCHEMES, reference_params
 
 
 def run_cli(args):
@@ -218,7 +218,7 @@ def test_smooth_opt_uzawa_under_root(tmp_path):
 
 
 def test_smooth_opt_numerical_failure_exit_code(tmp_path, capsys):
-    # a huge alpha overflows the qbsr mass block to inf, so the solve fails
+    # a huge alpha takes the qbsr mass step below the normal range
     out = tmp_path / "opt.csv"
     with np.errstate(all="ignore"):
         code = run_cli(["smooth-opt", "--scheme", "qbsr", "--resolution", "9",
@@ -229,18 +229,19 @@ def test_smooth_opt_numerical_failure_exit_code(tmp_path, capsys):
 
 
 def test_huge_alpha_is_a_clean_numerical_failure(capsys):
-    # alpha = 1e308 overflows the qdr mass block and the qibsr relaxation
-    # step (the twogrid-lfa default scheme): both end in a numerical failure
-    # without numpy warnings
+    # alpha = 1e308 takes the mass step Q / alpha below the normal range: for
+    # every scheme, and in twogrid-lfa (default scheme qibsr) too, the run ends
+    # in a numerical failure without numpy warnings
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        assert run_cli(["smooth-opt", "--resolution", "9", "--scheme", "qdr",
-                        "--alpha", "1e308"]) == 2
+        for scheme in SCHEMES:
+            assert run_cli(["smooth-opt", "--resolution", "9", "--scheme", scheme,
+                            "--alpha", "1e308"]) == 2, scheme
         assert run_cli(["twogrid-lfa", "--resolution", "9", "--alpha", "1e308"]) == 2
     assert not caught
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.count("numerical failure") == 2
+    assert captured.err.count("mass step underflows") == len(SCHEMES) + 1
 
 
 @pytest.mark.parametrize("flags, overflow", [

@@ -86,3 +86,12 @@ def test_the_matrix_runs_mg_run_at_the_cli_default_size(tmp_path):
     sizes = {c[c.index("--n") + 1] for c in cmds if c[0] == "mg-run" and "--n" in c}
     assert {"27", "81", "243"} <= sizes
     assert ["mg-run", "--scheme", "qdr", "--n", "81"] in cmds
+
+
+def test_the_matrix_lists_the_numerical_failures(tmp_path):
+    # a huge alpha per scheme and a huge omega: exit code 2 and empty stdout
+    cmds = output_diff.command_matrix(tmp_path)
+    for scheme in output_diff.SCHEMES:
+        assert ["smooth-opt", "--scheme", scheme, "--resolution", "9",
+                "--alpha", "1e308"] in cmds
+    assert ["twogrid-lfa", "--resolution", "9", "--omega", "1e308"] in cmds

@@ -27,7 +27,6 @@ ORACLES = {
     "assemble.assemble_schur": "the assembled Schur oracle, which perfbench traces by name",
     "assemble.nullspace": "the orthonormal nullspace, which checks the cycle operator's gauge",
     "grid.mode_coefficients": "the per-mode probe of the periodic operators and sweeps",
-    "symbols.aux": "the paper's m, m_s and m_r, checked against the closed-form Uzawa analysis",
     "twogrid.two_grid_symbol": "the single-sample LFA oracle for the batched factors",
 }
 

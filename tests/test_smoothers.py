@@ -30,17 +30,28 @@ def probe_mode_matrix(scheme_params, n, theta):
     return np.stack(cols, axis=1)
 
 
+def probe_params(scheme):
+    """The reference and measured parameters of a scheme, and one set away from
+    both: ``alpha != 1``, ``sigma != 15/32`` and ``omega_j != 0.9``, so that a
+    parameter misplaced in the symbol cannot cancel."""
+    off = RelaxParams(scheme, omega=0.83, alpha=1.21,
+                      sigma=0.37 if scheme == "quzawa" else None,
+                      omega_j=0.7 if scheme == "qibsr" else None)
+    return list(dict.fromkeys([reference_params(scheme), reference_params(scheme, "measured"),
+                               off]))
+
+
 @pytest.mark.parametrize("scheme", symbols.SCHEMES)
 def test_sweep_matches_error_symbol_per_mode(scheme):
     # with zero right-hand side the state is the error, so one sweep acts on
     # a staggered Fourier mode exactly as the 3x3 error symbol
     n = 27
-    params = reference_params(scheme)
-    for k1, k2 in lattice_thetas(n, 20, seed=hash(scheme) % 1000):
-        theta = (2 * np.pi * k1 / n, 2 * np.pi * k2 / n)
-        got = probe_mode_matrix(params, n, theta)
-        want = symbols.relax_error_symbol(params, np.array(theta), h=1.0 / n)
-        assert np.abs(got - want).max() < 1e-12, (k1, k2)
+    for params in probe_params(scheme):
+        for k1, k2 in lattice_thetas(n, 20, seed=symbols.SCHEMES.index(scheme)):
+            theta = (2 * np.pi * k1 / n, 2 * np.pi * k2 / n)
+            got = probe_mode_matrix(params, n, theta)
+            want = symbols.relax_error_symbol(params, np.array(theta), h=1.0 / n)
+            assert np.abs(got - want).max() < 1e-12, (params, k1, k2)
 
 
 @pytest.mark.parametrize("scheme", symbols.SCHEMES)

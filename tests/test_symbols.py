@@ -40,17 +40,6 @@ def test_stokes_symbol_is_hermitian():
         assert np.abs(L - L.conj().T).max() < 1e-13
 
 
-def test_distributed_operator_factorization():
-    # the distributed operator K = L P is block lower triangular with the
-    # scalar Laplacian on the whole diagonal
-    for t in rand_thetas(20, 3):
-        h = 0.5
-        K = symbols.stokes_symbol(t, h) @ symbols.dist_p_symbol(t, h)
-        assert abs(K[0, 1]) + abs(K[0, 2]) + abs(K[1, 2]) < 1e-13
-        lap = 4.0 * (np.sin(t[0] / 2) ** 2 + np.sin(t[1] / 2) ** 2) / h**2
-        assert np.abs(np.diag(K) - lap).max() < 1e-11
-
-
 def test_mass_symbol_and_m_r_match_polynomial():
     # m_r = 4 m q equals (2/9) g(cos t1, cos t2) with g the quartic used by
     # the closed-form optimization
@@ -225,14 +214,6 @@ def test_uzawa_error_symbol_eigenvalues():
         roots = [1.0 - p.omega * lam for lam in (sp.lam1, sp.lam2, sp.lam3)]
         S = symbols.relax_error_symbol(p, t)
         assert np.abs(char_poly(S) - np.poly(roots)).max() < 1e-11
-
-
-def test_qibsr_smoother_symbol_inverts_step_symbol():
-    p = reference_params("qibsr")
-    for t in rand_thetas(10, 11):
-        M = symbols.smoother_symbol(p, t)
-        Minv = symbols._ibsr_inverse_symbol(p, t, 1.0)
-        assert np.abs(M @ Minv - np.eye(3)).max() < 1e-12
 
 
 def test_smoother_symbols_broadcast():

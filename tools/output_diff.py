@@ -19,7 +19,9 @@ stdout.  The matrix:
   override file values (every file run's own ``--format json`` overrides the
   file's ``format = csv``), and bad inputs as flags and as file lines (a bad
   choice, a bad integer, an unknown key, an out-of-range size), whose exit
-  codes and empty stdout are compared.
+  codes and empty stdout are compared;
+- numerical failures, compared the same way: ``smooth-opt --alpha 1e308``
+  for every scheme and ``twogrid-lfa --omega 1e308``.
 
 Each command gets one of three results.  ``identical`` means the same exit
 code and the same stdout bytes.  ``MISMATCH`` is a structural difference:
@@ -78,6 +80,9 @@ def command_matrix(tmp: Path) -> list:
              ["mg-run", "--nu", "1,a"], ["smooth-opt", "--resolution", "10"]]
     cmds += [["mg-run", "--config", cfg[name]]
              for name in ("bad-choice.cfg", "bad-int.cfg", "bad-key.cfg", "bad-range.cfg")]
+    cmds += [["smooth-opt", "--scheme", s, "--resolution", "9", "--alpha", "1e308"]
+             for s in SCHEMES]
+    cmds.append(["twogrid-lfa", "--resolution", "9", "--omega", "1e308"])
     return cmds
 
 
