@@ -7,10 +7,11 @@ point lands inside the fine index arrays.  Every transfer is stored as the
 even 1D weight vector ``w`` of ``stencils`` (its 2D kernel is ``outer(w, w)``),
 and applied as two 1D matrices: a restriction is ``A_x F A_y^T``, evaluating
 ``sum_k w[k] f[o + 3I + k]`` at the nested points only, and a prolongation
-adds ``A_x C A_y^T``, scattering ``w[k] c[I]`` around them.  Each matrix is
-the strided 1D pass applied to an identity closed by ``grid.pad_field``, so
-the wall folds keep one definition; it is built once per transfer, boundary,
-fold sign, nested offset and length, and shared by every hierarchy.  Up to
+adds ``A_x C A_y^T``, scattering ``w[k] c[I]`` around them.  One pass builds
+every matrix: it scatters ``w`` over a coarse identity closed by
+``grid.pad_field``, transposed for a restriction as the lattices are nested,
+so the wall folds keep one definition.  Each is built once per transfer,
+boundary, fold sign, offset and length, and shared by every hierarchy.  Up to
 ``DENSE_MAX`` fine points per side the matrices are dense ndarrays, and above
 it CSR arrays with at most 5 nonzeros per row; the input size picks the
 representation, and one expression applies both.
@@ -78,14 +79,6 @@ DENSE_MAX = 81
 BLAS_THREADED_MIN = 81
 
 
-def _restrict_pass(s: np.ndarray, d: np.ndarray, w: np.ndarray, o: int) -> np.ndarray:
-    """``d[I] = sum_k w[k] s[o + 3I + k]`` along axis 0."""
-    np.multiply(s[o::3][: len(d)], w[0], out=d)
-    for k in range(1, len(w)):
-        d += s[o + k :: 3][: len(d)] * w[k]
-    return d
-
-
 def _prolong_pass(s: np.ndarray, d: np.ndarray, w: np.ndarray, o: int) -> np.ndarray:
     """Along axis 0, padded coarse index J adds ``w[k] s[J]`` to fine index
     ``3J + k - (3 + r - o)``, r the stencil radius, where that index exists."""
@@ -102,16 +95,15 @@ def _prolong_pass(s: np.ndarray, d: np.ndarray, w: np.ndarray, o: int) -> np.nda
 @functools.lru_cache(maxsize=None)
 def _matrix(tag: str, bc: str, sign, o: int, fine: int, coarse: int):
     """The read-only 1D matrix of restriction ``tag`` (or "p25") along an axis
-    of ``fine`` points whose nested offset is ``o``: the strided pass applied
-    to an identity closed by ``grid.pad_field``, the one wall fold.  Dense up
-    to ``DENSE_MAX`` fine points, CSR above (at most 5 nonzeros per row)."""
-    prolong = tag == "p25"
-    w = stencils.P25 if prolong else stencils.RESTRICTIONS[tag]
-    r = 1 if prolong else len(w) // 2
-    m = coarse if prolong else fine
-    closed = grid.pad_field(np.eye(m), r, (sign, sign), bc)[:, r : r + m]
-    a = (_prolong_pass(closed, np.zeros((fine, m)), w, o) if prolong
-         else _restrict_pass(closed, np.empty((coarse, m)), w, o))
+    of ``fine`` points whose nested offset is ``o``: the scatter of its weights
+    over a coarse identity closed by ``grid.pad_field``, the one wall fold, and
+    for a restriction the transpose of that scatter.  Dense up to
+    ``DENSE_MAX`` fine points, CSR above (at most 5 nonzeros per row)."""
+    w = stencils.P25 if tag == "p25" else stencils.RESTRICTIONS[tag]
+    closed = grid.pad_field(np.eye(coarse), 1, (sign, sign), bc)[:, 1 : 1 + coarse]
+    a = _prolong_pass(closed, np.zeros((fine, coarse)), w, o)
+    if tag != "p25":
+        a = np.ascontiguousarray(a.T)
     if fine > DENSE_MAX:
         a = sparse.csr_array(a)
         arrays = (a.data, a.indices, a.indptr)

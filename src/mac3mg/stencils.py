@@ -4,9 +4,9 @@ With coarsening by three every transfer stencil, and the lumped bilinear mass
 too, is ``outer(w, w)`` of one even 1D vector ``w`` of odd length ``2r + 1``:
 the 2D coefficient at offset ``(k1, k2)`` is ``w[r + k1] * w[r + k2]``.  The
 vector is the whole stencil.  The grid transfers of ``multigrid`` apply it as
-two 1D matrices, one per axis, built from a strided pass over an identity:
-dense on small grids, CSR above ``multigrid.DENSE_MAX``.  Its Fourier symbol
-is a product of two axis sums.
+two 1D matrices, one per axis, each the scatter of ``w`` over a coarse
+identity (transposed for a restriction): dense on small grids, CSR above
+``multigrid.DENSE_MAX``.  Its Fourier symbol is a product of two axis sums.
 
 The vectors are dimensionless: the mass carries ``h**2``, which the caller
 applies, and the transfers carry no power of ``h``.  Which staggered

@@ -39,7 +39,7 @@ class RelaxParams:
     ``omega`` is the outer damping factor and ``alpha`` the mass scaling of
     the approximate momentum block.  ``sigma`` is required by ``quzawa`` and
     ``omega_j`` (the weight of the single Jacobi sweep on the approximate
-    Schur complement) by ``qibsr``.
+    Schur complement) by ``qibsr``; either is range-checked wherever given.
     """
 
     scheme: str
@@ -59,16 +59,18 @@ class RelaxParams:
             raise ValueError("omega must be nonnegative")
         if self.alpha <= 0.0:
             raise ValueError("alpha must be positive")
-        if self.scheme == "quzawa":
-            if self.sigma is None or self.sigma <= 0.0:
-                raise ValueError("quzawa requires sigma > 0")
+        if self.sigma is not None and self.sigma <= 0.0:
+            raise ValueError(f"sigma must be positive, got {self.sigma}")
+        if self.omega_j is not None and not 0.0 < self.omega_j < 2.0:
+            raise ValueError(f"omega_j must lie in (0, 2), got {self.omega_j}")
+        if self.scheme == "quzawa" and self.sigma is None:
+            raise ValueError("quzawa requires sigma > 0")
+        if self.scheme == "qibsr" and self.omega_j is None:
+            raise ValueError("qibsr requires omega_j in (0, 2)")
         for name in ("alpha", "sigma"):
             value = getattr(self, name)
             if value and not np.isfinite(1.0 / float(value)):
                 raise ValueError(f"{name} must have a finite reciprocal, got {value}")
-        if self.scheme == "qibsr":
-            if self.omega_j is None or not 0.0 < self.omega_j < 2.0:
-                raise ValueError("qibsr requires omega_j in (0, 2)")
 
 
 def reference_params(scheme: str, purpose: str = "lfa") -> RelaxParams:

@@ -39,15 +39,12 @@ maximum.  Each matrix is computed alone, whatever its batch: bit-identical facto
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import grid, stencils, symbols
 from .symbols import RelaxParams
-
-logger = logging.getLogger(__name__)
 
 # lexicographic shift order; the base frequency sits at the (0, 0) slot
 HARMONIC_SHIFTS = tuple((i, j) for i in (-1, 0, 1) for j in (-1, 0, 1))
@@ -57,8 +54,6 @@ BASE_INDEX = HARMONIC_SHIFTS.index((0, 0))
 FIELD_PHASES = np.array(
     [[(-1.0) ** j, (-1.0) ** i, (-1.0) ** (i + j)] for i, j in HARMONIC_SHIFTS]
 )
-
-_DET_FLOOR = 1e-13
 
 # the balanced rho(E) <= ||A^m||_F^(1/m), m = 2^_SQUARINGS, lies 0-3.5% above the radii in the
 # 16 tables at resolution 81 (0-46% at m = 16); the margin absorbs roundoff
@@ -100,27 +95,20 @@ def _expand(blocks: np.ndarray) -> np.ndarray:
 
 def _blocks(thetas: np.ndarray, params: RelaxParams, pair: TransferPair, h: float):
     """Complex symbols of a batch of low bases: ``(stokes, smo, coarse,
-    prolong, restrict, kept)``, the fine Stokes and smoother blocks
-    (ns, 9, 3, 3), the coarse symbol (ns, 3, 3) and the transfer weights
-    (ns, 9, 3): field f of harmonic a couples with coarse field f alone, by
-    the stencil symbol (real: the stencils are even) times
-    ``FIELD_PHASES[a, f]``, and prolongation carries the 1/9 aliasing factor.
-    Bases whose coarse symbol is singular are dropped (cannot happen for
-    offset sampling); ``kept`` marks the rest."""
+    prolong, restrict)``, the fine Stokes and smoother blocks (ns, 9, 3, 3),
+    the coarse symbol (ns, 3, 3) and the transfer weights (ns, 9, 3): field f
+    of harmonic a couples with coarse field f alone, by the stencil symbol
+    (real: the stencils are even) times ``FIELD_PHASES[a, f]``, and
+    prolongation carries the 1/9 aliasing factor.  No base is dropped: a
+    singular coarse symbol (the zero base) makes the coarse solve raise
+    ``LinAlgError``."""
     thetas = np.asarray(thetas, dtype=float).reshape(-1, 2)
     ch = symbols.stokes_symbol(3.0 * thetas, 3.0 * h)  # rediscretised on the triple mesh
-    det = np.abs(np.linalg.det(ch))
-    kept = det > _DET_FLOOR * np.abs(ch).max(axis=(1, 2))
-    if not np.all(kept):
-        logger.warning("excluded %d singular coarse samples", int((~kept).sum()))
-        thetas = thetas[kept]
-        ch = ch[kept]
-
     freqs = _harmonic_freqs(thetas)
     p_sym = stencils.symbol(stencils.P25, freqs)[..., None]
     r_sym = stencils.symbol(stencils.RESTRICTIONS[pair.restrict], freqs)[..., None]
     return (symbols.stokes_symbol(freqs, h), symbols.relax_error_symbol(params, freqs, h), ch,
-            (1.0 / 9.0) * p_sym * FIELD_PHASES, r_sym * FIELD_PHASES, kept)
+            (1.0 / 9.0) * p_sym * FIELD_PHASES, r_sym * FIELD_PHASES)
 
 
 def _real_form(blocks: np.ndarray) -> np.ndarray:
@@ -133,14 +121,14 @@ def _real_form(blocks: np.ndarray) -> np.ndarray:
 
 
 def _error_symbols(thetas: np.ndarray, params: RelaxParams, pair: TransferPair, h: float):
-    """Real forms of ``_blocks``: ``(smo, prolong, z, kept)``, the smoother
+    """Real forms of ``_blocks``: ``(smo, prolong, z)``, the smoother
     blocks (ns, 9, 3, 3), the prolongation weights (ns, 9, 3) and
     ``Z = Lc^-1 R L`` as its nine 3x3 blocks (ns, 9, 3, 3)."""
-    stokes, smo, coarse, prolong, restrict, kept = _blocks(thetas, params, pair, h)
+    stokes, smo, coarse, prolong, restrict = _blocks(thetas, params, pair, h)
     ns = len(coarse)
     rl = (restrict[..., None] * _real_form(stokes)).transpose(0, 2, 1, 3).reshape(ns, 3, 27)
     z = np.linalg.solve(_real_form(coarse), rl).reshape(ns, 3, 9, 3).transpose(0, 2, 1, 3)
-    return _real_form(smo), prolong, np.ascontiguousarray(z), kept
+    return _real_form(smo), prolong, np.ascontiguousarray(z)
 
 
 def _error_matrices(power: np.ndarray, prolong: np.ndarray, z: np.ndarray,
@@ -163,9 +151,7 @@ def two_grid_symbol(theta, nu1: int, nu2: int, params: RelaxParams, pair: Transf
     base = np.asarray(theta, dtype=float)
     if not bool(np.all(symbols.is_low(base))):
         raise ValueError("two-grid symbol requires a low base frequency")
-    stokes, smo, coarse, prolong, restrict, kept = _blocks(base, params, pair, h)
-    if not kept.all():
-        raise np.linalg.LinAlgError("coarse symbol is singular at this base frequency")
+    stokes, smo, coarse, prolong, restrict = _blocks(base, params, pair, h)
     p, r = ((w[0, :, :, None] * np.eye(3)).reshape(27, 3) for w in (prolong, restrict))
     cgc = np.eye(27) - p @ np.linalg.solve(coarse[0], r.T @ _expand(stokes)[0])
     s = _expand(smo)[0]
@@ -258,7 +244,7 @@ def _max_radius(bases: np.ndarray, params: RelaxParams, pair: TransferPair, h: f
     order, found = sorted(nus), {}
 
     def chunk(lo: int, hi: int) -> None:
-        s, p, z, _ = _error_symbols(bases[lo:hi], params, pair, h)
+        s, p, z = _error_symbols(bases[lo:hi], params, pair, h)
         ns, g, power, powers = len(s), len(order), np.broadcast_to(np.eye(3), s.shape), []
         # errstate is per thread: each chunk sets its own
         with np.errstate(over="ignore", invalid="ignore"):
@@ -286,9 +272,9 @@ def _max_radius(bases: np.ndarray, params: RelaxParams, pair: TransferPair, h: f
         found[lo] = [(r, matrices(i), bound[i]) for r, i in zip(rho, groups)]
 
     grid.run_each(chunk, grid.cuts(len(bases), max(1, min(grid.BANDS, len(bases)))))
-    tops = np.max([[rho for rho, _, _ in kept] for kept in found.values()], axis=0)
+    tops = np.max([[rho for rho, _, _ in held] for held in found.values()], axis=0)
     picked = [(col, e[bound >= tops[col] * (1.0 - _MARGIN)])
-              for kept in found.values() for col, (_, e, bound) in enumerate(kept)]
+              for held in found.values() for col, (_, e, bound) in enumerate(held)]
     es = np.concatenate([e for _, e in picked])
     radii = np.empty(len(es))
 

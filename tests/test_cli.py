@@ -79,7 +79,7 @@ def test_validate_rejects_bad_values():
 
 _BAD_VALUES = [("scheme", "jacobi"), ("transfer", "r4"), ("bc", "neumann"), ("format", "yaml"),
                ("n", "x"), ("n", "10"), ("n", "3"), ("resolution", "10"), ("seed", "-1"),
-               ("nu", "1,a"), ("nu", "0"), ("omega", "nan")]
+               ("nu", "1,a"), ("nu", "0"), ("omega", "nan"), ("sigma", "-3"), ("sigma", "0")]
 # not full flag names: unknown, an abbreviation, the file itself, a field name
 _BAD_KEYS = [("cycles", "3"), ("sch", "qdr"), ("config", "other.cfg"), ("nus", "1,2")]
 

@@ -38,11 +38,13 @@ def rand_state(n, bc, seed):
 
 
 @pytest.mark.parametrize("bc", grid.BCS)
-def test_prolongation_adjoint_to_p25t_restriction(bc):
+@pytest.mark.parametrize("n", (27, 243))
+def test_prolongation_adjoint_to_p25t_restriction(n, bc):
     # <P c, f> = 9 <c, R f> for the scaled-transpose restriction; the factor
     # 9 is the coarsening ratio in each direction squared over the kernel
-    # scaling, and the Dirichlet folds keep the identity exact at the walls
-    n, nc = 27, 9
+    # scaling, and the Dirichlet folds keep the identity exact at the walls;
+    # n = 243 checks the CSR matrices above DENSE_MAX
+    nc = n // 3
     for seed in range(10):
         cs = rand_state(nc, bc, seed)
         fs = rand_state(n, bc, 100 + seed)

@@ -86,6 +86,9 @@ def test_the_matrix_runs_mg_run_at_the_cli_default_size(tmp_path):
     sizes = {c[c.index("--n") + 1] for c in cmds if c[0] == "mg-run" and "--n" in c}
     assert {"27", "81", "243"} <= sizes
     assert ["mg-run", "--scheme", "qdr", "--n", "81"] in cmds
+    # p25t is the default; every other restriction's matrices run end to end too
+    for tag in ("r1", "r9", "r9b"):
+        assert ["mg-run", "--scheme", "qdr", "--n", "81", "--transfer", tag] in cmds
 
 
 def test_the_matrix_lists_the_numerical_failures(tmp_path):

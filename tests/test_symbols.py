@@ -137,6 +137,11 @@ def test_relax_params_validation():
         RelaxParams("qibsr", omega=1.0, alpha=1.0)  # missing omega_j
     with pytest.raises(ValueError):
         RelaxParams("qibsr", omega=1.0, alpha=1.0, omega_j=2.5)
+    # a given sigma or omega_j is range-checked whatever the scheme
+    with pytest.raises(ValueError):
+        RelaxParams("qdr", 0.7, 1.0, omega_j=5.0)
+    with pytest.raises(ValueError):
+        RelaxParams("qbsr", 0.7, 1.0, sigma=0.0)
     # non-finite values slip past the sign checks unless rejected outright
     for bad in (float("nan"), float("inf"), -float("inf")):
         with pytest.raises(ValueError):

@@ -75,9 +75,9 @@ def test_transfer_symbols_sparsity_and_scaling():
     # weight is the scalar stencil symbol times the phase sign, and the
     # prolongation's carries the 1/9 aliasing factor
     freqs = twogrid._harmonic_freqs((0.01, 0.02))
-    _, _, _, prolong, restrict, _ = twogrid._blocks(np.array([0.01, 0.02]),
-                                                    reference_params("qdr"),
-                                                    TransferPair("p25t"), 1.0 / 27)
+    _, _, _, prolong, restrict = twogrid._blocks(np.array([0.01, 0.02]),
+                                                 reference_params("qdr"),
+                                                 TransferPair("p25t"), 1.0 / 27)
     assert prolong.shape == restrict.shape == (1, 9, 3)
     p_sym = stencils.symbol(stencils.P25, freqs)
     r_sym = stencils.symbol(stencils.RESTRICTIONS["p25t"], freqs)
@@ -101,15 +101,12 @@ def test_two_grid_symbol_singular_at_zero_base():
         twogrid.two_grid_symbol((0.0, 0.0), 1, 0, p, TransferPair("p25t"))
 
 
-def test_singular_samples_are_decided_per_base():
-    # near theta = 0 the coarse symbol is nearly singular; whether a base is
-    # dropped must not depend on the bases batched with it, so the chunks of
-    # the factor routines keep the same bases wherever they split
-    bases = np.array([[1e-5, 5e-6], [1.0, 0.5], [1e-7, 5e-8]])
-    p, pair, h = reference_params("qdr"), TransferPair("p25t"), 1.0 / 27
-    *_, kept = twogrid._error_symbols(bases, p, pair, h)
-    alone = [bool(twogrid._error_symbols(b, p, pair, h)[-1][0]) for b in bases]
-    assert list(kept) == alone == [True, True, False]
+def test_a_singular_base_in_a_batch_raises():
+    # no base is dropped: the zero base's coarse symbol is singular, and the
+    # batched coarse solve of its chunk raises rather than leaving it empty
+    bases = np.array([[0.3, 0.1], [0.0, 0.0]])
+    with pytest.raises(np.linalg.LinAlgError):
+        twogrid._max_radius(bases, reference_params("qdr"), TransferPair("p25t"), 1.0 / 27, (1,))
 
 
 def test_pre_post_smoothing_split_is_spectrally_equivalent():
@@ -288,7 +285,7 @@ def _unpruned(bases, params, pair, h, nus):
     """The largest radius of ``C S^nu`` over the bases by ``eigvals`` on every
     base, with the powers and ``E`` formed as ``_max_radius`` forms them: the
     unpruned reference for its factors."""
-    smo, prolong, z, _ = twogrid._error_symbols(bases, params, pair, h)
+    smo, prolong, z = twogrid._error_symbols(bases, params, pair, h)
     out, power = {}, np.broadcast_to(np.eye(3), smo.shape).copy()
     for nu in range(1, max(nus) + 1):
         power = smo @ power
@@ -448,7 +445,7 @@ def _crafted(monkeypatch, make):
         ns = len(thetas)
         return (np.broadcast_to(np.eye(3), (ns, 9, 3, 3)).copy(),
                 np.broadcast_to(thetas[:, :1, None], (ns, 9, 3)).copy(),
-                np.zeros((ns, 9, 3, 3)), np.ones(ns, dtype=bool))
+                np.zeros((ns, 9, 3, 3)))
 
     def error_matrices(power, prolong, z, out=None):
         return np.array([make(theta) for theta in prolong[:, 0, 0]]).reshape(-1, 27, 27)
@@ -527,7 +524,7 @@ def test_error_matrices_are_the_real_form_of_the_dense_symbol(scheme):
     # transfers place their weights and the real form discards nothing
     params, pair, h = reference_params(scheme), TransferPair("r9b"), 1.0 / 27
     bases = symbols.low_freq_samples(27)[::7]
-    smo, prolong, z, _ = twogrid._error_symbols(bases, params, pair, h)
+    smo, prolong, z = twogrid._error_symbols(bases, params, pair, h)
     d = np.tile([1.0, 1.0, 1.0j], 9)
     power = np.broadcast_to(np.eye(3), smo.shape).copy()
     for nu in (1, 2, 3):
@@ -613,9 +610,8 @@ def test_similarity_discards_an_exact_zero(params):
     lattice = lattice[np.abs(lattice).max(axis=-1) > 0.0]
     for bases in (symbols.low_freq_samples(n), lattice):
         for restrict in stencils.RESTRICTIONS:
-            stokes, smo, coarse, prolong, weights, kept = twogrid._blocks(
+            stokes, smo, coarse, prolong, weights = twogrid._blocks(
                 bases, params, TransferPair(restrict), 1.0 / n)
-            assert kept.all()
             assert prolong.dtype == weights.dtype == np.float64
             for blocks in (stokes, smo, coarse):
                 sim = blocks * twogrid._SIMILARITY

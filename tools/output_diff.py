@@ -9,9 +9,9 @@ stdout.  The matrix:
 - twogrid-lfa: every scheme and restriction, resolutions 27 and 81;
 - smooth-opt: every scheme;
 - mg-run: n = 27, every scheme, both boundary types; ``qdr`` at the
-  CLI's default n = 81, whose cycles run every dense-level transfer; and
-  ``qibsr`` at n = 243 (Dirichlet), whose two-grid cycles make n = 81
-  direct solves;
+  CLI's default n = 81 with every restriction, whose cycles run every
+  dense-level transfer matrix end to end; and ``qibsr`` at n = 243
+  (Dirichlet), whose two-grid cycles make n = 81 direct solves;
 - compare: n = 27, every scheme;
 - selftest;
 - config files, written to a temporary directory that both checkouts read:
@@ -67,8 +67,10 @@ def command_matrix(tmp: Path) -> list:
     cmds += [["smooth-opt", "--scheme", s] for s in SCHEMES]
     cmds += [["mg-run", "--scheme", s, "--n", "27", "--bc", bc]
              for s in SCHEMES for bc in ("dirichlet", "periodic")]
-    # the CLI's default size: every transfer on dense 1D matrices
+    # the CLI's default size: every transfer on dense 1D matrices, p25t by default
     cmds.append(["mg-run", "--scheme", "qdr", "--n", "81"])
+    cmds += [["mg-run", "--scheme", "qdr", "--n", "81", "--transfer", t] for t in TRANSFERS
+             if t != "p25t"]
     # the size the benchmark's two-grid solve runs, over an n = 81 direct solve
     cmds.append(["mg-run", "--scheme", "qibsr", "--n", "243", "--bc", "dirichlet"])
     cmds += [["compare", "--scheme", s, "--n", "27"] for s in SCHEMES]
