@@ -4,7 +4,12 @@ This mirrors the matrix-free actions in :mod:`mac3mg.grid` entry for entry
 (the consistency tests enforce it): a Dirichlet wall reads the ghost signs
 ``grid.VELOCITY_GHOST``, ``grid.PRESSURE_MASS_GHOST`` and
 ``grid.CELL_LAPLACIAN_GHOST``, which set the corner entries of the 1D
-factors.  The assembled matrices are oracles: the tests and the benchmark
+factors.  One construction serves both boundary modes, which differ only at
+the factor ends: ``_band`` wraps them (periodic) or writes the ghost corner
+(Dirichlet), and ``_grad1`` adds the wrap entry.  Each entry is scaled
+before the build (``-1/h^2``, ``4/6``), as dividing a sparse matrix by a
+scalar would multiply by the rounded reciprocal instead.  The assembled
+matrices are oracles: the tests and the benchmark
 check the matrix-free actions, the fast exact solves and the brute-force
 two-grid matrix against them.  The solvers use only the 1D factors.
 
@@ -20,99 +25,70 @@ import numpy as np
 import scipy.sparse as sp
 
 from . import grid
-from .grid import BCS, check_size, field_shapes
+from .grid import check_size, field_shapes
 
 
-def _circulant(n: int, offsets: dict[int, float]) -> sp.csr_matrix:
-    rows, cols, vals = [], [], []
-    for off, c in offsets.items():
-        rows.extend(range(n))
-        cols.extend((np.arange(n) + off) % n)
-        vals.extend([c] * n)
-    return sp.csr_matrix((vals, (rows, cols)), shape=(n, n))
-
-
-def _tridiag(n: int, sub: float, diag: float, sup: float) -> sp.lil_matrix:
-    return sp.diags([sub * np.ones(n - 1), diag * np.ones(n), sup * np.ones(n - 1)],
-                    [-1, 0, 1]).tolil()
+def _band(n: int, bc: str, off: float, diag: float, corner: float) -> sp.csr_matrix:
+    """Symmetric tridiagonal ``[off diag off]`` of size n: periodic wraps the
+    off-diagonal into the corners, Dirichlet puts ``corner`` at both ends of
+    the diagonal."""
+    d = np.full(n, diag)
+    if bc == "periodic":
+        return sp.diags([off, off, d, off, off], [1 - n, -1, 0, 1, n - 1], shape=(n, n),
+                        format="csr")
+    d[[0, -1]] = corner
+    return sp.diags([off, d, off], [-1, 0, 1], shape=(n, n), format="csr")
 
 
 def _lap1(n: int, h: float, bc: str, ghost: float) -> sp.csr_matrix:
-    """1D second-difference factor ``[-1 2 -1]/h^2``.
-
-    A Dirichlet wall reads the ghost ``ghost * interior``, which sets the
-    corner entries to ``2 - ghost``; periodic ignores the ghost.
-    """
-    if bc == "periodic":
-        return _circulant(n, {0: 2.0, 1: -1.0, -1: -1.0}) / h**2
-    t = _tridiag(n, -1.0, 2.0, -1.0)
-    t[0, 0] = t[n - 1, n - 1] = 2.0 - ghost
-    return (t / h**2).tocsr()
+    """1D second-difference factor ``[-1 2 -1]/h^2``; a Dirichlet wall reads
+    the ghost ``ghost * interior``, which sets the corners to ``2 - ghost``."""
+    return _band(n, bc, -1.0 / h**2, 2.0 / h**2, (2.0 - ghost) / h**2)
 
 
 def _mass1(n: int, bc: str, ghost: float) -> sp.csr_matrix:
     """Dimensionless 1D mass factor ``[1 4 1]/6``; a Dirichlet wall reads the
     ghost ``ghost * interior``, which sets the corners to ``4 + ghost``."""
-    if bc == "periodic":
-        return _circulant(n, {0: 4.0, 1: 1.0, -1: 1.0}) / 6.0
-    t = _tridiag(n, 1.0, 4.0, 1.0)
-    t[0, 0] = t[n - 1, n - 1] = 4.0 + ghost
-    return (t / 6.0).tocsr()
+    return _band(n, bc, 1.0 / 6.0, 4.0 / 6.0, (4.0 + ghost) / 6.0)
 
 
 def _grad1(n: int, h: float, bc: str) -> sp.csr_matrix:
-    """1D cell-to-edge difference ``(p[i] - p[i-1])/h``.
-
-    Dirichlet keeps the interior edges only: shape (n-1, n); periodic wraps.
-    """
+    """1D cell-to-edge difference ``(p[i] - p[i-1])/h`` onto the edges of
+    ``field_shapes``: Dirichlet keeps the n - 1 interior edges, periodic all
+    n and wraps."""
+    e = field_shapes(n, bc)["u"][0]
+    diagonals, offsets = [-1.0 / h, 1.0 / h], [n - e - 1, n - e]
     if bc == "periodic":
-        return _circulant(n, {0: 1.0, -1: -1.0}) / h
-    rows = np.repeat(np.arange(n - 1), 2)
-    cols = np.empty(2 * (n - 1), dtype=int)
-    cols[0::2] = np.arange(n - 1)
-    cols[1::2] = np.arange(1, n)
-    vals = np.tile([-1.0, 1.0], n - 1) / h
-    return sp.csr_matrix((vals, (rows, cols)), shape=(n - 1, n))
+        diagonals.append(-1.0 / h)
+        offsets.append(n - 1)
+    return sp.diags(diagonals, offsets, shape=(e, n), format="csr")
 
 
 def assemble_ops(n: int, bc: str = "dirichlet") -> SimpleNamespace:
-    """All sparse operators for one level, mirroring the matrix-free actions."""
-    check_size(n)
-    if bc not in BCS:
-        raise ValueError(f"unknown boundary mode {bc!r}")
-    h = 1.0 / n
-    shapes = field_shapes(n, bc)
+    """All sparse operators for one level, mirroring the matrix-free actions.
 
-    if bc == "periodic":
-        eye = sp.identity(n, format="csr")
-        lap = _lap1(n, h, bc, 0.0)
-        mass = _mass1(n, bc, 0.0)
-        a_u = sp.kron(lap, eye) + sp.kron(eye, lap)
-        a_v = a_u.copy()
-        gx = sp.kron(_grad1(n, h, bc), eye)
-        gy = sp.kron(eye, _grad1(n, h, bc))
-        q_u = h**2 * sp.kron(mass, mass)
-        q_v = q_u.copy()
-        q_p = q_u.copy()
-        a_p = a_u.copy()
-    else:
-        # edge-direction factors see the eliminated zero normal velocities
-        eye_n = sp.identity(n, format="csr")
-        eye_e = sp.identity(n - 1, format="csr")
-        lap_edge = _lap1(n - 1, h, bc, 0.0)
-        lap_tan = _lap1(n, h, bc, grid.VELOCITY_GHOST)
-        lap_neu = _lap1(n, h, bc, grid.CELL_LAPLACIAN_GHOST)
-        mass_edge = _mass1(n - 1, bc, 0.0)
-        mass_tan = _mass1(n, bc, grid.VELOCITY_GHOST)
-        mass_p = _mass1(n, bc, grid.PRESSURE_MASS_GHOST)
-        a_u = sp.kron(lap_edge, eye_n) + sp.kron(eye_e, lap_tan)
-        a_v = sp.kron(lap_tan, eye_e) + sp.kron(eye_n, lap_edge)
-        gx = sp.kron(_grad1(n, h, bc), eye_n)
-        gy = sp.kron(eye_n, _grad1(n, h, bc))
-        q_u = h**2 * sp.kron(mass_edge, mass_tan)
-        q_v = h**2 * sp.kron(mass_tan, mass_edge)
-        q_p = h**2 * sp.kron(mass_p, mass_p)
-        a_p = sp.kron(lap_neu, eye_n) + sp.kron(eye_n, lap_neu)
+    The edge-direction factors (size ``e``, the edges of ``field_shapes``)
+    see the eliminated zero normal velocities; periodic ignores every ghost,
+    so each factor is the one circulant of its kind."""
+    check_size(n)
+    h = 1.0 / n
+    e = field_shapes(n, bc)["u"][0]
+    eye_n = sp.identity(n, format="csr")
+    eye_e = sp.identity(e, format="csr")
+    lap_edge = _lap1(e, h, bc, 0.0)
+    lap_tan = _lap1(n, h, bc, grid.VELOCITY_GHOST)
+    lap_neu = _lap1(n, h, bc, grid.CELL_LAPLACIAN_GHOST)
+    mass_edge = _mass1(e, bc, 0.0)
+    mass_tan = _mass1(n, bc, grid.VELOCITY_GHOST)
+    mass_p = _mass1(n, bc, grid.PRESSURE_MASS_GHOST)
+    a_u = sp.kron(lap_edge, eye_n) + sp.kron(eye_e, lap_tan)
+    a_v = sp.kron(lap_tan, eye_e) + sp.kron(eye_n, lap_edge)
+    gx = sp.kron(_grad1(n, h, bc), eye_n)
+    gy = sp.kron(eye_n, _grad1(n, h, bc))
+    q_u = h**2 * sp.kron(mass_edge, mass_tan)
+    q_v = h**2 * sp.kron(mass_tan, mass_edge)
+    q_p = h**2 * sp.kron(mass_p, mass_p)
+    a_p = sp.kron(lap_neu, eye_n) + sp.kron(eye_n, lap_neu)
 
     b = sp.hstack([gx.T, gy.T], format="csr")
     saddle = sp.bmat(
@@ -124,7 +100,6 @@ def assemble_ops(n: int, bc: str = "dirichlet") -> SimpleNamespace:
         format="csr",
     )
     return SimpleNamespace(
-        n=n, bc=bc, h=h, shapes=shapes,
         a_u=a_u.tocsr(), a_v=a_v.tocsr(), gx=gx.tocsr(), gy=gy.tocsr(),
         q_u=q_u.tocsr(), q_v=q_v.tocsr(), q_p=q_p.tocsr(), a_p=a_p.tocsr(),
         b=b, saddle=saddle,
@@ -139,19 +114,13 @@ def assemble_schur(n: int, bc: str = "dirichlet") -> sp.csr_matrix:
 
 
 def nullspace(n: int, bc: str) -> np.ndarray:
-    """Orthonormal nullspace vectors of the saddle operator (columns)."""
+    """Orthonormal nullspace vectors of the saddle operator (columns): the
+    constant pressure, after the constant u and v when periodic."""
     shapes = field_shapes(n, bc)
-    sizes = {f: shapes[f][0] * shapes[f][1] for f in ("u", "v", "p")}
-    total = sum(sizes.values())
+    ends = np.cumsum([0] + [shapes[f][0] * shapes[f][1] for f in ("u", "v", "p")])
     cols = []
-    const_p = np.zeros(total)
-    const_p[sizes["u"] + sizes["v"] :] = 1.0
-    cols.append(const_p / np.linalg.norm(const_p))
-    if bc == "periodic":
-        const_u = np.zeros(total)
-        const_u[: sizes["u"]] = 1.0
-        const_v = np.zeros(total)
-        const_v[sizes["u"] : sizes["u"] + sizes["v"]] = 1.0
-        cols.insert(0, const_v / np.linalg.norm(const_v))
-        cols.insert(0, const_u / np.linalg.norm(const_u))
+    for k in (0, 1, 2) if bc == "periodic" else (2,):
+        const = np.zeros(ends[-1])
+        const[ends[k] : ends[k + 1]] = 1.0
+        cols.append(const / np.linalg.norm(const))
     return np.stack(cols, axis=1)

@@ -47,8 +47,6 @@ from .symbols import (SCHEMES, RelaxParams, check_resolution, reference_params,
                       smoothing_factor)
 from .twogrid import TransferPair, two_grid_factor_table
 
-RESTRICTION_NAMES = tuple(RESTRICTIONS)
-
 
 class ConfigError(Exception):
     pass
@@ -87,6 +85,7 @@ class ExperimentConfig:
             raise ConfigError(str(exc)) from None
         if self.n < 9:
             raise ConfigError(f"grid size {self.n} has one level, cycles need n >= 9")
+        resolve_params(self, "lfa")  # both purposes check the overrides alike
 
 
 def _parse_nus(text: str) -> tuple:
@@ -183,7 +182,7 @@ def _emit(cfg: ExperimentConfig, rows: list, extras: dict | None = None) -> None
             writer.writerow(rendered)
         text = buf.getvalue()
     else:
-        report = {"config": _config_record(cfg), "rows": rows}
+        report = {"config": asdict(cfg), "rows": rows}
         if extras:
             report.update(extras)
         text = json.dumps(report, sort_keys=True, indent=2, allow_nan=True) + "\n"
@@ -195,12 +194,6 @@ def _emit(cfg: ExperimentConfig, rows: list, extras: dict | None = None) -> None
             raise ConfigError(f"cannot write {cfg.out}: {exc}") from None
     else:
         sys.stdout.write(text)
-
-
-def _config_record(cfg: ExperimentConfig) -> dict:
-    rec = asdict(cfg)
-    rec["nus"] = list(cfg.nus)
-    return rec
 
 
 def cmd_smooth_opt(cfg: ExperimentConfig) -> int:
@@ -394,7 +387,7 @@ def make_parser() -> argparse.ArgumentParser:
     for name, fn in COMMANDS.items():
         p = sub.add_parser(name, help=fn.__doc__.splitlines()[0].lower(), allow_abbrev=False)
         p.add_argument("--scheme", choices=SCHEMES)
-        p.add_argument("--transfer", choices=RESTRICTION_NAMES)
+        p.add_argument("--transfer", choices=tuple(RESTRICTIONS))
         p.add_argument("--nu", type=_parse_nus, dest="nus", metavar="NU", help="e.g. 1,2,3,4")
         p.add_argument("--n", type=int, help="finest grid cells per side")
         p.add_argument("--bc", choices=("dirichlet", "periodic"))

@@ -202,19 +202,19 @@ class DirectSolver:
         self.n = n
         self.bc = bc
         self.system = grid.SaddleSystem(n, bc)
-        h = 1.0 / n
-        if bc == "periodic":
-            lap = eig1(assemble._lap1(n, h, bc, 0.0).toarray())
-            self._inv_u = self._inv_v = self._inv_p = SeparableInverse(lap, lap, 1.0, True)
-            self._walls, self._chol = (), None
-            return
-        edge = eig1(assemble._lap1(n - 1, h, bc, 0.0).toarray())
-        neu = eig1(assemble._lap1(n, h, bc, 1.0).toarray())  # D^T D
-        self._inv_u = SeparableInverse(edge, neu, 1.0, False)
-        self._inv_v = SeparableInverse(neu, edge, 1.0, False)
+        h, periodic = 1.0 / n, bc == "periodic"
+        # periodic: one circulant on every axis, and the velocity solves are singular
+        edge = eig1(assemble._lap1(self.system.shapes["u"][0], h, bc, 0.0).toarray())
+        neu = edge if periodic else eig1(assemble._lap1(n, h, bc, 1.0).toarray())  # D^T D
+        self._inv_u = SeparableInverse(edge, neu, 1.0, periodic)
+        self._inv_v = SeparableInverse(neu, edge, 1.0, periodic)
         self._inv_p = SeparableInverse(neu, neu, 1.0, True)
-        self._walls = (("u", np.s_[:, 0]), ("u", np.s_[:, -1]), ("v", np.s_[0]), ("v", np.s_[-1]))
-        self._chol = scipy.linalg.cho_factor(self._capacitance(), overwrite_a=True)
+        if periodic:
+            self._walls, self._chol = (), None
+        else:
+            self._walls = (("u", np.s_[:, 0]), ("u", np.s_[:, -1]), ("v", np.s_[0]),
+                           ("v", np.s_[-1]))
+            self._chol = scipy.linalg.cho_factor(self._capacitance(), overwrite_a=True)
 
     def _capacitance(self) -> np.ndarray:
         """``K`` from the edge and Neumann eigenvectors ``Ve`` and ``C``, in

@@ -112,6 +112,12 @@ def test_a_file_range_error_names_the_file(tmp_path, capsys):
         assert capsys.readouterr().err.startswith(f"config error: {path}: grid size 10 ")
     assert run_cli(["mg-run", "--n", "10"]) == 1
     assert capsys.readouterr().err.startswith("config error: grid size 10 ")
+    # so does a relaxation parameter out of range
+    for line, message in (("alpha = 0", "alpha must be positive"),
+                          ("sigma = -3", "sigma must be positive")):
+        path.write_text(f"{line}\n")
+        assert run_cli(["mg-run", "--n", "9", "--config", str(path)]) == 1
+        assert capsys.readouterr().err.startswith(f"config error: {path}: {message}")
 
 
 def test_flags_override_config_file(tmp_path):

@@ -243,3 +243,13 @@ def test_smoothing_factor_reference_values():
     got_ibsr = symbols.smoothing_factor(reference_params("qibsr"), n=81)
     assert got_ibsr >= 17.0 / 47.0 - 1e-6
     assert got_ibsr < 0.45
+
+
+@pytest.mark.parametrize("params", [reference_params("qdr", "lfa"),
+                                    reference_params("qdr", "measured"),
+                                    RelaxParams("qdr", omega=0.83, alpha=1.21)])
+def test_qdr_smoothing_factor_is_the_triple_eigenvalue(params):
+    # S has the one eigenvalue 1 - omega m_r / alpha, three times over
+    theta = symbols.high_freq_samples(81)
+    closed = np.abs(1.0 - params.omega * symbols.aux(theta).m_r / params.alpha).max()
+    assert abs(symbols.smoothing_factor(params, n=81) - closed) < 1e-14

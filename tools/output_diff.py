@@ -10,8 +10,8 @@ stdout.  The matrix:
 - smooth-opt: every scheme;
 - mg-run: n = 27, every scheme, both boundary types; ``qdr`` at the
   CLI's default n = 81 with every restriction, whose cycles run every
-  dense-level transfer matrix end to end; and ``qibsr`` at n = 243
-  (Dirichlet), whose two-grid cycles make n = 81 direct solves;
+  dense-level transfer matrix end to end; and ``qibsr`` at n = 243 with
+  both boundary types, whose two-grid cycles make n = 81 direct solves;
 - compare: n = 27, every scheme;
 - selftest;
 - config files, written to a temporary directory that both checkouts read:
@@ -72,7 +72,8 @@ def command_matrix(tmp: Path) -> list:
     cmds += [["mg-run", "--scheme", "qdr", "--n", "81", "--transfer", t] for t in TRANSFERS
              if t != "p25t"]
     # the size the benchmark's two-grid solve runs, over an n = 81 direct solve
-    cmds.append(["mg-run", "--scheme", "qibsr", "--n", "243", "--bc", "dirichlet"])
+    cmds += [["mg-run", "--scheme", "qibsr", "--n", "243", "--bc", bc]
+             for bc in ("dirichlet", "periodic")]
     cmds += [["compare", "--scheme", s, "--n", "27"] for s in SCHEMES]
     cmds.append(["selftest"])
     cmds += [["mg-run", "--config", cfg["mg.cfg"]],
