@@ -34,7 +34,7 @@ import json
 import math
 import sys
 from contextlib import contextmanager
-from dataclasses import dataclass, asdict
+from dataclasses import asdict, dataclass, replace
 from fractions import Fraction
 
 import numpy as np
@@ -145,24 +145,14 @@ def resolve_params(cfg: ExperimentConfig, purpose: str) -> RelaxParams:
     """Reference parameters for the scheme with any overrides applied."""
     base = reference_params(cfg.scheme, purpose)
     try:
-        return RelaxParams(
-            scheme=cfg.scheme,
-            omega=base.omega if cfg.omega is None else cfg.omega,
-            alpha=base.alpha if cfg.alpha is None else cfg.alpha,
-            sigma=base.sigma if cfg.sigma is None else cfg.sigma,
-            omega_j=base.omega_j if cfg.omega_j is None else cfg.omega_j,
-        )
+        return replace(base, **{k: getattr(cfg, k) for k in asdict(base)
+                                if getattr(cfg, k) is not None})
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
 
 
 def _params_record(params: RelaxParams) -> dict:
-    rec = {"omega": params.omega, "alpha": params.alpha}
-    if params.sigma is not None:
-        rec["sigma"] = params.sigma
-    if params.omega_j is not None:
-        rec["omega_j"] = params.omega_j
-    return rec
+    return {k: v for k, v in asdict(params).items() if k != "scheme" and v is not None}
 
 
 def _emit(cfg: ExperimentConfig, rows: list, extras: dict | None = None) -> None:

@@ -32,10 +32,10 @@ larger than a third of a fine field.
 Each coarse level starts from a zero guess (Trottenberg, Oosterlee and
 Schueller, *Multigrid*, 2001), so its first pre-smoothing sweep takes the
 restricted residual as its residual and writes the state without reading it.
-The coarsest level is solved exactly by ``DirectSolver``: separable solves
-of the saddle system with a Neumann tangential ghost, whose velocity
-Laplacian commutes with the gradient, corrected on the 4(n-1) wall rows by
-a capacitance matrix (Buzbee, Dorr, George and Golub, 1971).
+The coarsest level is solved exactly by ``DirectSolver``: closed-form
+separable solves of the saddle system with a Neumann tangential ghost, whose
+velocity Laplacian commutes with the gradient, corrected on the 4(n-1) wall
+rows by a capacitance matrix (Buzbee, Dorr, George and Golub, 1971).
 
 ``solve`` measures convergence the way the experiments report it: iterate
 cycles on a seeded random initial guess with zero right-hand side until the
@@ -49,14 +49,14 @@ Arnoldi (ARPACK, Lehoucq, Sorensen and Yang, 1998), and
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 import scipy.linalg
 from scipy import sparse
 
-from . import assemble, grid, stencils
-from .smoothers import SeparableInverse, Smoother, eig1
+from . import grid, stencils
+from .smoothers import SeparableInverse, Smoother, lap1_eig
 from .symbols import RelaxParams
 from .twogrid import TransferPair
 
@@ -184,7 +184,7 @@ class DirectSolver:
     gradient, ``A_N B^T = B^T L_p`` with ``L_p = B B^T``.  So
     ``M_N = [[A_N, B^T], [B, 0]]`` is solved exactly by ``p = L_p^+ B f - g``
     (mean removed) and ``u = A_N^+ (f - B^T p)``: three ``SeparableInverse``
-    solves in the edge (DST-I-like) and Neumann (DCT-II-like) eigenbases.
+    solves in the edge (DST-I) and Neumann (DCT-II) eigenbases of ``lap1_eig``.
     The true ghost -1 makes ``M = M_N + (2/h^2) R^T R``, ``R`` picking the
     m = 4(n-1) tangential velocities next to a wall (``_walls``), so
     ``x = M_N^+ (r - R^T z)`` with ``K z = R M_N^+ r`` for the symmetric
@@ -204,8 +204,8 @@ class DirectSolver:
         self.system = grid.SaddleSystem(n, bc)
         h, periodic = 1.0 / n, bc == "periodic"
         # periodic: one circulant on every axis, and the velocity solves are singular
-        edge = eig1(assemble._lap1(self.system.shapes["u"][0], h, bc, 0.0).toarray())
-        neu = edge if periodic else eig1(assemble._lap1(n, h, bc, 1.0).toarray())  # D^T D
+        edge = lap1_eig(self.system.shapes["u"][0], h, bc)
+        neu = edge if periodic else lap1_eig(n, h, bc, 1.0)  # D^T D
         self._inv_u = SeparableInverse(edge, neu, 1.0, periodic)
         self._inv_v = SeparableInverse(neu, edge, 1.0, periodic)
         self._inv_p = SeparableInverse(neu, neu, 1.0, True)
@@ -214,24 +214,25 @@ class DirectSolver:
         else:
             self._walls = (("u", np.s_[:, 0]), ("u", np.s_[:, -1]), ("v", np.s_[0]),
                            ("v", np.s_[-1]))
+            self._edge = edge  # (lambda, Ve)
             self._chol = scipy.linalg.cho_factor(self._capacitance(), overwrite_a=True)
 
     def _capacitance(self) -> np.ndarray:
-        """``K`` from the edge and Neumann eigenvectors ``Ve`` and ``C``, in
-        ``_walls`` order: one component's walls a, a' give
-        ``Ve diag(W_A c_a c_a') Ve^T - DC diag(W_2 c_a c_a') (DC)^T`` (u and v
-        alike), and u's wall a against v's wall b ``-DC (c_b W_2 c_a) (DC)^T``,
-        with ``c_a`` row a of ``C`` and ``W_A``, ``W_2`` the weights of
-        ``A_N^+`` and ``L_p^+2``.  Probing K by columns would cost 4 GFlop at
-        n = 81."""
-        ve, c, h = self._inv_u.v1, self._inv_p.v1, 1.0 / self.n
-        dc = np.diff(c, axis=0) / h
+        """``K`` in ``_walls`` order from the edge pairs ``(lambda, Ve)`` and
+        the Neumann eigenvectors ``C`` (row a ``c_a``).  The 1D difference maps
+        column k >= 1 of ``C`` to ``-lambda_k^(1/2) Ve_k`` and the constant to
+        0, so with ``W_A``, ``W_2`` the weights of ``A_N^+`` and ``L_p^+2`` and
+        ``L = diag(lambda^(1/2))``, walls a, a' of one component give
+        ``Ve diag(W_A c_a c_a' - lambda (W_2 c_a c_a')_(k>=1)) Ve^T``, and u's
+        wall a against v's wall b ``-Ve L (c_b W_2 c_a)_(k,l>=1) L Ve^T``.
+        Probing K by columns would cost 4 GFlop at n = 81."""
+        (lam, ve), cw, h = self._edge, self._inv_p.v1[[0, -1]], 1.0 / self.n
         w2 = self._inv_p.inv**2
-        cw = c[[0, -1]]
         pairs = cw[[0, 0, 1]] * cw[[0, 1, 1]]
-        same = ((ve * (pairs @ self._inv_u.inv.T)[:, None]) @ ve.T
-                - (dc * (pairs @ w2)[:, None]) @ dc.T)
-        cross = -dc @ (cw[None, :, :, None] * w2 * cw[:, None, None, :]) @ dc.T
+        same = (ve * (pairs @ self._inv_u.inv.T - lam * (pairs @ w2)[:, 1:])[:, None]) @ ve.T
+        root, cw = np.sqrt(lam), cw[:, 1:]
+        cross = -ve @ (cw[None, :, :, None] * w2[1:, 1:] * cw[:, None, None, :]
+                       * root[:, None] * root) @ ve.T
 
         def tile(blocks):  # (2, 2, m, m) blocks as one (2m, 2m) matrix
             return blocks.swapaxes(1, 2).reshape(2 * len(ve), -1)
@@ -416,11 +417,8 @@ def solve(hier: GridHierarchy, nu1: int, nu2: int, cycle: str = "v",
             converged = True
             break
     rho = float((norms[-1] / r0) ** (1.0 / k)) if k else float("nan")
-    p = hier.params
     config = {
-        "n": n, "bc": hier.bc, "cycle": cycle, "nu1": nu1, "nu2": nu2,
-        "scheme": p.scheme, "omega": p.omega, "alpha": p.alpha,
-        "sigma": p.sigma, "omega_j": p.omega_j,
+        "n": n, "bc": hier.bc, "cycle": cycle, "nu1": nu1, "nu2": nu2, **asdict(hier.params),
         "restrict": hier.transfer.restrict, "prolong": "p25",
         "seed": seed, "tol": tol, "max_iters": max_iters,
     }

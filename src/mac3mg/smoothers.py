@@ -21,18 +21,31 @@ per-mode Fourier consistency tests rely on.
 from __future__ import annotations
 
 import numpy as np
+import scipy.fft
 import scipy.linalg
 
 from . import assemble, grid
 from .symbols import RelaxParams
 
 
-def eig1(k: np.ndarray, m: np.ndarray | None = None) -> tuple:
-    """``(lambda, V)`` of a 1D factor: ``k V = m V diag(lambda)`` with
-    ``V^T m V = I`` (``m`` None for the identity), eigenvalues ascending."""
-    # divide and conquer: the default MRRR driver's eigenvectors are
-    # orthogonal only to 1e-13 at n = 81, which the solves inherit
-    return scipy.linalg.eigh(k, m, driver="evd" if m is None else "gvd")
+def lap1_eig(m: int, h: float, bc: str, ghost: float = 0.0) -> tuple:
+    """``(lambda, V)`` of ``assemble._lap1(m, h, bc, ghost)`` in closed form
+    (Swarztrauber, *SIAM Review* 19, 1977): ``V`` is the orthonormal Hartley
+    (``Re F - Im F``, periodic), DST-I (ghost 0) or DCT-II (ghost +1)
+    transform of the identity, ``lambda = (4/h^2) sin^2(pi k / d)`` with k
+    reduced in integers, so the edge factor (size n - 1) and the Neumann one
+    (size n) share eigenvalues bit for bit.  A zero pair comes first, exact."""
+    eye, j = np.eye(m), np.arange(m)
+    if bc == "periodic":
+        f = scipy.fft.fft(eye, norm="ortho", workers=1)
+        k, d, v = np.minimum(j, m - j), m, f.real - f.imag
+    elif ghost == 0.0:
+        k, d, v = j + 1, 2 * (m + 1), scipy.fft.dst(eye, 1, norm="ortho", workers=1)
+    elif ghost == 1.0:
+        k, d, v = j, 2 * m, scipy.fft.dct(eye, 2, norm="ortho", workers=1)
+    else:
+        raise ValueError(f"no closed form for a Dirichlet ghost {ghost}")
+    return 4.0 / h**2 * np.sin(np.pi * k / d) ** 2, v
 
 
 class SeparableInverse:
@@ -40,20 +53,17 @@ class SeparableInverse:
 
     The operator acts on ``(n1, n2)`` arrays; each ``k`` is symmetric and each
     ``m`` positive definite (``None`` for the identity).  Given each axis's
-    generalised eigenpairs ``e = eig1(k, m)`` (Lynch, Rice and Thomas 1964):
+    generalised eigenpairs ``e = (lambda, V)``, ``k V = m V diag(lambda)``
+    with ``V^T m V = I`` (Lynch, Rice and Thomas 1964):
     ``x = V1 ((V1^T g V2) / (scale (lambda1_i + lambda2_j))) V2^T``.  When
     ``singular``, both ``k`` annihilate the constant and so does the
-    operator: the zero pair is dropped and the mean is projected out of ``g``
-    and of ``x``, giving the mean-zero solution for ``g - mean(g)``.  Solves
-    that share a factor are given its one ``eig1`` pair, so it is decomposed
-    once.
+    operator: the zero pair, first on each axis with lambda exactly 0, is
+    dropped and the mean is projected out of ``g`` and of ``x``, giving the
+    mean-zero solution for ``g - mean(g)``.
     """
 
     def __init__(self, e1: tuple, e2: tuple, scale: float, singular: bool):
         (lam1, self.v1), (lam2, self.v2) = e1, e2
-        if singular:
-            lam1, lam2 = lam1.copy(), lam2.copy()
-            lam1[0] = lam2[0] = 0.0
         denom = scale * (lam1[:, None] + lam2[None, :])
         if singular:
             denom[0, 0] = np.inf
@@ -113,8 +123,9 @@ class SchurOperator:
         """Mean-zero solution of ``S x = g`` (g is consistent up to roundoff);
         ``g`` is ``(n, n)`` or flat, ``out`` is ``(n, n)``."""
         if self._inverse is None:
-            e = eig1(self._k.toarray(), self._m.toarray())
-            self._inverse = SeparableInverse(e, e, self._h2, singular=True)
+            lam, v = scipy.linalg.eigh(self._k.toarray(), self._m.toarray(), driver="gvd")
+            lam[0] = 0.0  # the constant's
+            self._inverse = SeparableInverse((lam, v), (lam, v), self._h2, singular=True)
         x = self._inverse(g.reshape(self.n, self.n), out)
         return x if out is not None else x.reshape(g.shape)
 

@@ -263,14 +263,14 @@ def relax_error_symbol(params: RelaxParams, theta, h: float = 1.0) -> np.ndarray
     return out
 
 
-def smoothing_factor(params: RelaxParams, n: int = 81, h: float = 1.0) -> float:
+def smoothing_factor(params: RelaxParams, n: int = 81) -> float:
     """Max spectral radius of the relaxation error symbol over sampled highs.
 
     ``qdr``'s distributed operator is block triangular with three equal
     diagonal symbols, so its ``S`` has one triple eigenvalue, of which
     ``eigvals`` keeps about half the digits: its radius is ``|trace S| / 3``.
     """
-    s = relax_error_symbol(params, high_freq_samples(n), h)
+    s = relax_error_symbol(params, high_freq_samples(n))
     if params.scheme == "qdr":
         return float(np.abs(np.trace(s, axis1=-2, axis2=-1)).max() / 3.0)
     return float(np.abs(np.linalg.eigvals(s)).max())

@@ -312,6 +312,24 @@ def test_solve_reports_are_reproducible():
     assert "rho_m" in a.summary()
 
 
+@pytest.mark.parametrize("cycle", ("v", "two"))
+def test_solve_runs_each_cycle_through_its_module_attribute(monkeypatch, cycle):
+    # the benchmark times cycles by wrapping multigrid.v_cycle and
+    # two_grid_cycle: solve must call the one it runs once per iteration
+    calls = {"v_cycle": 0, "two_grid_cycle": 0}
+    for name in calls:
+        def counted(*args, _name=name, _step=getattr(multigrid, name)):
+            calls[_name] += 1
+            return _step(*args)
+
+        monkeypatch.setattr(multigrid, name, counted)
+    hier = GridHierarchy(27, "dirichlet", reference_params("qibsr"), TransferPair("p25t"))
+    rep = multigrid.solve(hier, 2, 0, cycle=cycle, max_iters=5)
+    ran = "v_cycle" if cycle == "v" else "two_grid_cycle"
+    assert rep.iterations > 0
+    assert calls == {"v_cycle": 0, "two_grid_cycle": 0, ran: rep.iterations}
+
+
 def test_solve_seed_stability():
     hier = GridHierarchy(27, "dirichlet", reference_params("qibsr"), TransferPair("p25t"))
     rhos = [multigrid.solve(hier, 2, 0, cycle="two", seed=s).rho_m for s in range(5)]
