@@ -297,16 +297,12 @@ def optimal_uzawa() -> OptimalResult:
     )
 
 
-def cost_ratio(eps: float = 1e-6) -> float:
+def cost_ratio() -> float:
     """Work ratio of standard coarsening to coarsening by three.
 
-    Iterations to reach eps scale with log of eps in the respective
+    Iterations to reach any eps scale with log of eps in the respective
     convergence factors (1/3 versus 17/47) while the per-cycle work drops by
-    the coarsening factor, so the ratio is eps-independent:
+    the coarsening factor, so the ratio does not depend on eps:
     3 ln(17/47) / ln(1/3) which is about 2.78.
     """
-    if not 0.0 < eps < 1.0:
-        raise ValueError("eps must lie in (0, 1)")
-    standard = math.log(eps, 1.0 / 3.0)
-    by_three = math.log(eps, 17.0 / 47.0) / 3.0
-    return standard / by_three
+    return 3.0 * math.log(17.0 / 47.0) / math.log(1.0 / 3.0)

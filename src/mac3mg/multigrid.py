@@ -29,9 +29,10 @@ with every system of its size in the thread.  A prolongation applies ``A_y``
 first and adds ``A_x`` times that in row blocks (``_row_blocks``), three
 above ``DENSE_MAX``, where no transient temporary of a transfer is then
 larger than a third of a fine field.
-Each coarse level starts from a zero guess (Trottenberg, Oosterlee and
-Schueller, *Multigrid*, 2001), so its first pre-smoothing sweep takes the
-restricted residual as its residual and writes the state without reading it.
+The cycle computes every residual and a sweep only applies its correction
+map to the one it is given.  Each coarse level starts from a zero guess
+(Trottenberg, Oosterlee and Schueller, *Multigrid*, 2001), so its first
+residual is the restricted one, and no residual is computed for it.
 The coarsest level is solved exactly by ``DirectSolver``: closed-form
 separable solves of the saddle system with a Neumann tangential ghost, whose
 velocity Laplacian commutes with the gradient, corrected on the 4(n-1) wall
@@ -305,10 +306,10 @@ class GridHierarchy:
 
 def _descend(hier: GridHierarchy, level: int, state: grid.StaggeredState,
              rhs: grid.StaggeredState, nu1: int, nu2: int, solve_level: int) -> None:
-    """One cycle from ``level`` down, in place.  Below the finest level the
-    state's contents are taken as zero (a coarse level's first guess): the
-    first pre-smoothing sweep starts from ``rhs`` alone, and only a cycle
-    without pre-smoothing zero-fills the state."""
+    """One cycle from ``level`` down, in place.  Each sweep is given the
+    residual computed into the level's ``r`` work state.  Below the finest
+    level the state is zero-filled (a coarse level's first guess), so the
+    first residual is ``rhs`` itself and none is computed for it."""
     if level == solve_level:
         hier.direct(level).solve_state(rhs, out=state)
         return
@@ -316,19 +317,19 @@ def _descend(hier: GridHierarchy, level: int, state: grid.StaggeredState,
     system, below = hier.systems[level], hier.systems[level + 1]
     dtype = state.u.dtype
     sm = hier.smoothers[level]
-    zero = level > 0
-    if zero and nu1 == 0:
+    r = system.work_state("r", dtype)
+    if level > 0:
         for f in (state.u, state.v, state.p):
             f.fill(0.0)
     for i in range(nu1):
-        sm.sweep(state, rhs, zero=zero and i == 0)
-    resid = system.residual(state, rhs, out=system.work_state("r", dtype))
-    coarse_rhs = restrict_state(resid, hier.transfer.restrict, out=below.work_state("f", dtype))
+        sm.sweep(state, rhs if level > 0 and i == 0 else system.residual(state, rhs, out=r))
+    system.residual(state, rhs, out=r)
+    coarse_rhs = restrict_state(r, hier.transfer.restrict, out=below.work_state("f", dtype))
     coarse = below.work_state("x", dtype)
     _descend(hier, level + 1, coarse, coarse_rhs, nu1, nu2, solve_level)
     prolong_state(coarse, hier.sizes[level], add_to=state)
     for _ in range(nu2):
-        sm.sweep(state, rhs)
+        sm.sweep(state, system.residual(state, rhs, out=r))
 
 
 def _set_bands(hier: GridHierarchy, solve_level: int) -> None:

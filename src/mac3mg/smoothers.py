@@ -134,11 +134,11 @@ class Smoother:
     """Bound relaxation sweep: a system, a scheme, and its parameters.
 
     Schur-related pieces are built lazily so the cheap schemes never pay for
-    them.  A sweep works in the system's workspace (roles ``r``, ``a`` and,
-    but for ``quzawa``, ``bp``), so it allocates nothing after its first
-    call.  It is a chain of phases of the system's row kernels
-    (``SaddleSystem.run``): a new phase starts only where a step reads
-    neighbouring rows of a field computed earlier in the sweep.
+    them.  A sweep reads the residual it is given and works in the system's
+    workspace (roles ``a`` and, but for ``quzawa``, ``bp``), so it allocates
+    nothing after its first call.  It is a chain of phases of the system's
+    row kernels (``SaddleSystem.run``): a new phase starts only where a step
+    reads neighbouring rows of a field computed earlier in the sweep.
     """
 
     def __init__(self, system: grid.SaddleSystem, params: RelaxParams):
@@ -151,29 +151,20 @@ class Smoother:
             self._schur = SchurOperator(self.system.n, self.system.bc)
         return self._schur
 
-    def sweep(self, state: grid.StaggeredState, rhs: grid.StaggeredState | None,
-              zero: bool = False) -> None:
-        """Apply one relaxation sweep in place.  With ``zero`` the state is
-        taken as zero, whatever it holds: the residual is ``rhs`` itself, and
-        the sweep writes ``state = omega * delta``."""
+    def sweep(self, state: grid.StaggeredState, r: grid.StaggeredState) -> None:
+        """Add one sweep's correction ``omega K r`` to the state in place, for
+        the residual ``r`` of the state (``symbols._step_symbol`` is ``K``);
+        ``r`` is only read."""
         sysm, p = self.system, self.params
         dtype = state.u.dtype
-        if zero and rhs is None:
-            raise ValueError("a sweep from a zero state needs a right-hand side")
-        r = rhs if zero else sysm.work_state("r", dtype)
         a = sysm.work_state("a", dtype)
         su, sv = grid.VELOCITY_SIGNS["u"], grid.VELOCITY_SIGNS["v"]
 
         def update(d, f, tmp=None):
             # f += omega * d, d scaled in place unless a tmp takes omega * d
-            if zero:
-                np.multiply(d, p.omega, out=f)
-                return
             d = np.multiply(d, p.omega, out=d if tmp is None else grid.block(tmp, d.shape))
             np.add(f, d, out=f)
 
-        if not zero:
-            sysm.residual(state, rhs, out=r)
         if p.scheme in ("qdr", "quzawa"):
             # du = Q r_u / alpha, t = r_p - B du; quzawa: dp = -sigma t; qdr:
             # dp' = Q_p t / alpha and delta = (du + grad dp', -A_p dp')

@@ -293,15 +293,7 @@ def test_qbsr_outer_weight_interval_via_sampling():
 # -- cost model -----------------------------------------------------------
 
 
-def test_cost_ratio_value_and_eps_independence():
+def test_cost_ratio_value():
     ratio = analytic.cost_ratio()
     assert abs(ratio - 2.78) < 0.01
     assert abs(ratio - 3.0 * math.log(17.0 / 47.0) / math.log(1.0 / 3.0)) < 1e-12
-    for eps in (1e-2, 1e-4, 1e-8, 1e-12):
-        assert abs(analytic.cost_ratio(eps) - ratio) < 1e-12
-
-
-def test_cost_ratio_rejects_bad_eps():
-    for eps in (0.0, 1.0, -0.5, 2.0):
-        with pytest.raises(ValueError):
-            analytic.cost_ratio(eps)

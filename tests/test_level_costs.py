@@ -33,7 +33,8 @@ def test_level_costs_at_n27(capsys, monkeypatch):
         below = [r["from_level_ms"][k] for k in ("27", "9", "3")]
         assert all(t > 0.0 for t in below) and below == sorted(below, reverse=True)
         assert 0.0 < r["finest_residual_ms"] and 0.0 < r["finest_sweep_ms"] < r["cycle_ms"]
-        assert r["share"] == round(2 * r["finest_sweep_ms"] / r["cycle_ms"], 3)
+        assert r["share"] == round(
+            2 * (r["finest_sweep_ms"] + r["finest_residual_ms"]) / r["cycle_ms"], 3)
 
 
 def test_a_raising_wrapped_call_leaves_the_routines_as_they_were(monkeypatch):

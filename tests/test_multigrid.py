@@ -19,7 +19,6 @@ import scipy.ndimage as ndi
 from conftest import apply
 from mac3mg import assemble, grid, multigrid, stencils, symbols, twogrid
 from mac3mg.multigrid import GridHierarchy
-from mac3mg.smoothers import Smoother
 from mac3mg.symbols import RelaxParams, reference_params
 from mac3mg.twogrid import TransferPair
 
@@ -599,46 +598,16 @@ def test_threads_cycling_their_own_hierarchies_match_serial_runs():
 # -- coarse levels start from zero ------------------------------------------
 
 
-def complex_state(n, bc, seed, dtype):
-    st = rand_state(n, bc, seed)
-    if dtype is complex:
-        im = rand_state(n, bc, seed + 100)
-        st = grid.StaggeredState(n, bc, st.u + 1j * im.u, st.v + 1j * im.v, st.p + 1j * im.p)
-    return st
-
-
 def nan_fill(st):
     for f in (st.u, st.v, st.p):
         f.fill(np.nan)
 
 
-@pytest.mark.parametrize("dtype", (float, complex))
-@pytest.mark.parametrize("bc", grid.BCS)
-@pytest.mark.parametrize("scheme", symbols.SCHEMES)
-def test_a_sweep_from_zero_equals_a_full_sweep_of_a_zero_state(scheme, bc, dtype):
-    n = 27
-    rhs = complex_state(n, bc, 11, dtype)
-    sm = Smoother(grid.SaddleSystem(n, bc), reference_params(scheme, "measured"))
-    full = grid.StaggeredState.zeros(n, bc, dtype)
-    sm.sweep(full, rhs)
-    # the zero start never reads the state, so NaN garbage must not show
-    zero = grid.StaggeredState.zeros(n, bc, dtype)
-    nan_fill(zero)
-    before = rhs.copy()
-    sm.sweep(zero, rhs, zero=True)
-    for got, want in zip((zero.u, zero.v, zero.p), (full.u, full.v, full.p)):
-        assert got.dtype == want.dtype and np.array_equal(got, want)
-    for got, want in zip((rhs.u, rhs.v, rhs.p), (before.u, before.v, before.p)):
-        assert np.array_equal(got, want)  # the right-hand side is the residual, read only
-    with pytest.raises(ValueError, match="right-hand side"):
-        sm.sweep(zero, None, zero=True)
-
-
 @pytest.mark.parametrize("nu1, nu2", [(2, 0), (1, 1), (0, 2)])
 @pytest.mark.parametrize("bc", grid.BCS)
 def test_cycles_never_read_a_coarse_state_left_from_before(nu1, bc, nu2):
-    # with pre-smoothing the coarse levels start by a sweep from zero; a
-    # cycle without it zero-fills them
+    # every coarse level zero-fills its state and takes the restricted
+    # residual as its first residual, whatever the state held before
     n = 81
     params = reference_params("qdr", "measured")
     rhs = rand_state(n, bc, 4)
@@ -655,3 +624,23 @@ def test_cycles_never_read_a_coarse_state_left_from_before(nu1, bc, nu2):
         results.append(st)
     assert np.isfinite(results[1].flat()).all()
     assert np.array_equal(results[1].flat(), results[0].flat())
+
+
+def test_the_cycle_computes_every_residual_and_a_sweep_none(monkeypatch):
+    # V(2,0): the finest level computes each sweep's residual and the
+    # restricted one; a coarse level's first residual is its restricted data
+    n, bc = 81, "dirichlet"
+    hier = GridHierarchy(n, bc, reference_params("qdr", "measured"), TransferPair("p25t"))
+    st, rhs = rand_state(n, bc, 5), rand_state(n, bc, 4)
+    r = hier.systems[0].residual(st, rhs)
+    residual, calls = grid.SaddleSystem.residual, []
+
+    def counted(self, *args, **kwargs):
+        calls.append(self.n)
+        return residual(self, *args, **kwargs)
+
+    monkeypatch.setattr(grid.SaddleSystem, "residual", counted)
+    hier.smoothers[0].sweep(st, r)
+    assert calls == []
+    multigrid.v_cycle(hier, st, rhs, 2, 0)
+    assert {m: calls.count(m) for m in hier.sizes} == {81: 3, 27: 2, 9: 2, 3: 0}

@@ -25,7 +25,7 @@ def probe_mode_matrix(scheme_params, n, theta):
     cols = []
     for coeffs in np.eye(3):
         st = grid.fourier_state(n, theta, coeffs.astype(complex))
-        sm.sweep(st, None)
+        sm.sweep(st, sysm.residual(st, None))
         cols.append(grid.mode_coefficients(st, theta))
     return np.stack(cols, axis=1)
 
@@ -55,6 +55,28 @@ def test_sweep_matches_error_symbol_per_mode(scheme):
 
 
 @pytest.mark.parametrize("scheme", symbols.SCHEMES)
+def test_sweep_adds_its_correction_map_applied_to_the_given_residual(scheme):
+    # the state holds one mode and r another: the sweep adds omega K r, K the
+    # correction map of the symbols, and leaves the state's own mode alone
+    n = 27
+    rng = np.random.default_rng(symbols.SCHEMES.index(scheme))
+    sysm = grid.build_system(n, "periodic")
+    ks = lattice_thetas(n, 10, seed=symbols.SCHEMES.index(scheme) + 10)
+    for params in probe_params(scheme):
+        sm = Smoother(sysm, params)
+        for k, j in zip(ks[::2], ks[1::2]):
+            theta, theta_x = (2 * np.pi * np.array(m) / n for m in (k, j))
+            c, x0 = rng.standard_normal((2, 3)) + 1j * rng.standard_normal((2, 3))
+            st = grid.fourier_state(n, theta_x, x0)
+            sm.sweep(st, grid.fourier_state(n, theta, c))
+            want = params.omega * symbols._step_symbol(params, theta, 1.0 / n) @ c
+            got = grid.mode_coefficients(st, theta)
+            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max(), (params, k)
+            kept = grid.mode_coefficients(st, theta_x)
+            assert np.abs(kept - x0).max() <= 1e-12 * np.abs(want).max(), (params, j)
+
+
+@pytest.mark.parametrize("scheme", symbols.SCHEMES)
 @pytest.mark.parametrize("bc", grid.BCS)
 def test_exact_solution_is_a_fixed_point(scheme, bc):
     n = 9
@@ -63,7 +85,7 @@ def test_exact_solution_is_a_fixed_point(scheme, bc):
     rhs = apply(sysm, sol)
     params = reference_params(scheme)
     st = sol.copy()
-    Smoother(sysm, params).sweep(st, rhs)
+    Smoother(sysm, params).sweep(st, sysm.residual(st, rhs))
     assert np.linalg.norm(st.flat() - sol.flat()) < 1e-11 * max(1.0, sol.norm())
 
 
@@ -72,7 +94,7 @@ def test_sweep_preserves_gauge_on_periodic_grids(scheme):
     n = 9
     sysm = grid.build_system(n, "periodic")
     st = grid.random_state(n, "periodic", seed=11)
-    Smoother(sysm, reference_params(scheme)).sweep(st, None)
+    Smoother(sysm, reference_params(scheme)).sweep(st, sysm.residual(st, None))
     assert abs(st.p.mean()) < 1e-13
     assert abs(st.u.mean()) < 1e-13
     assert abs(st.v.mean()) < 1e-13
@@ -87,7 +109,7 @@ def test_sweep_is_linear():
     combo = grid.StaggeredState.from_flat(a.flat() + 2.5 * b.flat(), n, "dirichlet")
     sm = Smoother(sysm, params)
     for st in (a, b, combo):
-        sm.sweep(st, None)
+        sm.sweep(st, sysm.residual(st, None))
     expect = a.flat() + 2.5 * b.flat()
     assert np.abs(combo.flat() - expect).max() < 1e-12
 

@@ -10,10 +10,12 @@ after at least as many untimed ones and half a second:
 
 - ``cycle_ms``: one whole cycle;
 - ``finest_sweep_ms`` and ``finest_residual_ms``: one sweep and one
-  ``SaddleSystem.residual`` call on the finest level, inside the cycles;
+  ``SaddleSystem.residual`` call on the finest level, inside the cycles (the
+  cycle computes each sweep's residual, so a sweep's time holds none);
 - ``from_level_ms``: per level size, the time from that level down (the
   cycle's recursion entered at that level, its direct solve included);
-- ``share``: two finest sweeps divided by ``cycle_ms``.
+- ``share``: two finest sweeps, each with its residual, divided by
+  ``cycle_ms``.
 
 ``band_speedup_before_after`` times a fixed elementwise load on one thread
 and in ``grid.BANDS`` bands before and after the cycles: banded timings mean
@@ -91,15 +93,15 @@ def level_costs(n: int, scheme: str, repeats: int, seed: int = 0) -> dict:
         times.setdefault((span.name, span.n), []).append(span.duration)
 
     ms = lambda xs: round(statistics.median(xs) * 1e3, 4)  # noqa: E731
-    cycle_ms, sweep_ms = ms(cycles), ms(times["sweep", n])
+    cycle_ms, sweep_ms, residual_ms = ms(cycles), ms(times["sweep", n]), ms(times["residual", n])
     return {
         "scheme": scheme,
         "n": n,
         "cycle_ms": cycle_ms,
         "finest_sweep_ms": sweep_ms,
-        "finest_residual_ms": ms(times["residual", n]),
+        "finest_residual_ms": residual_ms,
         "from_level_ms": {str(m): ms(times["descend", m]) for m in hier.sizes},
-        "share": round(NU1 * sweep_ms / cycle_ms, 3),
+        "share": round(NU1 * (sweep_ms + residual_ms) / cycle_ms, 3),
     }
 
 
