@@ -245,14 +245,14 @@ def cmd_twogrid_lfa(cfg: ExperimentConfig) -> int:
     return 0
 
 
-def _measured_rows(cfg: ExperimentConfig, cycles=("two", "v")):
+def _measured_rows(cfg: ExperimentConfig):
     """Run the solver for every (cycle, nu) cell; divergence is per-cell."""
     params = resolve_params(cfg, "measured")
     pair = TransferPair(cfg.transfer)
     hier = GridHierarchy(cfg.n, cfg.bc, params, pair)
     lfa = _factor_table(cfg, params, pair)
     rows, histories, failed = [], {}, False
-    for cycle in cycles:
+    for cycle in ("two", "v"):
         for nu in sorted(set(cfg.nus)):
             with _numerical("direct solve failure"):
                 report = solve(hier, nu, 0, cycle=cycle, seed=cfg.seed)

@@ -332,8 +332,8 @@ class SaddleSystem:
 
     The row kernels (``*_rows``) compute rows ``lo:hi`` of their output,
     clipped to its length, from inputs that no band of the running phase
-    writes.  ``seg`` and ``gx`` are the band's own rows of the padded work
-    array and of the mass stencil's first pass.
+    writes.  ``seg`` is the band's own rows of the padded work array, and
+    ``gx``, which only ``mass_rows`` takes, of the mass stencil's first pass.
     """
 
     def __init__(self, n: int, bc: str):
@@ -372,7 +372,7 @@ class SaddleSystem:
         rows = max(min(hi, len(f)) - lo, 0)
         return pad_rows(f, 1, signs, self.bc, block(seg, (rows + 2, f.shape[1] + 2)), lo)
 
-    def five_point_rows(self, f, signs, out, lo, hi, seg, gx=None) -> np.ndarray:
+    def five_point_rows(self, f, signs, out, lo, hi, seg) -> np.ndarray:
         """Rows lo:hi of the five-point Laplacian of f, into out's rows."""
         fp = self._padded(f, signs, seg, lo, hi)
         o = out[lo : lo + len(fp) - 2]

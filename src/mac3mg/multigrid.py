@@ -310,6 +310,8 @@ def _descend(hier: GridHierarchy, level: int, state: grid.StaggeredState,
     residual computed into the level's ``r`` work state.  Below the finest
     level the state is zero-filled (a coarse level's first guess), so the
     first residual is ``rhs`` itself and none is computed for it."""
+    if min(nu1, nu2) < 0:
+        raise ValueError(f"smoothing counts must be >= 0, got nu1={nu1}, nu2={nu2}")
     if level == solve_level:
         hier.direct(level).solve_state(rhs, out=state)
         return

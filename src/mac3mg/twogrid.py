@@ -298,24 +298,20 @@ def two_grid_factor_table(
 
     One sweep over the wedge of the offset low-frequency samples (105 of 729
     at n = 81); smoothing is applied as pre-relaxation only (the factor
-    depends on nu1 + nu2 only).
+    depends on nu1 + nu2 only).  ``nus`` is a nonempty set of counts >= 0.
     """
+    if not nus or min(nus) < 0:
+        raise ValueError(f"smoothing counts must be a nonempty set of integers >= 0, got {nus}")
     # positive offsets up to pi/3, the alias of the edge sample -pi/3
     units = symbols.offset_units(n)
     units = units[(units > 0) & (3 * units <= n)]
     return _max_radius(_wedge(np.pi * units / n), params, pair, h, nus)
 
 
-def periodic_lattice_factor(
-    params: RelaxParams,
-    pair: TransferPair,
-    nu1: int,
-    nu2: int,
-    n: int,
-    h: float | None = None,
-) -> float:
-    """Exact error contraction factor of the two-grid cycle on an n x n
-    periodic grid, by frequency-space evaluation over the discrete lattice.
+def periodic_lattice_factor(params: RelaxParams, pair: TransferPair, nu1: int, nu2: int,
+                            n: int) -> float:
+    """Exact two-grid error contraction factor on the n x n periodic grid of
+    mesh size 1/n (n >= 9), by frequency-space evaluation over the lattice.
 
     Low lattice bases are ``2 pi k / n`` with ``|k| < n/6``; the nonzero ones
     are evaluated over their wedge ``k1 >= k2 >= 0`` (104 of 728 at n = 81).
@@ -324,8 +320,10 @@ def periodic_lattice_factor(
     so its contribution is the relaxation factor over the eight nonzero
     harmonics.
     """
-    if h is None:
-        h = 1.0 / n
+    grid.check_size(n)
+    if n < 9 or min(nu1, nu2) < 0:
+        raise ValueError(f"lattice factor needs n >= 9, nu1 >= 0, nu2 >= 0; got {n}, {nu1}, {nu2}")
+    h = 1.0 / n
     m = n // 3
     kmax = (m - 1) // 2  # n/3 is odd for sizes 3 * 3**k
     bases = _wedge(2.0 * np.pi * np.arange(kmax + 1) / n)[1:]  # [0] is the zero base

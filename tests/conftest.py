@@ -8,9 +8,13 @@ import numpy as np
 def stencil(system, kernel, f, signs, out=None):
     """``kernel`` (``system.five_point_rows`` or ``system.mass_rows``) of
     field ``f`` padded with ``signs``, run as one phase into ``out`` (a new
-    array of f's shape and dtype when None); returns ``out``."""
+    array of f's shape and dtype when None); returns ``out``.  Each kernel
+    is called with its own signature: only the mass kernel takes ``gx``."""
     out = np.empty_like(f) if out is None else out
-    system.run(out.dtype, lambda lo, hi, seg, gx: kernel(f, signs, out, lo, hi, seg, gx))
+    if kernel == system.mass_rows:
+        system.run(out.dtype, lambda lo, hi, seg, gx: kernel(f, signs, out, lo, hi, seg, gx))
+    else:
+        system.run(out.dtype, lambda lo, hi, seg, gx: kernel(f, signs, out, lo, hi, seg))
     return out
 
 

@@ -140,7 +140,7 @@ def test_criterion_03_two_grid_factor_tables():
                     params, pair, nus=(1, 2, 3, 4), n=n, h=h
                 )
                 for nu, want in zip((1, 2, 3, 4), published):
-                    lattice = twogrid.periodic_lattice_factor(params, pair, nu, 0, n, h)
+                    lattice = twogrid.periodic_lattice_factor(params, pair, nu, 0, n)
                     lo, hi = sorted((table[nu], lattice))
                     if not lo - tol <= want <= hi + tol:
                         diff = max(lo - want, want - hi)

@@ -384,6 +384,19 @@ def test_solve_rejects_unknown_cycle():
         multigrid.cycle_operator(hier, 1, 0, cycle="fmg")
 
 
+@pytest.mark.parametrize("nu1, nu2", [(-1, 0), (0, -1), (2, -1)])
+def test_cycles_reject_a_negative_smoothing_count(nu1, nu2):
+    # a negative count smooths nothing: no cycle and no solve runs with one
+    hier = GridHierarchy(9, "dirichlet", reference_params("qdr"))
+    rhs = grid.StaggeredState.zeros(9, "dirichlet")
+    for cycle in (multigrid.v_cycle, multigrid.two_grid_cycle):
+        with pytest.raises(ValueError, match="smoothing counts"):
+            cycle(hier, grid.random_state(9, "dirichlet"), rhs, nu1, nu2)
+    for cycle in ("v", "two"):
+        with pytest.raises(ValueError, match="smoothing counts"):
+            multigrid.solve(hier, nu1, nu2, cycle=cycle)
+
+
 @pytest.mark.parametrize("scheme", symbols.SCHEMES)
 def test_cycle_spectral_radius_matches_lattice_factor(scheme):
     # Arnoldi on the real periodic two-grid cycle lands on the lattice factor;

@@ -196,6 +196,23 @@ def test_periodic_lattice_factor_zero_base_family():
     assert abs(split - twogrid.periodic_lattice_factor(p, pair, 3, 0, n)) < 1e-12
 
 
+def test_factors_reject_inputs_they_cannot_compute():
+    # a negative count would be the radius of an inverse smoother power, and
+    # a lattice factor needs n = 3 * 3**k with a nonzero low base (n >= 9)
+    p, pair = reference_params("qdr"), TransferPair("p25t")
+    for nus in ((-1,), (), (2, -1)):
+        with pytest.raises(ValueError, match="smoothing counts"):
+            twogrid.two_grid_factor_table(p, pair, nus=nus, n=27, h=1.0 / 27.0)
+    for nu1, nu2, n in ((-1, 0, 9), (0, -1, 9), (-1, 3, 9), (1, 0, 3)):
+        with pytest.raises(ValueError, match="lattice factor needs"):
+            twogrid.periodic_lattice_factor(p, pair, nu1, nu2, n=n)
+    with pytest.raises(ValueError, match=r"3 \* 3\*\*k"):
+        twogrid.periodic_lattice_factor(p, pair, 1, 0, n=10)
+    # a count of zero stays legal: the coarse-grid correction alone
+    assert twogrid.two_grid_factor_table(p, pair, nus=(0,), n=27, h=1.0 / 27.0)[0] > 0.0
+    assert twogrid.periodic_lattice_factor(p, pair, 0, 0, n=9) > 0.0
+
+
 def test_two_grid_factor_limit_at_zero_depends_on_direction():
     # near theta = 0 the (r1, qbsr, nu=1) two-grid factor depends on the
     # direction of approach, so its sampled maximum depends on how close to
