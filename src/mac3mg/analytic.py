@@ -113,11 +113,10 @@ class OptimalResult:
 
     scheme: str
     mu_rational: Fraction
+    reference: dict
     under_root: bool = False
     ratio: Fraction | None = None
     omega_interval: tuple | None = None
-    bounds: tuple = (QA_MIN, QA_MAX)
-    reference: dict | None = None
 
     def __post_init__(self):
         if not 0 < self.mu_opt < 1:

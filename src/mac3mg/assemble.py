@@ -65,7 +65,7 @@ def _grad1(n: int, h: float, bc: str) -> sp.csr_matrix:
     return sp.diags(diagonals, offsets, shape=(e, n), format="csr")
 
 
-def assemble_ops(n: int, bc: str = "dirichlet") -> SimpleNamespace:
+def assemble_ops(n: int, bc: str) -> SimpleNamespace:
     """All sparse operators for one level, mirroring the matrix-free actions.
 
     The edge-direction factors (size ``e``, the edges of ``field_shapes``)

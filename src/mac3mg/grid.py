@@ -321,8 +321,9 @@ def project_gauge(state: StaggeredState) -> StaggeredState:
 class SaddleSystem:
     """Matrix-free actions of the MAC Stokes operator on one grid level.
 
-    The whole-field actions are ``residual``, ``grad`` and ``neg_div``.  Each
-    writes into ``out`` when given and allocates its result otherwise; its
+    The whole-field actions are ``residual``, ``grad`` and ``neg_div``.
+    ``grad`` and ``neg_div`` write into the ``out`` they are given, and
+    ``residual`` into ``out`` when given and a new state otherwise; their
     padded copies and temporaries come from ``work``, the ``Workspace`` that
     every system of size n built in the same thread shares (so they may not
     run at the same time), and a call with ``out`` allocates nothing after
@@ -351,9 +352,6 @@ class SaddleSystem:
         """A state of workspace arrays; ``role`` names its three fields."""
         return StaggeredState(self.n, self.bc, *(self.work(role + f, self.shapes[f], dtype)
                                                  for f in ("u", "v", "p")))
-
-    def _out(self, out, comp: str, dtype) -> np.ndarray:
-        return np.empty(self.shapes[comp], dtype) if out is None else out
 
     def run(self, dtype, *phases) -> None:
         """Each ``phase(lo, hi, seg, gx)`` over the level's row bands in turn.
@@ -467,18 +465,16 @@ class SaddleSystem:
 
     # -- the whole-field actions, one phase each ----------------------------
 
-    def grad(self, p: np.ndarray, out=None):
-        """Pressure gradient onto the velocity points (the B^T action)."""
-        gu, gv = out if out is not None else (self._out(None, "u", p.dtype),
-                                              self._out(None, "v", p.dtype))
+    def grad(self, p: np.ndarray, out: tuple) -> tuple:
+        """Pressure gradient onto the velocity points (the B^T action), into
+        the ``(u, v)`` pair ``out``."""
+        gu, gv = out
         self.run(gu.dtype, lambda lo, hi, seg, gx: (self.grad_rows(p, 0, gu, lo, hi),
                                                    self.grad_rows(p, 1, gv, lo, hi)))
         return gu, gv
 
-    def neg_div(self, u: np.ndarray, v: np.ndarray,
-                out: np.ndarray | None = None) -> np.ndarray:
-        """Negative discrete divergence at cell centers (the B action)."""
-        out = self._out(out, "p", np.result_type(u, v))
+    def neg_div(self, u: np.ndarray, v: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """Negative discrete divergence at cell centers (the B action), into ``out``."""
         self.run(out.dtype, lambda lo, hi, seg, gx: self.div_rows(u, v, out, lo, hi, seg))
         return out
 
@@ -501,11 +497,11 @@ class SaddleSystem:
         return out
 
 
-def build_system(n: int, bc: str = "dirichlet") -> SaddleSystem:
+def build_system(n: int, bc: str) -> SaddleSystem:
     return SaddleSystem(n, bc)
 
 
-def random_state(n: int, bc: str, seed: int = 0) -> StaggeredState:
+def random_state(n: int, bc: str, seed: int) -> StaggeredState:
     """Deterministic uniform [-1, 1] initial guess with the gauge projected out."""
     rng = np.random.default_rng(seed)
     shapes = field_shapes(n, bc)

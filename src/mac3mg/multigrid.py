@@ -50,7 +50,7 @@ Arnoldi (ARPACK, Lehoucq, Sorensen and Yang, 1998), and
 from __future__ import annotations
 
 import functools
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 
 import numpy as np
 import scipy.linalg
@@ -128,10 +128,8 @@ def _transfer_matrices(tag: str, n: int, bc: str, name: str) -> tuple:
 
 
 def restrict_state(fine: grid.StaggeredState, tag: str,
-                   out: grid.StaggeredState | None = None) -> grid.StaggeredState:
-    """Restriction ``tag`` of a fine state, into ``out`` if given."""
-    if out is None:
-        out = grid.StaggeredState.zeros(fine.n // 3, fine.bc, fine.u.dtype)
+                   out: grid.StaggeredState) -> grid.StaggeredState:
+    """Restriction ``tag`` of a fine state, into the coarse state ``out``."""
     for name in ("u", "v", "p"):
         ax, ay = _transfer_matrices(tag, fine.n, fine.bc, name)
         getattr(out, name)[...] = (ay @ (ax @ getattr(fine, name)).T).T
@@ -155,15 +153,13 @@ def _row_blocks(n: int, bc: str, name: str) -> tuple:
 
 
 def prolong_state(coarse: grid.StaggeredState, n_fine: int,
-                  add_to: grid.StaggeredState | None = None) -> grid.StaggeredState:
-    """The p25 prolongation of a coarse state, added to ``add_to`` (a zero
-    fine state if None).  It applies ``A_y`` first and adds ``A_x`` times that
+                  add_to: grid.StaggeredState) -> grid.StaggeredState:
+    """The p25 prolongation of a coarse state, added to the fine state
+    ``add_to``.  It applies ``A_y`` first and adds ``A_x`` times that
     in the row blocks of ``_row_blocks``, so no add is strided, and above
     ``DENSE_MAX`` no temporary is as large as a fine field."""
     if n_fine != 3 * coarse.n:
         raise ValueError("prolongation must step up by exactly one level")
-    if add_to is None:
-        add_to = grid.StaggeredState.zeros(n_fine, coarse.bc, coarse.u.dtype)
     for name in ("u", "v", "p"):
         ay = _transfer_matrices("p25", n_fine, coarse.bc, name)[1]
         a = getattr(add_to, name)
@@ -254,9 +250,8 @@ class DirectSolver:
         self._inv_v(np.subtract(f.v, gv, out=gv), out=out.v)
 
     def solve_state(self, rhs: grid.StaggeredState,
-                    out: grid.StaggeredState | None = None) -> grid.StaggeredState:
-        if out is None:
-            out = grid.StaggeredState.zeros(self.n, self.bc, np.result_type(rhs.u, rhs.v, rhs.p))
+                    out: grid.StaggeredState) -> grid.StaggeredState:
+        """The gauge-projected solution for ``rhs``, into ``out``."""
         top = max(np.abs(x).max() for x in (rhs.u, rhs.v, rhs.p))
         e = min(max(int(np.frexp(top)[1]), -1021), 1023)
         f = grid.StaggeredState(self.n, self.bc, *(x * np.ldexp(1.0, -e) for x in
@@ -280,8 +275,7 @@ class DirectSolver:
 class GridHierarchy:
     """Nested systems from n down to 3, one smoother per level."""
 
-    def __init__(self, n: int, bc: str, params: RelaxParams,
-                 transfer: TransferPair = TransferPair("r9")):
+    def __init__(self, n: int, bc: str, params: RelaxParams, transfer: TransferPair):
         grid.check_size(n)
         sizes = [n]
         while sizes[-1] > 3:
@@ -375,7 +369,7 @@ class ConvergenceReport:
     rho_m: float
     converged: bool
     diverged: bool
-    config: dict = field(default_factory=dict)
+    config: dict
 
     @property
     def status(self) -> str:

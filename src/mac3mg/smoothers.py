@@ -71,10 +71,9 @@ class SeparableInverse:
         self.singular = singular
         self.work = grid.Workspace()
 
-    def __call__(self, g: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    def __call__(self, g: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """The solution for ``g``, into ``out`` (``g``'s shape)."""
         dtype = np.result_type(g, self.v1)
-        if out is None:
-            out = np.empty(g.shape, dtype)
         t0, t1 = self.work("t0", g.shape, dtype), self.work("t1", g.shape, dtype)
         if self.singular:
             np.subtract(g, g.mean(), out=t0)
@@ -119,15 +118,14 @@ class SchurOperator:
             raise ValueError("Schur diagonal must be positive")
         self._inverse: SeparableInverse | None = None
 
-    def solve(self, g: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        """Mean-zero solution of ``S x = g`` (g is consistent up to roundoff);
-        ``g`` is ``(n, n)`` or flat, ``out`` is ``(n, n)``."""
+    def solve(self, g: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """Mean-zero solution of ``S x = g`` (g is consistent up to roundoff),
+        into ``out``; both are ``(n, n)``."""
         if self._inverse is None:
             lam, v = scipy.linalg.eigh(self._k.toarray(), self._m.toarray(), driver="gvd")
             lam[0] = 0.0  # the constant's
             self._inverse = SeparableInverse((lam, v), (lam, v), self._h2, singular=True)
-        x = self._inverse(g.reshape(self.n, self.n), out)
-        return x if out is not None else x.reshape(g.shape)
+        return self._inverse(g, out)
 
 
 class Smoother:

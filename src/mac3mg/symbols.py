@@ -146,7 +146,7 @@ def _offset_lattice(n: int):
     return np.pi * j / n, low
 
 
-def high_freq_samples(n: int = 81) -> np.ndarray:
+def high_freq_samples(n: int) -> np.ndarray:
     """Offset sampling of the high-frequency region, shape (8 n^2 / 9, 2).
 
     The half-step offset keeps every sample away from the singular frequency
@@ -156,7 +156,7 @@ def high_freq_samples(n: int = 81) -> np.ndarray:
     return grid[~low]
 
 
-def low_freq_samples(n: int = 81) -> np.ndarray:
+def low_freq_samples(n: int) -> np.ndarray:
     """Offset sampling of the low-frequency region ``[-pi/3, pi/3)^2``,
     shape (n^2 / 9, 2)."""
     grid, low = _offset_lattice(n)
@@ -182,7 +182,7 @@ def _halves(theta):
     return np.sin(theta[..., 0] / 2.0), np.sin(theta[..., 1] / 2.0)
 
 
-def stokes_symbol(theta, h: float = 1.0) -> np.ndarray:
+def stokes_symbol(theta, h: float) -> np.ndarray:
     """Block symbol of the MAC Stokes operator, shape ``(..., 3, 3)``.
 
     Diagonal momentum entries ``4m/h^2``, gradient column ``2i sin(t_k/2)/h``
@@ -263,8 +263,8 @@ def relax_error_symbol(params: RelaxParams, theta, h: float = 1.0) -> np.ndarray
     return out
 
 
-def smoothing_factor(params: RelaxParams, n: int = 81) -> float:
-    """Max spectral radius of the relaxation error symbol over sampled highs.
+def smoothing_factor(params: RelaxParams, n: int) -> float:
+    """Max spectral radius of the relaxation error symbol over ``high_freq_samples(n)``.
 
     ``qdr``'s distributed operator is block triangular with three equal
     diagonal symbols, so its ``S`` has one triple eigenvalue, of which

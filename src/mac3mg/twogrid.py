@@ -132,8 +132,8 @@ def _error_symbols(thetas: np.ndarray, params: RelaxParams, pair: TransferPair, 
 
 
 def _error_matrices(power: np.ndarray, prolong: np.ndarray, z: np.ndarray,
-                    out: np.ndarray | None = None) -> np.ndarray:
-    """``E = blockdiag(W) - P (Z W)`` (ns, 27, 27), into ``out`` if given, from
+                    out: np.ndarray | None) -> np.ndarray:
+    """``E = blockdiag(W) - P (Z W)`` (ns, 27, 27), into ``out`` unless None, from
     smoother power blocks ``W`` and the weights and ``Z`` of ``_error_symbols``."""
     ns = len(power)
     zw = (z @ power).transpose(0, 2, 1, 3).reshape(ns, 1, 3, 27)  # Z W, rows by field
@@ -158,8 +158,8 @@ def two_grid_symbol(theta, nu1: int, nu2: int, params: RelaxParams, pair: Transf
     return np.linalg.matrix_power(s, nu2) @ cgc @ np.linalg.matrix_power(s, nu1)
 
 
-def _balance(e: np.ndarray, out: np.ndarray | None = None):
-    """``(A, t)`` with ``A = 2^-t D^-1 E D``, into ``out`` if given, for a batch
+def _balance(e: np.ndarray, out: np.ndarray):
+    """``(A, t)`` with ``A = 2^-t D^-1 E D``, into ``out``, for a batch
     ``E``.  ``D = diag(2^k)`` halves the gap between the binary exponents of
     each row's and column's 1-norm (Parlett and Reinsch 1969), clamped so that
     every nonzero entry of ``A`` stays normal, and ``t`` brings the largest
@@ -182,7 +182,7 @@ def _balance(e: np.ndarray, out: np.ndarray | None = None):
     return a, hi + spread[:, 0] + top
 
 
-def _radius_bounds(e: np.ndarray, matrices, groups: int = 1, work: np.ndarray | None = None):
+def _radius_bounds(e: np.ndarray, matrices, groups: int, work: np.ndarray):
     """Bounds ``||A^m||_F^(1/m) 2^t``, ``(A, t) = _balance(e)``, ``m = 2^_SQUARINGS``,
     on the radii of a finite batch in equal groups, each group's largest radius
     solved and the set of bases solved.  The powers square in ``work``'s two
@@ -192,7 +192,7 @@ def _radius_bounds(e: np.ndarray, matrices, groups: int = 1, work: np.ndarray | 
     radius times ``1 - _MARGIN`` square on, as ``||A^2j|| <= ||A^j||^2``.  A power
     whose sum of squares falls below ``_TINY`` may have underflowed: its base
     keeps the previous bound (``inf`` before the first), so it is not pruned."""
-    a, b = np.empty((2,) + e.shape) if work is None else work
+    a, b = work
     a, t = _balance(e, a)
     size, live, rho, solved = len(e) // groups, np.arange(len(e)), np.zeros(groups), set()
     log, bound = t * np.log(2.0), np.where(a.any(axis=(1, 2)), np.inf, 0.0)
@@ -287,18 +287,15 @@ def _max_radius(bases: np.ndarray, params: RelaxParams, pair: TransferPair, h: f
     return {nu: float(r) for nu, r in zip(order, tops)}
 
 
-def two_grid_factor_table(
-    params: RelaxParams,
-    pair: TransferPair,
-    nus: tuple[int, ...] = (1, 2, 3, 4),
-    n: int = 81,
-    h: float = 1.0 / 81.0,
-) -> dict[int, float]:
-    """Sampled two-grid factors ``rho(nu)`` for several smoothing counts.
+def two_grid_factor_table(params: RelaxParams, pair: TransferPair, nus: tuple[int, ...],
+                          n: int, h: float) -> dict[int, float]:
+    """Sampled two-grid factors ``rho(nu)`` for several smoothing counts, on
+    the mesh size ``h``.
 
-    One sweep over the wedge of the offset low-frequency samples (105 of 729
-    at n = 81); smoothing is applied as pre-relaxation only (the factor
-    depends on nu1 + nu2 only).  ``nus`` is a nonempty set of counts >= 0.
+    One sweep over the wedge of the offset low-frequency samples of
+    resolution ``n`` (105 of 729 at n = 81); smoothing is applied as
+    pre-relaxation only (the factor depends on nu1 + nu2 only).  ``nus`` is a
+    nonempty set of counts >= 0.
     """
     if not nus or min(nus) < 0:
         raise ValueError(f"smoothing counts must be a nonempty set of integers >= 0, got {nus}")

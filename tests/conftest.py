@@ -1,6 +1,6 @@
 """Operator actions for the tests, built as the solver builds them: row
-kernels run through ``SaddleSystem.run``.  Test modules import them with
-``from conftest import apply, stencil``."""
+kernels run through ``SaddleSystem.run``, into new arrays.  Test modules
+import them by name, as ``from conftest import apply, stencil``."""
 
 import numpy as np
 
@@ -25,3 +25,13 @@ def apply(system, st):
     for f in (out.u, out.v, out.p):
         f *= -1.0
     return out
+
+
+def grad(system, p):
+    """``system.grad`` of ``p`` into a new ``(u, v)`` pair of p's dtype."""
+    return system.grad(p, tuple(np.empty(system.shapes[f], p.dtype) for f in "uv"))
+
+
+def neg_div(system, u, v):
+    """``system.neg_div`` of ``(u, v)`` into a new array."""
+    return system.neg_div(u, v, np.empty(system.shapes["p"], np.result_type(u, v)))

@@ -176,7 +176,7 @@ def test_an_n243_cycle_bands_its_finest_level_but_not_its_transfers(pool, monkey
     assert during == [0] * 8  # four restrictions and four prolongations
     # transfers from n = 729 are 1D matrix products too
     fine = grid.random_state(729, "dirichlet", seed=2)
-    coarse = multigrid.restrict_state(fine, "p25t")
+    coarse = multigrid.restrict_state(fine, "p25t", grid.StaggeredState.zeros(243, "dirichlet"))
     multigrid.prolong_state(coarse, 729, add_to=fine)
     assert during[8:] == [0, 0]
 
@@ -263,7 +263,7 @@ def test_a_forked_child_builds_its_own_pool(no_threshold, monkeypatch):
 
 def lfa_results(scheme, restrict, n):
     params, pair = reference_params(scheme), TransferPair(restrict)
-    return (twogrid.two_grid_factor_table(params, pair, n=n, h=1.0 / n),
+    return (twogrid.two_grid_factor_table(params, pair, nus=(1, 2, 3, 4), n=n, h=1.0 / n),
             twogrid.periodic_lattice_factor(params, pair, 1, 1, n))
 
 
@@ -300,8 +300,8 @@ def test_chunked_lfa_under_fast_thread_switches(monkeypatch):
 
 def test_lfa_chunks_run_on_the_pool(pool, monkeypatch):
     before = pool.submits
-    twogrid.two_grid_factor_table(reference_params("qdr"), TransferPair("p25t"), n=27,
-                                  h=1.0 / 27)
+    twogrid.two_grid_factor_table(reference_params("qdr"), TransferPair("p25t"),
+                                  nus=(1, 2, 3, 4), n=27, h=1.0 / 27)
     assert pool.submits - before == 1
     # the chunk count is clamped to the batch: n = 9 has two nonzero bases
     monkeypatch.setattr(grid, "BANDS", 3)
@@ -318,8 +318,8 @@ def test_lfa_survivors_run_on_the_pool(pool):
     # quzawa's radii lie on a plateau, so at n = 27 several bases reach the
     # largest chunk radius, and the second dispatch splits them too
     before = pool.submits
-    twogrid.two_grid_factor_table(reference_params("quzawa"), TransferPair("r9"), n=27,
-                                  h=1.0 / 27)
+    twogrid.two_grid_factor_table(reference_params("quzawa"), TransferPair("r9"),
+                                  nus=(1, 2, 3, 4), n=27, h=1.0 / 27)
     assert pool.submits - before == 2
 
 
@@ -376,5 +376,5 @@ def test_a_worker_chunks_linalg_error_reaches_the_caller(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "eigvals", failing_off_the_caller)
     with pytest.raises(np.linalg.LinAlgError, match="did not converge"):
-        twogrid.two_grid_factor_table(reference_params("qdr"), TransferPair("p25t"), n=27,
-                                      h=1.0 / 27)
+        twogrid.two_grid_factor_table(reference_params("qdr"), TransferPair("p25t"),
+                                      nus=(1, 2, 3, 4), n=27, h=1.0 / 27)

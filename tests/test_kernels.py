@@ -112,7 +112,7 @@ class Old:
         elif p.scheme in ("qbsr", "qibsr"):
             g = self.neg_div(self.q(ru, "u"), self.q(rv, "v")) - p.alpha * rp
             if p.scheme == "qbsr":
-                dp = schur.solve(g)
+                dp = schur.solve(g, np.empty_like(g))
             else:
                 dp = p.omega_j * g / schur.diag.reshape(g.shape)
             gx, gy = self.grad(dp)
@@ -212,9 +212,6 @@ def test_stencils_grad_and_div_write_into_out(n, bc, dtype):
         assert got[0] is gu and got[1] is gv
         for g, w in zip(got, old.grad(p)):
             assert_close(g, w)
-    # the allocating call is the same kernel
-    f = {c: field(rng, shapes[c], dtype) for c in "uvp"}
-    assert_close(sysm.neg_div(f["u"], f["v"]), old.neg_div(f["u"], f["v"]))
 
 
 @pytest.mark.parametrize("n, bc, dtype", CASES)
@@ -275,10 +272,8 @@ def test_transfers_write_into_out(n, bc, dtype):
         coarse, target = state(rng, nc, bc, dtype), state(rng, n, bc, dtype)
         before = target.copy()
         assert multigrid.prolong_state(coarse, n, add_to=target) is target
-        alone = multigrid.prolong_state(coarse, n)
         for name in "uvp":
             want = old_prolong_field(getattr(coarse, name), getattr(target, name).shape, w,
                                      multigrid.NESTED_OFFSETS[(bc, name)], bc,
                                      TRANSFER_FOLDS[name])
-            assert_close(getattr(alone, name), want)
             assert_close(getattr(target, name), getattr(before, name) + want)

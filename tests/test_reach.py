@@ -1,18 +1,26 @@
 """Every public name in the package is reached by the program, or is an oracle,
-and every option of a reached function is set by the program.
+and every option of a reached function, method or class is set by the program
+and left to its default by it.
 
-The scan parses ``src/mac3mg/*.py`` and collects each public module-level
-function and class and each public method of those classes.  A name is
+The scan parses ``src/mac3mg/*.py`` and collects each module-level function
+and class and each method of those classes but the dunders.  A name is
 reached when an ``ast.Name`` or ``ast.Attribute`` of that name appears in
 ``src/``, ``tools/`` or ``perfbench/`` outside the name's own definition.
 Matching is by name alone, so a wrapper that shares its name with something
 the program does call goes unseen.  A public name that only the tests call
 must be an entry of ``ORACLES``, with the reason it stays.
 
-An option is a parameter with a default.  Each option of a reached public
-function or method must be passed, by keyword or by position, in some call
-of that name in the same three directories; an option that only the tests
-set must be an entry of ``OPTIONS``, with the reason it stays.
+An option is a parameter with a default: of a function or method, of a
+class's ``__init__``, or a dataclass field with a default.  Calls are matched
+by the name they call, a class's by its class name, so the calls of one
+name count for every definition of that name (``multigrid.solve`` and
+``SchurOperator.solve`` share theirs), and a call made on an instance
+(``SeparableInverse.__call__``) is not seen.  Each option of a reached
+definition must be passed, by keyword or by position, in some call of its
+name in the same three directories, unless its ``OPTIONS`` entry says why
+only the tests set it; and some call must leave it to its default.  A call
+that passes a ``**`` mapping may set any keyword, so it counts for neither
+rule, and a class built only from one (``cli.ExperimentConfig``) is exempt.
 """
 
 import ast
@@ -47,21 +55,22 @@ OPTIONS = {
 
 
 def scan():
-    """``(definitions, unreached, calls)``: the public definitions by
-    ``module.name`` or ``module.Class.method``, the keys of those no
-    program code refers to outside their own body, and every call in the
+    """``(definitions, unreached, calls)``: every module-level function and
+    class of the package and every method of those classes but the dunders,
+    by ``module.name`` or ``module.Class.method``; the keys of those no
+    program code refers to outside their own body; and every call in the
     program by the name it calls."""
     trees = {path: ast.parse(path.read_text(), str(path))
              for top in PROGRAM for path in sorted((ROOT / top).rglob("*.py"))}
     definitions = {}
     for path in sorted(PACKAGE.glob("*.py")):
         for node in trees[path].body:
-            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or node.name[0] == "_":
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
                 continue
             definitions[f"{path.stem}.{node.name}"] = node
             if isinstance(node, ast.ClassDef):
                 for item in node.body:
-                    if isinstance(item, ast.FunctionDef) and item.name[0] != "_":
+                    if isinstance(item, ast.FunctionDef) and not item.name.startswith("__"):
                         definitions[f"{path.stem}.{node.name}.{item.name}"] = item
 
     # every use of a name, with the definitions (by identity) enclosing it
@@ -89,31 +98,74 @@ def scan():
     return definitions, unreached, calls
 
 
-def unset_options():
-    """``module.function.parameter`` of each option of a reached public
-    function or method that no call of its name passes (an oracle is
-    unreached, so its options are exempt).  A method's first parameter is
-    bound (the package has no static methods); a starred argument fills one
-    position, and a ``**`` mapping names no keyword."""
+def _is_dataclass(node: ast.ClassDef) -> bool:
+    return any(getattr(d.func if isinstance(d, ast.Call) else d, "id", None) == "dataclass"
+               for d in node.decorator_list)
+
+
+def options():
+    """``{option key: (calls, position, parameter)}`` for each parameter with
+    a default of a reached function, method or class: the program's calls of
+    its name, its position (None for keyword-only) and its name.  A method's first
+    parameter is bound (the package has no static methods).  A class is
+    called by its name: a dataclass takes its fields in field order, keyed
+    ``module.Class.field``, and any other class the parameters of its
+    ``__init__``, keyed ``module.Class.__init__.parameter``.  A call that
+    passes a ``**`` mapping may set any keyword, so it is left out, and a
+    definition that every call builds from one is exempt."""
     definitions, unreached, calls = scan()
-    unset = set()
+    found = {}
     for key, node in definitions.items():
-        if not isinstance(node, ast.FunctionDef) or key in unreached:
+        if key in unreached:
             continue
-        args = node.args
-        positional = args.posonlyargs + args.args
-        if key.count(".") == 2:
-            positional = positional[1:]
-        first = len(positional) - len(args.defaults)
-        options = [(i, a.arg) for i, a in enumerate(positional) if i >= first]
-        options += [(None, a.arg) for a, d in zip(args.kwonlyargs, args.kw_defaults)
-                    if d is not None]
-        for i, name in options:
-            if not any(i is not None and i < len(call.args)
-                       or any(kw.arg == name for kw in call.keywords)
-                       for call in calls.get(node.name, ())):
-                unset.add(f"{key}.{name}")
-    return unset
+        if isinstance(node, ast.ClassDef) and _is_dataclass(node):
+            fields = [item for item in node.body
+                      if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name)]
+            params = [(i, f.target.id) for i, f in enumerate(fields) if f.value is not None]
+        else:
+            if isinstance(node, ast.ClassDef):
+                node_args = next((item.args for item in node.body
+                                  if isinstance(item, ast.FunctionDef)
+                                  and item.name == "__init__"), None)
+                if node_args is None:
+                    continue
+                key, bound = f"{key}.__init__", True
+            else:
+                node_args, bound = node.args, key.count(".") == 2
+            positional = node_args.posonlyargs + node_args.args
+            if bound:
+                positional = positional[1:]
+            first = len(positional) - len(node_args.defaults)
+            params = [(i, a.arg) for i, a in enumerate(positional) if i >= first]
+            params += [(None, a.arg) for a, d in zip(node_args.kwonlyargs,
+                                                     node_args.kw_defaults) if d is not None]
+        named = calls.get(node.name, [])
+        judged = [call for call in named if all(kw.arg is not None for kw in call.keywords)]
+        if named and not judged:
+            continue
+        for i, name in params:
+            found[f"{key}.{name}"] = (judged, i, name)
+    return found
+
+
+def _sets(call: ast.Call, position, name: str) -> bool:
+    """Whether ``call`` passes the parameter; a starred argument fills one
+    position."""
+    return (position is not None and position < len(call.args)
+            or any(kw.arg == name for kw in call.keywords))
+
+
+def unset_options():
+    """Keys of the options that no call of their name passes (an oracle is
+    unreached, so its options are exempt)."""
+    return {key for key, (judged, i, name) in options().items()
+            if not any(_sets(call, i, name) for call in judged)}
+
+
+def untaken_defaults():
+    """Keys of the options that every call of their name passes."""
+    return {key for key, (judged, i, name) in options().items()
+            if all(_sets(call, i, name) for call in judged)}
 
 
 def test_every_public_name_is_reached_or_an_oracle():
@@ -121,7 +173,8 @@ def test_every_public_name_is_reached_or_an_oracle():
     # the scan sees the package: a method, a function and a class it reaches
     for key in ("grid.SaddleSystem.run", "multigrid.v_cycle", "smoothers.Smoother"):
         assert key in definitions and key not in unreached
-    assert sorted(unreached - set(ORACLES)) == []
+    public = {key for key in unreached if not any(part[0] == "_" for part in key.split("."))}
+    assert sorted(public - set(ORACLES)) == []
 
 
 def test_every_oracle_is_an_unreached_public_name():
@@ -134,11 +187,27 @@ def test_every_oracle_is_an_unreached_public_name():
 
 def test_every_option_is_set_by_the_program():
     unset = unset_options()
-    # the scan sees options set by keyword, by position and on a method
-    assert {"multigrid.solve.seed", "grid.build_system.bc",
-            "grid.SaddleSystem.residual.out"}.isdisjoint(unset)
+    # the scan sees options set by keyword, by position, on a method, on a
+    # private function and on a dataclass field
+    seen = {"multigrid.solve.seed", "smoothers.lap1_eig.ghost",
+            "grid.SaddleSystem.residual.out", "cli._emit.extras", "symbols.RelaxParams.sigma"}
+    assert seen <= set(options()) and seen.isdisjoint(unset)
     assert sorted(unset - set(OPTIONS)) == []
     # an option the program now sets is no longer only the tests'
     assert sorted(set(OPTIONS) - unset) == []
     assert len(OPTIONS) <= 6
     assert all(reason and "\n" not in reason for reason in OPTIONS.values())
+
+
+def test_every_default_is_taken_by_the_program():
+    untaken = untaken_defaults()
+    # the scan sees defaults taken on a function, a method, a private
+    # function and a dataclass field, and exempts a class built from a **
+    # mapping
+    found = options()
+    seen = {"multigrid.solve.cycle", "grid.SaddleSystem.residual.out",
+            "cli._emit.extras", "symbols.RelaxParams.sigma"}
+    assert seen <= set(found) and seen.isdisjoint(untaken)
+    assert "cli.ExperimentConfig" in scan()[0]
+    assert not any(key.startswith("cli.ExperimentConfig.") for key in found)
+    assert sorted(untaken) == []

@@ -36,7 +36,7 @@ def test_stokes_symbol_is_hermitian():
     # the saddle operator is real symmetric, so its staggered symbol is
     # Hermitian: the grad column is the conjugate of the neg-div row
     for t in rand_thetas(10, 2):
-        L = symbols.stokes_symbol(t)
+        L = symbols.stokes_symbol(t, 1.0)
         assert np.abs(L - L.conj().T).max() < 1e-13
 
 

@@ -270,7 +270,7 @@ def test_offset_wedge_covers_the_low_samples(monkeypatch, n, count):
     # is [-n/3, n/3); the edge sample -pi/3 exists only when n/3 is odd, and
     # the wedge holds it as its alias +pi/3, so both sides fold the edge.
     wedge = _bases_passed(monkeypatch, lambda: twogrid.two_grid_factor_table(
-        reference_params("qdr"), TransferPair("p25t"), n=n, h=1.0 / n))
+        reference_params("qdr"), TransferPair("p25t"), nus=(1, 2, 3, 4), n=n, h=1.0 / n))
     assert np.all(wedge[:, 0] >= wedge[:, 1]) and np.all(wedge[:, 1] >= 0.0)
     units = [tuple(p) for p in np.rint(wedge * n / np.pi).astype(int)]
     assert len(units) == len(set(units)) == count
@@ -307,7 +307,7 @@ def _unpruned(bases, params, pair, h, nus):
     for nu in range(1, max(nus) + 1):
         power = smo @ power
         if nu in nus:
-            e = twogrid._error_matrices(power, prolong, z)
+            e = twogrid._error_matrices(power, prolong, z, None)
             out[nu] = float(np.abs(np.linalg.eigvals(e)).max())
     return out
 
@@ -392,7 +392,7 @@ def test_no_table_hands_eigvals_an_empty_batch(monkeypatch):
         for restrict in stencils.RESTRICTIONS:
             params, pair = reference_params(scheme), TransferPair(restrict)
             got, bases = _routed(monkeypatch, lambda: twogrid.two_grid_factor_table(
-                params, pair, n=27, h=1.0 / 27))
+                params, pair, nus=(1, 2, 3, 4), n=27, h=1.0 / 27))
             assert 0 not in sizes, (scheme, restrict, sizes)
             assert got == _unpruned(bases, params, pair, 1.0 / 27, (1, 2, 3, 4)), (scheme, restrict)
             sizes.clear()
@@ -407,8 +407,8 @@ def test_the_bound_prunes_most_eigvals(monkeypatch):
         return eigvals(a)
 
     monkeypatch.setattr(np.linalg, "eigvals", counted)
-    twogrid.two_grid_factor_table(reference_params("qdr"), TransferPair("p25t"), n=81,
-                                  h=1.0 / 81)
+    twogrid.two_grid_factor_table(reference_params("qdr"), TransferPair("p25t"),
+                                  nus=(1, 2, 3, 4), n=81, h=1.0 / 81)
     assert sum(sizes) < 0.3 * 105 * 4, sizes
 
 
@@ -429,7 +429,7 @@ def test_bounds_of_huge_and_tiny_radii_keep_the_factor(monkeypatch, scale):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         got, bases = _routed(monkeypatch, lambda: twogrid.two_grid_factor_table(
-            params, pair, n=27, h=h))
+            params, pair, nus=(1, 2, 3, 4), n=27, h=h))
     assert got == _unpruned(bases, params, pair, h, (1, 2, 3, 4))
     assert min(got.values()) > 1e16 if scale > 1.0 else max(got.values()) < 1e-17
 
@@ -443,7 +443,7 @@ def test_radius_bounds_hold_and_need_no_warnings():
     e[4] = np.triu(e[4], 1)  # nilpotent: radius 0
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        bound, rho, solved = twogrid._radius_bounds(e, e.__getitem__)
+        bound, rho, solved = twogrid._radius_bounds(e, e.__getitem__, 1, np.empty((2,) + e.shape))
     radius = np.abs(np.linalg.eigvals(e)).max(axis=-1)
     assert np.all(bound >= radius * (1.0 - twogrid._MARGIN)) and bound[3] == 0.0
     assert np.all(bound[[0, 1, 2, 5]] <= 1.5 * radius[[0, 1, 2, 5]])
@@ -511,7 +511,7 @@ def test_a_maximum_below_the_largest_16th_power_bound_is_found(monkeypatch):
         return e
 
     def bound16(e):
-        a, t = twogrid._balance(e[None])
+        a, t = twogrid._balance(e[None], np.empty((1, 27, 27)))
         return float(np.linalg.norm(np.linalg.matrix_power(a[0], 16)) ** (1 / 16) * 2.0 ** t[0])
 
     assert bound16(make(4.0)) > 0.99 > bound16(make(2.0)) >= 0.9 > bound16(make(6.0))
@@ -546,7 +546,7 @@ def test_error_matrices_are_the_real_form_of_the_dense_symbol(scheme):
     power = np.broadcast_to(np.eye(3), smo.shape).copy()
     for nu in (1, 2, 3):
         power = smo @ power
-        e = twogrid._error_matrices(power, prolong, z)
+        e = twogrid._error_matrices(power, prolong, z, None)
         assert e.dtype == np.float64
         for b, theta in enumerate(bases):
             dense = twogrid.two_grid_symbol(theta, nu, 0, params, pair, h)
@@ -576,8 +576,8 @@ def test_balancing_is_exact_keeps_the_radii_and_the_bounds_hold():
     e[6][0, 1], e[6][1, 0] = 1e300, 1e-300  # a span of 2^1993
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        a, t = twogrid._balance(e)
-        bound, rho, solved = twogrid._radius_bounds(e, e.__getitem__)
+        a, t = twogrid._balance(e, np.empty_like(e))
+        bound, rho, solved = twogrid._radius_bounds(e, e.__getitem__, 1, np.empty((2,) + e.shape))
     exact = [0, 1, 2, 3, 4, 5, 7]
     nonzero = e[exact] != 0.0
     assert np.array_equal(a[exact] != 0.0, nonzero)
@@ -654,5 +654,5 @@ def test_real_form_rejects_a_symbol_without_the_pattern(monkeypatch):
     relax = symbols.relax_error_symbol
     monkeypatch.setattr(symbols, "relax_error_symbol", lambda *args: relax(*args) + 0.5j)
     with pytest.raises(np.linalg.LinAlgError):
-        twogrid.two_grid_factor_table(reference_params("qdr"), TransferPair("p25t"), n=27,
-                                      h=1.0 / 27)
+        twogrid.two_grid_factor_table(reference_params("qdr"), TransferPair("p25t"),
+                                      nus=(1, 2, 3, 4), n=27, h=1.0 / 27)
