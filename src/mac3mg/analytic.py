@@ -255,19 +255,15 @@ def uzawa_params_from_omega(omega_u):
 
     alpha = 376 omega^2 / (9 (47 omega - 15)) and sigma = 15 / (47 omega - 15)
     enforce the two optimality conditions (1+sigma) omega / alpha = 9/8 and
-    omega^2 sigma / alpha = 135/376 for every feasible omega.  Exact inputs
-    (int or Fraction) give exact outputs.
+    omega^2 sigma / alpha = 135/376 for every feasible omega.  The outputs
+    are exact ``Fraction``s: an int, a Fraction or a float (its binary
+    value) converts exactly.
     """
-    if isinstance(omega_u, (int, Fraction)):
-        w = Fraction(omega_u)
-        den = 47 * w - 15
-        if den <= 0:
-            raise ValueError("omega_u must exceed 15/47")
-        return 376 * w * w / (9 * den), Fraction(15) / den
-    den = 47.0 * omega_u - 15.0
-    if den <= 0.0:
+    w = Fraction(omega_u)
+    den = 47 * w - 15
+    if den <= 0:
         raise ValueError("omega_u must exceed 15/47")
-    return 376.0 * omega_u**2 / (9.0 * den), 15.0 / den
+    return 376 * w * w / (9 * den), Fraction(15) / den
 
 
 def uzawa_omega_interval() -> tuple:

@@ -11,8 +11,8 @@ before the build (``-1/h^2``, ``4/6``), as dividing a sparse matrix by a
 scalar would multiply by the rounded reciprocal instead.  The assembled
 matrices are oracles: the tests and the benchmark
 check the matrix-free actions, the fast exact solves and the brute-force
-two-grid matrix against them.  ``SchurOperator`` uses only the 1D factors,
-and ``DirectSolver`` none (its eigenpairs are closed form).
+two-grid matrix against them.  ``SchurOperator`` and ``DirectSolver`` use
+none: their eigenpairs and diagonals are closed form.
 
 Flattening is row-major over ``[x-index, y-index]`` so ``kron(Ax, Ay)`` acts
 with ``Ax`` on the x index and ``Ay`` on the y index, matching ``ravel()``.

@@ -43,10 +43,10 @@ side, so an operator is applied one way only.
 Every kernel is written once, over a range of memory rows (the x index).
 ``SaddleSystem.run`` runs a chain of *phases*, each a body over rows
 ``lo:hi``: on a level of at least ``BAND_MIN`` points (n = 243 and 729)
-whose ``bands`` a multigrid cycle set above 1, each phase runs in that many
-row bands, the caller running one and a per-process thread pool the rest
-while numpy releases the GIL, and the next phase starts when all are done;
-otherwise each phase runs once over all rows.  Within a phase no band reads
+each phase runs in ``BANDS`` row bands, the caller running one and a
+per-process thread pool the rest while numpy releases the GIL, and the next
+phase starts when all are done; otherwise each phase runs once over all
+rows.  Within a phase no band reads
 rows another band writes: a stencil pads its band's rows plus a 1-row halo
 into rows of the padded work array that only that band uses, and a step that
 reads neighbouring rows of a field computed in the chain (a stencil, the x
@@ -328,8 +328,8 @@ class SaddleSystem:
     every system of size n built in the same thread shares (so they may not
     run at the same time), and a call with ``out`` allocates nothing after
     the first.  Each is one phase of
-    row kernels (``run``), as is each step of a sweep; large levels run their
-    phases in ``bands`` row bands (1 until a cycle sets it).
+    row kernels (``run``), as is each step of a sweep; levels of at least
+    ``BAND_MIN`` points run their phases in ``BANDS`` row bands.
 
     The row kernels (``*_rows``) compute rows ``lo:hi`` of their output,
     clipped to its length, from inputs that no band of the running phase
@@ -346,7 +346,6 @@ class SaddleSystem:
         self.h = 1.0 / n
         self.shapes = field_shapes(n, bc)
         self.work = _level_workspace(n)
-        self.bands = 1
 
     def work_state(self, role: str, dtype) -> StaggeredState:
         """A state of workspace arrays; ``role`` names its three fields."""
@@ -358,7 +357,7 @@ class SaddleSystem:
         ``seg`` and ``gx`` are flat rows of the shared workspace that only
         this band uses (``Workspace.band_rows``), over which each kernel lays
         a contiguous block of its shape (``block``)."""
-        bands = self.bands if self.n * self.n >= BAND_MIN else 1
+        bands = BANDS if self.n * self.n >= BAND_MIN else 1
         rows = self.work.band_rows(self.n, bands, dtype)
         for phase in phases:
             run_each(phase, rows)

@@ -33,10 +33,10 @@ The cycle computes every residual and a sweep only applies its correction
 map to the one it is given.  Each coarse level starts from a zero guess
 (Trottenberg, Oosterlee and Schueller, *Multigrid*, 2001), so its first
 residual is the restricted one, and no residual is computed for it.
-The coarsest level is solved exactly by ``DirectSolver``: closed-form
-separable solves of the saddle system with a Neumann tangential ghost, whose
-velocity Laplacian commutes with the gradient, corrected on the 4(n-1) wall
-rows by a capacitance matrix (Buzbee, Dorr, George and Golub, 1971).
+The coarsest level is solved exactly by ``DirectSolver``: separable solves
+by fast transforms of the saddle system with a Neumann tangential ghost,
+whose velocity Laplacian commutes with the gradient, corrected on the 4(n-1)
+wall rows by a capacitance matrix (Buzbee, Dorr, George and Golub, 1971).
 
 ``solve`` measures convergence the way the experiments report it: iterate
 cycles on a seeded random initial guess with zero right-hand side until the
@@ -57,7 +57,7 @@ import scipy.linalg
 from scipy import sparse
 
 from . import grid, stencils
-from .smoothers import SeparableInverse, Smoother, lap1_eig
+from .smoothers import SeparableInverse, Smoother, lap1_eig, transform
 from .symbols import RelaxParams
 from .twogrid import TransferPair
 
@@ -74,10 +74,6 @@ NESTED_OFFSETS = {
 # the largest fine grid whose 1D transfer matrices are dense ndarrays; above
 # it they are CSR (see the README's transfer paragraph)
 DENSE_MAX = 81
-
-# OpenBLAS threads a dgemm with m n k > 262144, so a SeparableInverse on a
-# grid of this many points per side does; cycles that make one run no bands
-BLAS_THREADED_MIN = 81
 
 
 def _prolong_pass(s: np.ndarray, d: np.ndarray, w: np.ndarray, o: int) -> np.ndarray:
@@ -181,7 +177,7 @@ class DirectSolver:
     gradient, ``A_N B^T = B^T L_p`` with ``L_p = B B^T``.  So
     ``M_N = [[A_N, B^T], [B, 0]]`` is solved exactly by ``p = L_p^+ B f - g``
     (mean removed) and ``u = A_N^+ (f - B^T p)``: three ``SeparableInverse``
-    solves in the edge (DST-I) and Neumann (DCT-II) eigenbases of ``lap1_eig``.
+    solves by the edge (DST-I) and Neumann (DCT-II) transforms of ``lap1_eig``.
     The true ghost -1 makes ``M = M_N + (2/h^2) R^T R``, ``R`` picking the
     m = 4(n-1) tangential velocities next to a wall (``_walls``), so
     ``x = M_N^+ (r - R^T z)`` with ``K z = R M_N^+ r`` for the symmetric
@@ -211,7 +207,7 @@ class DirectSolver:
         else:
             self._walls = (("u", np.s_[:, 0]), ("u", np.s_[:, -1]), ("v", np.s_[0]),
                            ("v", np.s_[-1]))
-            self._edge = edge  # (lambda, Ve)
+            self._edge = edge  # (lambda, kind)
             self._chol = scipy.linalg.cho_factor(self._capacitance(), overwrite_a=True)
 
     def _capacitance(self) -> np.ndarray:
@@ -221,18 +217,20 @@ class DirectSolver:
         0, so with ``W_A``, ``W_2`` the weights of ``A_N^+`` and ``L_p^+2`` and
         ``L = diag(lambda^(1/2))``, walls a, a' of one component give
         ``Ve diag(W_A c_a c_a' - lambda (W_2 c_a c_a')_(k>=1)) Ve^T``, and u's
-        wall a against v's wall b ``-Ve L (c_b W_2 c_a)_(k,l>=1) L Ve^T``.
-        Probing K by columns would cost 4 GFlop at n = 81."""
-        (lam, ve), cw, h = self._edge, self._inv_p.v1[[0, -1]], 1.0 / self.n
+        wall a against v's wall b ``-Ve L (c_b W_2 c_a)_(k,l>=1) L Ve^T``,
+        each ``Ve X Ve^T`` two transforms.  Probing K would cost 4 GFlop at 81."""
+        (lam, kind), h = self._edge, 1.0 / self.n
+        cw = transform(np.eye(self.n)[[0, -1]], self._inv_p.kinds[:1], False)
         w2 = self._inv_p.inv**2
         pairs = cw[[0, 0, 1]] * cw[[0, 1, 1]]
-        same = (ve * (pairs @ self._inv_u.inv.T - lam * (pairs @ w2)[:, 1:])[:, None]) @ ve.T
+        weights = pairs @ self._inv_u.inv.T - lam * (pairs @ w2)[:, 1:]
+        same = transform(weights[:, :, None] * np.eye(len(lam)), (kind, kind), True)
         root, cw = np.sqrt(lam), cw[:, 1:]
-        cross = -ve @ (cw[None, :, :, None] * w2[1:, 1:] * cw[:, None, None, :]
-                       * root[:, None] * root) @ ve.T
+        cross = -transform(cw[None, :, :, None] * w2[1:, 1:] * cw[:, None, None, :]
+                           * root[:, None] * root, (kind, kind), True)
 
         def tile(blocks):  # (2, 2, m, m) blocks as one (2m, 2m) matrix
-            return blocks.swapaxes(1, 2).reshape(2 * len(ve), -1)
+            return blocks.swapaxes(1, 2).reshape(2 * len(lam), -1)
 
         one, cross = tile(same[[[0, 1], [1, 2]]]), tile(cross)
         k = np.block([[one, cross], [cross.T, one]])
@@ -328,27 +326,15 @@ def _descend(hier: GridHierarchy, level: int, state: grid.StaggeredState,
         sm.sweep(state, system.residual(state, rhs, out=r))
 
 
-def _set_bands(hier: GridHierarchy, solve_level: int) -> None:
-    """Give the cycle's systems ``grid.BANDS`` bands unless a level makes a
-    product OpenBLAS threads (``qbsr``'s Schur solve or the direct solve):
-    its workers spin for tens of ms after it, against the band workers."""
-    threaded = (hier.sizes[solve_level] >= BLAS_THREADED_MIN
-                or hier.params.scheme == "qbsr" and hier.sizes[0] >= BLAS_THREADED_MIN)
-    for system in hier.systems:
-        system.bands = 1 if threaded else grid.BANDS
-
-
 def two_grid_cycle(hier: GridHierarchy, state, rhs, nu1: int, nu2: int) -> None:
     """One two-grid cycle in place: smooth, exact next-level solve, correct."""
     if hier.levels < 2:
         raise ValueError("two-grid cycle needs at least two levels")
-    _set_bands(hier, 1)
     _descend(hier, 0, state, rhs, nu1, nu2, solve_level=1)
 
 
 def v_cycle(hier: GridHierarchy, state, rhs, nu1: int, nu2: int) -> None:
     """One V-cycle in place, recursing to the 3x3 grid's direct solve."""
-    _set_bands(hier, hier.levels - 1)
     _descend(hier, 0, state, rhs, nu1, nu2, solve_level=hier.levels - 1)
 
 

@@ -254,7 +254,7 @@ def test_criterion_09_uzawa_parameter_curve_identities():
     worst_formula = 0.0
     worst_mu = 0.0
     for w in np.linspace(lo + 1e-9, hi - 1e-9, 100):
-        alpha, sigma = analytic.uzawa_params_from_omega(w)
+        alpha, sigma = map(float, analytic.uzawa_params_from_omega(w))
         worst_formula = max(
             worst_formula,
             abs(alpha - 376.0 * w * w / (9.0 * (47.0 * w - 15.0))),

@@ -232,7 +232,7 @@ def test_uzawa_optimal_curve_identities_for_all_feasible_omegas():
     assert 0.55 < lo < 0.56
     assert 1.59 < hi < 1.61
     for w in np.linspace(lo + 1e-6, hi - 1e-6, 100):
-        alpha, sigma = analytic.uzawa_params_from_omega(w)
+        alpha, sigma = map(float, analytic.uzawa_params_from_omega(w))
         assert abs((1.0 + sigma) * w / alpha - 9.0 / 8.0) < 1e-12
         assert abs(w * w * sigma / alpha - 135.0 / 376.0) < 1e-12
         assert abs(analytic.uzawa_mu_c(w, alpha, sigma) - MU) < 1e-12

@@ -1,13 +1,14 @@
-"""Phase bands: bit-identical kernels, the threshold, the threaded-BLAS gate,
-the band pool.
+"""Phase bands: bit-identical kernels, the threshold, the band pool.
 
-A level's kernels run in row bands from ``grid.BAND_MIN`` points (n = 243).
-Most tests lower the threshold to 0 and set the band count to 2 and to 3
-(cuts of unequal length) on small grids; the n = 243 tests keep the real
-threshold.  Every banded result must equal the unbanded one exactly: each
-element goes through the same ufuncs in the same order.  Transfers are 1D
-matrix products and never band.  The two-grid LFA splits its bases into
-``grid.BANDS`` chunks on the same pool, with no size threshold.
+A level's kernels run in ``grid.BANDS`` row bands from ``grid.BAND_MIN``
+points (n = 243), in every cycle: no exact solve makes a matrix product
+that OpenBLAS would thread.  Most tests lower the threshold to 0 and set the
+band count to 2 and to 3 (cuts of unequal length) on small grids; the
+n = 243 tests keep the real threshold.  Every banded result must equal the
+unbanded one exactly: each element goes through the same ufuncs in the same
+order.  Transfers are 1D matrix products and never band.  The two-grid LFA
+splits its bases into ``grid.BANDS`` chunks on the same pool, with no size
+threshold.
 """
 
 import concurrent.futures
@@ -62,13 +63,24 @@ def swept(system, st, rhs):
     return out
 
 
+def kernel_results(monkeypatch, system, st, rhs, bands):
+    """The operator, both residuals and every scheme's sweep on ``bands`` bands."""
+    monkeypatch.setattr(grid, "BANDS", bands)
+    return [fields(apply(system, st)), *(fields(system.residual(st, r)) for r in (rhs, None)),
+            *swept(system, st, rhs)]
+
+
+def assert_banded_kernels_match(monkeypatch, system, st, rhs, bands):
+    want = kernel_results(monkeypatch, system, st, rhs, 1)
+    for got, w in zip(kernel_results(monkeypatch, system, st, rhs, bands), want):
+        assert_same(got, w)
+
+
 @pytest.mark.parametrize("bands", (2, 3))
 @pytest.mark.parametrize("n, bc, dtype", CASES)
-def test_banded_kernels_are_bit_identical(no_threshold, n, bc, dtype, bands):
+def test_banded_kernels_are_bit_identical(no_threshold, monkeypatch, n, bc, dtype, bands):
     rng = np.random.default_rng(n)
     st, rhs = rand_state(rng, n, bc, dtype), rand_state(rng, n, bc, dtype)
-    plain, banded = grid.SaddleSystem(n, bc), grid.SaddleSystem(n, bc)
-    banded.bands = bands
     for radius in (1, 2):
         for signs in ((0.0, -1.0), (1.0, 1.0)):
             # padded rows in separate pieces, as bands pad them
@@ -77,11 +89,7 @@ def test_banded_kernels_are_bit_identical(no_threshold, n, bc, dtype, bands):
             for lo, hi in grid.cuts(len(want), bands):
                 grid.pad_rows(st.p, radius, signs, bc, got[lo:hi], lo)
             assert_same([got], [want])
-    assert_same(fields(apply(banded, st)), fields(apply(plain, st)))
-    for r in (rhs, None):
-        assert_same(fields(banded.residual(st, r)), fields(plain.residual(st, r)))
-    for got, want in zip(swept(banded, st, rhs), swept(plain, st, rhs)):
-        assert_same(got, want)
+    assert_banded_kernels_match(monkeypatch, grid.SaddleSystem(n, bc), st, rhs, bands)
 
 
 @pytest.mark.parametrize("bands", (2, 3))
@@ -101,7 +109,7 @@ def test_banded_v_cycle_is_bit_identical(no_threshold, monkeypatch, n, bc, dtype
     assert_same(results[1], results[0])
 
 
-# -- the gate and the pool -------------------------------------------------
+# -- which cycles band, and the pool -----------------------------------------
 
 
 class CountingPool:
@@ -125,9 +133,9 @@ def pool(monkeypatch):
     return counting
 
 
-def cycle_submits(pool, scheme, n, cycle, hier=None):
-    hier = hier or multigrid.GridHierarchy(n, "dirichlet", reference_params(scheme, "measured"),
-                                           TransferPair("p25t"))
+def cycle_submits(pool, scheme, n, cycle):
+    hier = multigrid.GridHierarchy(n, "dirichlet", reference_params(scheme, "measured"),
+                                   TransferPair("p25t"))
     st = grid.random_state(n, "dirichlet", seed=1)
     rhs = grid.StaggeredState.zeros(n, "dirichlet")
     before = pool.submits
@@ -135,25 +143,19 @@ def cycle_submits(pool, scheme, n, cycle, hier=None):
     return pool.submits - before
 
 
-@pytest.mark.parametrize("scheme, n, cycle, bands", [
-    ("qdr", 81, "v", True),
-    ("quzawa", 27, "two", True),  # the coarse solve on 9 points per side
-    ("qbsr", 27, "v", True),  # its Schur solves act on at most 27 per side
-    ("qbsr", 81, "v", False),  # a Schur solve on 81 per side
-    ("qdr", 243, "two", False),  # the coarse solve on 81 per side
-    ("qibsr", 243, "two", False),
+@pytest.mark.parametrize("scheme, n, cycle", [
+    ("qdr", 81, "v"),
+    ("quzawa", 27, "two"),  # the coarse solve on 9 points per side
+    ("qbsr", 27, "v"),  # its Schur solves act on at most 27 per side
+    ("qbsr", 81, "v"),  # a Schur solve on 81 per side
+    ("qdr", 243, "two"),  # the coarse solve on 81 per side
+    ("qibsr", 243, "two"),
 ])
-def test_cycles_band_unless_a_level_makes_threaded_blas_products(no_threshold, pool, scheme,
-                                                                  n, cycle, bands):
-    assert (cycle_submits(pool, scheme, n, cycle) > 0) == bands
-
-
-def test_the_gate_is_decided_per_cycle(no_threshold, pool):
-    hier = multigrid.GridHierarchy(243, "dirichlet", reference_params("qdr", "measured"),
-                                   TransferPair("p25t"))
-    assert cycle_submits(pool, "qdr", 243, "v", hier) > 0
-    assert cycle_submits(pool, "qdr", 243, "two", hier) == 0
-    assert cycle_submits(pool, "qdr", 243, "v", hier) > 0
+def test_every_cycle_bands_its_levels_of_at_least_band_min_points(no_threshold, pool, scheme,
+                                                                   n, cycle):
+    # the transforms of the Schur and coarse solves leave no OpenBLAS worker
+    # spinning, so no cycle keeps its levels whole
+    assert cycle_submits(pool, scheme, n, cycle) > 0
 
 
 def test_fields_below_the_threshold_submit_nothing(pool):
@@ -193,12 +195,9 @@ def test_n243_phases_are_bit_identical(monkeypatch, bc, dtype, bands):
     assert n * n >= grid.BAND_MIN
     rng = np.random.default_rng(7)
     st, rhs = rand_state(rng, n, bc, dtype), rand_state(rng, n, bc, dtype)
-    plain, banded = grid.SaddleSystem(n, bc), grid.SaddleSystem(n, bc)
-    banded.bands = bands
-    assert_same(fields(banded.residual(st, rhs)), fields(plain.residual(st, rhs)))
+    system = grid.SaddleSystem(n, bc)
     for start in (st, grid.StaggeredState.zeros(n, bc, dtype)):
-        for got, want in zip(swept(banded, start, rhs), swept(plain, start, rhs)):
-            assert_same(got, want)
+        assert_banded_kernels_match(monkeypatch, system, start, rhs, bands)
     for scheme in symbols.SCHEMES:
         results = []
         for count in (1, bands):
@@ -218,18 +217,19 @@ def test_n243_phases_under_fast_thread_switches(monkeypatch):
     n, bc = 243, "periodic"
     rng = np.random.default_rng(8)
     st, rhs = rand_state(rng, n, bc, float), rand_state(rng, n, bc, float)
-    plain, banded = grid.SaddleSystem(n, bc), grid.SaddleSystem(n, bc)
-    banded.bands = 3
-    want_res = fields(plain.residual(st, rhs))
-    want = swept(plain, st, rhs)
+    system = grid.SaddleSystem(n, bc)
+    monkeypatch.setattr(grid, "BANDS", 1)
+    want_res = fields(system.residual(st, rhs))
+    want = swept(system, st, rhs)
     workers = concurrent.futures.ThreadPoolExecutor(2)
     monkeypatch.setattr(grid, "band_pool", lambda pid: workers)
+    monkeypatch.setattr(grid, "BANDS", 3)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
         for _ in range(3):
-            assert_same(fields(banded.residual(st, rhs)), want_res)
-            for got, w in zip(swept(banded, st, rhs), want):
+            assert_same(fields(system.residual(st, rhs)), want_res)
+            for got, w in zip(swept(system, st, rhs), want):
                 assert_same(got, w)
     finally:
         sys.setswitchinterval(interval)
@@ -239,13 +239,15 @@ def test_n243_phases_under_fast_thread_switches(monkeypatch):
 def _banded_residual_matches(n, bc, bands):
     rng = np.random.default_rng(5)
     st, rhs = rand_state(rng, n, bc, float), rand_state(rng, n, bc, float)
-    plain, banded = grid.SaddleSystem(n, bc), grid.SaddleSystem(n, bc)
-    banded.bands = bands
-    assert_same(fields(banded.residual(st, rhs)), fields(plain.residual(st, rhs)))
+    system = grid.SaddleSystem(n, bc)
+    grid.BANDS = 1
+    want = fields(system.residual(st, rhs))
+    grid.BANDS = bands
+    assert_same(fields(system.residual(st, rhs)), want)
 
 
 def test_a_forked_child_builds_its_own_pool(no_threshold, monkeypatch):
-    monkeypatch.setattr(grid, "BANDS", 2)
+    monkeypatch.setattr(grid, "BANDS", 2)  # restored after the test
     _banded_residual_matches(27, "dirichlet", 2)  # the parent's pool now has a worker
     child = multiprocessing.get_context("fork").Process(
         target=_banded_residual_matches, args=(27, "dirichlet", 2))

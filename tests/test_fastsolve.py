@@ -1,20 +1,22 @@
 """The fast exact solves against assembled sparse oracles.
 
-``SchurOperator`` and ``DirectSolver`` build their solves by fast
-diagonalisation, the first from its 1D factors and the second from
-closed-form eigenpairs.  Here they meet the matrices of ``assemble`` and an
-augmented sparse LU, built only in this file, that pins the constant modes
-with multipliers.
+``SchurOperator`` and ``DirectSolver`` solve by fast transforms in the
+closed-form eigenbases of their 1D factors, corrected on the walls by a
+capacitance matrix.  Here they meet the matrices of ``assemble``, the dense
+generalised ``eigh`` solve the Schur operator used before, and an augmented
+sparse LU, built only in this file, that pins the constant modes with
+multipliers.
 """
 
 import numpy as np
 import pytest
+import scipy.fft
 import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from mac3mg import assemble, grid, multigrid
-from mac3mg.smoothers import SchurOperator, lap1_eig
+from mac3mg.smoothers import SchurOperator, lap1_eig, transform
 from mac3mg.symbols import reference_params
 from mac3mg.twogrid import TransferPair
 
@@ -46,14 +48,18 @@ def solved(solver, rhs):
 
 
 def test_closed_form_pairs_diagonalise_the_assembled_factors():
-    # DST-I (ghost 0), DCT-II (ghost +1) and the Hartley basis (periodic)
+    # DST-I (ghost 0), DCT-II (ghost +1) and the DFT (periodic): the inverse
+    # transform of the identity is the basis, column k the eigenvector k
     for m in range(3, 244):
         h = 1.0 / m
         for bc, ghost in (("dirichlet", 0.0), ("dirichlet", 1.0), ("periodic", 0.0)):
-            lam, v = lap1_eig(m, h, bc, ghost)
+            lam, kind = lap1_eig(m, h, bc, ghost)
+            v = transform(np.eye(m), (kind,), True).T
             a = assemble._lap1(m, h, bc, ghost)
             assert np.abs(a @ v - v * lam).max() <= 1e-14 * 4.0 / h**2, (m, bc, ghost)
-            assert np.abs(v.T @ v - np.eye(m)).max() <= 1e-14, (m, bc, ghost)
+            assert np.abs(v.conj().T @ v - np.eye(m)).max() <= 1e-14, (m, bc, ghost)
+            # the forward transform is the inverse one's adjoint
+            assert np.abs(transform(np.eye(m), (kind,), False).T - v.conj().T).max() <= 1e-15
             # the zero pair, if any, comes first, and is exactly zero
             assert lam[0] == lam.min() and (lam[0] == 0.0) == (bc == "periodic" or ghost == 1.0)
     with pytest.raises(ValueError):
@@ -94,6 +100,71 @@ def test_schur_solve_matches_augmented_lu(n, bc, dtype):
     op.solve(2.0 * g, out=out)
     assert op.solve(g, out=out) is out
     assert rel_err(out, want) < 1e-11
+
+
+def eigh_schur_solve(n, bc, g):
+    """Oracle: the former Schur solve, one dense generalised ``eigh`` of the
+    1D factors ``K = G^T M_edge G`` and ``M`` (fast diagonalisation)."""
+    h = 1.0 / n
+    g1 = assemble._grad1(n, h, bc)
+    k = (g1.T @ assemble._mass1(g1.shape[0], bc, 0.0) @ g1).toarray()
+    lam, v = scipy.linalg.eigh(k, assemble._mass1(n, bc, grid.VELOCITY_GHOST).toarray())
+    denom = h * h * (lam[:, None] + lam)
+    denom[0, 0] = np.inf  # the constant's
+    x = v @ ((v.T @ (g - g.mean()) @ v) / denom) @ v.T
+    return x - x.mean()
+
+
+@pytest.mark.parametrize("dtype", (float, complex))
+@pytest.mark.parametrize("bc", grid.BCS)
+@pytest.mark.parametrize("n", (9, 27, 81, 243))
+def test_schur_solve_matches_the_assembled_matrix_and_the_eigh_solve(n, bc, dtype):
+    rng = np.random.default_rng(20 + n)
+    g = random_field(rng, (n, n), dtype)
+    g -= g.mean()
+    x = SchurOperator(n, bc).solve(g, np.empty((n, n), dtype))
+    # S x - g read at most 1.6e-14 of g at n = 243
+    r = assemble.assemble_schur(n, bc) @ x.ravel() - g.ravel()
+    assert np.abs(r).max() <= 1e-13 * np.abs(g).max()
+    assert rel_err(x, eigh_schur_solve(n, bc, g)) < 1e-12
+    assert abs(x.mean()) <= 1e-14 * np.abs(x).max()
+
+
+@pytest.mark.parametrize("n", (9, 27, 81))
+def test_schur_capacitance_blocks_match_probing(n):
+    # C = I - W^(1/2) U^T S_N^+ U W^(1/2) on the wall items, probed by a
+    # sparse LU of the assembled S_N: item a is the field U W^(1/2) q_a, DCT-II
+    # mode k on two opposite wall lines, in their even or odd combination
+    h, bc = 1.0 / n, "dirichlet"
+    g1 = assemble._grad1(n, h, bc)
+    k = g1.T @ assemble._mass1(n - 1, bc, 0.0) @ g1
+    m_n = assemble._mass1(n, bc, grid.CELL_LAPLACIAN_GHOST)  # corners 5/6
+    s_n = h * h * (sp.kron(k, m_n) + sp.kron(m_n, k))
+    walls = sp.diags([[1.0] + [0.0] * (n - 2) + [1.0]], [0])
+    s = s_n - h * h / 3.0 * (sp.kron(k, walls) + sp.kron(walls, k))
+    assert abs(s - assemble.assemble_schur(n, bc)).max() <= 1e-15 * abs(s).max()
+    v = scipy.fft.dct(np.eye(n), 2, norm="ortho")  # column k: mode k
+    root = np.sqrt(h * h / 3.0 * np.maximum(np.einsum("ik,ik->k", v, k @ v), 0.0))
+    op = SchurOperator(n, bc)
+    op.solve(np.zeros((n, n)), np.empty((n, n)))  # builds the blocks
+    blocks = op._capacitance_blocks()
+    items = []  # (axis of the lines' points, mode, sign of the second line)
+    for px, py in ((0, 0), (0, 1), (1, 0), (1, 1)):
+        items += [(0, m, (-1) ** py) for m in range(px, n, 2)]
+        items += [(1, m, (-1) ** px) for m in range(py, n, 2)]
+    fields = np.zeros((len(items), n, n))
+    for a, (axis, mode, sign) in enumerate(items):
+        line, f = v[:, mode] * root[mode] / np.sqrt(2.0), fields[a] if axis == 0 else fields[a].T
+        f[:, 0] += line
+        f[:, -1] += sign * line
+    flat = fields.reshape(len(items), -1).T
+    lu = spla.splu(sp.bmat([[s_n, np.ones((n * n, 1))], [np.ones((1, n * n)), None]],
+                           format="csc"))
+    probed = np.eye(len(items)) - flat.T @ lu.solve(np.vstack([flat, np.zeros(len(items))]))[:-1]
+    assert rel_err(scipy.linalg.block_diag(*blocks), probed) < 1e-13
+    for cap in blocks:
+        assert rel_err(cap, cap.T) < 1e-15
+        assert np.linalg.eigvalsh(cap).min() > 0.5  # 1/sqrt(3) from n = 27
 
 
 @pytest.mark.parametrize("dtype", (float, complex))
@@ -193,27 +264,22 @@ def test_direct_solver_leaves_a_small_residual_at_243():
             assert np.linalg.norm(r) <= bound * np.linalg.norm(b), (n, seed)
 
 
-def test_eigh_only_in_the_schur_solve(monkeypatch):
-    # the direct solves take closed-form pairs; the Schur solve's generalised
-    # problem is decomposed once per level, on its first solve
-    calls, eigh = [], scipy.linalg.eigh
+def test_no_eigh_in_a_direct_solver_or_a_qbsr_v_cycle(monkeypatch):
+    # every exact solve takes closed-form pairs, the Schur solve too
+    calls = []
+    for module in (scipy.linalg, np.linalg):
+        def counted(*args, eigh=module.eigh, **kwargs):
+            calls.append(args[0].shape)
+            return eigh(*args, **kwargs)
 
-    def counted(*args, **kwargs):
-        calls.append(args[0].shape)
-        return eigh(*args, **kwargs)
-
-    monkeypatch.setattr(scipy.linalg, "eigh", counted)
+        monkeypatch.setattr(module, "eigh", counted)
     n, rng = 27, np.random.default_rng(5)
     for bc in grid.BCS:
-        calls.clear()
         solved(multigrid.DirectSolver(n, bc), grid.random_state(n, bc, seed=1))
-        assert calls == [], bc
         op = SchurOperator(n, bc)
         for _ in range(2):
             op.solve(rng.standard_normal((n, n)), np.empty((n, n)))
-        assert calls == [(n, n)], bc
         # qbsr V-cycles: a Schur solve on levels 27 and 9, a direct solve on 3
-        calls.clear()
         hier = multigrid.GridHierarchy(n, bc, reference_params("qbsr"), TransferPair("r9"))
         multigrid.solve(hier, 1, 1, max_iters=2)
-        assert sorted(calls) == [(9, 9), (n, n)], bc
+        assert calls == [], bc

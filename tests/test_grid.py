@@ -257,12 +257,11 @@ def test_residual_definition():
 # -- assembled matrices agree with the matrix-free actions ----------------
 
 
-def check_against_assembled(n, bc, bands):
+def check_against_assembled(n, bc):
     """Every matrix-free action against the assembled matrices.  The
     tolerances are absolute at n = 9 and scale with each operator's power of
     1/h, as its entries do."""
     sys = grid.build_system(n, bc)
-    sys.bands = bands
     ops = assemble.assemble_ops(n, bc)
     f = random_fields(n, bc, 9)
     scale = n / 9
@@ -295,13 +294,14 @@ def check_against_assembled(n, bc, bands):
 def test_matrix_free_matches_assembled(bc, n):
     # at n = 3 the periodic wrap entries sit beside the band and the
     # Dirichlet edge factors are 2x2
-    check_against_assembled(n, bc, 1)
+    check_against_assembled(n, bc)
 
 
 @pytest.mark.parametrize("bc", grid.BCS)
-def test_banded_matrix_free_matches_assembled(bc):
+def test_banded_matrix_free_matches_assembled(monkeypatch, bc):
     # n = 243 is at least grid.BAND_MIN: every kernel runs in 2 row bands
-    check_against_assembled(243, bc, 2)
+    monkeypatch.setattr(grid, "BANDS", 2)
+    check_against_assembled(243, bc)
 
 
 @pytest.mark.parametrize("bc", grid.BCS)

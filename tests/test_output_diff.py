@@ -1,4 +1,5 @@
-"""tools/output_diff.py: classifying two JSON outputs of one command."""
+"""tools/output_diff.py: classifying two outputs of one command, JSON, CSV or
+a file written by ``--out``."""
 
 import importlib.util
 import json
@@ -8,6 +9,7 @@ TOOL = Path(__file__).resolve().parents[1] / "tools" / "output_diff.py"
 _spec = importlib.util.spec_from_file_location("output_diff", TOOL)
 output_diff = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(output_diff)
+JSON = output_diff.JSON
 
 
 def runs(a, b, code_a=0, code_b=0):
@@ -85,13 +87,16 @@ def test_the_matrix_runs_mg_run_at_the_cli_default_size(tmp_path):
     cmds = output_diff.command_matrix(tmp_path)
     sizes = {c[c.index("--n") + 1] for c in cmds if c[0] == "mg-run" and "--n" in c}
     assert {"27", "81", "243"} <= sizes
-    assert ["mg-run", "--scheme", "qdr", "--n", "81"] in cmds
-    # two-grid cycles at n = 243 solve n = 81 levels exactly, in both modes
+    assert ["mg-run", "--scheme", "qdr", "--n", "81", *JSON] in cmds
+    # two-grid cycles at n = 243 solve n = 81 levels exactly, in both modes,
+    # and qbsr's Schur solves run at 81 and 243 points per side
     for bc in ("dirichlet", "periodic"):
-        assert ["mg-run", "--scheme", "qibsr", "--n", "243", "--bc", bc] in cmds
+        assert ["mg-run", "--scheme", "qibsr", "--n", "243", "--bc", bc, *JSON] in cmds
+        for n in ("81", "243"):
+            assert ["mg-run", "--scheme", "qbsr", "--n", n, "--bc", bc, *JSON] in cmds
     # p25t is the default; every other restriction's matrices run end to end too
     for tag in ("r1", "r9", "r9b"):
-        assert ["mg-run", "--scheme", "qdr", "--n", "81", "--transfer", tag] in cmds
+        assert ["mg-run", "--scheme", "qdr", "--n", "81", "--transfer", tag, *JSON] in cmds
 
 
 def test_the_matrix_lists_the_numerical_failures(tmp_path):
@@ -99,5 +104,38 @@ def test_the_matrix_lists_the_numerical_failures(tmp_path):
     cmds = output_diff.command_matrix(tmp_path)
     for scheme in output_diff.SCHEMES:
         assert ["smooth-opt", "--scheme", scheme, "--resolution", "9",
-                "--alpha", "1e308"] in cmds
-    assert ["twogrid-lfa", "--resolution", "9", "--omega", "1e308"] in cmds
+                "--alpha", "1e308", *JSON] in cmds
+    assert ["twogrid-lfa", "--resolution", "9", "--omega", "1e308", *JSON] in cmds
+
+
+def test_the_matrix_compares_the_default_csv_and_an_out_file(tmp_path):
+    cmds = output_diff.command_matrix(tmp_path)
+    plain = [c for c in cmds if "--format" not in c]
+    assert ["mg-run", "--scheme", "qdr", "--n", "27"] in plain
+    assert ["compare", "--scheme", "qdr", "--n", "27"] in plain  # the two-periodic row
+    outs = [c for c in cmds if "--out" in c]
+    assert len(outs) == 1 and outs[0][outs[0].index("--out") + 1].startswith(str(tmp_path))
+
+
+def test_csv_output_is_compared_as_bytes():
+    csv = b"scheme,nu,rho_m\nqdr,1,0.572\n"
+    assert output_diff.compare_runs((0, csv), (0, csv)) == {"result": "identical"}
+    # a change in the third decimal is a mismatch, not a float difference
+    res = output_diff.compare_runs((0, csv), (0, csv.replace(b"0.572", b"0.573")))
+    assert res == {"result": "mismatch", "details": ["output differs and is not JSON"]}
+
+
+def test_an_out_run_returns_the_file_it_wrote_and_removes_it(tmp_path):
+    path = tmp_path / "out.json"
+    args = ["smooth-opt", "--scheme", "qdr", "--resolution", "9", *JSON, "--out", str(path)]
+    checkout = TOOL.parents[1]
+    first = output_diff.run_one(checkout, args)
+    assert first[0] == 0 and not path.exists()
+    assert json.loads(first[1])["config"]["out"] == str(path)
+    assert output_diff.compare_runs(first, output_diff.run_one(checkout, args)) == {
+        "result": "identical"}
+    # the file's content is what is compared
+    doc = json.loads(first[1])
+    doc["rows"][0]["mu_sampled"] += 1e-15
+    res = output_diff.compare_runs(first, (0, json.dumps(doc).encode()))
+    assert res["result"] == "floats" and res["fields"] == ["$.rows[].mu_sampled"]

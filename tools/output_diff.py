@@ -1,17 +1,19 @@
-"""Run the CLI command matrix in two checkouts and diff their JSON outputs.
+"""Run the CLI command matrix in two checkouts and diff their outputs.
 
     python3 tools/output_diff.py --parent ../base --change .
 
-Each command runs as ``python -m mac3mg.cli ... --format json`` in its
-checkout, with that checkout's ``src/`` on ``PYTHONPATH``, and writes to
-stdout.  The matrix:
+Each command runs as ``python -m mac3mg.cli ...`` in its checkout, with that
+checkout's ``src/`` on ``PYTHONPATH``.  Most end in ``--format json`` and
+write to stdout.  The matrix:
 
 - twogrid-lfa: every scheme and restriction, resolutions 27 and 81;
 - smooth-opt: every scheme;
 - mg-run: n = 27, every scheme, both boundary types; ``qdr`` at the
   CLI's default n = 81 with every restriction, whose cycles run every
-  dense-level transfer matrix end to end; and ``qibsr`` at n = 243 with
-  both boundary types, whose two-grid cycles make n = 81 direct solves;
+  dense-level transfer matrix end to end; ``qibsr`` at n = 243 with
+  both boundary types, whose two-grid cycles make n = 81 direct solves; and
+  ``qbsr`` at n = 81 and 243 with both boundary types, whose Schur solves
+  act on 81 or more points per side;
 - compare: n = 27, every scheme;
 - selftest;
 - config files, written to a temporary directory that both checkouts read:
@@ -21,7 +23,11 @@ stdout.  The matrix:
   choice, a bad integer, an unknown key, an out-of-range size), whose exit
   codes and empty stdout are compared;
 - numerical failures, compared the same way: ``smooth-opt --alpha 1e308``
-  for every scheme and ``twogrid-lfa --omega 1e308``.
+  for every scheme and ``twogrid-lfa --omega 1e308``;
+- the default CSV output, compared as bytes: an ``mg-run`` and a
+  ``compare``, whose CSV alone carries the ``two-periodic`` row;
+- one ``mg-run --out`` into the temporary directory, compared by the file's
+  content (stdout, which should be empty, before it).
 
 Each command gets one of three results.  ``identical`` means the same exit
 code and the same stdout bytes.  ``MISMATCH`` is a structural difference:
@@ -55,6 +61,7 @@ CONFIG_FILES = {
     "bad-key.cfg": "sch = qdr\n",
     "bad-range.cfg": "n = 10\n",
 }
+JSON = ["--format", "json"]
 
 
 def command_matrix(tmp: Path) -> list:
@@ -74,6 +81,9 @@ def command_matrix(tmp: Path) -> list:
     # the size the benchmark's two-grid solve runs, over an n = 81 direct solve
     cmds += [["mg-run", "--scheme", "qibsr", "--n", "243", "--bc", bc]
              for bc in ("dirichlet", "periodic")]
+    # the Schur solve's fast transforms and wall capacitance at 81 and 243 per side
+    cmds += [["mg-run", "--scheme", "qbsr", "--n", n, "--bc", bc]
+             for n in ("81", "243") for bc in ("dirichlet", "periodic")]
     cmds += [["compare", "--scheme", s, "--n", "27"] for s in SCHEMES]
     cmds.append(["selftest"])
     cmds += [["mg-run", "--config", cfg["mg.cfg"]],
@@ -86,15 +96,28 @@ def command_matrix(tmp: Path) -> list:
     cmds += [["smooth-opt", "--scheme", s, "--resolution", "9", "--alpha", "1e308"]
              for s in SCHEMES]
     cmds.append(["twogrid-lfa", "--resolution", "9", "--omega", "1e308"])
+    cmds = [cmd + JSON for cmd in cmds]
+    # the default CSV, compare's with its two-periodic row, and one file
+    cmds += [["mg-run", "--scheme", "qdr", "--n", "27"],
+             ["compare", "--scheme", "qdr", "--n", "27"]]
+    cmds.append(["mg-run", "--scheme", "quzawa", "--n", "27", *JSON,
+                 "--out", str(tmp / "out.json")])
     return cmds
 
 
 def run_one(checkout: Path, args: list) -> tuple:
-    """``(exit code, stdout bytes)`` of one command in ``checkout``."""
+    """``(exit code, output bytes)`` of one command in ``checkout``: its
+    stdout, followed for an ``--out`` run by the file it wrote, which is then
+    removed so that the other checkout's run writes it afresh."""
     env = dict(os.environ, PYTHONPATH=str(checkout.resolve() / "src"))
-    proc = subprocess.run([sys.executable, "-m", "mac3mg.cli", *args, "--format", "json"],
+    proc = subprocess.run([sys.executable, "-m", "mac3mg.cli", *args],
                           cwd=checkout, env=env, capture_output=True)
-    return proc.returncode, proc.stdout
+    if "--out" not in args:
+        return proc.returncode, proc.stdout
+    path = Path(args[args.index("--out") + 1])
+    written = path.read_bytes() if path.exists() else b""
+    path.unlink(missing_ok=True)
+    return proc.returncode, proc.stdout + written
 
 
 def diff(a, b) -> tuple:
@@ -136,14 +159,15 @@ def diff(a, b) -> tuple:
 
 
 def compare_runs(parent: tuple, change: tuple) -> dict:
-    """Classify two ``(exit code, stdout bytes)`` runs of one command."""
+    """Classify two ``(exit code, output bytes)`` runs of one command.  Output
+    that is not JSON, such as CSV, is identical or a mismatch."""
     if parent == change:
         return {"result": "identical"}
     mismatches = [] if parent[0] == change[0] else [f"exit code {parent[0]} != {change[0]}"]
     try:
         more, floats = diff(json.loads(parent[1]), json.loads(change[1]))
     except ValueError:
-        return {"result": "mismatch", "details": mismatches + ["stdout differs and is not JSON"]}
+        return {"result": "mismatch", "details": mismatches + ["output differs and is not JSON"]}
     mismatches += more
     if not mismatches and not floats:
         mismatches.append("stdout differs in formatting only")
