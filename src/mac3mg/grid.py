@@ -35,10 +35,9 @@ Laplacian, ``B^T`` the pressure gradient and ``B`` the negative divergence,
 so the whole matrix is symmetric.  All actions here are matrix-free slicing
 into given arrays, with temporaries taken from the level's ``Workspace``;
 ``assemble`` builds the same operators as sparse matrices, as oracles.  The
-only whole-field actions are ``SaddleSystem.residual``, ``grad`` and
-``neg_div``; the sweeps chain the same row kernels through
-``SaddleSystem.run``, and ``L x`` is the negated residual for no right-hand
-side, so an operator is applied one way only.
+only whole-field action is ``SaddleSystem.residual``; the sweeps chain the
+same row kernels through ``SaddleSystem.run``, and ``L x`` is the negated
+residual for no right-hand side, so an operator is applied one way only.
 
 Every kernel is written once, over a range of memory rows (the x index).
 ``SaddleSystem.run`` runs a chain of *phases*, each a body over rows
@@ -50,8 +49,8 @@ rows.  Within a phase no band reads
 rows another band writes: a stencil pads its band's rows plus a 1-row halo
 into rows of the padded work array that only that band uses, and a step that
 reads neighbouring rows of a field computed in the chain (a stencil, the x
-differences of ``grad`` and ``neg_div``) starts a new phase.  Every element
-goes through the same ufuncs in the same order, so results are
+differences of ``grad_rows`` and ``div_rows``) starts a new phase.  Every
+element goes through the same ufuncs in the same order, so results are
 bit-identical; reductions are never banded.
 """
 
@@ -321,14 +320,12 @@ def project_gauge(state: StaggeredState) -> StaggeredState:
 class SaddleSystem:
     """Matrix-free actions of the MAC Stokes operator on one grid level.
 
-    The whole-field actions are ``residual``, ``grad`` and ``neg_div``.
-    ``grad`` and ``neg_div`` write into the ``out`` they are given, and
-    ``residual`` into ``out`` when given and a new state otherwise; their
-    padded copies and temporaries come from ``work``, the ``Workspace`` that
-    every system of size n built in the same thread shares (so they may not
-    run at the same time), and a call with ``out`` allocates nothing after
-    the first.  Each is one phase of
-    row kernels (``run``), as is each step of a sweep; levels of at least
+    The whole-field action is ``residual``, into ``out`` when given and a
+    new state otherwise; its padded copies and temporaries come from
+    ``work``, the ``Workspace`` that every system of size n built in the same
+    thread shares (so two actions may not run at the same time), and a call
+    with ``out`` allocates nothing after the first.  It is one phase of row
+    kernels (``run``), as is each step of a sweep; levels of at least
     ``BAND_MIN`` points run their phases in ``BANDS`` row bands.
 
     The row kernels (``*_rows``) compute rows ``lo:hi`` of their output,
@@ -455,27 +452,14 @@ class SaddleSystem:
     def apply_rows(self, st: StaggeredState, out: StaggeredState, lo: int, hi: int,
                    seg: np.ndarray) -> None:
         """Rows lo:hi of the saddle operator applied to st."""
-        # each gradient component is formed in out.p, which neg_div writes last
+        # each gradient component is formed in out.p, which div_rows writes last
         for axis, comp, f, o in ((0, "u", st.u, out.u), (1, "v", st.v, out.v)):
             lap = self.five_point_rows(f, VELOCITY_SIGNS[comp], o, lo, hi, seg)
             g = self.grad_rows(st.p, axis, out.p[: o.shape[0], : o.shape[1]], lo, hi)
             np.add(lap, g, out=lap)
         self.div_rows(st.u, st.v, out.p, lo, hi, seg)
 
-    # -- the whole-field actions, one phase each ----------------------------
-
-    def grad(self, p: np.ndarray, out: tuple) -> tuple:
-        """Pressure gradient onto the velocity points (the B^T action), into
-        the ``(u, v)`` pair ``out``."""
-        gu, gv = out
-        self.run(gu.dtype, lambda lo, hi, seg, gx: (self.grad_rows(p, 0, gu, lo, hi),
-                                                   self.grad_rows(p, 1, gv, lo, hi)))
-        return gu, gv
-
-    def neg_div(self, u: np.ndarray, v: np.ndarray, out: np.ndarray) -> np.ndarray:
-        """Negative discrete divergence at cell centers (the B action), into ``out``."""
-        self.run(out.dtype, lambda lo, hi, seg, gx: self.div_rows(u, v, out, lo, hi, seg))
-        return out
+    # -- the whole-field action, one phase ----------------------------------
 
     def residual(self, st: StaggeredState, rhs: StaggeredState | None,
                  out: StaggeredState | None = None) -> StaggeredState:

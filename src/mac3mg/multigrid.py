@@ -33,10 +33,11 @@ The cycle computes every residual and a sweep only applies its correction
 map to the one it is given.  Each coarse level starts from a zero guess
 (Trottenberg, Oosterlee and Schueller, *Multigrid*, 2001), so its first
 residual is the restricted one, and no residual is computed for it.
-The coarsest level is solved exactly by ``DirectSolver``: separable solves
-by fast transforms of the saddle system with a Neumann tangential ghost,
-whose velocity Laplacian commutes with the gradient, corrected on the 4(n-1)
-wall rows by a capacitance matrix (Buzbee, Dorr, George and Golub, 1971).
+The coarsest level is solved exactly by ``DirectSolver``: the saddle system
+with a Neumann tangential ghost, whose velocity Laplacian commutes with the
+gradient, is solved mode by mode between fast transforms of its fields, and
+corrected on the 4(n-1) wall rows by a capacitance matrix (Buzbee, Dorr,
+George and Golub, 1971).
 
 ``solve`` measures convergence the way the experiments report it: iterate
 cycles on a seeded random initial guess with zero right-hand side until the
@@ -176,8 +177,11 @@ class DirectSolver:
     ``D^T D``; as ``(D D^T) D = D (D^T D)``, that ``A_N`` commutes with the
     gradient, ``A_N B^T = B^T L_p`` with ``L_p = B B^T``.  So
     ``M_N = [[A_N, B^T], [B, 0]]`` is solved exactly by ``p = L_p^+ B f - g``
-    (mean removed) and ``u = A_N^+ (f - B^T p)``: three ``SeparableInverse``
-    solves by the edge (DST-I) and Neumann (DCT-II) transforms of ``lap1_eig``.
+    (mean removed) and ``u = A_N^+ (f - B^T p)``, mode by mode in the edge
+    (DST-I) and Neumann (DCT-II) transforms of ``lap1_eig``, or the DFT: ``D``
+    maps Neumann mode k to edge mode k - 1 times ``d_k = -lambda_k^(1/2)``
+    (periodic: mode k to itself times ``(1 - exp(-2 pi i k / n)) / h``), and
+    ``A_N`` and ``L_p`` have the eigenvalues ``lambda_k + lambda_l``.
     The true ghost -1 makes ``M = M_N + (2/h^2) R^T R``, ``R`` picking the
     m = 4(n-1) tangential velocities next to a wall (``_walls``), so
     ``x = M_N^+ (r - R^T z)`` with ``K z = R M_N^+ r`` for the symmetric
@@ -188,27 +192,34 @@ class DirectSolver:
     periodic BCs) are dropped and the result has none: the gauge-projected
     solution the cycles need.  The data are scaled by the power of two that
     brings their largest entry to [1/2, 1), and the result back: exact, and
-    nothing under- or overflows for data from 1e-300 to 1e300.
+    nothing under- or overflows for data from 1e-305 to 1e307.
     """
 
     def __init__(self, n: int, bc: str):
         self.n = n
         self.bc = bc
-        self.system = grid.SaddleSystem(n, bc)
-        h, periodic = 1.0 / n, bc == "periodic"
-        # periodic: one circulant on every axis, and the velocity solves are singular
-        edge = lap1_eig(self.system.shapes["u"][0], h, bc)
-        neu = edge if periodic else lap1_eig(n, h, bc, 1.0)  # D^T D
-        self._inv_u = SeparableInverse(edge, neu, 1.0, periodic)
-        self._inv_v = SeparableInverse(neu, edge, 1.0, periodic)
+        h = 1.0 / n
+        # periodic: one circulant on every axis, ghosts ignored
+        neu = lap1_eig(n, h, bc, 1.0)  # D^T D
+        edge = lap1_eig(grid.field_shapes(n, bc)["u"][0], h, bc)
         self._inv_p = SeparableInverse(neu, neu, 1.0, True)
-        if periodic:
+        self._kinds = {"u": (edge[1], neu[1]), "v": (neu[1], edge[1]), "p": self._inv_p.kinds}
+        if bc == "periodic":
+            # velocity mode k is pressure mode k
+            self._shift, d = 0, (1.0 - np.exp(-2j * np.pi * np.arange(n) / n)) / h
             self._walls, self._chol = (), None
         else:
+            # velocity mode k - 1 is pressure mode k; d_0 = 0
+            self._shift, d = 1, -np.sqrt(neu[0])
             self._walls = (("u", np.s_[:, 0]), ("u", np.s_[:, -1]), ("v", np.s_[0]),
                            ("v", np.s_[-1]))
             self._edge = edge  # (lambda, kind)
             self._chol = scipy.linalg.cho_factor(self._capacitance(), overwrite_a=True)
+        # per mode, as (u, v) pairs: L_p^+ B and A_N^+ B^T; velocity mode
+        # (k - s, l) of A_N has pressure mode (k, l)'s eigenvalue
+        s, w = self._shift, self._inv_p.inv
+        self._div = (np.conj(d[s:, None]) * w[s:], np.conj(d[s:]) * w[:, s:])
+        self._grad = (d[s:, None] * w[s:], d[s:] * w[:, s:])
 
     def _capacitance(self) -> np.ndarray:
         """``K`` in ``_walls`` order from the edge pairs ``(lambda, Ve)`` and
@@ -223,7 +234,7 @@ class DirectSolver:
         cw = transform(np.eye(self.n)[[0, -1]], self._inv_p.kinds[:1], False)
         w2 = self._inv_p.inv**2
         pairs = cw[[0, 0, 1]] * cw[[0, 1, 1]]
-        weights = pairs @ self._inv_u.inv.T - lam * (pairs @ w2)[:, 1:]
+        weights = pairs @ self._inv_p.inv[1:].T - lam * (pairs @ w2)[:, 1:]
         same = transform(weights[:, :, None] * np.eye(len(lam)), (kind, kind), True)
         root, cw = np.sqrt(lam), cw[:, 1:]
         cross = -transform(cw[None, :, :, None] * w2[1:, 1:] * cw[:, None, None, :]
@@ -238,14 +249,21 @@ class DirectSolver:
         return k
 
     def _commuting(self, f: grid.StaggeredState, out: grid.StaggeredState) -> None:
-        """The solution of ``M_N x = f``, into ``out``."""
-        sysm = self.system
-        p = self._inv_p(sysm.neg_div(f.u, f.v, out=out.p), out=out.p)
-        p -= f.p
-        p -= p.mean()
-        gu, gv = sysm.grad(p, out=(out.u, out.v))
-        self._inv_u(np.subtract(f.u, gu, out=gu), out=out.u)
-        self._inv_v(np.subtract(f.v, gv, out=gv), out=out.v)
+        """The solution of ``M_N x = f``, into ``out``: a forward transform of
+        each field, ``p`` and then ``u`` mode by mode, a back transform of each."""
+        s, w = self._shift, self._inv_p.inv
+        u, v, p = (transform(getattr(f, name), self._kinds[name], False) for name in "uvp")
+        p *= -1.0
+        p[s:] += self._div[0] * u
+        p[:, s:] += self._div[1] * v
+        p[0, 0] = 0.0
+        u *= w[s:]
+        u -= self._grad[0] * p[s:]
+        v *= w[:, s:]
+        v -= self._grad[1] * p[:, s:]
+        for name, c in (("u", u), ("v", v), ("p", p)):
+            x, o = transform(c, self._kinds[name], True), getattr(out, name)
+            o[...] = x if np.iscomplexobj(o) else x.real
 
     def solve_state(self, rhs: grid.StaggeredState,
                     out: grid.StaggeredState) -> grid.StaggeredState:

@@ -95,10 +95,6 @@ class SeparableInverse:
         out[...] = x if np.iscomplexobj(out) else x.real
         return out
 
-    def __call__(self, g: np.ndarray, out: np.ndarray) -> np.ndarray:
-        """The solution for ``g``, into ``out`` (``g``'s shape)."""
-        return self.synthesise(self.coefficients(g), out)
-
 
 # the four parity classes of the 2D DCT-II coefficients, as (x, y) slices
 _PARITIES = [(slice(p, None, 2), slice(q, None, 2)) for p in (0, 1) for q in (0, 1)]

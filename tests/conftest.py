@@ -27,11 +27,19 @@ def apply(system, st):
     return out
 
 
-def grad(system, p):
-    """``system.grad`` of ``p`` into a new ``(u, v)`` pair of p's dtype."""
-    return system.grad(p, tuple(np.empty(system.shapes[f], p.dtype) for f in "uv"))
+def grad(system, p, out=None):
+    """The gradient of ``p``, ``grad_rows`` of both axes run as one phase into
+    the ``(u, v)`` pair ``out`` (new arrays of p's dtype when None); returns
+    ``out``."""
+    gu, gv = tuple(np.empty(system.shapes[f], p.dtype) for f in "uv") if out is None else out
+    system.run(gu.dtype, lambda lo, hi, seg, gx: (system.grad_rows(p, 0, gu, lo, hi),
+                                                  system.grad_rows(p, 1, gv, lo, hi)))
+    return gu, gv
 
 
-def neg_div(system, u, v):
-    """``system.neg_div`` of ``(u, v)`` into a new array."""
-    return system.neg_div(u, v, np.empty(system.shapes["p"], np.result_type(u, v)))
+def neg_div(system, u, v, out=None):
+    """The negative divergence of ``(u, v)``, ``div_rows`` run as one phase
+    into ``out`` (a new array when None); returns ``out``."""
+    out = np.empty(system.shapes["p"], np.result_type(u, v)) if out is None else out
+    system.run(out.dtype, lambda lo, hi, seg, gx: system.div_rows(u, v, out, lo, hi, seg))
+    return out

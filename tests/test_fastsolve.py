@@ -195,16 +195,18 @@ def test_direct_solver_on_nearly_nullspace_data(n, bc):
     rhs.p += 3.0
     solver = multigrid.DirectSolver(n, bc)
     x = solved(solver, rhs)
-    again = solved(solver, solver.system.residual(x, rhs))
+    again = solved(solver, grid.SaddleSystem(n, bc).residual(x, rhs))
     assert again.norm() <= 1e-10 * x.norm()
 
 
 @pytest.mark.parametrize("bc", grid.BCS)
-@pytest.mark.parametrize("n", (3, 27, 81))
+@pytest.mark.parametrize("n", (3, 27, 81, 243))
 def test_direct_solver_at_extreme_scales(n, bc):
     # conjugate gradients square their norms: unscaled, data of size 1e-160
     # underflowed and 1e160 overflowed, and the solve raised or returned a
-    # wrong answer.  A power-of-two scale is exact, and so is the solution.
+    # wrong answer.  Unscaled, the transform solve returns NaN at 1e307
+    # (Dirichlet from n = 3, periodic from n = 81) and at 1e305 (Dirichlet
+    # from n = 81).  A power-of-two scale is exact, and so is the solution.
     rng = np.random.default_rng(30 + n)
     shapes = grid.field_shapes(n, bc)
     rhs = grid.StaggeredState(n, bc, *(rng.standard_normal(shapes[f]) for f in "uvp"))
@@ -217,8 +219,8 @@ def test_direct_solver_at_extreme_scales(n, bc):
 
     for k in (-600, 600):
         assert np.array_equal(scaled(2.0**k), want * 2.0**k)
-    for scale in (1e-300, 1e-160, 1e160, 1e300):
-        assert rel_err(scaled(scale) / scale, want) < 1e-12
+    for scale in (1e-305, 1e-300, 1e-160, 1e160, 1e300, 1e305, 1e307):
+        assert rel_err(scaled(scale) / scale, want) < 1e-12, scale
 
 
 @pytest.mark.parametrize("n", (9, 27))
@@ -250,10 +252,13 @@ def test_capacitance_is_symmetric_positive_definite(n):
 def test_direct_solver_leaves_a_small_residual_at_243():
     # n = 243 is the direct solve of a two-grid cycle at n = 729.  Separate
     # eigh calls on the edge and Neumann factors left 2.1-6.2e-12 at n = 81
-    # and 1.4-8.1e-11 at 243 for these seeds, as the Woodbury step scales
-    # the mismatch of their shared eigenpairs by 2/h^2
-    bc = "dirichlet"
-    for n, bound in ((81, 1.5e-12), (243, 1.2e-11)):
+    # and 1.4-8.1e-11 at 243 for these seeds (Dirichlet), as the Woodbury
+    # step scales the mismatch of their shared eigenpairs by 2/h^2; three
+    # separable solves around B and B^T in grid space 1.5-5.5e-13 and
+    # 1.8-7.1e-12.  Mode by mode it reads 6.0-6.6e-14 and 2.0-2.1e-13, and
+    # periodic 4.3-4.5e-14 and 1.4-1.5e-13.
+    for bc, n, bound in (("dirichlet", 81, 1.5e-13), ("dirichlet", 243, 5e-13),
+                         ("periodic", 81, 1.2e-13), ("periodic", 243, 4e-13)):
         solver, saddle = multigrid.DirectSolver(n, bc), assemble.assemble_ops(n, bc).saddle
         null = assemble.nullspace(n, bc)
         for seed in range(5):
@@ -261,7 +266,7 @@ def test_direct_solver_leaves_a_small_residual_at_243():
             x = solved(solver, rhs)
             b = rhs.flat() - null @ (null.T @ rhs.flat())
             r = saddle @ x.flat() - b
-            assert np.linalg.norm(r) <= bound * np.linalg.norm(b), (n, seed)
+            assert np.linalg.norm(r) <= bound * np.linalg.norm(b), (bc, n, seed)
 
 
 def test_no_eigh_in_a_direct_solver_or_a_qbsr_v_cycle(monkeypatch):
@@ -283,3 +288,25 @@ def test_no_eigh_in_a_direct_solver_or_a_qbsr_v_cycle(monkeypatch):
         hier = multigrid.GridHierarchy(n, bc, reference_params("qbsr"), TransferPair("r9"))
         multigrid.solve(hier, 1, 1, max_iters=2)
         assert calls == [], bc
+
+
+@pytest.mark.parametrize("bc", grid.BCS)
+def test_a_direct_solve_applies_no_grid_operator(monkeypatch, bc):
+    # the level solve is arithmetic on transform coefficients: it holds no
+    # SaddleSystem, and neither its build nor its solves run row kernels
+    runs, run = [], grid.SaddleSystem.run
+
+    def counted(self, *args):
+        runs.append(self.n)
+        return run(self, *args)
+
+    monkeypatch.setattr(grid.SaddleSystem, "run", counted)
+    n = 27
+    solver = multigrid.DirectSolver(n, bc)
+    assert not any(isinstance(x, grid.SaddleSystem) for x in vars(solver).values())
+    rhs = grid.random_state(n, bc, seed=2)
+    x = solved(solver, rhs)
+    solved(solver, x)
+    assert runs == []
+    grid.SaddleSystem(n, bc).residual(x, rhs)  # the count sees a residual
+    assert runs == [n]

@@ -1,21 +1,21 @@
 """The in-place kernels against the allocating expressions they replaced.
 
-Every stencil (a row kernel run through ``SaddleSystem.run``), ``grad``,
-``neg_div``, ``residual``, one sweep per scheme, the four restrictions and the
-prolongation write into given arrays and draw their temporaries from a
-level's workspace.  The oracles below are the earlier allocating forms: the
-same operations in the same order.  Each kernel runs twice on
-different data into arrays first filled with NaN, so stale workspace contents
-or unwritten entries show up.  n = 9 matters: it hit a numpy 2.4.6 fault in
-``np.negative`` on strided columns.  Transfers are 1D matrix products, so
-they sum in another order; the transfer test adds n = 243 to reach the CSR
-matrices used above ``multigrid.DENSE_MAX``.
+Every stencil and the gradient and divergence (row kernels run through
+``SaddleSystem.run``), ``residual``, one sweep per scheme, the four
+restrictions and the prolongation write into given arrays and draw their
+temporaries from a level's workspace.  The oracles below are the earlier
+allocating forms: the same operations in the same order.  Each kernel runs
+twice on different data into arrays first filled with NaN, so stale
+workspace contents or unwritten entries show up.  n = 9 matters: it hit a
+numpy 2.4.6 fault in ``np.negative`` on strided columns.  Transfers are 1D
+matrix products, so they sum in another order; the transfer test adds n = 243
+to reach the CSR matrices used above ``multigrid.DENSE_MAX``.
 """
 
 import numpy as np
 import pytest
 
-from conftest import stencil
+from conftest import grad, neg_div, stencil
 from mac3mg import grid, multigrid, stencils, symbols
 from mac3mg.grid import (CELL_LAPLACIAN_GHOST, CELL_LAPLACIAN_SIGNS, PRESSURE_MASS_GHOST,
                          PRESSURE_MASS_SIGNS, TRANSFER_FOLDS, VELOCITY_SIGNS)
@@ -196,7 +196,7 @@ def test_stencils_grad_and_div_write_into_out(n, bc, dtype):
          lambda f: old.qp(f["p"]), "p"),
         (lambda f, out: stencil(sysm, sysm.five_point_rows, f["p"], CELL_LAPLACIAN_SIGNS, out),
          lambda f: old.ap(f["p"]), "p"),
-        (lambda f, out: sysm.neg_div(f["u"], f["v"], out=out),
+        (lambda f, out: neg_div(sysm, f["u"], f["v"], out),
          lambda f: old.neg_div(f["u"], f["v"]), "p"),
     ]
     for new, want, comp in kernels:
@@ -208,7 +208,7 @@ def test_stencils_grad_and_div_write_into_out(n, bc, dtype):
     gu, gv = np.full(shapes["u"], np.nan, dtype), np.full(shapes["v"], np.nan, dtype)
     for _ in range(2):
         p = field(rng, shapes["p"], dtype)
-        got = sysm.grad(p, out=(gu, gv))
+        got = grad(sysm, p, (gu, gv))
         assert got[0] is gu and got[1] is gv
         for g, w in zip(got, old.grad(p)):
             assert_close(g, w)

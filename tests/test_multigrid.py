@@ -376,16 +376,21 @@ def test_report_status_names_each_outcome():
 
 
 def test_cycles_go_on_once_the_residual_leaves_the_normal_range():
-    # without gauge projection the mean pressure stays while the residual
-    # falls past 1e-160, where the squared norms of the 3x3 solve's
-    # conjugate gradients underflowed (the 201st cycle raised)
+    # the residual falls past 1e-160, where the squared norms of the 3x3
+    # solve's conjugate gradients underflowed (the 201st cycle raised).  The
+    # gauge is projected after each cycle, as ``solve`` does: unprojected, a
+    # one-ulp spread in the mean pressure has a gradient that stalls the
+    # residual near 1e-29 for some seeds, and which ones moves with roundoff.
     n, bc = 27, "dirichlet"
     hier = GridHierarchy(n, bc, reference_params("qbsr", "measured"), TransferPair("p25t"))
-    st, rhs = grid.random_state(n, bc, seed=1), grid.StaggeredState.zeros(n, bc)
-    for _ in range(210):
-        multigrid.v_cycle(hier, st, rhs, 2, 0)
-    assert np.isfinite(st.flat()).all()
-    assert hier.systems[0].residual(st, rhs).norm() < 1e-140
+    rhs = grid.StaggeredState.zeros(n, bc)
+    for seed in range(8):
+        st = grid.random_state(n, bc, seed=seed)
+        for _ in range(210):
+            multigrid.v_cycle(hier, st, rhs, 2, 0)
+            grid.project_gauge(st)
+        assert np.isfinite(st.flat()).all(), seed
+        assert hier.systems[0].residual(st, rhs).norm() < 1e-140, seed
 
 
 def test_solve_rejects_unknown_cycle():
@@ -475,7 +480,7 @@ def held_workspace(n):
 def work_fields(hiers, n):
     """The arrays of every workspace the hierarchies reach, each counted once,
     in pressure fields of size n."""
-    systems = [s for h in hiers for s in (*h.systems, *(d.system for d in h._direct.values()))]
+    systems = [s for h in hiers for s in h.systems]
     flats = {id(f): f for s in systems for f in s.work._flat.values()}
     return sum(f.nbytes for f in flats.values()) / (n * n * 8)
 
@@ -528,7 +533,6 @@ def test_hierarchies_of_one_size_share_their_work_arrays_until_the_last_goes():
         b = warm_hierarchy(27, "quzawa", "periodic")
         assert [s.work for s in a.systems] == [s.work for s in b.systems]
         assert len({id(s.work) for s in a.systems}) == a.levels  # one per size
-        assert a.direct(a.levels - 1).system.work is a.systems[-1].work
         held = [weakref.ref(s.work) for s in a.systems]
         del a
         assert all(held_workspace(m) is ref() for m, ref in zip(b.sizes, held))
@@ -562,9 +566,8 @@ def test_a_grown_padding_is_freed_while_a_system_that_used_it_lives(monkeypatch)
     in_new_thread(grow)
 
 
-# the cycles of the sharing tests: the two-grid cycle, whose level solve
-# builds a system of its own, for qbsr, then V(2,0) for every scheme and
-# boundary.  In this order later cycles grow arrays that earlier ones made:
+# the cycles of the sharing tests: the two-grid cycle for qbsr, then V(2,0)
+# for every scheme and boundary.  In this order later cycles grow arrays that earlier ones made:
 # the n x n periodic velocities after the Dirichlet ones.
 CYCLES = [(scheme, bc, cycle) for cycle, schemes in (("two", ("qbsr",)), ("v", symbols.SCHEMES))
           for scheme in schemes for bc in ("dirichlet", "periodic")]

@@ -3,11 +3,14 @@ and every option of a reached function, method or class is set by the program
 and left to its default by it.
 
 The scan parses ``src/mac3mg/*.py`` and collects each module-level function
-and class and each method of those classes but the dunders.  A name is
-reached when an ``ast.Name`` or ``ast.Attribute`` of that name appears in
-``src/``, ``tools/`` or ``perfbench/`` outside the name's own definition and
-outside the body of every ``ORACLES`` entry: no program run executes an
-oracle, so what only an oracle uses is not reached either.  Matching is by
+and class and each method of those classes but the dunders.  A function or
+class is reached when an ``ast.Name`` or ``ast.Attribute`` of its name
+appears in ``src/``, ``tools/`` or ``perfbench/`` outside the name's own
+definition and outside the body of every ``ORACLES`` entry, and a method when
+an ``ast.Attribute`` (``x.name``) does: a local variable that shares a
+method's name (``grad`` in ``symbols._step_symbol``) does not reach it.  No
+program run executes an oracle, so what only an oracle uses is not reached
+either.  Matching is by
 name alone, so a wrapper that shares its name with something the program
 does call goes unseen.  A public name that only the tests and the oracles
 call must be an entry of ``ORACLES``, with the reason it stays.
@@ -17,7 +20,7 @@ class's ``__init__``, or a dataclass field with a default.  Calls are matched
 by the name they call, a class's by its class name, outside the oracles'
 bodies, so the calls of one name count for every definition of that name (``multigrid.solve`` and
 ``SchurOperator.solve`` share theirs), and a call made on an instance
-(``SeparableInverse.__call__``) is not seen.  Each option of a reached
+(``Workspace.__call__``) is not seen.  Each option of a reached
 definition must be passed, by keyword or by position, in some call of its
 name in the same three directories, unless its ``OPTIONS`` entry says why
 only the tests set it; and some call must leave it to its default.  A call
@@ -83,6 +86,7 @@ def scan():
 
     # every use of a name, with the definitions (by identity) enclosing it
     uses: dict[str, list[frozenset]] = {}
+    attributes: dict[str, list[frozenset]] = {}
     calls: dict[str, list[ast.Call]] = {}
     oracles = {id(definitions[key]) for key in ORACLES if key in definitions}
 
@@ -99,13 +103,16 @@ def scan():
             uses.setdefault(node.id, []).append(inside)
         elif isinstance(node, ast.Attribute):
             uses.setdefault(node.attr, []).append(inside)
+            attributes.setdefault(node.attr, []).append(inside)
         for child in ast.iter_child_nodes(node):
             walk(child, inside)
 
     for tree in trees.values():
         walk(tree, frozenset())
+    # a method is reached through an attribute only, not a local of its name
     unreached = {key for key, node in definitions.items()
-                 if all(id(node) in inside for inside in uses.get(node.name, ()))}
+                 if all(id(node) in inside for inside in
+                        (attributes if key.count(".") == 2 else uses).get(node.name, ()))}
     return definitions, unreached, calls
 
 
