@@ -35,9 +35,10 @@ map to the one it is given.  Each coarse level starts from a zero guess
 residual is the restricted one, and no residual is computed for it.
 The coarsest level is solved exactly by ``DirectSolver``: the saddle system
 with a Neumann tangential ghost, whose velocity Laplacian commutes with the
-gradient, is solved mode by mode between fast transforms of its fields, and
-corrected on the 4(n-1) wall rows by a capacitance matrix (Buzbee, Dorr,
-George and Golub, 1971).
+gradient, is solved mode by mode between one forward and one back fast
+transform of each field, and its 4(n-1) wall rows are corrected in the
+transform coefficients by a capacitance matrix (Buzbee, Dorr, George and
+Golub, 1971).
 
 ``solve`` measures convergence the way the experiments report it: iterate
 cycles on a seeded random initial guess with zero right-hand side until the
@@ -58,7 +59,7 @@ import scipy.linalg
 from scipy import sparse
 
 from . import grid, stencils
-from .smoothers import SeparableInverse, Smoother, lap1_eig, transform
+from .smoothers import Smoother, lap1_eig, separable_weights, synthesise, transform
 from .symbols import RelaxParams
 from .twogrid import TransferPair
 
@@ -170,7 +171,7 @@ def prolong_state(coarse: grid.StaggeredState, n_fine: int,
 class DirectSolver:
     """Exact solve of one level's saddle system ``M = [[A, B^T], [B, 0]]`` by
     a capacitance matrix on the wall rows (Buzbee, Dorr, George and Golub,
-    *SIAM J. Numer. Anal.* 8, 1971).
+    *SIAM J. Numer. Anal.* 8, 1971), in transform coefficients.
 
     Per axis the edge factor of ``A`` is ``D D^T`` (``D`` the 1D difference)
     and, read with the Neumann tangential ghost +1, the tangential one is
@@ -181,12 +182,16 @@ class DirectSolver:
     (DST-I) and Neumann (DCT-II) transforms of ``lap1_eig``, or the DFT: ``D``
     maps Neumann mode k to edge mode k - 1 times ``d_k = -lambda_k^(1/2)``
     (periodic: mode k to itself times ``(1 - exp(-2 pi i k / n)) / h``), and
-    ``A_N`` and ``L_p`` have the eigenvalues ``lambda_k + lambda_l``.
-    The true ghost -1 makes ``M = M_N + (2/h^2) R^T R``, ``R`` picking the
-    m = 4(n-1) tangential velocities next to a wall (``_walls``), so
+    ``A_N`` and ``L_p`` have the eigenvalues ``lambda_k + lambda_l``
+    (``_update``).  The true ghost -1 makes ``M = M_N + (2/h^2) R^T R``, ``R``
+    picking the m = 4(n-1) tangential velocities next to a wall, so
     ``x = M_N^+ (r - R^T z)`` with ``K z = R M_N^+ r`` for the symmetric
-    positive definite ``K = (h^2/2) I + R (A_N^+ - B^T L_p^+2 B) R^T``, kept
-    as its Cholesky factor.  A periodic grid has no walls (m = 0).
+    positive definite ``K = (h^2/2) I + R (A_N^+ - B^T L_p^+2 B) R^T``.  In
+    the edge modes along a wall, its items are its field's coefficients
+    summed against ``c_a``, the Neumann basis row at the wall, and ``R^T``
+    adds their outer product with ``c_a``; so ``K`` is kept in wall modes, as
+    its Cholesky factor, and the fields are transformed once each way.  A
+    periodic grid has no walls (m = 0).
 
     The data's nullspace components (mean pressure; mean velocities under
     periodic BCs) are dropped and the result has none: the gauge-projected
@@ -200,45 +205,39 @@ class DirectSolver:
         self.bc = bc
         h = 1.0 / n
         # periodic: one circulant on every axis, ghosts ignored
-        neu = lap1_eig(n, h, bc, 1.0)  # D^T D
-        edge = lap1_eig(grid.field_shapes(n, bc)["u"][0], h, bc)
-        self._inv_p = SeparableInverse(neu, neu, 1.0, True)
-        self._kinds = {"u": (edge[1], neu[1]), "v": (neu[1], edge[1]), "p": self._inv_p.kinds}
+        lam, neu = lap1_eig(n, h, bc, 1.0)  # D^T D
+        self._lam, edge = lap1_eig(grid.field_shapes(n, bc)["u"][0], h, bc)
+        w = self._w = separable_weights(lam, 1.0)
+        self._kinds = {"u": (edge, neu), "v": (neu, edge), "p": (neu, neu)}
         if bc == "periodic":
             # velocity mode k is pressure mode k
             self._shift, d = 0, (1.0 - np.exp(-2j * np.pi * np.arange(n) / n)) / h
-            self._walls, self._chol = (), None
+            self._chol = None
         else:
-            # velocity mode k - 1 is pressure mode k; d_0 = 0
-            self._shift, d = 1, -np.sqrt(neu[0])
-            self._walls = (("u", np.s_[:, 0]), ("u", np.s_[:, -1]), ("v", np.s_[0]),
-                           ("v", np.s_[-1]))
-            self._edge = edge  # (lambda, kind)
+            # velocity mode k - 1 is pressure mode k; d_0 = 0; the rows c_a
+            self._shift, d = 1, -np.sqrt(lam)
+            self._c = transform(np.eye(n)[[0, -1]], (neu,), False)
             self._chol = scipy.linalg.cho_factor(self._capacitance(), overwrite_a=True)
         # per mode, as (u, v) pairs: L_p^+ B and A_N^+ B^T; velocity mode
         # (k - s, l) of A_N has pressure mode (k, l)'s eigenvalue
-        s, w = self._shift, self._inv_p.inv
+        s = self._shift
         self._div = (np.conj(d[s:, None]) * w[s:], np.conj(d[s:]) * w[:, s:])
         self._grad = (d[s:, None] * w[s:], d[s:] * w[:, s:])
 
     def _capacitance(self) -> np.ndarray:
-        """``K`` in ``_walls`` order from the edge pairs ``(lambda, Ve)`` and
-        the Neumann eigenvectors ``C`` (row a ``c_a``).  The 1D difference maps
-        column k >= 1 of ``C`` to ``-lambda_k^(1/2) Ve_k`` and the constant to
-        0, so with ``W_A``, ``W_2`` the weights of ``A_N^+`` and ``L_p^+2`` and
-        ``L = diag(lambda^(1/2))``, walls a, a' of one component give
-        ``Ve diag(W_A c_a c_a' - lambda (W_2 c_a c_a')_(k>=1)) Ve^T``, and u's
-        wall a against v's wall b ``-Ve L (c_b W_2 c_a)_(k,l>=1) L Ve^T``,
-        each ``Ve X Ve^T`` two transforms.  Probing K would cost 4 GFlop at 81."""
-        (lam, kind), h = self._edge, 1.0 / self.n
-        cw = transform(np.eye(self.n)[[0, -1]], self._inv_p.kinds[:1], False)
-        w2 = self._inv_p.inv**2
+        """``K`` on the edge modes along ``u[:, 0]``, ``u[:, -1]``, ``v[0]``,
+        ``v[-1]``.  The 1D difference maps Neumann mode k >= 1 to
+        ``-lambda_k^(1/2)`` edge mode k - 1 and the constant to 0, so with
+        ``W_A``, ``W_2`` the weights of ``A_N^+`` and ``L_p^+2`` and ``L =
+        diag(lambda^(1/2))``, walls a, a' of one component give the diagonal
+        ``W_A c_a c_a' - lambda (W_2 c_a c_a')_(k>=1)``, and u's wall a against
+        v's wall b ``-L (c_b W_2 c_a)_(k,l>=1) L``.  Probing K would cost 4
+        GFlop at 81."""
+        lam, h, cw, w2 = self._lam, 1.0 / self.n, self._c, self._w**2
         pairs = cw[[0, 0, 1]] * cw[[0, 1, 1]]
-        weights = pairs @ self._inv_p.inv[1:].T - lam * (pairs @ w2)[:, 1:]
-        same = transform(weights[:, :, None] * np.eye(len(lam)), (kind, kind), True)
+        same = (pairs @ self._w[1:].T - lam * (pairs @ w2)[:, 1:])[:, :, None] * np.eye(len(lam))
         root, cw = np.sqrt(lam), cw[:, 1:]
-        cross = -transform(cw[None, :, :, None] * w2[1:, 1:] * cw[:, None, None, :]
-                           * root[:, None] * root, (kind, kind), True)
+        cross = -(cw[None, :, :, None] * w2[1:, 1:] * cw[:, None, None, :] * root[:, None] * root)
 
         def tile(blocks):  # (2, 2, m, m) blocks as one (2m, 2m) matrix
             return blocks.swapaxes(1, 2).reshape(2 * len(lam), -1)
@@ -248,11 +247,10 @@ class DirectSolver:
         k[np.diag_indices_from(k)] += h * h / (1.0 - grid.VELOCITY_GHOST)
         return k
 
-    def _commuting(self, f: grid.StaggeredState, out: grid.StaggeredState) -> None:
-        """The solution of ``M_N x = f``, into ``out``: a forward transform of
-        each field, ``p`` and then ``u`` mode by mode, a back transform of each."""
-        s, w = self._shift, self._inv_p.inv
-        u, v, p = (transform(getattr(f, name), self._kinds[name], False) for name in "uvp")
+    def _update(self, u: np.ndarray, v: np.ndarray, p: np.ndarray) -> None:
+        """``M_N^+`` on the transform coefficients of each field, in place:
+        ``p`` and then ``u`` mode by mode."""
+        s, w = self._shift, self._w
         p *= -1.0
         p[s:] += self._div[0] * u
         p[:, s:] += self._div[1] * v
@@ -261,25 +259,29 @@ class DirectSolver:
         u -= self._grad[0] * p[s:]
         v *= w[:, s:]
         v -= self._grad[1] * p[:, s:]
-        for name, c in (("u", u), ("v", v), ("p", p)):
-            x, o = transform(c, self._kinds[name], True), getattr(out, name)
-            o[...] = x if np.iscomplexobj(o) else x.real
 
     def solve_state(self, rhs: grid.StaggeredState,
                     out: grid.StaggeredState) -> grid.StaggeredState:
         """The gauge-projected solution for ``rhs``, into ``out``."""
         top = max(np.abs(x).max() for x in (rhs.u, rhs.v, rhs.p))
         e = min(max(int(np.frexp(top)[1]), -1021), 1023)
-        f = grid.StaggeredState(self.n, self.bc, *(x * np.ldexp(1.0, -e) for x in
-                                                   (rhs.u, rhs.v, rhs.p)))
-        self._commuting(f, out)
-        if self._walls:
-            # non-finite data (a diverging cycle) pass through as NaN
+        coef = [transform(x * np.ldexp(1.0, -e), self._kinds[name], False)
+                for name, x in (("u", rhs.u), ("v", rhs.v), ("p", rhs.p))]
+        if self._chol is not None:
+            # R M_N^+ r in wall modes, summed in numpy's own loops, as a
+            # product could wake OpenBLAS's threads; non-finite data (a
+            # diverging cycle) pass through as NaN
+            c, (u, v, p) = self._c, (x.copy() for x in coef)
+            self._update(u, v, p)
             z = scipy.linalg.cho_solve(self._chol, np.concatenate(
-                [getattr(out, name)[wall] for name, wall in self._walls]), check_finite=False)
-            for (name, wall), zw in zip(self._walls, z.reshape(len(self._walls), -1)):
-                getattr(f, name)[wall] -= zw
-            self._commuting(f, out)
+                [np.einsum("kl,al->ak", u, c), np.einsum("al,lk->ak", c, v)]).ravel(),
+                check_finite=False).reshape(4, -1)
+            # R^T z in the coefficients: a rank-2 sum on each velocity
+            coef[0] -= np.einsum("ak,al->kl", z[:2], c)
+            coef[1] -= np.einsum("al,ak->lk", c, z[2:])
+        self._update(*coef)
+        for name, x in zip("uvp", coef):
+            synthesise(x, self._kinds[name], getattr(out, name))
         # a diverging cycle's solution may overflow when scaled back; the
         # run's own residual check reports the divergence
         with np.errstate(over="ignore"):
@@ -345,14 +347,18 @@ def _descend(hier: GridHierarchy, level: int, state: grid.StaggeredState,
 
 
 def two_grid_cycle(hier: GridHierarchy, state, rhs, nu1: int, nu2: int) -> None:
-    """One two-grid cycle in place: smooth, exact next-level solve, correct."""
+    """One two-grid cycle in place: smooth, exact next-level solve, correct.
+    The caller projects the gauge after each cycle (``grid.project_gauge``),
+    as ``solve`` and ``cycle_operator`` do; unprojected, the mean pressure's
+    roundoff stalls the residual near 1e-29."""
     if hier.levels < 2:
         raise ValueError("two-grid cycle needs at least two levels")
     _descend(hier, 0, state, rhs, nu1, nu2, solve_level=1)
 
 
 def v_cycle(hier: GridHierarchy, state, rhs, nu1: int, nu2: int) -> None:
-    """One V-cycle in place, recursing to the 3x3 grid's direct solve."""
+    """One V-cycle in place, recursing to the 3x3 grid's direct solve.  The
+    caller projects the gauge after each cycle, as for ``two_grid_cycle``."""
     _descend(hier, 0, state, rhs, nu1, nu2, solve_level=hier.levels - 1)
 
 

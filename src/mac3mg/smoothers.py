@@ -65,35 +65,23 @@ def transform(x: np.ndarray, kinds: tuple, back: bool) -> np.ndarray:
     return x
 
 
-class SeparableInverse:
-    """(Pseudo-)inverse of an operator on ``(n1, n2)`` arrays with eigenvalues
-    ``scale (lambda1_i + lambda2_j)`` in the transforms of its axes, each pair
-    ``e = (lambda, kind)`` from ``lap1_eig`` and ``scale`` a number or an
-    ``(n1, n2)`` array (fast diagonalisation, Lynch, Rice and Thomas 1964):
-    ``x = V1 ((V1^T g V2) / (scale (lambda1_i + lambda2_j))) V2^T``.  When
-    ``singular``, the zero pair, first on each axis with lambda exactly 0, is
-    the constant and gets weight 0: the mean-zero solution for ``g - mean(g)``.
-    """
+def separable_weights(lam: np.ndarray, scale) -> np.ndarray:
+    """The weights of the pseudo-inverse of an operator on ``(n, n)`` arrays
+    with the eigenvalues ``scale (lambda_i + lambda_j)`` in the transforms of
+    ``lap1_eig``'s pair on both axes, ``scale`` a number or an ``(n, n)``
+    array (fast diagonalisation, Lynch, Rice and Thomas 1964):
+    ``1 / (scale (lambda_i + lambda_j))``.  The zero pair, first with lambda
+    exactly 0, is the constant and gets weight 0: the mean-zero solution."""
+    denom = scale * (lam[:, None] + lam[None, :])
+    denom[0, 0] = np.inf
+    return 1.0 / denom
 
-    def __init__(self, e1: tuple, e2: tuple, scale, singular: bool):
-        (lam1, kind1), (lam2, kind2) = e1, e2
-        denom = scale * (lam1[:, None] + lam2[None, :])
-        if singular:
-            denom[0, 0] = np.inf
-        self.inv = 1.0 / denom
-        self.kinds = (kind1, kind2)
 
-    def coefficients(self, g: np.ndarray) -> np.ndarray:
-        """The transform coefficients ``V1^T x V2`` of the solution for ``g``."""
-        c = transform(g, self.kinds, False)
-        c *= self.inv
-        return c
-
-    def synthesise(self, c: np.ndarray, out: np.ndarray) -> np.ndarray:
-        """The array of transform coefficients ``c``, into ``out``."""
-        x = transform(c, self.kinds, True)
-        out[...] = x if np.iscomplexobj(out) else x.real
-        return out
+def synthesise(c: np.ndarray, kinds: tuple, out: np.ndarray) -> np.ndarray:
+    """The array of transform coefficients ``c`` of ``kinds``, into ``out``."""
+    x = transform(c, kinds, True)
+    out[...] = x if np.iscomplexobj(out) else x.real
+    return out
 
 
 # the four parity classes of the 2D DCT-II coefficients, as (x, y) slices
@@ -110,14 +98,16 @@ class SchurOperator:
 
     With ``M_N = I - (h^2/6) G^T G`` for ``M`` (corners 5/6, a wall's are
     3/6), ``S_N`` has the eigenvalues ``h^2 mu_i mu_j (lambda_i + lambda_j)``,
-    ``mu = 1 - h^2 lambda / 6``, in the basis of ``G^T G`` (``lap1_eig``): a
-    ``SeparableInverse``.  On walls ``S = S_N - U W U^T``, ``U`` placing the
-    four wall lines and ``W = (h^2/3) K``, so (Woodbury with ``W^(1/2)``, as
-    ``K`` is singular; Buzbee, Dorr, George and Golub, *SIAM J. Numer. Anal.*
-    8, 1971) ``S^+ g = S_N^+ (g + U W^(1/2) z)`` for ``C z = W^(1/2) U^T
-    S_N^+ g``, ``C = I - W^(1/2) U^T S_N^+ U W^(1/2)`` symmetric positive
-    definite.  Its items are DCT-II modes along the x-lines ``j = 0, n - 1``
-    or the y-lines ``i = 0, n - 1``, in the even or odd sum of the pair.  The
+    ``mu = 1 - h^2 lambda / 6``, in the basis of ``G^T G`` (``lap1_eig``), so
+    ``S_N^+`` weights the transform coefficients (``separable_weights``).  On
+    walls ``S = S_N - U W U^T``, ``U`` placing the four wall lines and ``W =
+    (h^2/3) K``, so (Woodbury with ``W^(1/2)``, as ``K`` is singular; Buzbee,
+    Dorr, George and Golub, *SIAM J. Numer. Anal.* 8, 1971) ``S^+ g = S_N^+
+    (g + U W^(1/2) z)`` for ``C z = W^(1/2) U^T S_N^+ g``, ``C = I - W^(1/2)
+    U^T S_N^+ U W^(1/2)`` symmetric positive definite, read and applied in
+    the transform coefficients as in ``multigrid.DirectSolver``.  Its items
+    are DCT-II modes along the x-lines ``j = 0, n - 1`` or the y-lines ``i =
+    0, n - 1``, in the even or odd sum of the pair.  The
     square's reflections commute with ``S`` and mode k has parity
     ``(-1)^k``, so ``C`` has one block per parity class ``(x, y)`` of the 2D
     coefficients (``_PARITIES``), whose x-line item k is
@@ -137,15 +127,16 @@ class SchurOperator:
         dk, dm = np.full(n, half * d + half * d), np.full(n, 4.0 / 6.0)
         dk[walls], dm[walls] = d * (4.0 / 6.0) * d, (4.0 + grid.VELOCITY_GHOST) / 6.0
         self.diag = (h**2 * (np.outer(dk, dm) + np.outer(dm, dk))).ravel()
-        self._inverse: SeparableInverse | None = None
+        self._inv: np.ndarray | None = None
 
     def _build(self) -> None:
-        """``S_N^+``; ``c``, its even and odd halves and the ``W^(1/2)``
-        weights ``root`` of the modes along a line; the blocks' inverses."""
+        """The weights of ``S_N^+``; ``c``, its even and odd halves and the
+        ``W^(1/2)`` weights ``root`` of the modes along a line; the blocks'
+        inverses."""
         n, h = self.n, 1.0 / self.n
         lam, kind = lap1_eig(n, h, self.bc, grid.CELL_LAPLACIAN_GHOST)
         mu = 1.0 - h * h * lam / 6.0
-        self._inverse = SeparableInverse((lam, kind), (lam, kind), h * h * np.outer(mu, mu), True)
+        self._inv, self._kinds = separable_weights(lam, h * h * np.outer(mu, mu)), (kind, kind)
         self._index = None
         if self.bc == "periodic":
             return
@@ -168,7 +159,7 @@ class SchurOperator:
         c_l``, ``inv`` the weights of ``S_N^+``."""
         blocks = []
         for x, y in _PARITIES:
-            inv, cx, cy = self._inverse.inv[x, y], self._c[x], self._c[y]
+            inv, cx, cy = self._inv[x, y], self._c[x], self._c[y]
             cross = cx[:, None] * inv * cy
             g = np.block([[np.diag(np.einsum("kq,q->k", inv, cy * cy)), cross],
                           [cross.T, np.diag(np.einsum("k,kq->q", cx * cx, inv))]])
@@ -179,9 +170,10 @@ class SchurOperator:
     def solve(self, g: np.ndarray, out: np.ndarray) -> np.ndarray:
         """Mean-zero solution of ``S x = g`` (g is consistent up to roundoff),
         into ``out``; both are ``(n, n)``."""
-        if self._inverse is None:
+        if self._inv is None:
             self._build()
-        coef = self._inverse.coefficients(g)
+        coef = transform(g, self._kinds, False)
+        coef *= self._inv
         if self._index is not None:
             # W^(1/2) U^T S_N^+ g: the items, summed in numpy's own loops, as
             # a product could wake OpenBLAS's threads; then z, one batch
@@ -192,9 +184,9 @@ class SchurOperator:
             t = t[:-1].reshape(2, 2, -1) * root
             # U W^(1/2) z in the coefficients: one rank-4 sum
             c = np.einsum("ak,aq->kq", np.concatenate([t[0], rows]), np.concatenate([rows, t[1]]))
-            c *= self._inverse.inv
+            c *= self._inv
             coef += c
-        return self._inverse.synthesise(coef, out)
+        return synthesise(coef, self._kinds, out)
 
 
 class Smoother:

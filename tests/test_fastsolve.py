@@ -15,7 +15,7 @@ import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from mac3mg import assemble, grid, multigrid
+from mac3mg import assemble, grid, multigrid, smoothers
 from mac3mg.smoothers import SchurOperator, lap1_eig, transform
 from mac3mg.symbols import reference_params
 from mac3mg.twogrid import TransferPair
@@ -225,20 +225,45 @@ def test_direct_solver_at_extreme_scales(n, bc):
 
 @pytest.mark.parametrize("n", (9, 27))
 def test_capacitance_matches_probing(n):
-    # column j of K is h^2/2 e_j plus the wall rows of the commuting solve
-    # of unit wall datum j: the structured build must equal it
+    # column j of K is h^2/2 e_j plus the wall items of the per-mode update
+    # of unit datum j, edge mode k along wall a: the row c_a in edge row k of
+    # u's coefficients, or in edge column k of v's.  The structured build
+    # must equal it
     solver = multigrid.DirectSolver(n, "dirichlet")
-    m = 4 * (n - 1)
-    probed = np.empty((m, m))
-    out = grid.StaggeredState.zeros(n, "dirichlet")
-    for j in range(m):
-        f = grid.StaggeredState.zeros(n, "dirichlet")
-        name, wall = solver._walls[j // (n - 1)]
-        getattr(f, name)[wall][j % (n - 1)] = 1.0
-        solver._commuting(f, out)
-        probed[:, j] = np.concatenate([getattr(out, name)[wall] for name, wall in solver._walls])
-    probed[np.diag_indices(m)] += 0.5 / n**2
+    m, c = n - 1, solver._c
+    probed = np.empty((4 * m, 4 * m))
+    for j in range(4 * m):
+        a, k = divmod(j, m)
+        u, v, p = np.zeros((m, n)), np.zeros((n, m)), np.zeros((n, n))
+        if a < 2:
+            u[k] = c[a]
+        else:
+            v[:, k] = c[a - 2]
+        solver._update(u, v, p)
+        probed[:, j] = np.concatenate([(u @ c.T).T, c @ v]).ravel()
+    probed[np.diag_indices(4 * m)] += 0.5 / n**2
     assert rel_err(solver._capacitance(), probed) < 1e-13
+
+
+@pytest.mark.parametrize("bc", grid.BCS)
+@pytest.mark.parametrize("n", (3, 27))
+def test_a_direct_solve_transforms_each_field_once_each_way(monkeypatch, n, bc):
+    # the walls are corrected in the transform coefficients, so a solve is
+    # one forward and one back transform of each field: a scipy.fft call per
+    # basis kind of the field, two for a velocity's DST-I and DCT-II, one
+    # for the pressure's DCT-II and for each periodic DFT
+    solver, calls = multigrid.DirectSolver(n, bc), []
+
+    def counted(f):
+        def call(*args, **kwargs):
+            calls.append(f)
+            return f(*args, **kwargs)
+        return call
+
+    for kind, (forward, inverse, opts) in list(smoothers._TRANSFORMS.items()):
+        monkeypatch.setitem(smoothers._TRANSFORMS, kind, (counted(forward), counted(inverse), opts))
+    solved(solver, grid.random_state(n, bc, seed=3))
+    assert len(calls) == (10 if bc == "dirichlet" else 6)
 
 
 @pytest.mark.parametrize("n", (3, 9, 27, 81, 243))

@@ -26,6 +26,10 @@ name in the same three directories, unless its ``OPTIONS`` entry says why
 only the tests set it; and some call must leave it to its default.  A call
 that passes a ``**`` mapping may set any keyword, so it counts for neither
 rule, and a class built only from one (``cli.ExperimentConfig``) is exempt.
+
+A required parameter that two or more calls of its name all pass as one
+literal (``ast.literal_eval`` reads it) is a constant: it must go, or vary.
+A starred argument at or before its position hides what a call passes.
 """
 
 import ast
@@ -121,16 +125,16 @@ def _is_dataclass(node: ast.ClassDef) -> bool:
                for d in node.decorator_list)
 
 
-def options():
-    """``{option key: (calls, position, parameter)}`` for each parameter with
-    a default of a reached function, method or class: the program's calls of
-    its name, its position (None for keyword-only) and its name.  A method's first
-    parameter is bound (the package has no static methods).  A class is
-    called by its name: a dataclass takes its fields in field order, keyed
-    ``module.Class.field``, and any other class the parameters of its
-    ``__init__``, keyed ``module.Class.__init__.parameter``.  A call that
-    passes a ``**`` mapping may set any keyword, so it is left out, and a
-    definition that every call builds from one is exempt."""
+def parameters():
+    """``{key: (calls, position, parameter, required)}`` for each parameter of
+    a reached function, method or class: the program's calls of its name, its
+    position (None for keyword-only), its name and whether it has no default.
+    A method's first parameter is bound (the package has no static methods).
+    A class is called by its name: a dataclass takes its fields in field
+    order, keyed ``module.Class.field``, and any other class the parameters
+    of its ``__init__``, keyed ``module.Class.__init__.parameter``.  A call
+    that passes a ``**`` mapping may set any keyword, so it is left out, and
+    a definition that every call builds from one is exempt."""
     definitions, unreached, calls = scan()
     found = {}
     for key, node in definitions.items():
@@ -139,7 +143,7 @@ def options():
         if isinstance(node, ast.ClassDef) and _is_dataclass(node):
             fields = [item for item in node.body
                       if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name)]
-            params = [(i, f.target.id) for i, f in enumerate(fields) if f.value is not None]
+            params = [(i, f.target.id, f.value is None) for i, f in enumerate(fields)]
         else:
             if isinstance(node, ast.ClassDef):
                 node_args = next((item.args for item in node.body
@@ -154,16 +158,46 @@ def options():
             if bound:
                 positional = positional[1:]
             first = len(positional) - len(node_args.defaults)
-            params = [(i, a.arg) for i, a in enumerate(positional) if i >= first]
-            params += [(None, a.arg) for a, d in zip(node_args.kwonlyargs,
-                                                     node_args.kw_defaults) if d is not None]
+            params = [(i, a.arg, i < first) for i, a in enumerate(positional)]
+            params += [(None, a.arg, d is None) for a, d in zip(node_args.kwonlyargs,
+                                                                node_args.kw_defaults)]
         named = calls.get(node.name, [])
         judged = [call for call in named if all(kw.arg is not None for kw in call.keywords)]
         if named and not judged:
             continue
-        for i, name in params:
-            found[f"{key}.{name}"] = (judged, i, name)
+        for i, name, required in params:
+            found[f"{key}.{name}"] = (judged, i, name, required)
     return found
+
+
+def options():
+    """``{option key: (calls, position, parameter)}`` for each parameter with
+    a default (``parameters``)."""
+    return {key: (judged, i, name)
+            for key, (judged, i, name, required) in parameters().items() if not required}
+
+
+def _literal(call: ast.Call, position, name: str):
+    """``(value,)`` of the literal ``call`` passes for the parameter, or None
+    when it passes none, an expression, or a starred argument up to it."""
+    if position is not None and position < len(call.args):
+        if any(isinstance(a, ast.Starred) for a in call.args[: position + 1]):
+            return None
+        node = call.args[position]
+    else:
+        node = next((kw.value for kw in call.keywords if kw.arg == name), None)
+    try:
+        return None if node is None else (ast.literal_eval(node),)
+    except ValueError:
+        return None
+
+
+def required_literals():
+    """``{key: literals}`` for each required parameter with two or more
+    calls: what each call passes (``_literal``)."""
+    return {key: [_literal(call, i, name) for call in judged]
+            for key, (judged, i, name, required) in parameters().items()
+            if required and len(judged) >= 2}
 
 
 def _sets(call: ast.Call, position, name: str) -> bool:
@@ -229,3 +263,13 @@ def test_every_default_is_taken_by_the_program():
     assert "cli.ExperimentConfig" in scan()[0]
     assert not any(key.startswith("cli.ExperimentConfig.") for key in found)
     assert sorted(untaken) == []
+
+
+def test_no_required_parameter_is_a_constant():
+    literals = required_literals()
+    # the scan reads literals passed by position: transform's direction
+    # takes both values, so it is no constant
+    assert {repr(x) for x in literals["smoothers.transform.back"]} == {"(True,)", "(False,)"}
+    constant = {key for key, passed in literals.items()
+                if None not in passed and len({repr(x) for x in passed}) == 1}
+    assert sorted(constant) == []
